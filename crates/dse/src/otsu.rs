@@ -1,12 +1,12 @@
 //! Case-study binding: build the Otsu [`ChainModel`] from measured data —
-//! software times from the interpreter + CPU model, hardware times and
-//! areas from real HLS runs of the four kernels.
+//! software times from the kernels' dynamic operation counts + CPU model,
+//! hardware times and areas from real HLS runs of the four kernels.
 
 use crate::model::{ChainModel, TaskProfile};
 use accelsoc_hls::cache::HlsCache;
 use accelsoc_hls::project::HlsOptions;
 use accelsoc_hls::resource::ResourceEstimate;
-use accelsoc_kernel::interp::{Interpreter, StreamBundle};
+use accelsoc_kernel::{CompiledKernel, StreamBundle};
 use accelsoc_observe::{FlowObserver, NullObserver};
 use accelsoc_platform::cpu::Cpu;
 use accelsoc_platform::PL_CLK_NS;
@@ -14,9 +14,10 @@ use std::collections::HashMap;
 
 /// Build the Otsu chain model for an image of `pixels` pixels.
 ///
-/// Profiles are *measured*: each kernel is interpreted on a synthetic
-/// token stream of the right shape to get its dynamic operation counts
-/// (→ CPU nanoseconds via the A9 model) and synthesized through
+/// Profiles are *measured*: each kernel runs on the lane VM (one lane)
+/// over a synthetic token stream of the right shape to get its dynamic
+/// operation counts (→ CPU nanoseconds via the A9 model; `ExecStats` are
+/// identical on every execution tier) and is synthesized through
 /// `accelsoc-hls` to get its II and area (→ PL nanoseconds).
 ///
 /// Synthesis goes through a throwaway in-memory cache; to amortize the
@@ -67,8 +68,11 @@ pub fn otsu_chain_model_cached(
         }
         let inputs: HashMap<String, i64> =
             scalars.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-        let out = Interpreter::new(kernel)
-            .run(&inputs, &mut s)
+        let out = CompiledKernel::compile(kernel)
+            .run_batch(std::slice::from_ref(&inputs), std::slice::from_mut(&mut s))
+            .lanes
+            .pop()
+            .expect("a one-lane batch has one outcome")
             .expect("profile run");
         cpu.cycles_for(&out.stats) as f64 * accelsoc_platform::PS_CLK_NS
     };

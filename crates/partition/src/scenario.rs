@@ -20,12 +20,15 @@
 //! block per chain — so enough replicas genuinely overflow one device
 //! and force a multi-board cut.
 //!
-//! The **functional** result is computed by the kernel interpreter, chain
-//! by chain (parallelized over host threads into slot-ordered storage, so
-//! thread count never changes the answer), and compared pixel-for-pixel
-//! with [`accelsoc_apps::otsu::otsu_reference`]. The **timing** result
-//! comes from [`accelsoc_platform::multiboard`]. The two never mix: the
-//! report is byte-identical across `--threads`.
+//! The **functional** result is computed on the batch-lane kernel VM
+//! ([`CompiledKernel::run_batch`]) at width 1: the four kernels are
+//! compiled once per run and shared by every chain worker, and each chain
+//! runs its four stages as one-lane batches (parallelized over host
+//! threads into slot-ordered storage, so thread count never changes the
+//! answer). Every chain is compared pixel-for-pixel with
+//! [`accelsoc_apps::otsu::otsu_reference`]. The **timing** result comes
+//! from [`accelsoc_platform::multiboard`]. The two never mix: the report
+//! is byte-identical across `--threads`.
 
 use crate::pack::{partition_observed, PartitionOptions};
 use crate::plan::{BoardPlan, PlanError};
@@ -36,7 +39,7 @@ use accelsoc_hls::cache::HlsCache;
 use accelsoc_hls::resource::ResourceEstimate;
 use accelsoc_htg::graph::{Htg, TaskNode, TransferKind};
 use accelsoc_integration::device::Device;
-use accelsoc_kernel::interp::{ExecError, Interpreter, StreamBundle};
+use accelsoc_kernel::{CompiledKernel, ExecError, StreamBundle};
 use accelsoc_observe::{FlowObserver, NullObserver};
 use accelsoc_platform::multiboard::{
     simulate, MbLink, MbNode, MultiBoardError, MultiBoardReport, MultiBoardSpec,
@@ -58,8 +61,8 @@ pub struct PartitionSimOptions {
     pub side: u32,
     /// Seed for the synthetic images and the refinement sweep.
     pub seed: u64,
-    /// Host threads for the functional (interpreter) layer. Never
-    /// affects the report contents, only wall time.
+    /// Host threads for the functional (lane-VM) layer. Never affects
+    /// the report contents, only wall time.
     pub threads: usize,
     /// Partitioner/link parameters beyond the board budget and seed.
     pub partition: PartitionOptions,
@@ -366,37 +369,75 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Run one chain's four kernels through the interpreter and compare with
-/// the scalar reference.
-fn run_chain(chain: usize, side: u32, seed: u64) -> Result<ChainResult, ExecError> {
+/// The four chain kernels, compiled once per run and shared by reference
+/// across the chain workers.
+struct ChainKernels {
+    gray: CompiledKernel,
+    hist: CompiledKernel,
+    otsu: CompiledKernel,
+    seg: CompiledKernel,
+}
+
+impl ChainKernels {
+    fn compile() -> ChainKernels {
+        ChainKernels {
+            gray: CompiledKernel::compile(&kernels::grayscale()),
+            hist: CompiledKernel::compile(&kernels::compute_histogram()),
+            otsu: CompiledKernel::compile(&kernels::half_probability()),
+            seg: CompiledKernel::compile(&kernels::segment()),
+        }
+    }
+}
+
+/// Run one stage as a one-lane batch on the lane VM. Width 1 keeps each
+/// worker's working set to a single tile: 4-lane groups measured about a
+/// fifth faster but hold four tiles' snapshots and SoA state, for a third
+/// more peak memory (DESIGN.md §13).
+fn run_stage(
+    kernel: &CompiledKernel,
+    scalars: &HashMap<String, i64>,
+    streams: &mut StreamBundle,
+) -> Result<(), ExecError> {
+    let mut batch = kernel.run_batch(std::slice::from_ref(scalars), std::slice::from_mut(streams));
+    batch
+        .lanes
+        .pop()
+        .expect("a one-lane batch has one outcome")
+        .map(|_| ())
+}
+
+/// Run one chain's four kernels and compare with the scalar reference.
+/// The chain stops at its first failing stage.
+fn run_chain(
+    compiled: &ChainKernels,
+    chain: usize,
+    side: u32,
+    seed: u64,
+) -> Result<ChainResult, ExecError> {
     let rgb = RgbImage::from_gray(&synthetic_scene(side, side, seed));
     let n = (side * side) as i64;
     let scalars: HashMap<String, i64> = [("n".to_string(), n)].into_iter().collect();
 
-    let k_gray = kernels::grayscale();
     let mut s = StreamBundle::new();
     s.feed("imageIn", rgb.data.iter().map(|&p| p as i64));
-    Interpreter::new(&k_gray).run(&scalars, &mut s)?;
+    run_stage(&compiled.gray, &scalars, &mut s)?;
     let gray_ch = s.take_output("imageOutCH").unwrap_or_default();
     let gray_seg = s.take_output("imageOutSEG").unwrap_or_default();
 
-    let k_hist = kernels::compute_histogram();
     let mut s = StreamBundle::new();
     s.feed("grayScaleImage", gray_ch);
-    Interpreter::new(&k_hist).run(&scalars, &mut s)?;
+    run_stage(&compiled.hist, &scalars, &mut s)?;
     let hist = s.take_output("histogram").unwrap_or_default();
 
-    let k_otsu = kernels::half_probability();
     let mut s = StreamBundle::new();
     s.feed("histogram", hist);
-    Interpreter::new(&k_otsu).run(&HashMap::new(), &mut s)?;
+    run_stage(&compiled.otsu, &HashMap::new(), &mut s)?;
     let threshold = s.take_output("probability").unwrap_or_default()[0] as u8;
 
-    let k_seg = kernels::segment();
     let mut s = StreamBundle::new();
     s.feed("otsuThreshold", [threshold as i64]);
     s.feed("grayScaleImage", gray_seg);
-    Interpreter::new(&k_seg).run(&scalars, &mut s)?;
+    run_stage(&compiled.seg, &scalars, &mut s)?;
     let out: Vec<u8> = s
         .take_output("segmentedGrayImage")
         .unwrap_or_default()
@@ -443,6 +484,7 @@ pub fn run_partition_sim_observed(
 
     // Functional layer: parallel-but-pure, slot-ordered, so `threads`
     // never leaks into the report.
+    let compiled = &ChainKernels::compile();
     let mut slots: Vec<Option<Result<ChainResult, ExecError>>> = Vec::new();
     slots.resize_with(opts.scale, || None);
     let chunk = opts.scale.div_ceil(opts.threads).max(1);
@@ -452,7 +494,7 @@ pub fn run_partition_sim_observed(
         for (id_chunk, slot_chunk) in chain_ids.chunks(chunk).zip(slots.chunks_mut(chunk)) {
             s.spawn(move |_| {
                 for (&k, slot) in id_chunk.iter().zip(slot_chunk.iter_mut()) {
-                    *slot = Some(run_chain(k, side, seed.wrapping_add(k as u64)));
+                    *slot = Some(run_chain(compiled, k, side, seed.wrapping_add(k as u64)));
                 }
             });
         }

@@ -1,7 +1,7 @@
-//! Golden tests pinning the serialized `BatchReport` and `ServeReport`
-//! byte-for-byte.
+//! Golden tests pinning the serialized `BatchReport`, `ServeReport` and
+//! `PartitionSimReport` byte-for-byte.
 //!
-//! Both reports are virtual-time-only and deterministic by construction,
+//! All three reports are virtual-time-only and deterministic by construction,
 //! so their JSON must not drift when the execution engine underneath is
 //! swapped (e.g. interpreter -> compiled kernel VM): any byte of
 //! difference means simulated timing or results changed, which is a
@@ -12,6 +12,7 @@ use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::batch::{image_stream, run_batch};
 use accelsoc_apps::otsu::AppConfig;
 use accelsoc_core::observe::NullObserver;
+use accelsoc_partition::{run_partition_sim, PartitionSimOptions};
 use accelsoc_serve::{
     generate_workload, DseEstimator, PolicyKind, ServeConfig, ServeSession, TenantProfile,
     WorkloadSpec,
@@ -93,4 +94,27 @@ fn serve_report_matches_golden() {
         .expect("serve");
     let out = serde_json::to_string_pretty(&rep).unwrap() + "\n";
     check_or_update("serve_report.json", &out);
+}
+
+#[test]
+fn partition_report_matches_golden() {
+    // The verify.sh smoke config, plus an odd scale and side that leave a
+    // ragged last chunk of chains per worker and a non-power-of-two tile.
+    // The makespan comes from the DSE chain model and the chain checksums
+    // from the functional layer, so this pins both.
+    let mut out = String::new();
+    for (scale, side) in [(16, 32), (5, 17)] {
+        let opts = PartitionSimOptions::builder()
+            .scale(scale)
+            .max_boards(2)
+            .side(side)
+            .seed(1)
+            .threads(2)
+            .build();
+        let rep = run_partition_sim(&opts).expect("partition-sim");
+        assert!(rep.pixel_exact);
+        out.push_str(&serde_json::to_string_pretty(&rep).unwrap());
+        out.push('\n');
+    }
+    check_or_update("partition_report.json", &out);
 }
