@@ -6,6 +6,7 @@
 use crate::archs::Arch;
 use crate::image::{GrayImage, RgbImage};
 use accelsoc_axi::dma::DmaDescriptor;
+use accelsoc_axi::protocol::MemError;
 use accelsoc_core::flow::{FlowArtifacts, FlowEngine, FlowError};
 use accelsoc_kernel::interp::StreamBundle;
 use accelsoc_platform::board::{Board, BoardError};
@@ -105,6 +106,11 @@ pub enum AppError {
     Board(BoardError),
     Flow(FlowError),
     Exec(accelsoc_kernel::interp::ExecError),
+    /// A hardware-phase buffer does not fit the board's DRAM.
+    Memory(MemError),
+    /// The artifacts have no accelerator for a task the architecture
+    /// runs in hardware.
+    MissingAccel(String),
 }
 
 impl std::fmt::Display for AppError {
@@ -113,6 +119,10 @@ impl std::fmt::Display for AppError {
             AppError::Board(e) => write!(f, "{e}"),
             AppError::Flow(e) => write!(f, "{e}"),
             AppError::Exec(e) => write!(f, "{e}"),
+            AppError::Memory(e) => write!(f, "{e}"),
+            AppError::MissingAccel(name) => {
+                write!(f, "the artifacts have no `{name}` accelerator")
+            }
         }
     }
 }
@@ -137,8 +147,28 @@ impl From<accelsoc_kernel::interp::ExecError> for AppError {
     }
 }
 
+impl From<MemError> for AppError {
+    fn from(e: MemError) -> Self {
+        AppError::Memory(e)
+    }
+}
+
+/// DRAM addresses where the hardware phase stages its input and
+/// collects its output.
 const IN_BUF: u64 = 0x10_0000;
 const OUT_BUF: u64 = 0x20_0000;
+
+/// Bytes of board DRAM the runner needs for an image of `pixels`
+/// pixels on any architecture: the hardware phase's input at `IN_BUF`
+/// and its output at `OUT_BUF`. The largest input is Arch4's RGBA
+/// words (or the 256-bin histogram Arch2 takes), the largest output
+/// Arch4's segmented bytes (or the histogram Arch1 returns).
+pub fn dram_footprint(pixels: u64) -> u64 {
+    const HIST_BYTES: u64 = 256 * 4;
+    let input = (4 * pixels).max(HIST_BYTES);
+    let output = pixels.max(HIST_BYTES);
+    (IN_BUF + input).max(OUT_BUF + output)
+}
 
 /// Board-level knobs for an application run.
 #[derive(Debug, Clone)]
@@ -195,24 +225,25 @@ impl LaneGroup<'_> {
             .collect()
     }
 
-    /// Run one software task for `lanes` as a single lane-VM batch
-    /// (one decoded instruction stream over all of them), charge each
-    /// lane's CPU model with its bit-exact `ExecStats`, and record the
-    /// task entry. A lane that traps is retired into `failed` without
-    /// disturbing its siblings.
+    /// Run one software task for `lanes` as a single lane-VM batch of
+    /// the engine's `kernel` (one decoded instruction stream over all of
+    /// them), charge each lane's CPU model with its bit-exact
+    /// `ExecStats`, and record the task entry. A lane that traps is
+    /// retired into `failed` without disturbing its siblings; a kernel
+    /// the engine lacks fails the whole group.
     fn sw_stage(
         &mut self,
-        kernel: &accelsoc_kernel::ir::Kernel,
+        kernel: &str,
         task: &str,
         lanes: &[usize],
         scalars: Vec<HashMap<String, i64>>,
         bundles: &mut [StreamBundle],
-    ) {
+    ) -> Result<(), FlowError> {
         debug_assert_eq!(lanes.len(), bundles.len());
         if lanes.is_empty() {
-            return;
+            return Ok(());
         }
-        let unit = self.engine.exec_unit(kernel);
+        let unit = self.engine.exec_unit(kernel)?;
         let out = unit.run_batch(&scalars, bundles);
         self.vm_dispatches += out.dispatches;
         for (i, res) in out.lanes.into_iter().enumerate() {
@@ -226,6 +257,7 @@ impl LaneGroup<'_> {
                 Err(e) => self.failed[l] = Some(AppError::Exec(e)),
             }
         }
+        Ok(())
     }
 }
 
@@ -250,13 +282,18 @@ fn hw_phase(
     hist_in: &[u32],
 ) -> Result<HwPhase, AppError> {
     let n = input.data.len() as i64;
-    let accel_of =
-        |name: &str| -> Option<usize> { artifacts.hls.iter().position(|(nm, _)| nm == name) };
+    let accel_of = |name: &str| -> Result<usize, AppError> {
+        artifacts
+            .hls
+            .iter()
+            .position(|(nm, _)| nm == name)
+            .ok_or_else(|| AppError::MissingAccel(name.to_string()))
+    };
     match arch {
         Arch::Arch1 => {
             // HW: computeHistogram. in: gray bytes; out: 256 u32.
             let in_bytes: Vec<u8> = gray.iter().map(|&v| v as u8).collect();
-            board.dram.load_bytes(IN_BUF, &in_bytes).unwrap();
+            board.dram.load_bytes(IN_BUF, &in_bytes)?;
             let stats = board.run_stream_phase(
                 &[(
                     0,
@@ -272,9 +309,9 @@ fn hw_phase(
                         len: 256 * 4,
                     },
                 )],
-                &[(accel_of("computeHistogram").unwrap(), "n", n)],
+                &[(accel_of("computeHistogram")?, "n", n)],
             )?;
-            let out = board.dram.dump_bytes(OUT_BUF, 256 * 4).unwrap();
+            let out = board.dram.dump_bytes(OUT_BUF, 256 * 4)?;
             Ok(HwPhase {
                 hist: bytes_to_u32s(&out),
                 thr: None,
@@ -286,7 +323,7 @@ fn hw_phase(
         Arch::Arch2 => {
             // HW: halfProbability over the software-computed histogram.
             let in_bytes = u32s_to_bytes(hist_in);
-            board.dram.load_bytes(IN_BUF, &in_bytes).unwrap();
+            board.dram.load_bytes(IN_BUF, &in_bytes)?;
             let stats = board.run_stream_phase(
                 &[(
                     0,
@@ -304,7 +341,7 @@ fn hw_phase(
                 )],
                 &[],
             )?;
-            let thr = board.dram.dump_bytes(OUT_BUF, 4).unwrap()[0];
+            let thr = board.dram.dump_bytes(OUT_BUF, 4)?[0];
             Ok(HwPhase {
                 hist: Vec::new(),
                 thr: Some(thr),
@@ -316,7 +353,7 @@ fn hw_phase(
         Arch::Arch3 => {
             // HW: computeHistogram -> halfProbability chained.
             let in_bytes: Vec<u8> = gray.iter().map(|&v| v as u8).collect();
-            board.dram.load_bytes(IN_BUF, &in_bytes).unwrap();
+            board.dram.load_bytes(IN_BUF, &in_bytes)?;
             let stats = board.run_stream_phase(
                 &[(
                     0,
@@ -332,9 +369,9 @@ fn hw_phase(
                         len: 4,
                     },
                 )],
-                &[(accel_of("computeHistogram").unwrap(), "n", n)],
+                &[(accel_of("computeHistogram")?, "n", n)],
             )?;
-            let thr = board.dram.dump_bytes(OUT_BUF, 4).unwrap()[0];
+            let thr = board.dram.dump_bytes(OUT_BUF, 4)?[0];
             Ok(HwPhase {
                 hist: Vec::new(),
                 thr: Some(thr),
@@ -346,7 +383,7 @@ fn hw_phase(
         Arch::Arch4 => {
             // Whole pipeline in HW: RGB in, segmented image out.
             let in_bytes = u32s_to_bytes(&input.data);
-            board.dram.load_bytes(IN_BUF, &in_bytes).unwrap();
+            board.dram.load_bytes(IN_BUF, &in_bytes)?;
             let stats = board.run_stream_phase(
                 &[(
                     0,
@@ -363,12 +400,12 @@ fn hw_phase(
                     },
                 )],
                 &[
-                    (accel_of("grayScale").unwrap(), "n", n),
-                    (accel_of("computeHistogram").unwrap(), "n", n),
-                    (accel_of("segment").unwrap(), "n", n),
+                    (accel_of("grayScale")?, "n", n),
+                    (accel_of("computeHistogram")?, "n", n),
+                    (accel_of("segment")?, "n", n),
                 ],
             )?;
-            let seg = board.dram.dump_bytes(OUT_BUF, input.data.len()).unwrap();
+            let seg = board.dram.dump_bytes(OUT_BUF, input.data.len())?;
             // The threshold never leaves the PL in Arch4 (it flows core to
             // core); recompute it host-side for reporting only — no CPU
             // time charged.
@@ -403,7 +440,7 @@ pub fn run_application(
 /// [`run_application`] with explicit board knobs — used by the property
 /// tests to vary FIFO depth and by the batch driver. Delegates to
 /// [`run_application_group`] with a single lane; the lane VM at `K = 1`
-/// is bit-identical to the scalar tiers by contract, so there is one
+/// is bit-identical to the scalar VM by contract, so there is one
 /// runner code path regardless of batch size.
 pub fn run_application_with(
     arch: Arch,
@@ -466,13 +503,7 @@ pub fn run_application_group(
             .iter()
             .map(|&l| HashMap::from([("n".to_string(), images[l].data.len() as i64)]))
             .collect();
-        g.sw_stage(
-            &crate::kernels::grayscale(),
-            "grayScale",
-            &lanes,
-            scalars,
-            &mut bundles,
-        );
+        g.sw_stage("grayScale", "grayScale", &lanes, scalars, &mut bundles)?;
         for (i, &l) in lanes.iter().enumerate() {
             if g.failed[l].is_none() {
                 gray[l] = bundles[i].output("imageOutCH").to_vec();
@@ -497,12 +528,12 @@ pub fn run_application_group(
             .map(|&l| HashMap::from([("n".to_string(), images[l].data.len() as i64)]))
             .collect();
         g.sw_stage(
-            &crate::kernels::compute_histogram(),
+            "computeHistogram",
             "histogram",
             &lanes,
             scalars,
             &mut bundles,
-        );
+        )?;
         for (i, &l) in lanes.iter().enumerate() {
             if g.failed[l].is_none() {
                 hist[l] = bundles[i]
@@ -556,12 +587,12 @@ pub fn run_application_group(
             .collect();
         let scalars = lanes.iter().map(|_| HashMap::new()).collect();
         g.sw_stage(
-            &crate::kernels::half_probability(),
+            "halfProbability",
             "otsuMethod",
             &lanes,
             scalars,
             &mut bundles,
-        );
+        )?;
         for (i, &l) in lanes.iter().enumerate() {
             if g.failed[l].is_none() {
                 thr[l] = Some(bundles[i].output("probability")[0] as u8);
@@ -589,13 +620,7 @@ pub fn run_application_group(
             .iter()
             .map(|&l| HashMap::from([("n".to_string(), images[l].data.len() as i64)]))
             .collect();
-        g.sw_stage(
-            &crate::kernels::segment(),
-            "binarization",
-            &lanes,
-            scalars,
-            &mut bundles,
-        );
+        g.sw_stage("segment", "binarization", &lanes, scalars, &mut bundles)?;
         for (i, &l) in lanes.iter().enumerate() {
             if g.failed[l].is_none() {
                 seg[l] = Some(
@@ -653,8 +678,86 @@ fn bytes_to_u32s(b: &[u8]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archs::{otsu_flow_engine, Arch};
+    use crate::archs::{arch_dsl_source, otsu_flow_engine, otsu_flow_engine_with, Arch};
     use crate::image::synthetic_scene;
+    use accelsoc_core::flow::FlowOptions;
+    use accelsoc_observe::{CollectObserver, FlowEvent};
+    use std::sync::Arc;
+
+    /// Every lane group on one engine — boards and software stages, all
+    /// four architectures, repeated — runs on one compiled unit per
+    /// kernel.
+    #[test]
+    fn lane_groups_compile_each_kernel_once_per_engine() {
+        let collect = Arc::new(CollectObserver::new());
+        let mut engine =
+            otsu_flow_engine_with(FlowOptions::builder().observer(collect.clone()).build());
+        let images: Vec<RgbImage> = (0..3)
+            .map(|seed| RgbImage::from_gray(&synthetic_scene(16, 16, seed)))
+            .collect();
+        for arch in Arch::all() {
+            let art = engine.run_source(&arch_dsl_source(arch)).unwrap();
+            for _ in 0..2 {
+                let group =
+                    run_application_group(arch, &engine, &art, &images, &AppConfig::default())
+                        .unwrap();
+                assert!(group.runs.iter().all(|r| r.is_ok()), "{arch:?}");
+            }
+        }
+        let mut compiled: Vec<String> = collect
+            .events()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                FlowEvent::KernelCompiled { kernel } => Some(kernel),
+                _ => None,
+            })
+            .collect();
+        compiled.sort();
+        assert_eq!(
+            compiled,
+            [
+                "computeHistogram",
+                "grayScale",
+                "halfProbability",
+                "segment"
+            ]
+        );
+    }
+
+    #[test]
+    fn dram_footprint_fits_every_architecture() {
+        let mut engine = otsu_flow_engine();
+        for side in [16, 40] {
+            let rgb = RgbImage::from_gray(&synthetic_scene(side, side, 7));
+            let cfg = AppConfig {
+                dram_bytes: dram_footprint(rgb.data.len() as u64) as usize,
+                ..AppConfig::default()
+            };
+            for arch in Arch::all() {
+                let art = engine.run_source(&arch_dsl_source(arch)).unwrap();
+                run_application_with(arch, &engine, &art, &rgb, &cfg)
+                    .unwrap_or_else(|e| panic!("{arch:?} side {side}: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn hw_phase_buffer_overflow_is_a_typed_error() {
+        let rgb = RgbImage::from_gray(&synthetic_scene(16, 16, 1));
+        let mut engine = otsu_flow_engine();
+        let art = engine.run_source(&arch_dsl_source(Arch::Arch4)).unwrap();
+        let run = |dram_bytes| {
+            let cfg = AppConfig {
+                dram_bytes,
+                ..AppConfig::default()
+            };
+            run_application_with(Arch::Arch4, &engine, &art, &rgb, &cfg).unwrap_err()
+        };
+        // The input load at IN_BUF overruns 1 MiB; the output DMA at
+        // OUT_BUF overruns 2 MiB.
+        assert!(matches!(run(1 << 20), AppError::Memory(_)));
+        assert!(matches!(run(2 << 20), AppError::Board(_)));
+    }
 
     #[test]
     fn reference_pipeline_separates_scene() {

@@ -1,6 +1,5 @@
 //! Kernel-VM microbenchmark: the tree-walking interpreter vs the
-//! register bytecode VM vs the native threaded-code tier over the full
-//! Otsu kernel chain
+//! register bytecode VM over the full Otsu kernel chain
 //! (grayScale → computeHistogram → halfProbability → segment),
 //! plus a `--lanes` sweep of the batch-lane VM: K distinct images run
 //! through one decoded instruction stream with structure-of-arrays
@@ -20,9 +19,7 @@ use accelsoc_bench::{save_json, Table};
 use accelsoc_kernel::compile::CompiledKernel;
 use accelsoc_kernel::interp::{ExecOutcome, Interpreter, StreamBundle};
 use accelsoc_kernel::ir::Kernel;
-use accelsoc_kernel::native::lower;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 fn arg_u64(args: &[String], flag: &str, default: u64) -> u64 {
@@ -104,6 +101,12 @@ fn build_stages_seeded(side: u32, seed: u64) -> Vec<Stage> {
     ]
 }
 
+/// Median of `v` (the upper middle element for even lengths).
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 fn outputs_of(bundle: &StreamBundle) -> Vec<(String, Vec<i64>)> {
     bundle
         .outputs()
@@ -120,7 +123,7 @@ fn main() {
         .cloned();
     let side = arg_u64(&args, "--side", 64) as u32;
     let reps = arg_u64(&args, "--reps", 20).max(1) as usize;
-    let rounds = arg_u64(&args, "--rounds", 5).max(1) as usize;
+    let rounds = arg_u64(&args, "--rounds", 9).max(1) as usize;
 
     let stages = build_stages(side);
 
@@ -167,19 +170,15 @@ fn main() {
         "IR ops",
         "interp Mops/s",
         "VM Mops/s",
-        "native Mops/s",
         "VM speedup",
         "compile (us)",
     ]);
     let mut records = Vec::new();
-    let (mut tot_ops, mut tot_interp_s, mut tot_vm_s, mut tot_nat_s) = (0u64, 0f64, 0f64, 0f64);
+    let (mut tot_ops, mut tot_interp_s, mut tot_vm_s) = (0u64, 0f64, 0f64);
     for stage in &stages {
         let t0 = Instant::now();
-        let compiled = Arc::new(CompiledKernel::compile(&stage.kernel));
+        let compiled = CompiledKernel::compile(&stage.kernel);
         let compile_us = t0.elapsed().as_secs_f64() * 1e6;
-        let t0 = Instant::now();
-        let native = lower(&compiled);
-        let lower_us = t0.elapsed().as_secs_f64() * 1e6;
 
         let steps = {
             let mut b = fresh_bundle(stage);
@@ -202,28 +201,18 @@ fn main() {
         }
         let vm_s = t0.elapsed().as_secs_f64();
 
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let mut b = fresh_bundle(stage);
-            native.run(&stage.scalars, &mut b).unwrap();
-        }
-        let nat_s = t0.elapsed().as_secs_f64();
-
         let ops = steps * reps as u64;
         let interp_mops = ops as f64 / interp_s / 1e6;
         let vm_mops = ops as f64 / vm_s / 1e6;
-        let nat_mops = ops as f64 / nat_s / 1e6;
         let speedup = interp_s / vm_s;
         tot_ops += ops;
         tot_interp_s += interp_s;
         tot_vm_s += vm_s;
-        tot_nat_s += nat_s;
         table.row(vec![
             stage.kernel.name.clone(),
             steps.to_string(),
             format!("{interp_mops:.1}"),
             format!("{vm_mops:.1}"),
-            format!("{nat_mops:.1}"),
             format!("{speedup:.2}x"),
             format!("{compile_us:.0}"),
         ]);
@@ -233,24 +222,19 @@ fn main() {
             "reps": reps,
             "interp_ops_per_sec": ops as f64 / interp_s,
             "vm_ops_per_sec": ops as f64 / vm_s,
-            "native_ops_per_sec": ops as f64 / nat_s,
             "speedup": speedup,
-            "native_speedup": interp_s / nat_s,
             "compile_us": compile_us,
-            "lower_us": lower_us,
             "bytecode_ops": compiled.len(),
         }));
     }
     let chain_speedup = tot_interp_s / tot_vm_s;
-    let chain_native_speedup = tot_interp_s / tot_nat_s;
 
     println!("== Kernel VM vs interpreter over the Otsu chain ({side}x{side}, {reps} reps) ==\n");
     print!("{}", table.render());
     println!(
-        "\nchain: {:.1} Mops/s interp vs {:.1} Mops/s VM vs {:.1} Mops/s native — {chain_speedup:.2}x / {chain_native_speedup:.2}x overall",
+        "\nchain: {:.1} Mops/s interp vs {:.1} Mops/s VM — {chain_speedup:.2}x overall",
         tot_ops as f64 / tot_interp_s / 1e6,
         tot_ops as f64 / tot_vm_s / 1e6,
-        tot_ops as f64 / tot_nat_s / 1e6,
     );
     println!("(engines verified bit-identical on outputs and ExecStats before timing)");
 
@@ -264,9 +248,9 @@ fn main() {
     let lane_stages: Vec<Vec<Stage>> = (0..max_k)
         .map(|l| build_stages_seeded(side, 2016 + l as u64))
         .collect();
-    let compiled: Vec<Arc<CompiledKernel>> = stages
+    let compiled: Vec<CompiledKernel> = stages
         .iter()
-        .map(|s| Arc::new(CompiledKernel::compile(&s.kernel)))
+        .map(|s| CompiledKernel::compile(&s.kernel))
         .collect();
 
     // Correctness gate: every lane of every batch width bit-identical
@@ -319,17 +303,15 @@ fn main() {
             }
         }
 
-        // Timed rounds interleave the two engines and keep each engine's
-        // best round, so slow-machine drift (frequency scaling, noisy
-        // neighbours on a 1-vCPU host) cannot skew the ratio.
+        // Each round times the two engines back to back (alternating
+        // which goes first) and yields one paired ratio; the median
+        // over rounds cannot be flipped by a burst of host noise that
+        // lands in a minority of rounds.
         let inputs: Vec<Vec<HashMap<String, i64>>> = (0..compiled.len())
             .map(|s| (0..k).map(|l| lane_stages[l][s].scalars.clone()).collect())
             .collect();
-        let mut scalar_s = f64::MAX;
-        let mut lane_s = f64::MAX;
-        let mut dispatches = 0u64;
-        for _ in 0..rounds {
-            // Scalar-VM baseline: same images, one lane at a time.
+        // Scalar-VM baseline: same images, one lane at a time.
+        let time_scalar = || {
             let t0 = Instant::now();
             for _ in 0..reps {
                 for lane in lane_stages.iter().take(k) {
@@ -339,9 +321,11 @@ fn main() {
                     }
                 }
             }
-            scalar_s = scalar_s.min(t0.elapsed().as_secs_f64());
-
-            // Lane VM: one batch per stage.
+            t0.elapsed().as_secs_f64()
+        };
+        // Lane VM: one batch per stage.
+        let mut dispatches = 0u64;
+        let mut time_lanes = || {
             let t0 = Instant::now();
             for _ in 0..reps {
                 dispatches = 0;
@@ -352,13 +336,28 @@ fn main() {
                     dispatches += out.dispatches;
                 }
             }
-            lane_s = lane_s.min(t0.elapsed().as_secs_f64());
+            t0.elapsed().as_secs_f64()
+        };
+        let (mut scalar_times, mut lane_times, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+        for round in 0..rounds {
+            let (scalar_s, lane_s) = if round % 2 == 0 {
+                let sc = time_scalar();
+                (sc, time_lanes())
+            } else {
+                let ln = time_lanes();
+                (time_scalar(), ln)
+            };
+            scalar_times.push(scalar_s);
+            lane_times.push(lane_s);
+            ratios.push(scalar_s / lane_s);
         }
+        let scalar_s = median(&mut scalar_times);
+        let lane_s = median(&mut lane_times);
 
         let ops = ops_per_rep * reps as u64;
         let scalar_ops_s = ops as f64 / scalar_s;
         let lane_ops_s = ops as f64 / lane_s;
-        let speedup = scalar_s / lane_s;
+        let speedup = median(&mut ratios);
         let ops_per_dispatch = ops_per_rep as f64 / dispatches.max(1) as f64;
         lane_table.row(vec![
             k.to_string(),
@@ -374,6 +373,7 @@ fn main() {
             "reps": reps,
             "scalar_vm_ops_per_sec": scalar_ops_s,
             "lane_vm_ops_per_sec": lane_ops_s,
+            "rounds": rounds,
             "speedup_vs_scalar_vm": speedup,
             "dispatches_per_rep": dispatches,
             "ops_per_dispatch": ops_per_dispatch,
@@ -388,15 +388,13 @@ fn main() {
 
     if let Some(path) = json_path {
         let doc = serde_json::json!({
-            "schema": "accelsoc-bench-kernelvm/2",
+            "schema": "accelsoc-bench-kernelvm/3",
             "side": side,
             "reps": reps,
             "kernels": records,
             "chain_speedup": chain_speedup,
-            "chain_native_speedup": chain_native_speedup,
             "chain_interp_ops_per_sec": tot_ops as f64 / tot_interp_s,
             "chain_vm_ops_per_sec": tot_ops as f64 / tot_vm_s,
-            "chain_native_ops_per_sec": tot_ops as f64 / tot_nat_s,
             "lane_sweep": lane_rows,
         });
         std::fs::write(&path, serde_json::to_string_pretty(&doc).unwrap() + "\n")

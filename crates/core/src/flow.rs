@@ -30,7 +30,7 @@
 use crate::dsl::{parse, ParseError};
 use crate::graph::{InterfaceKind, LinkEnd, TaskGraph};
 use crate::semantics::{elaborate, Elaborated, PortDirection, SemanticError};
-use accelsoc_hls::cache::{CacheKey, HlsCache, VmCache};
+use accelsoc_hls::cache::{CacheKey, HlsCache};
 use accelsoc_hls::project::{synthesize_kernel_observed, HlsError, HlsOptions, HlsResult};
 use accelsoc_integration::assembler::{
     assemble, ArchSpec, AssembleError, CoreSpec, DmaPolicy, LinkSpec, SocEndpoint,
@@ -45,6 +45,7 @@ use accelsoc_integration::tcl::TclBackend;
 use accelsoc_integration::timing::TimingReport;
 use accelsoc_integration::{flowtime, place, route, synth, tcl, timing};
 use accelsoc_kernel::ir::{Kernel, ParamKind};
+use accelsoc_kernel::ExecUnit;
 use accelsoc_observe::{
     null_observer, FanoutObserver, FlowEvent, FlowMetrics, MetricsObserver, PhaseSpan,
     SharedObserver, SpanOutcome,
@@ -56,7 +57,7 @@ use accelsoc_swgen::{capi, devicetree};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 pub use accelsoc_observe::FlowPhase;
@@ -378,15 +379,21 @@ impl FlowArtifacts {
     }
 }
 
+/// One kernel of the library, with its execution unit compiled on
+/// first use.
+struct KernelEntry {
+    kernel: Kernel,
+    unit: OnceLock<Arc<ExecUnit>>,
+}
+
 /// The engine. Holds the kernel library (the "synthesizable C/C++ files")
 /// and the content-addressed HLS cache shared across runs (and, when
 /// built with a `cache_dir` or a shared cache, across engines and
 /// processes).
 pub struct FlowEngine {
     pub options: FlowOptions,
-    kernels: HashMap<String, Kernel>,
+    kernels: HashMap<String, KernelEntry>,
     hls_cache: Arc<HlsCache>,
-    vm_cache: Arc<VmCache>,
 }
 
 impl FlowEngine {
@@ -400,7 +407,6 @@ impl FlowEngine {
             options,
             kernels: HashMap::new(),
             hls_cache,
-            vm_cache: Arc::new(VmCache::new()),
         }
     }
 
@@ -410,42 +416,45 @@ impl FlowEngine {
         &self.hls_cache
     }
 
-    /// The kernel's execution unit (VM bytecode + native threaded
-    /// code), compiled and lowered at most once per engine: keyed by
-    /// the same content digest as the HLS cache, so the thousands of
-    /// invocations a batch or serving run makes of the same four
-    /// kernels share one lowered form. Each actual compile is reported
-    /// as [`FlowEvent::KernelCompiled`], each cache hit as
-    /// [`FlowEvent::KernelVmCacheHit`]; the cache's lifetime hit/miss
-    /// tallies land in `FlowMetrics::vm_compile_hits`/`_misses`.
-    pub fn exec_unit(&self, kernel: &Kernel) -> Arc<accelsoc_kernel::ExecUnit> {
-        let key = CacheKey::compute(kernel, &self.options.hls);
-        self.vm_cache
-            .get_or_compile(key, kernel, self.options.observer.as_ref())
+    /// The execution unit of the kernel registered as `name`, compiled
+    /// on the first fetch and then shared by every board and software
+    /// stage of this engine until the kernel is re-registered. The
+    /// compiling fetch reports [`FlowEvent::KernelCompiled`], every later
+    /// one [`FlowEvent::KernelVmCacheHit`]; they land in
+    /// `FlowMetrics::vm_compile_misses`/`_hits`.
+    pub fn exec_unit(&self, name: &str) -> Result<Arc<ExecUnit>, FlowError> {
+        let entry = self
+            .kernels
+            .get(name)
+            .ok_or_else(|| FlowError::MissingKernel {
+                node: name.to_string(),
+            })?;
+        Ok(self.unit_of(entry))
     }
 
-    /// The kernel lowered to VM bytecode — the tier-2 artifact inside
-    /// [`FlowEngine::exec_unit`] (kept for op-level introspection).
-    pub fn compiled_kernel(
-        &self,
-        kernel: &Kernel,
-    ) -> Arc<accelsoc_kernel::compile::CompiledKernel> {
-        self.exec_unit(kernel).compiled().clone()
+    fn unit_of(&self, entry: &KernelEntry) -> Arc<ExecUnit> {
+        let mut compiled = false;
+        let unit = entry.unit.get_or_init(|| {
+            compiled = true;
+            Arc::new(ExecUnit::new(&entry.kernel))
+        });
+        let kernel = entry.kernel.name.clone();
+        self.options.observer.on_event(&if compiled {
+            FlowEvent::KernelCompiled { kernel }
+        } else {
+            FlowEvent::KernelVmCacheHit { kernel }
+        });
+        unit.clone()
     }
 
-    /// Engine-lifetime VM-cache hit/miss tallies.
-    pub fn vm_cache_counters(&self) -> (u64, u64) {
-        (self.vm_cache.hits(), self.vm_cache.misses())
-    }
-
-    /// Number of distinct kernels compiled to bytecode so far.
-    pub fn compiled_kernels(&self) -> usize {
-        self.vm_cache.len()
-    }
-
-    /// Register the kernel implementing a node (by kernel name).
+    /// Register the kernel implementing a node (by kernel name),
+    /// replacing any earlier kernel of that name and its execution unit.
     pub fn register_kernel(&mut self, kernel: Kernel) {
-        self.kernels.insert(kernel.name.clone(), kernel);
+        let entry = KernelEntry {
+            kernel,
+            unit: OnceLock::new(),
+        };
+        self.kernels.insert(entry.kernel.name.clone(), entry);
     }
 
     pub fn kernel_names(&self) -> Vec<&str> {
@@ -536,12 +545,13 @@ impl FlowEngine {
         let mut results: HashMap<String, HlsResult> = HashMap::new();
         let mut missing: Vec<(String, Option<CacheKey>, &Kernel)> = Vec::new();
         for n in &graph.nodes {
-            let kernel = self
+            let kernel = &self
                 .kernels
                 .get(&n.name)
                 .ok_or_else(|| FlowError::MissingKernel {
                     node: n.name.clone(),
-                })?;
+                })?
+                .kernel;
             // The key digests the kernel body + directives + HLS
             // options, so a re-registered kernel under the same node
             // name (or a different clock target) can never alias a
@@ -743,12 +753,13 @@ impl FlowEngine {
     /// Check every node has a kernel whose interface matches the DSL ports.
     fn check_kernels(&self, e: &Elaborated) -> Result<(), FlowError> {
         for n in &e.graph.nodes {
-            let kernel = self
+            let kernel = &self
                 .kernels
                 .get(&n.name)
                 .ok_or_else(|| FlowError::MissingKernel {
                     node: n.name.clone(),
-                })?;
+                })?
+                .kernel;
             for p in &n.ports {
                 let param = kernel.param(&p.name);
                 match (p.kind, param.map(|p| p.kind)) {
@@ -818,15 +829,14 @@ impl FlowEngine {
         board.set_observer(self.options.observer.clone());
         let mut accel_index = HashMap::new();
         for (name, r) in &artifacts.hls {
-            let kernel = self
+            let entry = self
                 .kernels
                 .get(name)
                 .ok_or_else(|| FlowError::MissingKernel { node: name.clone() })?;
-            let unit = self.exec_unit(kernel);
             let idx = board.add_accel(AccelInstance::with_unit(
-                kernel.clone(),
+                entry.kernel.clone(),
                 r.report.clone(),
-                unit,
+                self.unit_of(entry),
             ));
             accel_index.insert(name.clone(), idx);
         }
@@ -1225,12 +1235,10 @@ mod tests {
         assert_eq!(art.block_design.dma_count(), 0);
     }
 
-    #[test]
-    fn board_from_artifacts_runs_pipeline() {
-        let mut e = engine_with_pipeline();
-        let art = e.run(&pipeline_graph()).unwrap();
-        let mut board = e.build_board(&art, 1 << 16).unwrap();
-        board.dram.load_bytes(0x100, &[1, 2, 3, 4]).unwrap();
+    /// Stream four bytes through a built `pipeline_graph` board; returns
+    /// the output bytes and the phase time.
+    fn run_pipeline(board: &mut Board, input: [u8; 4]) -> (Vec<u8>, f64) {
+        board.dram.load_bytes(0x100, &input).unwrap();
         let stats = board
             .run_stream_phase(
                 &[(
@@ -1250,9 +1258,85 @@ mod tests {
                 &[(0, "n", 4), (1, "n", 4)],
             )
             .unwrap();
+        (board.dram.dump_bytes(0x200, 4).unwrap(), stats.ns)
+    }
+
+    #[test]
+    fn board_from_artifacts_runs_pipeline() {
+        let mut e = engine_with_pipeline();
+        let art = e.run(&pipeline_graph()).unwrap();
+        let mut board = e.build_board(&art, 1 << 16).unwrap();
+        let (out, ns) = run_pipeline(&mut board, [1, 2, 3, 4]);
         // Two increment stages: each byte +2.
-        assert_eq!(board.dram.dump_bytes(0x200, 4).unwrap(), vec![3, 4, 5, 6]);
-        assert!(stats.ns > 0.0);
+        assert_eq!(out, vec![3, 4, 5, 6]);
+        assert!(ns > 0.0);
+    }
+
+    fn compiled_kernels(events: &[FlowEvent]) -> Vec<String> {
+        events
+            .iter()
+            .filter_map(|ev| match ev {
+                FlowEvent::KernelCompiled { kernel } => Some(kernel.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Every board and software stage of one engine shares one compiled
+    /// unit per kernel: the first fetch compiles, every later one is a
+    /// countable hit, and an unregistered name is a typed error.
+    #[test]
+    fn exec_units_compile_once_per_engine() {
+        let collect = Arc::new(CollectObserver::new());
+        let mut e = FlowEngine::new(FlowOptions::builder().observer(collect.clone()).build());
+        e.register_kernel(inc_kernel("S1"));
+        e.register_kernel(inc_kernel("S2"));
+        let art = e.run(&pipeline_graph()).unwrap();
+        let boards: Vec<Board> = (0..5)
+            .map(|_| e.build_board(&art, 1 << 16).unwrap())
+            .collect();
+        // The fetches software stages make. Each unit is owned by the
+        // engine, this handle and every board: all share one `Arc`.
+        for name in ["S1", "S2"] {
+            let unit = e.exec_unit(name).unwrap();
+            assert_eq!(Arc::strong_count(&unit), 2 + boards.len(), "{name}");
+        }
+        let events = collect.take();
+        assert_eq!(compiled_kernels(&events), ["S1", "S2"]);
+        let mut metrics = FlowMetrics::default();
+        for ev in &events {
+            metrics.record(ev);
+        }
+        assert_eq!(metrics.vm_compile_misses, 2);
+        assert_eq!(metrics.vm_compile_hits, 5 * 2 + 2 - 2);
+
+        assert!(matches!(
+            e.exec_unit("S3").unwrap_err(),
+            FlowError::MissingKernel { ref node } if node == "S3"
+        ));
+    }
+
+    /// The execution-side twin of
+    /// `reregistered_kernel_with_new_body_is_resynthesized`:
+    /// re-registering drops the stale unit, so a freshly built board
+    /// runs the new body, while a board built earlier keeps its own.
+    #[test]
+    fn reregistered_kernel_runs_new_body_on_fresh_boards() {
+        let collect = Arc::new(CollectObserver::new());
+        let mut e = FlowEngine::new(FlowOptions::builder().observer(collect.clone()).build());
+        e.register_kernel(inc_kernel("S1"));
+        e.register_kernel(inc_kernel("S2"));
+        let a1 = e.run(&pipeline_graph()).unwrap();
+        let mut old = e.build_board(&a1, 1 << 16).unwrap();
+
+        e.register_kernel(scale_kernel("S1"));
+        let a2 = e.run(&pipeline_graph()).unwrap();
+        let mut fresh = e.build_board(&a2, 1 << 16).unwrap();
+
+        // S1 now divides by 3 before S2 adds 1.
+        assert_eq!(run_pipeline(&mut fresh, [9, 30, 60, 90]).0, [4, 11, 21, 31]);
+        assert_eq!(run_pipeline(&mut old, [9, 30, 60, 90]).0, [11, 32, 62, 92]);
+        assert_eq!(compiled_kernels(&collect.take()), ["S1", "S2", "S1"]);
     }
 
     #[test]

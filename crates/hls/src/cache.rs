@@ -285,89 +285,6 @@ impl HlsCache {
     }
 }
 
-/// In-memory cache of kernels lowered to execution units (VM bytecode +
-/// native threaded code), keyed by the same content digest as the HLS
-/// cache: equal [`CacheKey`]s imply identical kernel IR (the key also
-/// covers directives and HLS options, which the VM ignores — the cost
-/// is at most a few redundant compiles, never a stale hit). Compilation
-/// is cheap relative to synthesis but sits on the batch/serve hot path,
-/// where the same four Otsu kernels execute thousands of times; one
-/// compile + lowering per distinct kernel amortizes to nothing.
-/// Shareable across threads; hold it in an `Arc` next to the
-/// [`HlsCache`].
-///
-/// Lookup traffic is tallied in lock-free `hits`/`misses` counters (the
-/// engine folds them into `FlowMetrics::vm_compile_hits`/`_misses`);
-/// each miss additionally reports [`FlowEvent::KernelCompiled`] and each
-/// hit [`FlowEvent::KernelVmCacheHit`].
-#[derive(Debug, Default)]
-pub struct VmCache {
-    mem: Mutex<HashMap<CacheKey, std::sync::Arc<accelsoc_kernel::ExecUnit>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-impl VmCache {
-    pub fn new() -> VmCache {
-        VmCache::default()
-    }
-
-    /// Number of compiled kernels held.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Lookups satisfied by an already-lowered unit, cache-lifetime.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Lookups that compiled + lowered, cache-lifetime.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    fn lock(
-        &self,
-    ) -> std::sync::MutexGuard<'_, HashMap<CacheKey, std::sync::Arc<accelsoc_kernel::ExecUnit>>>
-    {
-        self.mem.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Fetch the execution unit for `kernel` under `key`, compiling and
-    /// lowering it on a miss. Each actual compile is reported as
-    /// [`FlowEvent::KernelCompiled`], each hit as
-    /// [`FlowEvent::KernelVmCacheHit`].
-    pub fn get_or_compile(
-        &self,
-        key: CacheKey,
-        kernel: &Kernel,
-        observer: &dyn FlowObserver,
-    ) -> std::sync::Arc<accelsoc_kernel::ExecUnit> {
-        if let Some(c) = self.lock().get(&key) {
-            self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            observer.on_event(&FlowEvent::KernelVmCacheHit {
-                kernel: kernel.name.clone(),
-            });
-            return c.clone();
-        }
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let unit = std::sync::Arc::new(accelsoc_kernel::ExecUnit::new(kernel));
-        observer.on_event(&FlowEvent::KernelCompiled {
-            kernel: kernel.name.clone(),
-        });
-        // Under a race both threads compile; identical inputs give
-        // identical bytecode, so either insert is fine.
-        self.lock().insert(key, unit.clone());
-        unit
-    }
-}
-
 /// Read and validate one entry file. Any failure returns the reason it
 /// is unusable (the caller reports it and treats the entry as a miss).
 fn read_entry(path: &Path, key: CacheKey) -> Result<HlsResult, String> {
@@ -631,41 +548,6 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "stray files: {leftovers:?}");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn vm_cache_compiles_once_per_key() {
-        let cache = VmCache::new();
-        let k = adder("add", true);
-        let key = CacheKey::compute(&k, &HlsOptions::default());
-        let obs = CollectObserver::new();
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        let c1 = cache.get_or_compile(key, &k, &obs);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let c2 = cache.get_or_compile(key, &k, &obs);
-        assert!(std::sync::Arc::ptr_eq(&c1, &c2), "hit must reuse the Arc");
-        assert_eq!(cache.len(), 1);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        let compiles = obs
-            .events()
-            .iter()
-            .filter(|e| matches!(e, FlowEvent::KernelCompiled { .. }))
-            .count();
-        assert_eq!(compiles, 1, "second lookup must not recompile");
-        let hit_events = obs
-            .events()
-            .iter()
-            .filter(|e| matches!(e, FlowEvent::KernelVmCacheHit { .. }))
-            .count();
-        assert_eq!(hit_events, 1, "the hit must be observable");
-
-        // A different kernel under the same cache gets its own entry.
-        let k2 = adder("add", false);
-        let key2 = CacheKey::compute(&k2, &HlsOptions::default());
-        let c3 = cache.get_or_compile(key2, &k2, &obs);
-        assert!(!std::sync::Arc::ptr_eq(&c1, &c3));
-        assert_eq!(cache.len(), 2);
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod schedule;
 pub mod techlib;
 pub mod transform;
 
-pub use cache::{CacheKey, CacheTier, HlsCache, VmCache, CACHE_FORMAT_VERSION};
+pub use cache::{CacheKey, CacheTier, HlsCache, CACHE_FORMAT_VERSION};
 pub use dfg::{DfgError, OpClass, OpNode, RegionDfg};
 pub use interface::{AxiLiteRegister, CoreInterface, StreamPort};
 pub use project::{HlsOptions, HlsProject, HlsResult};

@@ -1,74 +1,56 @@
 //! [`ExecUnit`]: the one handle hot paths hold to execute a kernel.
 //!
-//! A kernel has three execution tiers, all bit-identical by contract:
+//! A kernel has one fast execution tier plus one oracle, bit-identical
+//! by contract:
 //!
-//! 1. the tree-walking **interpreter** ([`crate::interp`]) — the
-//!    differential oracle, never on a hot path;
-//! 2. the register bytecode **VM** ([`crate::vm`]) — one match-dispatch
-//!    per op, plus the batch-lane mode ([`crate::lanes`]) that runs K
-//!    invocations per dispatch;
-//! 3. the **native** threaded-code tier ([`crate::native`]) — one
-//!    closure invocation per basic block.
+//! 1. the register bytecode **VM** ([`crate::vm`]) and its batch-lane
+//!    mode ([`crate::lanes`]), which runs K invocations through one
+//!    decoded instruction stream;
+//! 2. the tree-walking **interpreter** ([`crate::interp`]) — the
+//!    differential oracle, never on a hot path.
 //!
-//! `ExecUnit` compiles + lowers once and picks the right tier per call:
-//! scalar invocations run native code, batched invocations run the lane
-//! VM (lane batching amortizes dispatch further than block composition
-//! for K ≥ 2, and trapping lanes retire without disturbing the batch).
-//! The engine-level `VmCache` stores one `Arc<ExecUnit>` per kernel
-//! content key, so lowering cost is paid once per process per kernel.
+//! `ExecUnit` compiles once and runs every call on the lane VM: batched
+//! invocations as one lane group, single invocations as a group of one
+//! lane (at width 1 the fused lane stream is faster than the scalar VM
+//! loop, and its result is the scalar result by the lane VM's contract).
+//! The flow engine keeps one `Arc<ExecUnit>` beside each registered
+//! kernel, so compilation is paid once per engine per kernel.
 
 use crate::compile::CompiledKernel;
 use crate::interp::{ExecError, ExecOutcome, StreamBundle};
 use crate::ir::Kernel;
 use crate::lanes::BatchOutcome;
-use crate::native::{lower, NativeKernel};
-use crate::vm::DEFAULT_STEP_LIMIT;
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// A compiled kernel together with its native lowering; the unit the
-/// engine cache hands out and every runtime consumer executes through.
+/// A compiled kernel; the unit the flow engine hands out and every
+/// runtime consumer executes through.
 #[derive(Debug)]
 pub struct ExecUnit {
-    compiled: Arc<CompiledKernel>,
-    native: NativeKernel,
+    compiled: CompiledKernel,
 }
 
 impl ExecUnit {
-    /// Compile and lower a kernel into an execution unit.
+    /// Compile a kernel into an execution unit.
     pub fn new(kernel: &Kernel) -> ExecUnit {
-        Self::from_compiled(Arc::new(CompiledKernel::compile(kernel)))
+        ExecUnit {
+            compiled: CompiledKernel::compile(kernel),
+        }
     }
 
-    /// Wrap an already-compiled kernel, lowering it to the native tier.
-    pub fn from_compiled(compiled: Arc<CompiledKernel>) -> ExecUnit {
-        let native = lower(&compiled);
-        ExecUnit { compiled, native }
-    }
-
-    /// The bytecode artifact (tier 2), for callers that need op-level
-    /// introspection (`len`, `ops`) or the lane VM directly.
-    pub fn compiled(&self) -> &Arc<CompiledKernel> {
-        &self.compiled
-    }
-
-    /// Scalar invocation on the fastest tier (native threaded code).
+    /// Single invocation: a one-lane group on the lane VM.
     pub fn run(
         &self,
         scalar_inputs: &HashMap<String, i64>,
         streams: &mut StreamBundle,
     ) -> Result<ExecOutcome, ExecError> {
-        self.native.run(scalar_inputs, streams)
-    }
-
-    /// Scalar invocation returning the dispatch count alongside.
-    pub fn run_counted(
-        &self,
-        scalar_inputs: &HashMap<String, i64>,
-        streams: &mut StreamBundle,
-        limit: u64,
-    ) -> (Result<ExecOutcome, ExecError>, u64) {
-        self.native.run_counted(scalar_inputs, streams, limit)
+        self.compiled
+            .run_batch(
+                std::slice::from_ref(scalar_inputs),
+                std::slice::from_mut(streams),
+            )
+            .lanes
+            .pop()
+            .expect("a one-lane batch has one outcome")
     }
 
     /// Batched invocation on the lane VM: one decoded instruction
@@ -79,21 +61,5 @@ impl ExecUnit {
         streams: &mut [StreamBundle],
     ) -> BatchOutcome {
         self.compiled.run_batch(scalar_inputs, streams)
-    }
-
-    /// Batched invocation with an explicit step limit.
-    pub fn run_batch_with_step_limit(
-        &self,
-        scalar_inputs: &[HashMap<String, i64>],
-        streams: &mut [StreamBundle],
-        limit: u64,
-    ) -> BatchOutcome {
-        self.compiled
-            .run_batch_with_step_limit(scalar_inputs, streams, limit)
-    }
-
-    /// The default step budget shared by every tier.
-    pub fn default_step_limit() -> u64 {
-        DEFAULT_STEP_LIMIT
     }
 }

@@ -50,6 +50,7 @@ use crate::interp::{ExecError, ExecOutcome, StreamBundle};
 use crate::vm::{
     bin_checked, bin_infallible, div_pow2, mod_pow2, stats_from, un_op, wrap, DEFAULT_STEP_LIMIT,
 };
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -91,6 +92,22 @@ fn hot_isa() -> HotIsa {
         #[cfg(not(target_arch = "x86_64"))]
         HotIsa::Portable
     })
+}
+
+/// The token buffers of one batch: the input snapshot arena and the
+/// per-(port, lane) output accumulators. Each thread keeps its last
+/// pair for the next call, because a batch's buffers are sized by its
+/// token counts — hundreds of KB for a lane group of small images —
+/// and allocating them per call let the allocator hand the pages back
+/// to the OS on every return and fault them in again on the next call.
+#[derive(Default)]
+struct TokenBufs {
+    in_all: Vec<i64>,
+    out_bufs: Vec<Vec<i64>>,
+}
+
+thread_local! {
+    static TOKEN_BUFS: RefCell<TokenBufs> = RefCell::new(TokenBufs::default());
 }
 
 /// Result of one batched invocation: the per-lane outcomes (index ==
@@ -2194,7 +2211,13 @@ impl CompiledKernel {
         // Resolve ports and snapshot inputs per live lane (bundles may
         // differ in which ports they carry).
         let mut in_slots: Vec<Option<usize>> = vec![None; np * k];
-        let mut in_all: Vec<i64> = Vec::new();
+        let TokenBufs {
+            mut in_all,
+            mut out_bufs,
+        } = TOKEN_BUFS.with(RefCell::take);
+        in_all.clear();
+        out_bufs.iter_mut().for_each(Vec::clear);
+        out_bufs.resize_with(nq * k, Vec::new);
         let mut in_start: Vec<usize> = vec![0usize; np * k];
         let mut in_end: Vec<usize> = vec![0usize; np * k];
         let mut out_slots: Vec<usize> = vec![0usize; nq * k];
@@ -2234,7 +2257,7 @@ impl CompiledKernel {
             in_all,
             in_start,
             in_end,
-            out_bufs: vec![Vec::new(); nq * k],
+            out_bufs,
             sh_counts: vec![0u64; self.ops.len()],
             sh_steps: 0,
             sh_dyn: 0,
@@ -2263,6 +2286,12 @@ impl CompiledKernel {
                 streams[li].extend_output_at(out_slots[q * k + li], &vm.out_bufs[q * k + li]);
             }
         }
+        TOKEN_BUFS.with(|bufs| {
+            *bufs.borrow_mut() = TokenBufs {
+                in_all: std::mem::take(&mut vm.in_all),
+                out_bufs: std::mem::take(&mut vm.out_bufs),
+            }
+        });
 
         let mut counts_col = vec![0u64; self.ops.len()];
         let lanes = (0..k)

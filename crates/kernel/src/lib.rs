@@ -32,7 +32,6 @@ pub mod exec;
 pub mod interp;
 pub mod ir;
 pub mod lanes;
-pub mod native;
 pub mod types;
 pub mod verify;
 pub mod vm;
@@ -43,6 +42,5 @@ pub use exec::ExecUnit;
 pub use interp::{ExecError, ExecStats, Interpreter, StreamBundle};
 pub use ir::{BinOp, Expr, Kernel, LValue, Param, ParamKind, Stmt, UnOp};
 pub use lanes::BatchOutcome;
-pub use native::NativeKernel;
 pub use types::Ty;
 pub use verify::VerifyError;

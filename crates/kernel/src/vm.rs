@@ -15,11 +15,11 @@ use std::collections::HashMap;
 /// Default step budget, matching [`Interpreter::new`](crate::interp::Interpreter::new).
 pub const DEFAULT_STEP_LIMIT: u64 = 500_000_000;
 
-/// Hot-loop accounting shared by the scalar VM and the native tier
-/// ([`crate::native`]): per-op execution counts, the exact running
-/// `steps` for the `StepLimit` check, and the data-dependent loop-branch
-/// tally. The class counters are only observable on success, so they are
-/// reconstructed on exit via [`CompiledKernel::replay`].
+/// Hot-loop accounting of the scalar VM: per-op execution counts, the
+/// exact running `steps` for the `StepLimit` check, and the
+/// data-dependent loop-branch tally. The class counters are only
+/// observable on success, so they are reconstructed on exit via
+/// [`CompiledKernel::replay`].
 pub(crate) struct ExecCtx {
     pub(crate) counts: Vec<u64>,
     pub(crate) steps_acc: u64,
@@ -64,8 +64,8 @@ impl CompiledKernel {
     }
 
     /// Reconstruct the stat accumulator lanes from per-op execution
-    /// counts plus the dynamic branch tally. Shared by the scalar VM,
-    /// the lane VM and the native tier.
+    /// counts plus the dynamic branch tally. Shared by the scalar VM
+    /// and the lane VM.
     pub(crate) fn replay(&self, counts: &[u64], dyn_branches: u64) -> [u64; 11] {
         let mut acc = [0u64; 11];
         for (c, d) in counts.iter().zip(self.deltas.iter()) {

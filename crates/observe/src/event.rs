@@ -113,13 +113,13 @@ pub enum FlowEvent {
     /// A freshly synthesized result was written to the persistent tier.
     HlsCacheStored { kernel: String, key: String },
     /// A kernel was lowered to register bytecode for the execution VM.
-    /// Emitted once per distinct kernel per VM-cache; a high count
+    /// Emitted once per registered kernel per flow engine; a high count
     /// relative to distinct kernels means compiled code is not being
     /// reused across invocations.
     KernelCompiled { kernel: String },
-    /// A VM-cache lookup was satisfied by an already-lowered execution
-    /// unit — the batch/serve hot paths hitting compiled code instead
-    /// of paying compile + native lowering again.
+    /// A fetch of a kernel's execution unit found it already compiled —
+    /// the batch/serve hot paths reusing compiled code instead of
+    /// paying the compile again.
     KernelVmCacheHit { kernel: String },
     /// One kernel finished HLS: scheduling and resource statistics from
     /// its synthesis report.

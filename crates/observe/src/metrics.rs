@@ -34,14 +34,14 @@ pub struct FlowMetrics {
     /// Results written to the persistent tier.
     pub hls_cache_stored: u64,
     pub kernels_synthesized: u64,
-    /// Kernels lowered to VM bytecode (one per distinct kernel per
-    /// VM-cache when compiled-kernel caching works; higher means
+    /// Kernels lowered to VM bytecode (one per registered kernel per
+    /// flow engine when compiled code is reused; higher means
     /// recompilation churn).
     pub kernel_compiles: u64,
-    /// VM-cache lookups satisfied by an already-lowered execution unit.
+    /// Execution-unit fetches that found the kernel already compiled.
     pub vm_compile_hits: u64,
-    /// VM-cache lookups that had to compile + lower (== `kernel_compiles`
-    /// when all compiles go through the engine cache).
+    /// Execution-unit fetches that had to compile (== `kernel_compiles`
+    /// when all compiles go through the flow engine).
     pub vm_compile_misses: u64,
     /// Simulated-annealing temperature steps the placer reported.
     pub placement_steps: u64,

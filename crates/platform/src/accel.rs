@@ -1,7 +1,6 @@
-//! PL accelerator instances: HLS-timed, interpreter-evaluated.
+//! PL accelerator instances: HLS-timed, lane-VM-evaluated.
 
 use accelsoc_hls::report::HlsReport;
-use accelsoc_kernel::compile::CompiledKernel;
 use accelsoc_kernel::interp::{ExecError, StreamBundle};
 use accelsoc_kernel::ir::Kernel;
 use accelsoc_kernel::ExecUnit;
@@ -9,20 +8,20 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One accelerator placed in the PL. Its function is the kernel's
-/// execution unit — native threaded code for single invocations, the
-/// batch-lane VM for same-arch groups, both bit-identical to the
-/// reference interpreter; its timing is derived from the HLS report: a
-/// streaming invocation processing `n` tokens costs
-/// `startup + ii_max * n` fabric cycles, where `ii_max` is the worst
-/// initiation interval among the kernel's pipelined loops (1 if none —
-/// fully pipelined) and `startup` covers control and pipeline fill.
+/// execution unit — each invocation runs as a one-lane group on the
+/// lane VM, bit-identical to the reference interpreter; its timing is
+/// derived from the HLS report: a streaming invocation processing `n`
+/// tokens costs `startup + ii_max * n` fabric cycles, where `ii_max` is
+/// the worst initiation interval among the kernel's pipelined loops (1
+/// if none — fully pipelined) and `startup` covers control and pipeline
+/// fill.
 #[derive(Debug, Clone)]
 pub struct AccelInstance {
     pub kernel: Kernel,
     pub report: HlsReport,
-    /// The kernel's lowered execution unit; shared (via the flow
-    /// engine's VM cache) across every instance of the same kernel, so
-    /// each kernel compiles + lowers once per process, not per board.
+    /// The kernel's execution unit; the flow engine shares one across
+    /// every instance of the same kernel, so each kernel compiles once
+    /// per engine, not per board.
     unit: Arc<ExecUnit>,
     /// Fabric cycles of fixed startup per invocation.
     pub startup_cycles: u64,
@@ -35,22 +34,16 @@ pub struct AccelInstance {
 }
 
 impl AccelInstance {
-    /// Standalone constructor: compiles + lowers the kernel here.
-    /// Prefer [`AccelInstance::with_unit`] when a flow engine's VM
-    /// cache already holds the execution unit.
+    /// Standalone constructor: compiles the kernel here. Prefer
+    /// [`AccelInstance::with_unit`] when a flow engine already holds
+    /// the execution unit.
     pub fn new(kernel: Kernel, report: HlsReport) -> Self {
         let unit = Arc::new(ExecUnit::new(&kernel));
         AccelInstance::with_unit(kernel, report, unit)
     }
 
-    /// Construct around an already-compiled kernel (an `Arc` of the
-    /// tier-2 bytecode); lowers the native tier locally.
-    pub fn with_compiled(kernel: Kernel, report: HlsReport, compiled: Arc<CompiledKernel>) -> Self {
-        AccelInstance::with_unit(kernel, report, Arc::new(ExecUnit::from_compiled(compiled)))
-    }
-
     /// Construct around an execution unit handed out by the flow
-    /// engine's VM cache.
+    /// engine.
     pub fn with_unit(kernel: Kernel, report: HlsReport, unit: Arc<ExecUnit>) -> Self {
         AccelInstance {
             kernel,
@@ -84,8 +77,8 @@ impl AccelInstance {
         self.scalar_args.insert(name.to_string(), value);
     }
 
-    /// Fire one invocation: consume/produce stream tokens via the
-    /// kernel VM. Returns (scalar outputs, fabric cycles consumed).
+    /// Fire one invocation: consume/produce stream tokens on the lane
+    /// VM. Returns (scalar outputs, fabric cycles consumed).
     pub fn invoke(
         &mut self,
         streams: &mut StreamBundle,
@@ -99,38 +92,6 @@ impl AccelInstance {
         self.busy_cycles += cycles;
         self.invocations += 1;
         Ok((outcome.scalar_outputs, cycles))
-    }
-
-    /// Fire one invocation per bundle as a single lane group on the
-    /// batch VM: one decoded instruction stream drives every lane, so
-    /// dispatch overhead is amortized across the batch while results,
-    /// errors and timing stay per-lane (lane `l` is bit-identical to
-    /// `invoke(&mut streams[l])` on a fresh instance). Fabric-cycle
-    /// accounting still charges each lane its own
-    /// `startup + ii_max * tokens` — lane batching is a host-side
-    /// optimization and must not change modeled hardware time.
-    #[allow(clippy::type_complexity)]
-    pub fn invoke_batch(
-        &mut self,
-        streams: &mut [StreamBundle],
-    ) -> Vec<Result<(HashMap<String, i64>, u64), ExecError>> {
-        let in_tokens: Vec<u64> = streams.iter().map(|s| s.input_tokens()).collect();
-        let args: Vec<HashMap<String, i64>> =
-            streams.iter().map(|_| self.scalar_args.clone()).collect();
-        let outcome = self.unit.run_batch(&args, streams);
-        outcome
-            .lanes
-            .into_iter()
-            .zip(streams.iter())
-            .zip(in_tokens)
-            .map(|((lane, bundle), in_t)| {
-                let out = lane?;
-                let cycles = self.cycles_for_tokens(in_t.max(bundle.output_tokens()));
-                self.busy_cycles += cycles;
-                self.invocations += 1;
-                Ok((out.scalar_outputs, cycles))
-            })
-            .collect()
     }
 }
 

@@ -1,6 +1,7 @@
 //! Co-scheduled cycle simulation of a streaming phase.
 //!
-//! The functional result of a phase comes from the batch interpreter
+//! The functional result of a phase comes from running each
+//! accelerator's kernel on the lane VM
 //! ([`crate::board::Board::run_stream_phase`]); this module computes its
 //! *timing* by stepping every endpoint of the stream topology together,
 //! one PL cycle at a time, over **bounded integer-occupancy FIFOs**:
@@ -25,7 +26,7 @@
 //! (endpoints are stepped in a fixed order: sinks, stages, sources).
 
 /// A bounded FIFO modelled by occupancy only — the functional payload
-/// already moved through the interpreter.
+/// already moved through the kernel VM.
 #[derive(Debug, Clone)]
 struct Fifo {
     capacity: u64,

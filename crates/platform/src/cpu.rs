@@ -1,9 +1,9 @@
 //! ARM Cortex-A9 (PS) cost model.
 //!
-//! Software tasks execute functionally via the kernel interpreter (or as
-//! native Rust in the applications crate); the CPU model converts the
-//! interpreter's dynamic operation counts into estimated A9 cycles and
-//! thence nanoseconds. The coefficients are a coarse in-order-ish model:
+//! Software tasks execute functionally on the kernel VM (or as native
+//! Rust in the applications crate); the CPU model converts the kernel's
+//! dynamic operation counts into estimated A9 cycles and thence
+//! nanoseconds. The coefficients are a coarse in-order-ish model:
 //! simple integer ops near 1 cycle, multiplies a few, divides tens
 //! (software division on A9 without the VFP path), memory ops a couple of
 //! cycles on average (L1-hit dominated with a miss fraction).

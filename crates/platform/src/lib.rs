@@ -7,12 +7,12 @@
 //! paper's flow needs:
 //!
 //! * [`memory::Dram`] — shared DDR3 with a latency + bandwidth model;
-//! * [`cpu::Cpu`] — the ARM PS as a cost model over interpreter
-//!   statistics (software tasks execute natively/via the kernel
-//!   interpreter; the model converts operation counts into cycles);
+//! * [`cpu::Cpu`] — the ARM PS as a cost model over kernel execution
+//!   statistics (software tasks execute on the kernel lane VM; the
+//!   model converts operation counts into cycles);
 //! * [`accel::AccelInstance`] — a PL accelerator whose *function* is the
-//!   kernel interpreter and whose *timing* comes from its HLS report
-//!   (initiation interval × tokens + startup);
+//!   kernel's lane-VM execution unit and whose *timing* comes from its
+//!   HLS report (initiation interval × tokens + startup);
 //! * [`board::Board`] — the assembled system: AXI-Lite control bus,
 //!   AXI-Stream topology, DMA engines, DRAM, accelerators; it can execute
 //!   memory-mapped core invocations and streaming phases functionally and

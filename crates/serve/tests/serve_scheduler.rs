@@ -2,6 +2,7 @@
 //! saturation behaviour, typed admission errors, retries and deadlines.
 
 use accelsoc_apps::archs::Arch;
+use accelsoc_apps::otsu::AppConfig;
 use accelsoc_htg::graph::{Htg, TaskNode, TransferKind};
 use accelsoc_observe::FlowObserver;
 use accelsoc_observe::{CollectObserver, FlowEvent, MetricsObserver, NullObserver};
@@ -215,6 +216,34 @@ fn typed_admission_errors_are_counted_and_reported() {
             "InvalidGraph"
         ]
     );
+}
+
+/// Admission must account for where the runner stages its buffers
+/// (input at 1 MiB, output at 2 MiB), not just their sizes: a 16×16
+/// Arch4 job needs only 1,280 bytes of buffers, yet overruns a 1 MiB or
+/// 2 MiB pool. Such jobs are typed rejections, never a failed
+/// precompute.
+#[test]
+fn admission_accounts_for_the_runner_dram_layout() {
+    let mut job = plain_job(0, "t", 1_000);
+    job.arch = Arch::Arch4;
+    for dram_bytes in [1usize << 20, 2 << 20] {
+        let cfg = ServeConfig::builder()
+            .tenant("t")
+            .boards(1)
+            .app(AppConfig {
+                dram_bytes,
+                ..AppConfig::default()
+            })
+            .build();
+        let report = run(std::slice::from_ref(&job), cfg, &NullObserver);
+        assert_eq!(report.rejections.job_too_large, 1, "{dram_bytes} B pool");
+        assert_eq!(report.admitted, 0);
+    }
+    // The default 64 MiB pool runs it.
+    let cfg = ServeConfig::builder().tenant("t").boards(1).build();
+    let report = run(&[job], cfg, &NullObserver);
+    assert_eq!(report.completed, 1);
 }
 
 #[test]

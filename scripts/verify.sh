@@ -38,12 +38,12 @@ trap 'rm -rf "$CACHE_DIR"' EXIT
 # the interpreter oracle on that lane's inputs alone). The gate's record
 # goes to the scratch dir: the committed BENCH_kernelvm.json is the
 # documented measurement and must not change on every gate run.
-./target/release/repro_kernelvm --side 48 --reps 3 --rounds 3 \
+./target/release/repro_kernelvm --side 48 --reps 3 --rounds 9 \
     --lanes 1,4 --json "$CACHE_DIR/kernelvm.json" >/dev/null
 python3 - "$CACHE_DIR/kernelvm.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "accelsoc-bench-kernelvm/2", doc["schema"]
+assert doc["schema"] == "accelsoc-bench-kernelvm/3", doc["schema"]
 assert len(doc["kernels"]) == 4
 print(f"    chain speedup: {doc['chain_speedup']:.2f}x (VM vs interpreter)")
 sweep = {row["lanes"]: row for row in doc["lane_sweep"]}
@@ -51,9 +51,12 @@ assert 4 in sweep, "lane sweep must include lanes=4"
 # Superinstruction fusion must keep amortising dispatch as lanes grow.
 assert sweep[4]["ops_per_dispatch"] > 3 * sweep[1]["ops_per_dispatch"], sweep
 # Lane-VM throughput gate: conservative floor well under the measured
-# 1.3-1.9x at lanes=4 (1-vCPU reference host drifts heavily; see
-# EXPERIMENTS.md Ext-6) but above scalar parity, so a real regression
-# to the one-image-at-a-time path still trips it.
+# 1.3-1.9x at lanes=4 (see EXPERIMENTS.md Ext-6) but above scalar
+# parity, so a real regression to the one-image-at-a-time path still
+# trips it. The speedup is the median of per-round paired ratios (each
+# round times scalar and lane back to back), so host noise that hits a
+# minority of the rounds cannot fail the gate.
+assert sweep[4]["rounds"] >= 7, sweep[4]
 s4 = sweep[4]["speedup_vs_scalar_vm"]
 assert s4 >= 1.1, f"lane-VM speedup regressed: {s4:.2f}x at lanes=4"
 print(f"    lane-VM speedup: {s4:.2f}x at lanes=4 (gate: >= 1.1x)")
