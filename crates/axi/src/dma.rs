@@ -129,6 +129,9 @@ pub struct Mm2sTransfer {
 
 impl Mm2sTransfer {
     /// Validate the descriptor and fetch the source buffer from memory.
+    /// The range is checked against `mem.size()` before the staging
+    /// buffer is allocated, so a descriptor past the end of memory is a
+    /// [`MemError::OutOfRange`], whatever its `len`.
     pub fn start(
         mem: &mut dyn MemoryPort,
         desc: DmaDescriptor,
@@ -142,6 +145,14 @@ impl Mm2sTransfer {
                 len: desc.len,
                 beat_bytes,
             });
+        }
+        let size = mem.size();
+        if desc.addr.checked_add(desc.len).is_none_or(|end| end > size) {
+            return Err(DmaError::Mem(MemError::OutOfRange {
+                addr: desc.addr,
+                len: usize::try_from(desc.len).unwrap_or(usize::MAX),
+                size,
+            }));
         }
         let mut buf = vec![0u8; desc.len as usize];
         mem.read(desc.addr, &mut buf)?;
@@ -593,5 +604,29 @@ mod tests {
             .unwrap();
         assert_eq!(dma.total.bytes, 32);
         assert_eq!(dma.total.beats, 32);
+    }
+
+    #[test]
+    fn mm2s_past_the_end_of_memory_fails_before_allocating() {
+        // A 16 TiB descriptor over a 64-byte memory: the range check
+        // must reject it before the staging buffer is sized.
+        let mut mem = VecMemory::new(64);
+        let err = Mm2sTransfer::start(
+            &mut mem,
+            DmaDescriptor {
+                addr: 0,
+                len: 1 << 44,
+            },
+            1,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            DmaError::Mem(MemError::OutOfRange {
+                addr: 0,
+                len: 1 << 44,
+                size: 64,
+            })
+        );
     }
 }

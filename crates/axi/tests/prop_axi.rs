@@ -3,9 +3,22 @@
 
 use accelsoc_axi::dma::{DmaDescriptor, DmaEngine};
 use accelsoc_axi::lite::{AddressMap, AxiLiteBus, RegisterFile};
-use accelsoc_axi::protocol::{AxiResp, MemoryPort, VecMemory};
+use accelsoc_axi::protocol::{AxiResp, MemError, MemoryPort, VecMemory, PAGE_BYTES};
 use accelsoc_axi::stream::{AxiStreamChannel, Beat};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// An access address drawn by `mode` from `raw`: 0 straddles a page
+/// boundary, 1 sits near the top of the 64-bit space (so `addr + len`
+/// overflows), anything else is `raw` as is (in or past the region).
+fn access_addr(mode: u8, raw: u64) -> u64 {
+    let page = PAGE_BYTES as u64;
+    match mode {
+        0 => (raw / page + 1) * page - raw % 8,
+        1 => u64::MAX - raw % 8,
+        _ => raw,
+    }
+}
 
 proptest! {
     /// Streams preserve order and never lose or duplicate beats under an
@@ -71,6 +84,59 @@ proptest! {
         let mut out = vec![0u8; data.len()];
         mem.read(dst, &mut out).unwrap();
         prop_assert_eq!(out, data);
+    }
+
+    /// The paged store behaves exactly like a zero-filled flat buffer:
+    /// random writes and reads, ranges that cross pages, never-written
+    /// ranges (read as 0), and out-of-range accesses — including ones
+    /// whose end overflows `u64` — which are typed errors that change
+    /// nothing. Only pages a write touched are allocated.
+    #[test]
+    fn paged_memory_matches_flat_reference(
+        size in 1usize..5 * PAGE_BYTES,
+        ops in proptest::collection::vec(
+            (any::<bool>(), 0u8..4, 0u64..6 * PAGE_BYTES as u64, 0usize..2 * PAGE_BYTES + 64, any::<u8>()),
+            1..40,
+        ),
+    ) {
+        let mut mem = VecMemory::new(size);
+        let mut flat = vec![0u8; size];
+        let mut written_pages = BTreeSet::new();
+        for (is_write, mode, raw, len, seed) in ops {
+            let addr = access_addr(mode, raw);
+            let range = addr
+                .checked_add(len as u64)
+                .filter(|&end| end <= size as u64)
+                .map(|end| addr as usize..end as usize);
+            let oob = MemError::OutOfRange { addr, len, size: size as u64 };
+            if is_write {
+                let data: Vec<u8> = (0..len).map(|i| seed.wrapping_add(i as u8)).collect();
+                let got = mem.write(addr, &data);
+                match range {
+                    Some(r) => {
+                        prop_assert_eq!(got, Ok(()));
+                        let page = PAGE_BYTES;
+                        written_pages.extend(r.start / page..r.end.div_ceil(page));
+                        flat[r].copy_from_slice(&data);
+                    }
+                    None => prop_assert_eq!(got, Err(oob)),
+                }
+            } else {
+                let mut buf = vec![0xa5u8; len];
+                let got = mem.read(addr, &mut buf);
+                match range {
+                    Some(r) => {
+                        prop_assert_eq!(got, Ok(()));
+                        prop_assert_eq!(&buf[..], &flat[r]);
+                    }
+                    None => prop_assert_eq!(got, Err(oob)),
+                }
+            }
+        }
+        let mut all = vec![0xa5u8; size];
+        mem.peek(0, &mut all).unwrap();
+        prop_assert_eq!(all, flat);
+        prop_assert_eq!(mem.resident_pages(), written_pages.len());
     }
 
     /// Cycle model is monotone in transfer size.

@@ -52,6 +52,7 @@ use accelsoc_observe::{
 };
 use accelsoc_platform::accel::AccelInstance;
 use accelsoc_platform::board::{Board, BoardError, Endpoint};
+use accelsoc_platform::cosim::PhaseMemo;
 use accelsoc_swgen::boot::BootImage;
 use accelsoc_swgen::{capi, devicetree};
 use std::collections::HashMap;
@@ -380,20 +381,21 @@ impl FlowArtifacts {
 }
 
 /// One kernel of the library, with its execution unit compiled on
-/// first use.
+/// first use. Boards share both through their `Arc`s.
 struct KernelEntry {
-    kernel: Kernel,
+    kernel: Arc<Kernel>,
     unit: OnceLock<Arc<ExecUnit>>,
 }
 
-/// The engine. Holds the kernel library (the "synthesizable C/C++ files")
-/// and the content-addressed HLS cache shared across runs (and, when
-/// built with a `cache_dir` or a shared cache, across engines and
-/// processes).
+/// The engine. Holds the kernel library (the "synthesizable C/C++ files"),
+/// the content-addressed HLS cache shared across runs (and, when built
+/// with a `cache_dir` or a shared cache, across engines and processes),
+/// and the streaming-phase timing memo shared by every board it builds.
 pub struct FlowEngine {
     pub options: FlowOptions,
     kernels: HashMap<String, KernelEntry>,
     hls_cache: Arc<HlsCache>,
+    phase_memo: Arc<PhaseMemo>,
 }
 
 impl FlowEngine {
@@ -407,6 +409,7 @@ impl FlowEngine {
             options,
             kernels: HashMap::new(),
             hls_cache,
+            phase_memo: Arc::new(PhaseMemo::new()),
         }
     }
 
@@ -414,6 +417,12 @@ impl FlowEngine {
     /// [`FlowOptionsBuilder::shared_cache`]).
     pub fn cache(&self) -> &Arc<HlsCache> {
         &self.hls_cache
+    }
+
+    /// The streaming-phase timing memo every board of this engine
+    /// shares.
+    pub fn phase_memo(&self) -> &Arc<PhaseMemo> {
+        &self.phase_memo
     }
 
     /// The execution unit of the kernel registered as `name`, compiled
@@ -451,7 +460,7 @@ impl FlowEngine {
     /// replacing any earlier kernel of that name and its execution unit.
     pub fn register_kernel(&mut self, kernel: Kernel) {
         let entry = KernelEntry {
-            kernel,
+            kernel: Arc::new(kernel),
             unit: OnceLock::new(),
         };
         self.kernels.insert(entry.kernel.name.clone(), entry);
@@ -819,7 +828,10 @@ impl FlowEngine {
     /// Build a simulated board from the artifacts, wiring accelerators and
     /// DMA engines per the block design, ready to execute the application.
     /// The board inherits the engine's observer, so stream-phase counters
-    /// (DMA bursts, bus stalls) land in the same trace as the build.
+    /// (DMA bursts, bus stalls) land in the same trace as the build. It
+    /// shares the engine's kernel IR, execution units and phase-timing
+    /// memo, so a streaming phase whose shape any board of this engine
+    /// already ran reuses that timing instead of re-simulating it.
     pub fn build_board(
         &self,
         artifacts: &FlowArtifacts,
@@ -827,6 +839,7 @@ impl FlowEngine {
     ) -> Result<Board, FlowError> {
         let mut board = Board::new(dram_bytes);
         board.set_observer(self.options.observer.clone());
+        board.set_phase_memo(self.phase_memo.clone());
         let mut accel_index = HashMap::new();
         for (name, r) in &artifacts.hls {
             let entry = self
@@ -834,7 +847,7 @@ impl FlowEngine {
                 .get(name)
                 .ok_or_else(|| FlowError::MissingKernel { node: name.clone() })?;
             let idx = board.add_accel(AccelInstance::with_unit(
-                entry.kernel.clone(),
+                Arc::clone(&entry.kernel),
                 r.report.clone(),
                 self.unit_of(entry),
             ));
@@ -894,6 +907,7 @@ mod tests {
     use accelsoc_kernel::builder::*;
     use accelsoc_kernel::types::Ty;
     use accelsoc_observe::CollectObserver;
+    use accelsoc_platform::board::PhaseStats;
 
     fn inc_kernel(name: &str) -> Kernel {
         KernelBuilder::new(name)
@@ -1235,30 +1249,33 @@ mod tests {
         assert_eq!(art.block_design.dma_count(), 0);
     }
 
-    /// Stream four bytes through a built `pipeline_graph` board; returns
-    /// the output bytes and the phase time.
-    fn run_pipeline(board: &mut Board, input: [u8; 4]) -> (Vec<u8>, f64) {
-        board.dram.load_bytes(0x100, &input).unwrap();
+    /// Stream `input` through a built `pipeline_graph` board; returns
+    /// the output bytes and the phase statistics.
+    fn run_pipeline(board: &mut Board, input: &[u8]) -> (Vec<u8>, PhaseStats) {
+        use accelsoc_axi::dma::DmaDescriptor;
+        let n = input.len();
+        let (src, dst) = (0x100, 0x100 + n as u64);
+        board.dram.load_bytes(src, input).unwrap();
         let stats = board
             .run_stream_phase(
                 &[(
                     0,
-                    accelsoc_axi::dma::DmaDescriptor {
-                        addr: 0x100,
-                        len: 4,
+                    DmaDescriptor {
+                        addr: src,
+                        len: n as u64,
                     },
                 )],
                 &[(
                     0,
-                    accelsoc_axi::dma::DmaDescriptor {
-                        addr: 0x200,
-                        len: 4,
+                    DmaDescriptor {
+                        addr: dst,
+                        len: n as u64,
                     },
                 )],
-                &[(0, "n", 4), (1, "n", 4)],
+                &[(0, "n", n as i64), (1, "n", n as i64)],
             )
             .unwrap();
-        (board.dram.dump_bytes(0x200, 4).unwrap(), stats.ns)
+        (board.dram.dump_bytes(dst, n).unwrap(), stats)
     }
 
     #[test]
@@ -1266,10 +1283,111 @@ mod tests {
         let mut e = engine_with_pipeline();
         let art = e.run(&pipeline_graph()).unwrap();
         let mut board = e.build_board(&art, 1 << 16).unwrap();
-        let (out, ns) = run_pipeline(&mut board, [1, 2, 3, 4]);
+        let (out, stats) = run_pipeline(&mut board, &[1, 2, 3, 4]);
         // Two increment stages: each byte +2.
         assert_eq!(out, vec![3, 4, 5, 6]);
-        assert!(ns > 0.0);
+        assert!(stats.ns > 0.0);
+    }
+
+    /// `pipeline_graph`'s board wired by hand around `Board::new`, so its
+    /// phase timing comes from a private, empty memo.
+    fn fresh_pipeline_board(art: &FlowArtifacts) -> Board {
+        let mut board = Board::new(1 << 16);
+        for name in ["S1", "S2"] {
+            let (_, r) = art.hls.iter().find(|(n, _)| n == name).unwrap();
+            board.add_accel(AccelInstance::new(inc_kernel(name), r.report.clone()));
+        }
+        let dma = board.add_dma();
+        let port = |accel: usize, port: &str| Endpoint::Accel {
+            accel,
+            port: port.into(),
+        };
+        board.link(Endpoint::Dma(dma), port(0, "in")).unwrap();
+        board.link(port(0, "out"), port(1, "in")).unwrap();
+        board.link(port(1, "out"), Endpoint::Dma(dma)).unwrap();
+        board
+    }
+
+    fn timing_reuse(events: &[FlowEvent]) -> Vec<bool> {
+        events
+            .iter()
+            .filter_map(|ev| match ev {
+                FlowEvent::SimPhaseDone { timing_reused, .. } => Some(*timing_reused),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Boards of one engine share one phase-timing memo: a second
+    /// board's phase of the same shape (other pixel values) reuses the
+    /// first one's timing, reports it as reused, and gets equal stats.
+    #[test]
+    fn boards_of_one_engine_share_phase_timing() {
+        let collect = Arc::new(CollectObserver::new());
+        let mut e = FlowEngine::new(FlowOptions::builder().observer(collect.clone()).build());
+        e.register_kernel(inc_kernel("S1"));
+        e.register_kernel(inc_kernel("S2"));
+        let art = e.run(&pipeline_graph()).unwrap();
+        collect.take();
+
+        let mut first = e.build_board(&art, 1 << 16).unwrap();
+        let mut second = e.build_board(&art, 1 << 16).unwrap();
+        let (out1, s1) = run_pipeline(&mut first, &[1, 2, 3, 4]);
+        let (out2, s2) = run_pipeline(&mut second, &[50, 60, 70, 80]);
+        assert_eq!((out1, out2), (vec![3, 4, 5, 6], vec![52, 62, 72, 82]));
+        assert_eq!(s1, s2);
+        assert_eq!(e.phase_memo().len(), 1);
+
+        let events = collect.take();
+        assert_eq!(timing_reuse(&events), [false, true]);
+        let mut metrics = FlowMetrics::default();
+        for ev in &events {
+            metrics.record(ev);
+        }
+        assert_eq!((metrics.sim_phases, metrics.sim_phases_reused), (2, 1));
+    }
+
+    /// `build_board` hands every board the engine's kernel IR by pointer,
+    /// never a deep copy.
+    #[test]
+    fn boards_of_one_engine_share_accelerator_ir() {
+        let mut e = engine_with_pipeline();
+        let art = e.run(&pipeline_graph()).unwrap();
+        let boards: Vec<Board> = (0..3)
+            .map(|_| e.build_board(&art, 1 << 16).unwrap())
+            .collect();
+        for board in &boards {
+            assert_eq!(board.accels.len(), 2);
+            for a in &board.accels {
+                let entry = &e.kernels[&a.kernel.name];
+                assert!(Arc::ptr_eq(&a.kernel, &entry.kernel), "{}", a.kernel.name);
+            }
+        }
+    }
+
+    /// The memo key is the phase's whole input: after a built board's
+    /// FIFO depth or HP-port width changes, its phase returns exactly
+    /// what a fresh `Board::new` computes, never the timing memoized
+    /// for the engine's default knobs.
+    #[test]
+    fn changed_board_knobs_match_a_fresh_board() {
+        let mut e = engine_with_pipeline();
+        let art = e.run(&pipeline_graph()).unwrap();
+        let data = [7u8; 256];
+        let (_, default) = run_pipeline(&mut e.build_board(&art, 1 << 16).unwrap(), &data);
+        for (depth, hp) in [(1, 8), (16, 1), (2, 2)] {
+            let mut built = e.build_board(&art, 1 << 16).unwrap();
+            let mut fresh = fresh_pipeline_board(&art);
+            for b in [&mut built, &mut fresh] {
+                b.stream_fifo_depth = depth;
+                b.hp_bytes_per_cycle = hp;
+            }
+            let (_, got) = run_pipeline(&mut built, &data);
+            let (_, want) = run_pipeline(&mut fresh, &data);
+            assert_eq!(got, want, "depth {depth}, hp {hp}");
+            assert_ne!(got, default, "depth {depth}, hp {hp}");
+        }
+        assert_eq!(e.phase_memo().len(), 4);
     }
 
     fn compiled_kernels(events: &[FlowEvent]) -> Vec<String> {
@@ -1334,8 +1452,11 @@ mod tests {
         let mut fresh = e.build_board(&a2, 1 << 16).unwrap();
 
         // S1 now divides by 3 before S2 adds 1.
-        assert_eq!(run_pipeline(&mut fresh, [9, 30, 60, 90]).0, [4, 11, 21, 31]);
-        assert_eq!(run_pipeline(&mut old, [9, 30, 60, 90]).0, [11, 32, 62, 92]);
+        assert_eq!(
+            run_pipeline(&mut fresh, &[9, 30, 60, 90]).0,
+            [4, 11, 21, 31]
+        );
+        assert_eq!(run_pipeline(&mut old, &[9, 30, 60, 90]).0, [11, 32, 62, 92]);
         assert_eq!(compiled_kernels(&collect.take()), ["S1", "S2", "S1"]);
     }
 

@@ -187,6 +187,10 @@ pub enum FlowEvent {
         backpressure_stall_cycles: u64,
         /// Cycles consumers waited on an empty stream FIFO.
         starvation_stall_cycles: u64,
+        /// The timing came from the phase-timing memo: an identical
+        /// phase shape was already simulated. The stats are the same
+        /// either way.
+        timing_reused: bool,
     },
     /// The multi-board partitioner cut an oversized design into
     /// per-board subgraphs that each fit the device.

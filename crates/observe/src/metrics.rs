@@ -53,6 +53,9 @@ pub struct FlowMetrics {
     pub timing_met: bool,
     /// Streaming phases the platform simulator completed.
     pub sim_phases: u64,
+    /// Subset of `sim_phases` whose timing the phase-timing memo reused
+    /// instead of simulating.
+    pub sim_phases_reused: u64,
     pub sim_bytes_in: u64,
     pub sim_bytes_out: u64,
     pub sim_dma_bursts: u64,
@@ -193,9 +196,11 @@ impl FlowMetrics {
                 bus_stall_cycles,
                 backpressure_stall_cycles,
                 starvation_stall_cycles,
+                timing_reused,
                 ..
             } => {
                 self.sim_phases += 1;
+                self.sim_phases_reused += *timing_reused as u64;
                 self.sim_bytes_in += bytes_in;
                 self.sim_bytes_out += bytes_out;
                 self.sim_dma_bursts += dma_bursts;
@@ -306,7 +311,7 @@ mod tests {
             kernel: "b".into(),
             hit: false,
         });
-        for _ in 0..2 {
+        for timing_reused in [false, true, true] {
             obs.on_event(&FlowEvent::SimPhaseDone {
                 label: "phase".into(),
                 ns: 100.0,
@@ -318,16 +323,19 @@ mod tests {
                 bus_stall_cycles: 5,
                 backpressure_stall_cycles: 11,
                 starvation_stall_cycles: 2,
+                timing_reused,
             });
         }
         let m = obs.snapshot();
         assert_eq!((m.hls_cache_hits, m.hls_cache_misses), (1, 1));
-        assert_eq!(m.sim_phases, 2);
-        assert_eq!(m.sim_bytes_in, 128);
-        assert_eq!(m.sim_dma_bursts, 8);
-        assert_eq!(m.sim_bus_stall_cycles, 10);
-        assert_eq!(m.sim_backpressure_stall_cycles, 22);
-        assert_eq!(m.sim_starvation_stall_cycles, 4);
+        assert_eq!(m.sim_phases, 3);
+        // A reused phase still counts its traffic and stalls.
+        assert_eq!(m.sim_phases_reused, 2);
+        assert_eq!(m.sim_bytes_in, 192);
+        assert_eq!(m.sim_dma_bursts, 12);
+        assert_eq!(m.sim_bus_stall_cycles, 15);
+        assert_eq!(m.sim_backpressure_stall_cycles, 33);
+        assert_eq!(m.sim_starvation_stall_cycles, 6);
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! PL accelerator instances: HLS-timed, lane-VM-evaluated.
+//!
+//! An instance holds its kernel IR and execution unit behind `Arc`s: a
+//! flow engine builds one board per job, and every board's instance of
+//! a kernel points at the engine's single copy instead of cloning the
+//! IR tree.
 
 use accelsoc_hls::report::HlsReport;
 use accelsoc_kernel::interp::{ExecError, StreamBundle};
@@ -17,7 +22,8 @@ use std::sync::Arc;
 /// fill.
 #[derive(Debug, Clone)]
 pub struct AccelInstance {
-    pub kernel: Kernel,
+    /// The kernel IR, shared with the flow engine that registered it.
+    pub kernel: Arc<Kernel>,
     pub report: HlsReport,
     /// The kernel's execution unit; the flow engine shares one across
     /// every instance of the same kernel, so each kernel compiles once
@@ -36,15 +42,15 @@ pub struct AccelInstance {
 impl AccelInstance {
     /// Standalone constructor: compiles the kernel here. Prefer
     /// [`AccelInstance::with_unit`] when a flow engine already holds
-    /// the execution unit.
+    /// the kernel and its execution unit.
     pub fn new(kernel: Kernel, report: HlsReport) -> Self {
         let unit = Arc::new(ExecUnit::new(&kernel));
-        AccelInstance::with_unit(kernel, report, unit)
+        AccelInstance::with_unit(Arc::new(kernel), report, unit)
     }
 
-    /// Construct around an execution unit handed out by the flow
-    /// engine.
-    pub fn with_unit(kernel: Kernel, report: HlsReport, unit: Arc<ExecUnit>) -> Self {
+    /// Construct around a kernel and execution unit handed out by the
+    /// flow engine; both are shared, not copied.
+    pub fn with_unit(kernel: Arc<Kernel>, report: HlsReport, unit: Arc<ExecUnit>) -> Self {
         AccelInstance {
             kernel,
             report,

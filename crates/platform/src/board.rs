@@ -12,9 +12,16 @@
 //!   steady-state pipeline model: transfers and computation overlap, so
 //!   the makespan is the pipeline fill plus the *slowest* stage, not the
 //!   sum of stages.
+//!
+//! A streaming phase's function runs every time; its timing comes from
+//! the board's [`PhaseMemo`], which simulates each distinct phase shape
+//! once ([`crate::cosim`]). [`Board::new`] gives a board a private memo;
+//! a flow engine shares one memo across every board it builds
+//! ([`Board::set_phase_memo`]). Board DRAM is paged ([`Dram`]), so a
+//! board costs only the pages its phases touch.
 
 use crate::accel::AccelInstance;
-use crate::cosim::{self, CosimPhase, SinkSpec, SourceSpec, StagePort, StageSpec};
+use crate::cosim::{CosimPhase, PhaseMemo, SinkSpec, SourceSpec, StagePort, StageSpec};
 use crate::cpu::Cpu;
 use crate::memory::Dram;
 use crate::PL_CLK_NS;
@@ -25,6 +32,7 @@ use accelsoc_kernel::interp::{ExecError, StreamBundle};
 use accelsoc_observe::{null_observer, FlowEvent, SharedObserver};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// One endpoint of a stream link.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,7 +126,7 @@ impl From<DmaError> for BoardError {
 
 /// Statistics of one streaming-phase execution. Timing comes from the
 /// co-scheduled bounded-FIFO cycle simulation ([`crate::cosim`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseStats {
     /// Total modelled wall time.
     pub ns: f64,
@@ -162,6 +170,8 @@ pub struct Board {
     pub max_sim_cycles: u64,
     /// Event bus for phase-level counters (DMA bursts, bus stalls).
     observer: SharedObserver,
+    /// Streaming-phase timing, memoized by phase shape.
+    phase_memo: Arc<PhaseMemo>,
     /// Streaming phases executed so far (labels the emitted events).
     phases_run: u64,
 }
@@ -180,6 +190,7 @@ impl Board {
             stream_fifo_depth: 16,
             max_sim_cycles: 50_000_000,
             observer: null_observer(),
+            phase_memo: Arc::new(PhaseMemo::new()),
             phases_run: 0,
         }
     }
@@ -187,6 +198,12 @@ impl Board {
     /// Report streaming-phase counters to `observer` from now on.
     pub fn set_observer(&mut self, observer: SharedObserver) {
         self.observer = observer;
+    }
+
+    /// Take streaming-phase timing from `memo` from now on, sharing it
+    /// with every other board that holds it.
+    pub fn set_phase_memo(&mut self, memo: Arc<PhaseMemo>) {
+        self.phase_memo = memo;
     }
 
     pub fn add_accel(&mut self, accel: AccelInstance) -> usize {
@@ -565,7 +582,8 @@ impl Board {
         // 4. Timing: replay the phase's traffic through the co-scheduled
         // bounded-FIFO cycle simulation — one FIFO per stream link, one
         // stage per participating accelerator, MM2S/S2MM endpoints
-        // sharing the HP port's per-cycle byte budget.
+        // sharing the HP port's per-cycle byte budget. The memo runs it
+        // only for a shape it has not seen.
         let mut phase = CosimPhase::default();
         for _ in &self.links {
             phase.add_fifo(self.stream_fifo_depth as u64);
@@ -629,7 +647,9 @@ impl Board {
                 in_fifo: li,
             });
         }
-        let r = cosim::run(&phase, self.hp_bytes_per_cycle, self.max_sim_cycles);
+        let (r, timing_reused) =
+            self.phase_memo
+                .run(phase, self.hp_bytes_per_cycle, self.max_sim_cycles);
         if r.capped {
             return Err(BoardError::SimDiverged {
                 cycles: r.total_cycles,
@@ -653,6 +673,7 @@ impl Board {
             bus_stall_cycles: stats.hp_stall_cycles,
             backpressure_stall_cycles: stats.backpressure_stall_cycles,
             starvation_stall_cycles: stats.starvation_stall_cycles,
+            timing_reused,
         });
         self.phases_run += 1;
         Ok(stats)

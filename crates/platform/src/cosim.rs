@@ -24,6 +24,22 @@
 //!
 //! Everything is integer; the simulation is exactly deterministic
 //! (endpoints are stepped in a fixed order: sinks, stages, sources).
+//!
+//! # Memoized phase timing
+//!
+//! [`run`] reads nothing but its arguments: the [`CosimPhase`] (FIFO
+//! capacities plus the source, stage and sink specs with their token
+//! counts — never token values), the HP-port budget and the cycle cap.
+//! Its result is therefore a pure function of the phase's *shape*, and
+//! [`PhaseMemo`] caches it under that complete input. Boards running the
+//! same application on same-sized images repeat a handful of shapes, so
+//! all but the first phase of each shape are a hash lookup. Because the
+//! key is the whole input, nothing ever invalidates an entry: a kernel
+//! re-registered with another II, a deeper FIFO or a narrower HP port is
+//! simply a different key.
+
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// A bounded FIFO modelled by occupancy only — the functional payload
 /// already moved through the kernel VM.
@@ -34,7 +50,7 @@ struct Fifo {
 }
 
 /// MM2S endpoint: injects `beats` beats into FIFO `out_fifo`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SourceSpec {
     pub name: String,
     pub beats: u64,
@@ -50,14 +66,14 @@ pub struct SourceSpec {
 
 /// One stage port: which FIFO it reads/writes and how many tokens move
 /// across it over the whole phase.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StagePort {
     pub fifo: usize,
     pub tokens: u64,
 }
 
 /// Accelerator endpoint.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StageSpec {
     pub name: String,
     /// Cycles before the stage can fire for the first time.
@@ -70,7 +86,7 @@ pub struct StageSpec {
 }
 
 /// S2MM endpoint: drains `beats` beats from FIFO `in_fifo`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SinkSpec {
     pub name: String,
     pub beats: u64,
@@ -82,7 +98,7 @@ pub struct SinkSpec {
 }
 
 /// The phase topology handed to [`run`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct CosimPhase {
     pub fifo_capacities: Vec<u64>,
     pub sources: Vec<SourceSpec>,
@@ -338,6 +354,60 @@ pub fn run(phase: &CosimPhase, hp_bytes_per_cycle: u64, max_cycles: u64) -> Cosi
         .unwrap_or(cycle);
     r.steady_cycles = r.total_cycles - r.fill_cycles;
     r
+}
+
+/// [`run`]'s input, complete: phase shape, HP bytes per cycle, cycle cap.
+type PhaseKey = (CosimPhase, u64, u64);
+
+/// A memo of [`run`] keyed by its complete input (see the module docs).
+/// Shared by reference: a flow engine hands one to every board it
+/// builds, and a standalone board owns a private one.
+#[derive(Debug, Default)]
+pub struct PhaseMemo {
+    results: Mutex<HashMap<PhaseKey, CosimResult>>,
+}
+
+impl PhaseMemo {
+    pub fn new() -> Self {
+        PhaseMemo::default()
+    }
+
+    /// `run(&phase, hp_bytes_per_cycle, max_cycles)`, simulated on the
+    /// first request for this input and copied on every later one. The
+    /// flag is true when the result was reused. A miss simulates under
+    /// the lock, so each distinct input is simulated exactly once even
+    /// when boards on several threads share the memo.
+    pub fn run(
+        &self,
+        phase: CosimPhase,
+        hp_bytes_per_cycle: u64,
+        max_cycles: u64,
+    ) -> (CosimResult, bool) {
+        let key = (phase, hp_bytes_per_cycle, max_cycles);
+        let mut results = self.results.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(r) = results.get(&key) {
+            return (r.clone(), true);
+        }
+        let r = run(&key.0, hp_bytes_per_cycle, max_cycles);
+        results.insert(key, r.clone());
+        (r, false)
+    }
+
+    /// Distinct inputs simulated so far.
+    pub fn len(&self) -> usize {
+        self.results.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
+    /// The distinct inputs simulated so far — the phase shapes the
+    /// memo's boards ran — in no particular order.
+    pub fn inputs(&self) -> Vec<(CosimPhase, u64, u64)> {
+        let results = self.results.lock().unwrap_or_else(|e| e.into_inner());
+        results.keys().cloned().collect()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! have no board, so this crate simulates one at the granularity the
 //! paper's flow needs:
 //!
-//! * [`memory::Dram`] — shared DDR3 with a latency + bandwidth model;
+//! * [`memory::Dram`] — shared DDR3 with a latency + bandwidth model,
+//!   paged so that a board costs only the pages it writes;
 //! * [`cpu::Cpu`] — the ARM PS as a cost model over kernel execution
 //!   statistics (software tasks execute on the kernel lane VM; the
 //!   model converts operation counts into cycles);
@@ -20,7 +21,8 @@
 //! * [`cosim`] — the co-scheduled bounded-FIFO cycle simulation behind
 //!   streaming-phase timing: every DMA endpoint and accelerator steps one
 //!   PL cycle at a time over integer-occupancy FIFOs, surfacing
-//!   backpressure, starvation and HP-port contention stalls;
+//!   backpressure, starvation and HP-port contention stalls; its
+//!   [`cosim::PhaseMemo`] simulates each distinct phase shape once;
 //! * [`sim::TaskSim`] — a discrete-event scheduler on an integer
 //!   picosecond calendar that composes task durations and dependencies
 //!   into an application makespan (used to compare Arch1–4 end to end);
@@ -44,7 +46,7 @@ pub mod trace;
 
 pub use accel::AccelInstance;
 pub use board::{Board, BoardError, PhaseStats};
-pub use cosim::CosimResult;
+pub use cosim::{CosimResult, PhaseMemo};
 pub use cpu::Cpu;
 pub use memory::Dram;
 pub use multiboard::{

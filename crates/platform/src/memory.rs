@@ -1,5 +1,10 @@
 //! Shared DRAM model: functional byte store plus a latency/bandwidth cost
 //! model for the Zynq DDR3 controller.
+//!
+//! The store is a paged [`VecMemory`]: a board declares its full DRAM
+//! size (64 MiB for the Otsu application), but only the 4 KiB pages it
+//! writes are ever allocated, and untouched bytes read as 0 — exactly
+//! what a zero-filled flat buffer would return.
 
 use accelsoc_axi::protocol::{MemError, MemoryPort, VecMemory};
 
@@ -18,8 +23,8 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// ZedBoard: 512 MiB DDR3; we allocate lazily sized regions for tests
-    /// so `size` is configurable.
+    /// ZedBoard: 512 MiB DDR3. `size` is configurable; it costs nothing
+    /// up front, since pages are allocated on first write.
     pub fn new(size: usize) -> Self {
         Dram {
             mem: VecMemory::new(size),
@@ -35,10 +40,6 @@ impl Dram {
         self.latency_cycles + bytes.div_ceil(self.bytes_per_cycle)
     }
 
-    pub fn as_slice(&self) -> &[u8] {
-        self.mem.as_slice()
-    }
-
     /// Convenience: write a slice of u8 pixels starting at `addr`.
     pub fn load_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
         self.write(addr, data)
@@ -49,11 +50,12 @@ impl Dram {
     /// simulated accesses through the [`MemoryPort`] interface.
     pub fn peek_bytes(&self, addr: u64, len: usize) -> Result<Vec<u8>, MemError> {
         let size = self.mem.size();
-        let end = addr.checked_add(len as u64).filter(|&e| e <= size);
-        if end.is_none() {
+        if addr.checked_add(len as u64).is_none_or(|end| end > size) {
             return Err(MemError::OutOfRange { addr, len, size });
         }
-        Ok(self.mem.as_slice()[addr as usize..addr as usize + len].to_vec())
+        let mut buf = vec![0; len];
+        self.mem.peek(addr, &mut buf)?;
+        Ok(buf)
     }
 
     /// Convenience: read `len` bytes at `addr`. A debug dump — routed
@@ -120,5 +122,15 @@ mod tests {
         let mut d = Dram::new(16);
         assert!(d.load_bytes(12, &[0; 8]).is_err());
         assert!(d.dump_bytes(20, 4).is_err());
+        // `addr + len` past u64::MAX is out of range, not a panic.
+        assert!(d.load_bytes(u64::MAX - 1, &[1, 2, 3, 4]).is_err());
+        assert!(d.peek_bytes(u64::MAX - 1, 4).is_err());
+        assert_eq!(d.bytes_written, 0);
+    }
+
+    #[test]
+    fn untouched_dram_reads_zero() {
+        let d = Dram::new(64 << 20);
+        assert_eq!(d.peek_bytes(32 << 20, 8).unwrap(), vec![0; 8]);
     }
 }

@@ -12,6 +12,13 @@ cargo build --offline --release --workspace --all-targets
 echo "==> cargo test (offline)"
 cargo test --offline --workspace -q
 
+echo "==> perfbench tests (offline)"
+# The benchmark is its own cargo workspace, so nothing above builds it.
+# Its tests run every workload at tiny size and check the pinned output
+# digests, so a public-API change that breaks the benchmark, or a model
+# change that moves a simulated number, fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
