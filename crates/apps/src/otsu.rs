@@ -439,9 +439,9 @@ pub fn run_application(
 
 /// [`run_application`] with explicit board knobs — used by the property
 /// tests to vary FIFO depth and by the batch driver. Delegates to
-/// [`run_application_group`] with a single lane; the lane VM at `K = 1`
-/// is bit-identical to the scalar VM by contract, so there is one
-/// runner code path regardless of batch size.
+/// [`run_application_group`] with a single lane; every lane of a group
+/// is bit-identical to a solo run by the lane VM's contract, so there is
+/// one runner code path regardless of batch size.
 pub fn run_application_with(
     arch: Arch,
     engine: &FlowEngine,

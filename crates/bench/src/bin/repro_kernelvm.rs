@@ -1,17 +1,18 @@
 //! Kernel-VM microbenchmark: the tree-walking interpreter vs the
-//! register bytecode VM over the full Otsu kernel chain
+//! compiled kernel (`CompiledKernel::run`, a one-lane batch on the lane
+//! VM) over the full Otsu kernel chain
 //! (grayScale → computeHistogram → halfProbability → segment),
 //! plus a `--lanes` sweep of the batch-lane VM: K distinct images run
 //! through one decoded instruction stream with structure-of-arrays
-//! register files, measured against the scalar VM doing the same work
-//! one image at a time on one host thread.
+//! register files, measured against width 1 doing the same work one
+//! image at a time on one host thread.
 //!
 //! Every rep first checks the engines agree bit-for-bit (scalar
 //! outputs, stream outputs, ExecStats) and then times each engine over
 //! identical inputs. The throughput unit is source-level IR operations
 //! per second (`ExecStats::steps`, identical for all engines by
 //! construction), so every speedup column is a pure execution-engine
-//! comparison.
+//! comparison. `--dump` prints each stage's compiled program instead.
 
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
 use accelsoc_apps::kernels;
@@ -129,11 +130,8 @@ fn main() {
 
     if args.iter().any(|a| a == "--dump") {
         for stage in &stages {
-            let compiled = CompiledKernel::compile(&stage.kernel);
             println!("== {} ==", stage.kernel.name);
-            for (i, (op, _)) in compiled.ops().enumerate() {
-                println!("  {i:3}: {op:?}");
-            }
+            print!("{}", CompiledKernel::compile(&stage.kernel).disasm());
         }
         return;
     }
@@ -240,7 +238,7 @@ fn main() {
 
     // == batch-lane sweep ==================================================
     // K distinct images through one decoded instruction stream, all four
-    // chain stages, single host thread. The scalar-VM baseline runs the
+    // chain stages, single host thread. The width-1 baseline runs the
     // same K images one at a time; both sides are verified against the
     // interpreter oracle per lane before timing.
     let lane_counts = arg_lanes(&args, &[1, 2, 4, 8]);
@@ -288,8 +286,8 @@ fn main() {
     let mut lane_table = Table::new(vec![
         "lanes",
         "IR ops/rep",
-        "scalar-VM Mops/s",
-        "lane-VM Mops/s",
+        "width-1 Mops/s",
+        "width-K Mops/s",
         "speedup",
         "ops/dispatch",
     ]);
@@ -310,8 +308,8 @@ fn main() {
         let inputs: Vec<Vec<HashMap<String, i64>>> = (0..compiled.len())
             .map(|s| (0..k).map(|l| lane_stages[l][s].scalars.clone()).collect())
             .collect();
-        // Scalar-VM baseline: same images, one lane at a time.
-        let time_scalar = || {
+        // Width-1 baseline: same images, one lane at a time.
+        let time_width1 = || {
             let t0 = Instant::now();
             for _ in 0..reps {
                 for lane in lane_stages.iter().take(k) {
@@ -338,31 +336,31 @@ fn main() {
             }
             t0.elapsed().as_secs_f64()
         };
-        let (mut scalar_times, mut lane_times, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut width1_times, mut lane_times, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
         for round in 0..rounds {
-            let (scalar_s, lane_s) = if round % 2 == 0 {
-                let sc = time_scalar();
-                (sc, time_lanes())
+            let (width1_s, lane_s) = if round % 2 == 0 {
+                let w1 = time_width1();
+                (w1, time_lanes())
             } else {
                 let ln = time_lanes();
-                (time_scalar(), ln)
+                (time_width1(), ln)
             };
-            scalar_times.push(scalar_s);
+            width1_times.push(width1_s);
             lane_times.push(lane_s);
-            ratios.push(scalar_s / lane_s);
+            ratios.push(width1_s / lane_s);
         }
-        let scalar_s = median(&mut scalar_times);
+        let width1_s = median(&mut width1_times);
         let lane_s = median(&mut lane_times);
 
         let ops = ops_per_rep * reps as u64;
-        let scalar_ops_s = ops as f64 / scalar_s;
+        let width1_ops_s = ops as f64 / width1_s;
         let lane_ops_s = ops as f64 / lane_s;
         let speedup = median(&mut ratios);
         let ops_per_dispatch = ops_per_rep as f64 / dispatches.max(1) as f64;
         lane_table.row(vec![
             k.to_string(),
             ops_per_rep.to_string(),
-            format!("{:.1}", scalar_ops_s / 1e6),
+            format!("{:.1}", width1_ops_s / 1e6),
             format!("{:.1}", lane_ops_s / 1e6),
             format!("{speedup:.2}x"),
             format!("{ops_per_dispatch:.1}"),
@@ -371,10 +369,10 @@ fn main() {
             "lanes": k,
             "ir_ops_per_rep": ops_per_rep,
             "reps": reps,
-            "scalar_vm_ops_per_sec": scalar_ops_s,
+            "width1_ops_per_sec": width1_ops_s,
             "lane_vm_ops_per_sec": lane_ops_s,
             "rounds": rounds,
-            "speedup_vs_scalar_vm": speedup,
+            "speedup_vs_width1": speedup,
             "dispatches_per_rep": dispatches,
             "ops_per_dispatch": ops_per_dispatch,
         }));
@@ -388,7 +386,7 @@ fn main() {
 
     if let Some(path) = json_path {
         let doc = serde_json::json!({
-            "schema": "accelsoc-bench-kernelvm/3",
+            "schema": "accelsoc-bench-kernelvm/4",
             "side": side,
             "reps": reps,
             "kernels": records,

@@ -69,10 +69,7 @@ pub fn otsu_chain_model_cached(
         let inputs: HashMap<String, i64> =
             scalars.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         let out = CompiledKernel::compile(kernel)
-            .run_batch(std::slice::from_ref(&inputs), std::slice::from_mut(&mut s))
-            .lanes
-            .pop()
-            .expect("a one-lane batch has one outcome")
+            .run(&inputs, &mut s)
             .expect("profile run");
         cpu.cycles_for(&out.stats) as f64 * accelsoc_platform::PS_CLK_NS
     };

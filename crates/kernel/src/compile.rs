@@ -7,8 +7,9 @@
 //! name resolution once: scalars become dense register indices, arrays
 //! become offsets into one flat arena, stream ports become slot indices,
 //! and the statement tree becomes a linear [`Op`] vector with explicit
-//! branch targets. The VM in [`crate::vm`] then executes the program as
-//! a plain `while` loop over `Vec<Op>`.
+//! branch targets. The batch-lane VM ([`crate::lanes`]) then executes the
+//! program for K lanes at once; [`CompiledKernel::run`] ([`crate::vm`]) is
+//! its one-lane entry point.
 //!
 //! # Stat equivalence
 //!
@@ -545,6 +546,9 @@ pub struct ScalarSlot {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledKernel {
     pub name: String,
+    /// The base op stream, immediates inline and no superinstructions:
+    /// the source of `lane_ops`, and what the lane VM's general step
+    /// executes at the head of a fused run.
     pub(crate) ops: Vec<Op>,
     /// Per-op counter increments in [`StatDelta::to_array`] lane order.
     /// Replayed `counts[pc] * delta` on successful exit — counters other
@@ -576,7 +580,7 @@ pub struct CompiledKernel {
 
 impl CompiledKernel {
     /// Human-readable listing of the op streams (`pc`, step cost, the
-    /// scalar op, and the lane-tier op where it differs) — a debugging
+    /// base op, and the lane-tier op where it differs) — a debugging
     /// and tuning aid for the superinstruction passes.
     pub fn disasm(&self) -> String {
         use std::fmt::Write;
@@ -967,12 +971,6 @@ impl CompiledKernel {
 
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// The ops with their stat deltas (for introspection/tests), deltas
-    /// in [`StatDelta::to_array`] lane order.
-    pub fn ops(&self) -> impl Iterator<Item = (&Op, &[u32; 11])> {
-        self.ops.iter().zip(self.deltas.iter())
     }
 }
 

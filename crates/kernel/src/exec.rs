@@ -1,20 +1,19 @@
 //! [`ExecUnit`]: the one handle hot paths hold to execute a kernel.
 //!
-//! A kernel has one fast execution tier plus one oracle, bit-identical
-//! by contract:
+//! A kernel has one compiled execution tier plus one oracle,
+//! bit-identical by contract:
 //!
-//! 1. the register bytecode **VM** ([`crate::vm`]) and its batch-lane
-//!    mode ([`crate::lanes`]), which runs K invocations through one
-//!    decoded instruction stream;
+//! 1. the **batch-lane VM** ([`crate::lanes`]) over the compiled
+//!    bytecode ([`crate::compile`]), which runs K invocations through one
+//!    decoded instruction stream; a single invocation
+//!    ([`CompiledKernel::run`], [`crate::vm`]) is a group of one lane;
 //! 2. the tree-walking **interpreter** ([`crate::interp`]) — the
 //!    differential oracle, never on a hot path.
 //!
-//! `ExecUnit` compiles once and runs every call on the lane VM: batched
-//! invocations as one lane group, single invocations as a group of one
-//! lane (at width 1 the fused lane stream is faster than the scalar VM
-//! loop, and its result is the scalar result by the lane VM's contract).
-//! The flow engine keeps one `Arc<ExecUnit>` beside each registered
-//! kernel, so compilation is paid once per engine per kernel.
+//! `ExecUnit` compiles once and runs batched invocations as one lane
+//! group, single invocations as a group of one lane. The flow engine
+//! keeps one `Arc<ExecUnit>` beside each registered kernel, so
+//! compilation is paid once per engine per kernel.
 
 use crate::compile::CompiledKernel;
 use crate::interp::{ExecError, ExecOutcome, StreamBundle};
@@ -37,20 +36,14 @@ impl ExecUnit {
         }
     }
 
-    /// Single invocation: a one-lane group on the lane VM.
+    /// Single invocation: [`CompiledKernel::run`], a one-lane group on
+    /// the lane VM.
     pub fn run(
         &self,
         scalar_inputs: &HashMap<String, i64>,
         streams: &mut StreamBundle,
     ) -> Result<ExecOutcome, ExecError> {
-        self.compiled
-            .run_batch(
-                std::slice::from_ref(scalar_inputs),
-                std::slice::from_mut(streams),
-            )
-            .lanes
-            .pop()
-            .expect("a one-lane batch has one outcome")
+        self.compiled.run(scalar_inputs, streams)
     }
 
     /// Batched invocation on the lane VM: one decoded instruction

@@ -9,16 +9,21 @@
 //! its own stream snapshot, cursor and output buffers, so lanes may
 //! consume different numbers of tokens and trap independently.
 //!
+//! This is the only compiled execution loop: a single invocation,
+//! [`CompiledKernel::run`], is a batch of one lane.
+//!
 //! # Equivalence contract
 //!
-//! For every lane `l`, `run_batch(...).lanes[l]` is bit-identical to
-//! running that lane alone through [`CompiledKernel::run`]: same scalar
+//! For every lane `l`, `run_batch(...).lanes[l]` is bit-identical to the
+//! tree-walking [`Interpreter`](crate::interp::Interpreter) on that lane's
+//! inputs alone, and therefore to a one-lane run of them: same scalar
 //! outputs, same [`ExecStats`](crate::interp::ExecStats) (including
-//! `steps` and the `StepLimit` trip point), same typed
-//! [`ExecError`] values, and the same committed [`StreamBundle`] state
-//! on success *and* on error. The differential property suite in
-//! `tests/prop_lanes.rs` holds this across lane widths against both the
-//! scalar VM and the tree-walking interpreter oracle.
+//! `steps` and the `StepLimit` trip point), same typed [`ExecError`]
+//! values, and the same committed [`StreamBundle`] state on success *and*
+//! on error. Two differential property suites hold this against the
+//! interpreter oracle: `tests/prop_vm.rs` on random kernels at widths 1,
+//! 2, 3, 4 and 8, and `tests/prop_lanes.rs` on the repo's Otsu and stencil
+//! kernels at widths 1, 2, 4 and 8.
 //!
 //! # Lockstep, retirement and divergence
 //!
@@ -112,9 +117,9 @@ thread_local! {
 
 /// Result of one batched invocation: the per-lane outcomes (index ==
 /// lane == bundle index) plus the number of host op dispatches the whole
-/// batch cost. The scalar VM pays one dispatch per op per lane;
-/// `dispatches` shrinks toward `1/K` of that as lanes stay converged,
-/// which is the amortization the batch reports surface.
+/// batch cost. Converged lanes share every dispatch, so while they stay
+/// converged a K-lane batch costs the dispatches of one lane alone —
+/// the amortization the batch reports surface.
 #[derive(Debug)]
 pub struct BatchOutcome {
     pub lanes: Vec<Result<ExecOutcome, ExecError>>,
@@ -126,7 +131,7 @@ pub struct BatchOutcome {
 enum LaneState {
     Running,
     /// Failed before execution started (missing scalar input): no
-    /// bundle effects at all, matching the scalar early return.
+    /// bundle effects at all, matching the interpreter's early return.
     SeedErr(ExecError),
     /// Trapped mid-execution: committed effects up to the trap.
     Trapped(ExecError),
@@ -244,7 +249,7 @@ impl<'a> LaneVm<'a> {
     }
 
     /// Staged mid-op step tick (the `s2` share of fused ops), checked
-    /// against the limit exactly like the scalar VM so the
+    /// against the limit where the interpreter ticks, so the
     /// `OutOfBounds`-vs-`StepLimit` priority is preserved. Returns false
     /// when every lane in the group retired.
     fn tick_s2(&mut self, s2: u32, lanes: &mut Vec<u16>) -> bool {
@@ -393,11 +398,12 @@ impl<'a> LaneVm<'a> {
         // decides), per-lane loops run over the dense `0..k` range: the
         // SoA rows become contiguous, countable loops the compiler can
         // unroll and vectorize, instead of gathers through the lane
-        // list.
-        let full = lanes.len() == k;
+        // list. The test runs at every loop, not once per op: the
+        // staged ops (`IncIdx`, `WriteStream2`, `LoadIdxWrite`) can drop
+        // lanes between their phases.
         macro_rules! each {
             (|$l:ident| $body:expr) => {
-                if full {
+                if lanes.len() == k {
                     for $l in 0..k {
                         $body
                     }
@@ -412,7 +418,7 @@ impl<'a> LaneVm<'a> {
 
         // Superinstructions are a hot-loop specialization only: at op
         // granularity (divergence, traps, mid-run step limits) the
-        // original scalar op stream — pc-aligned with `lane_ops` by
+        // unfused base op stream `ops` — pc-aligned with `lane_ops` by
         // construction — carries the exact semantics, and `lsrc` resolves
         // its inline immediates.
         let lop = &ck.lane_ops[pc];
@@ -422,7 +428,7 @@ impl<'a> LaneVm<'a> {
             lop
         };
         match lop {
-            Op::Fused(_) => unreachable!("the scalar op stream never carries superinstructions"),
+            Op::Fused(_) => unreachable!("the base op stream never carries superinstructions"),
             Op::Bin { op, dst, a, b } => {
                 let db = *dst as usize * k;
                 each!(|l| {
@@ -872,7 +878,7 @@ impl<'a> LaneVm<'a> {
                 let info = &ck.arrays[*arr as usize];
                 let (base, len, ty) = (info.base as usize, info.len, info.ty);
                 // Phase 1: bounds per lane (OutOfBounds beats the staged
-                // StepLimit tick, like the scalar VM).
+                // StepLimit tick, like the interpreter).
                 let mut i = 0;
                 while i < lanes.len() {
                     let l = lanes[i] as usize;
@@ -952,7 +958,7 @@ impl<'a> LaneVm<'a> {
     }
 
     /// `ReadStream`/`ReadStreamTo`: per-lane cursor advance; a lane that
-    /// runs out of snapshot retires with the scalar VM's underflow.
+    /// runs out of snapshot retires with `StreamUnderflow`.
     fn read_stream(
         &mut self,
         lanes: &mut Vec<u16>,
@@ -1297,7 +1303,7 @@ impl<'a> LaneVm<'a> {
                     acct!();
                     let vb = rowb(regs.len(), *var, k);
                     let rl = srow!(*lo);
-                    // Same per-lane effect order as the scalar VM (read
+                    // Same per-lane effect order as the general step (read
                     // `lo`, latch the bound, write the induction var),
                     // staged through `vals` so the row copies stay
                     // alias-safe.
@@ -1345,7 +1351,7 @@ impl<'a> LaneVm<'a> {
                         let nv = wrap(*ty, regs[vb + l].wrapping_add(1));
                         vals[l] = nv;
                         // The bound may name the induction register
-                        // itself; the scalar VM tests against the
+                        // itself; the general step tests against the
                         // post-increment value then.
                         let hv = if rh == vb { nv } else { ld!(rh, l) };
                         if nv < hv {
@@ -2150,7 +2156,8 @@ impl CompiledKernel {
     /// Run one lane per bundle through a single decoded instruction
     /// stream (see the module docs for the execution model). Lane `l`
     /// reads `scalar_inputs[l]` and `streams[l]`, and
-    /// `BatchOutcome::lanes[l]` is bit-identical to
+    /// `BatchOutcome::lanes[l]` is bit-identical to the interpreter on
+    /// those inputs alone, and to the one-lane
     /// `self.run_with_step_limit(&scalar_inputs[l], &mut streams[l], limit)`.
     pub fn run_batch_with_step_limit(
         &self,
@@ -2184,7 +2191,7 @@ impl CompiledKernel {
         }
 
         // Seed scalars per lane; a missing input retires the lane before
-        // any bundle effect, exactly like the scalar early return.
+        // any bundle effect, exactly like the interpreter's early return.
         let mut live: Vec<u16> = Vec::with_capacity(k);
         for l in 0..k {
             let mut err = None;
@@ -2273,7 +2280,7 @@ impl CompiledKernel {
         }
 
         // Commit stream effects for every lane that started, on success
-        // and on trap alike — the bundle state mirrors the scalar VM's.
+        // and on trap alike — the bundle state mirrors the interpreter's.
         for &l in &started {
             let li = l as usize;
             for p in 0..np {
@@ -2341,8 +2348,9 @@ mod tests {
     use crate::ir::Kernel;
     use crate::types::Ty;
 
-    /// Every lane of a batch must match a solo scalar run exactly:
-    /// result (incl. stats), error, and final bundle state.
+    /// Every lane of a batch must match the interpreter on its inputs
+    /// alone, and a one-lane run of them, exactly: result (incl. stats),
+    /// error, and final bundle state (outputs and leftover inputs).
     fn assert_batch_equiv(
         k: &Kernel,
         per_lane_inputs: &[Vec<(&str, i64)>],
@@ -2356,48 +2364,53 @@ mod tests {
             .iter()
             .map(|ins| ins.iter().map(|(n, v)| (n.to_string(), *v)).collect())
             .collect();
-        let mut batch_bundles: Vec<StreamBundle> = per_lane_feeds
-            .iter()
-            .map(|feed| {
-                let mut b = StreamBundle::new();
-                for (p, t) in feed {
-                    b.feed(p, t.iter().copied());
-                }
-                b
-            })
-            .collect();
+        let bundle = |l: usize| {
+            let mut b = StreamBundle::new();
+            for (p, t) in &per_lane_feeds[l] {
+                b.feed(p, t.iter().copied());
+            }
+            b
+        };
+        let mut batch_bundles: Vec<StreamBundle> = (0..lanes).map(bundle).collect();
         let out = ck.run_batch_with_step_limit(&inputs, &mut batch_bundles, limit);
         assert_eq!(out.lanes.len(), lanes);
 
         for l in 0..lanes {
-            let mut solo = StreamBundle::new();
-            for (p, t) in &per_lane_feeds[l] {
-                solo.feed(p, t.iter().copied());
-            }
+            let mut interp = bundle(l);
+            let interp_res = Interpreter::with_step_limit(k, limit).run(&inputs[l], &mut interp);
+            let mut solo = bundle(l);
             let solo_res = ck.run_with_step_limit(&inputs[l], &mut solo, limit);
-            let mut interp_bundle = StreamBundle::new();
-            for (p, t) in &per_lane_feeds[l] {
-                interp_bundle.feed(p, t.iter().copied());
-            }
-            let interp_res =
-                Interpreter::with_step_limit(k, limit).run(&inputs[l], &mut interp_bundle);
-            match (&out.lanes[l], &solo_res) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.scalar_outputs, b.scalar_outputs, "{} lane {l}", k.name);
-                    assert_eq!(a.stats, b.stats, "{} lane {l}", k.name);
+            for (tag, res, got) in [
+                ("batch", &out.lanes[l], &batch_bundles[l]),
+                ("one-lane", &solo_res, &solo),
+            ] {
+                match (res, &interp_res) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(
+                            a.scalar_outputs, b.scalar_outputs,
+                            "{} {tag} lane {l}",
+                            k.name
+                        );
+                        assert_eq!(a.stats, b.stats, "{} {tag} lane {l}", k.name);
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a, b, "{} {tag} lane {l}", k.name),
+                    _ => panic!(
+                        "{} {tag} lane {l}: {res:?} vs interp {interp_res:?}",
+                        k.name
+                    ),
                 }
-                (Err(a), Err(b)) => assert_eq!(a, b, "{} lane {l}", k.name),
-                _ => panic!(
-                    "{} lane {l}: batch {:?} vs scalar {:?}",
-                    k.name, out.lanes[l], solo_res
-                ),
+                let go: Vec<_> = got.outputs().collect();
+                let io: Vec<_> = interp.outputs().collect();
+                assert_eq!(go, io, "{} {tag} lane {l} bundle outputs", k.name);
+                for (p, _) in &per_lane_feeds[l] {
+                    assert_eq!(
+                        got.input_queue(p),
+                        interp.input_queue(p),
+                        "{} {tag} lane {l} leftover on {p}",
+                        k.name
+                    );
+                }
             }
-            // Interpreter oracle agrees with the scalar VM by the PR 5
-            // contract; spot-check it here too.
-            assert_eq!(solo_res.is_ok(), interp_res.is_ok(), "{} lane {l}", k.name);
-            let bo: Vec<_> = batch_bundles[l].outputs().collect();
-            let so: Vec<_> = solo.outputs().collect();
-            assert_eq!(bo, so, "{} lane {l} bundle outputs", k.name);
         }
     }
 
@@ -2519,7 +2532,7 @@ mod tests {
     fn step_limit_trips_identically_per_lane() {
         let k = sum_kernel();
         // Lanes with different trip counts trip the limit at different
-        // (per-lane) points; each must match its scalar twin exactly.
+        // (per-lane) points; each must match its solo twin exactly.
         for limit in [1u64, 5, 9, 17, 33, 1000] {
             let ins: Vec<Vec<(&str, i64)>> = vec![vec![("n", 2)], vec![("n", 8)], vec![("n", 5)]];
             let feeds: Vec<Vec<(&str, Vec<i64>)>> = (0..3)
@@ -2527,6 +2540,80 @@ mod tests {
                 .collect();
             assert_batch_equiv(&k, &ins, &feeds, limit);
         }
+    }
+
+    #[test]
+    fn inc_idx_retires_out_of_bounds_lane_mid_op() {
+        // `bins[v] = bins[v] + 1` lowers to `IncIdx`. Lane 1's third
+        // token indexes -1: the op's bounds phase drops that lane, and
+        // the read-modify-write phase must then skip it.
+        let k = KernelBuilder::new("hist4")
+            .scalar_in("n", Ty::U32)
+            .stream_in("s", Ty::I8)
+            .array("bins", Ty::U32, 4)
+            .local("v", Ty::I8)
+            .push(for_(
+                "i",
+                c(0),
+                var("n"),
+                vec![
+                    assign("v", read("s")),
+                    store("bins", var("v"), add(idx("bins", var("v")), c(1))),
+                ],
+            ))
+            .build();
+        let ins: Vec<Vec<(&str, i64)>> = vec![vec![("n", 4)], vec![("n", 4)]];
+        let feeds: Vec<Vec<(&str, Vec<i64>)>> = vec![
+            vec![("s", vec![0, 1, 2, 3])],
+            vec![("s", vec![0, 1, -1, 3])],
+        ];
+        assert_batch_equiv(&k, &ins, &feeds, DEFAULT_STEP_LIMIT);
+    }
+
+    #[test]
+    fn load_idx_write_retires_out_of_bounds_lane_mid_op() {
+        // A random-kernel case: `write(sout0, arr0[in0 + 27 * loc0])`
+        // lowers to `LoadIdxWrite`. Lane 0's `in0` wraps to -1 (out of
+        // bounds), lane 1's to 0; the write phase must not emit a token
+        // for the lane the bounds phase dropped.
+        let k = KernelBuilder::new("prop")
+            .scalar_in("in0", Ty::I8)
+            .scalar_out("out0", Ty::unsigned(5))
+            .scalar_out("out1", Ty::I32)
+            .stream_in("sin0", Ty::I16)
+            .stream_out("sout0", Ty::I8)
+            .local("loc0", Ty::U8)
+            .local("loc1", Ty::unsigned(5))
+            .array("arr0", Ty::I8, 5)
+            .body(vec![
+                write("sout0", c(15)),
+                for_(
+                    "L0",
+                    c(0),
+                    c(5),
+                    vec![write(
+                        "sout0",
+                        idx("arr0", add(var("in0"), mul(c(27), var("loc0")))),
+                    )],
+                ),
+                for_("L1", c(0), c(0), vec![write("sout0", c(0))]),
+                store(
+                    "arr0",
+                    var("out1"),
+                    gt(
+                        var("loc0"),
+                        div(neg(c(i64::MAX)), select(c(i64::MAX), var("out1"), c(-7))),
+                    ),
+                ),
+                assign("out0", var("loc1")),
+                assign("out1", add(var("loc1"), rem(var("loc1"), var("out0")))),
+            ])
+            .build();
+        let ins: Vec<Vec<(&str, i64)>> = vec![vec![("in0", i64::MAX)], vec![("in0", i64::MIN)]];
+        let tokens = vec![-8, -1, 64, 10, 19, i64::MAX, -1, 9, -1, i64::MAX, 32];
+        let feeds: Vec<Vec<(&str, Vec<i64>)>> =
+            vec![vec![("sin0", tokens.clone())], vec![("sin0", tokens)]];
+        assert_batch_equiv(&k, &ins, &feeds, DEFAULT_STEP_LIMIT);
     }
 
     #[test]

@@ -20,10 +20,13 @@
 //!    the operations to estimate latency, II and resources and to emit RTL.
 //!
 //! Hot paths execute through a third consumer: the bytecode **compiler**
-//! ([`compile`]) + register **VM** ([`vm`]), a drop-in replacement for the
-//! interpreter that lowers the IR once and then runs a flat op stream with
-//! dense indices instead of walking the tree with string lookups. The
-//! interpreter remains the differential oracle (see `tests/prop_vm.rs`).
+//! ([`compile`]) + batch-lane **VM** ([`lanes`]), a drop-in replacement
+//! for the interpreter that lowers the IR once and then runs a flat op
+//! stream with dense indices over K invocations at once, instead of
+//! walking the tree with string lookups. A single invocation
+//! ([`CompiledKernel::run`], [`vm`]) is a batch of one lane; there is no
+//! separate scalar loop. The interpreter remains the differential oracle
+//! (see `tests/prop_vm.rs` and `tests/prop_lanes.rs`).
 
 pub mod analysis;
 pub mod builder;

@@ -1,46 +1,23 @@
-//! Register VM executing [`CompiledKernel`] bytecode.
+//! The one-lane entry point to compiled kernels, and the op semantics
+//! the lane VM executes.
 //!
-//! Drop-in equivalent of [`Interpreter::run`](crate::interp::Interpreter):
-//! same inputs, same outputs, same [`ExecStats`], same typed errors — the
-//! differential property tests in `tests/prop_vm.rs` hold the two
-//! implementations bit-identical. The hot loop is a `match` over a flat
-//! `Vec<Op>` with dense register/arena/stream indices; the only
-//! allocations per invocation are the register file and array arena.
+//! [`CompiledKernel::run`] is a drop-in equivalent of
+//! [`Interpreter::run`](crate::interp::Interpreter): same inputs, same
+//! outputs, same [`ExecStats`], same typed errors, same committed
+//! [`StreamBundle`] state. It runs the kernel as a group of one lane on
+//! the batch-lane VM ([`crate::lanes`]), which is the only compiled
+//! execution loop; the differential property tests in `tests/prop_vm.rs`
+//! hold it bit-identical to the interpreter on random kernels. The
+//! helpers below define each op's arithmetic once, for the lane VM's hot
+//! loop and its general step alike.
 
-use crate::compile::{CompiledKernel, Op, Src, STAT_BRANCHES, STAT_STEPS};
+use crate::compile::{CompiledKernel, STAT_BRANCHES};
 use crate::interp::{ExecError, ExecOutcome, ExecStats, StreamBundle};
 use crate::types::Ty;
 use std::collections::HashMap;
 
 /// Default step budget, matching [`Interpreter::new`](crate::interp::Interpreter::new).
 pub const DEFAULT_STEP_LIMIT: u64 = 500_000_000;
-
-/// Hot-loop accounting of the scalar VM: per-op execution counts, the
-/// exact running `steps` for the `StepLimit` check, and the
-/// data-dependent loop-branch tally. The class counters are only
-/// observable on success, so they are reconstructed on exit via
-/// [`CompiledKernel::replay`].
-pub(crate) struct ExecCtx {
-    pub(crate) counts: Vec<u64>,
-    pub(crate) steps_acc: u64,
-    pub(crate) dyn_branches: u64,
-}
-
-impl ExecCtx {
-    pub(crate) fn new(num_ops: usize) -> Self {
-        ExecCtx {
-            counts: vec![0u64; num_ops],
-            steps_acc: 0,
-            dyn_branches: 0,
-        }
-    }
-
-    /// Total op dispatches so far (the denominator of the lane-
-    /// amortization metric surfaced by `apps::batch`).
-    pub(crate) fn dispatches(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
 
 impl CompiledKernel {
     /// Execute with the default step limit.
@@ -53,19 +30,30 @@ impl CompiledKernel {
     }
 
     /// Execute with an explicit step limit (mirrors
-    /// [`Interpreter::with_step_limit`](crate::interp::Interpreter::with_step_limit)).
+    /// [`Interpreter::with_step_limit`](crate::interp::Interpreter::with_step_limit)):
+    /// a one-lane [`CompiledKernel::run_batch_with_step_limit`].
     pub fn run_with_step_limit(
         &self,
         scalar_inputs: &HashMap<String, i64>,
         streams: &mut StreamBundle,
         limit: u64,
     ) -> Result<ExecOutcome, ExecError> {
-        self.run_counted(scalar_inputs, streams, limit).0
+        self.run_batch_with_step_limit(
+            std::slice::from_ref(scalar_inputs),
+            std::slice::from_mut(streams),
+            limit,
+        )
+        .lanes
+        .pop()
+        .expect("a one-lane batch has one outcome")
     }
 
-    /// Reconstruct the stat accumulator lanes from per-op execution
-    /// counts plus the dynamic branch tally. Shared by the scalar VM
-    /// and the lane VM.
+    /// Reconstruct the stat accumulator lanes (in
+    /// [`crate::compile::StatDelta::to_array`] order) from per-op
+    /// execution counts plus the data-dependent loop-branch tally: the
+    /// class counters are only observable on success, so the lane VM
+    /// counts op executions and replays `sum(counts[i] * deltas[i])` on
+    /// exit.
     pub(crate) fn replay(&self, counts: &[u64], dyn_branches: u64) -> [u64; 11] {
         let mut acc = [0u64; 11];
         for (c, d) in counts.iter().zip(self.deltas.iter()) {
@@ -77,435 +65,6 @@ impl CompiledKernel {
         }
         acc[STAT_BRANCHES] += dyn_branches;
         acc
-    }
-
-    /// Like [`CompiledKernel::run_with_step_limit`], but also reports
-    /// how many VM op dispatches the invocation cost (on success *and*
-    /// on error). Dispatches are what lane batching amortizes, so the
-    /// batch drivers surface them next to the lane-invariant
-    /// [`ExecStats::steps`](crate::interp::ExecStats) count.
-    pub fn run_counted(
-        &self,
-        scalar_inputs: &HashMap<String, i64>,
-        streams: &mut StreamBundle,
-        limit: u64,
-    ) -> (Result<ExecOutcome, ExecError>, u64) {
-        let mut regs = vec![0i64; self.num_regs as usize];
-        for s in &self.scalar_seed {
-            let v = if s.is_input {
-                match scalar_inputs.get(&s.name) {
-                    Some(v) => *v,
-                    None => {
-                        return (Err(ExecError::MissingScalarInput(s.name.clone())), 0);
-                    }
-                }
-            } else {
-                0
-            };
-            regs[s.reg as usize] = s.ty.wrap(v);
-        }
-        let mut arena = vec![0i64; self.arena_len as usize];
-
-        // Resolve ports to bundle slots once. A missing input port stays
-        // unresolved and surfaces as `StreamUnderflow` on first read,
-        // exactly like the interpreter's lazy lookup; output entries are
-        // created up front in declared order, like `Interpreter::run`.
-        let in_slots: Vec<Option<usize>> = self
-            .stream_ins
-            .iter()
-            .map(|p| streams.input_index(p))
-            .collect();
-        let out_slots: Vec<usize> = self
-            .stream_outs
-            .iter()
-            .map(|p| streams.ensure_output(p))
-            .collect();
-
-        // Stream I/O runs on local buffers: inputs are read through a
-        // cursor over a contiguous snapshot, outputs accumulate in local
-        // Vecs, and both are committed to the bundle exactly once on the
-        // way out — on success AND on error — so the bundle's observable
-        // state at exit is identical to the interpreter's per-token
-        // effects. A missing input port gets an empty snapshot; its
-        // first read underflows with the same error as the
-        // interpreter's lazy lookup.
-        let in_bufs: Vec<Vec<i64>> = in_slots
-            .iter()
-            .map(|s| s.map(|i| streams.input_snapshot_at(i)).unwrap_or_default())
-            .collect();
-        let mut cursors = vec![0usize; in_bufs.len()];
-        let mut out_bufs: Vec<Vec<i64>> = vec![Vec::new(); out_slots.len()];
-
-        let mut ctx = ExecCtx::new(self.ops.len());
-        let result = self.exec(
-            &mut ctx,
-            &mut regs,
-            &mut arena,
-            &in_bufs,
-            &mut cursors,
-            &mut out_bufs,
-            limit,
-        );
-
-        for (slot, cur) in in_slots.iter().zip(&cursors) {
-            if let Some(s) = slot {
-                streams.drain_input_at(*s, *cur);
-            }
-        }
-        for (slot, buf) in out_slots.iter().zip(&out_bufs) {
-            streams.extend_output_at(*slot, buf);
-        }
-
-        let dispatches = ctx.dispatches();
-        if let Err(e) = result {
-            return (Err(e), dispatches);
-        }
-        let acc = self.replay(&ctx.counts, ctx.dyn_branches);
-        debug_assert_eq!(acc[STAT_STEPS], ctx.steps_acc);
-        let mut scalar_outputs = HashMap::new();
-        for (name, reg) in &self.scalar_outs {
-            scalar_outputs.insert(name.clone(), regs[*reg as usize]);
-        }
-        (
-            Ok(ExecOutcome {
-                scalar_outputs,
-                stats: stats_from(&acc),
-            }),
-            dispatches,
-        )
-    }
-
-    /// The dispatch loop, running over dense registers, the flat arena
-    /// and local stream buffers. Returns the stat accumulator lanes (in
-    /// [`crate::compile::StatDelta::to_array`] order) on success.
-    ///
-    /// Stats bookkeeping on the hot path is just an execution count per
-    /// op plus an exact running `steps` for the `StepLimit` check. The
-    /// class counters are only observable on success, so they are
-    /// reconstructed on exit as `sum(counts[i] * deltas[i])`; loop
-    /// branch ticks are data-dependent (taken iterations only) and
-    /// accumulate in `dyn_branches`.
-    ///
-    /// The unconditional limit check is equivalent to the interpreter's
-    /// check-on-tick: an op with a zero `steps` delta leaves `steps_acc`
-    /// unchanged, and the previous tick already proved that value is
-    /// within the limit.
-    #[allow(clippy::too_many_arguments)]
-    fn exec(
-        &self,
-        ctx: &mut ExecCtx,
-        regs: &mut [i64],
-        arena: &mut [i64],
-        in_bufs: &[Vec<i64>],
-        cursors: &mut [usize],
-        out_bufs: &mut [Vec<i64>],
-        limit: u64,
-    ) -> Result<(), ExecError> {
-        let counts = &mut ctx.counts[..];
-        let mut steps_acc = ctx.steps_acc;
-        let mut dyn_branches = ctx.dyn_branches;
-        let ops = &self.ops[..];
-        let steps_d = &self.steps[..];
-        let mut pc = 0usize;
-        while pc < ops.len() {
-            counts[pc] += 1;
-            steps_acc += steps_d[pc] as u64;
-            if steps_acc > limit {
-                return Err(ExecError::StepLimit(limit));
-            }
-            match &ops[pc] {
-                Op::Bin { op, dst, a, b } => {
-                    let av = src(regs, *a);
-                    let bv = src(regs, *b);
-                    regs[*dst as usize] = bin_infallible(*op, av, bv);
-                }
-                Op::BinChecked { op, dst, a, b } => {
-                    let av = src(regs, *a);
-                    let bv = src(regs, *b);
-                    regs[*dst as usize] = bin_checked(*op, av, bv)?;
-                }
-                Op::Un { op, dst, a } => {
-                    let av = src(regs, *a);
-                    regs[*dst as usize] = un_op(*op, av);
-                }
-                Op::Select { dst, c, a, b } => {
-                    let cv = src(regs, *c);
-                    let av = src(regs, *a);
-                    let bv = src(regs, *b);
-                    regs[*dst as usize] = if cv != 0 { av } else { bv };
-                }
-                Op::LoadIdx { dst, arr, idx } => {
-                    let info = &self.arrays[*arr as usize];
-                    let i = src(regs, *idx);
-                    if i < 0 || i as u64 >= info.len as u64 {
-                        return Err(ExecError::OutOfBounds {
-                            array: info.name.clone(),
-                            index: i,
-                            len: info.len,
-                        });
-                    }
-                    regs[*dst as usize] = arena[info.base as usize + i as usize];
-                }
-                Op::StoreIdx { arr, idx, src: v } => {
-                    let info = &self.arrays[*arr as usize];
-                    let vv = src(regs, *v);
-                    let i = src(regs, *idx);
-                    if i < 0 || i as u64 >= info.len as u64 {
-                        return Err(ExecError::OutOfBounds {
-                            array: info.name.clone(),
-                            index: i,
-                            len: info.len,
-                        });
-                    }
-                    arena[info.base as usize + i as usize] = wrap(info.ty, vv);
-                }
-                Op::StoreVar { dst, ty, src: v } => {
-                    regs[*dst as usize] = wrap(*ty, src(regs, *v));
-                }
-                Op::ReadStream { dst, port } => {
-                    let p = *port as usize;
-                    let buf = &in_bufs[p];
-                    let cur = cursors[p];
-                    if cur < buf.len() {
-                        regs[*dst as usize] = buf[cur];
-                        cursors[p] = cur + 1;
-                    } else {
-                        return Err(ExecError::StreamUnderflow(self.stream_ins[p].clone()));
-                    }
-                }
-                Op::WriteStream { port, src: v } => {
-                    let vv = src(regs, *v);
-                    out_bufs[*port as usize].push(vv);
-                }
-                Op::LoopInit {
-                    var,
-                    ty,
-                    lo,
-                    hi_copy,
-                } => {
-                    let lv = src(regs, *lo);
-                    if let Some((hr, hs)) = hi_copy {
-                        regs[*hr as usize] = src(regs, *hs);
-                    }
-                    regs[*var as usize] = wrap(*ty, lv);
-                }
-                Op::LoopHead { var, hi, exit } => {
-                    if regs[*var as usize] < src(regs, *hi) {
-                        dyn_branches += 1;
-                    } else {
-                        pc = *exit as usize;
-                        continue;
-                    }
-                }
-                Op::LoopBack { var, ty, hi, body } => {
-                    let nv = wrap(*ty, regs[*var as usize].wrapping_add(1));
-                    regs[*var as usize] = nv;
-                    if nv < src(regs, *hi) {
-                        dyn_branches += 1;
-                        pc = *body as usize;
-                        continue;
-                    }
-                }
-                Op::BranchIfZero { cond, target } => {
-                    if src(regs, *cond) == 0 {
-                        pc = *target as usize;
-                        continue;
-                    }
-                }
-                Op::Jump { target } => {
-                    pc = *target as usize;
-                    continue;
-                }
-                Op::ShlPow2 { dst, a, k } => {
-                    regs[*dst as usize] = src(regs, *a).wrapping_shl(*k as u32);
-                }
-                Op::ShrImm { dst, a, k } => {
-                    regs[*dst as usize] = src(regs, *a).wrapping_shr(*k as u32);
-                }
-                Op::DivPow2 { dst, a, k } => {
-                    regs[*dst as usize] = div_pow2(src(regs, *a), *k);
-                }
-                Op::ModPow2 { dst, a, k } => {
-                    regs[*dst as usize] = mod_pow2(src(regs, *a), *k);
-                }
-                Op::BinTo { op, dst, ty, a, b } => {
-                    let av = src(regs, *a);
-                    let bv = src(regs, *b);
-                    regs[*dst as usize] = wrap(*ty, bin_infallible(*op, av, bv));
-                }
-                Op::BinCheckedTo { op, dst, ty, a, b } => {
-                    let av = src(regs, *a);
-                    let bv = src(regs, *b);
-                    regs[*dst as usize] = wrap(*ty, bin_checked(*op, av, bv)?);
-                }
-                Op::UnTo { op, dst, ty, a } => {
-                    regs[*dst as usize] = wrap(*ty, un_op(*op, src(regs, *a)));
-                }
-                Op::SelectTo { dst, ty, c, a, b } => {
-                    let cv = src(regs, *c);
-                    let av = src(regs, *a);
-                    let bv = src(regs, *b);
-                    regs[*dst as usize] = wrap(*ty, if cv != 0 { av } else { bv });
-                }
-                Op::LoadIdxTo { dst, ty, arr, idx } => {
-                    let info = &self.arrays[*arr as usize];
-                    let i = src(regs, *idx);
-                    if i < 0 || i as u64 >= info.len as u64 {
-                        return Err(ExecError::OutOfBounds {
-                            array: info.name.clone(),
-                            index: i,
-                            len: info.len,
-                        });
-                    }
-                    regs[*dst as usize] = wrap(*ty, arena[info.base as usize + i as usize]);
-                }
-                Op::ReadStreamTo { dst, ty, port } => {
-                    let p = *port as usize;
-                    let buf = &in_bufs[p];
-                    let cur = cursors[p];
-                    if cur < buf.len() {
-                        regs[*dst as usize] = wrap(*ty, buf[cur]);
-                        cursors[p] = cur + 1;
-                    } else {
-                        return Err(ExecError::StreamUnderflow(self.stream_ins[p].clone()));
-                    }
-                }
-                Op::ShlPow2To { dst, ty, a, k } => {
-                    regs[*dst as usize] = wrap(*ty, src(regs, *a).wrapping_shl(*k as u32));
-                }
-                Op::ShrImmTo { dst, ty, a, k } => {
-                    regs[*dst as usize] = wrap(*ty, src(regs, *a).wrapping_shr(*k as u32));
-                }
-                Op::DivPow2To { dst, ty, a, k } => {
-                    regs[*dst as usize] = wrap(*ty, div_pow2(src(regs, *a), *k));
-                }
-                Op::ModPow2To { dst, ty, a, k } => {
-                    regs[*dst as usize] = wrap(*ty, mod_pow2(src(regs, *a), *k));
-                }
-                Op::ShrAnd { dst, a, k, mask } => {
-                    regs[*dst as usize] = src(regs, *a).wrapping_shr(*k as u32) & *mask;
-                }
-                Op::ShrAndTo {
-                    dst,
-                    ty,
-                    a,
-                    k,
-                    mask,
-                } => {
-                    regs[*dst as usize] = wrap(*ty, src(regs, *a).wrapping_shr(*k as u32) & *mask);
-                }
-                Op::MulAcc { dst, a, b, acc } => {
-                    regs[*dst as usize] =
-                        src(regs, *acc).wrapping_add(src(regs, *a).wrapping_mul(src(regs, *b)));
-                }
-                Op::MulAccTo { dst, ty, a, b, acc } => {
-                    regs[*dst as usize] = wrap(
-                        *ty,
-                        src(regs, *acc).wrapping_add(src(regs, *a).wrapping_mul(src(regs, *b))),
-                    );
-                }
-                Op::CmpSelect {
-                    op,
-                    dst,
-                    x,
-                    y,
-                    a,
-                    b,
-                } => {
-                    let c = bin_infallible(*op, src(regs, *x), src(regs, *y));
-                    regs[*dst as usize] = if c != 0 { src(regs, *a) } else { src(regs, *b) };
-                }
-                Op::CmpSelectTo {
-                    op,
-                    dst,
-                    ty,
-                    x,
-                    y,
-                    a,
-                    b,
-                } => {
-                    let c = bin_infallible(*op, src(regs, *x), src(regs, *y));
-                    regs[*dst as usize] =
-                        wrap(*ty, if c != 0 { src(regs, *a) } else { src(regs, *b) });
-                }
-                Op::SelectWrite { port, c, a, b } => {
-                    let v = if src(regs, *c) != 0 {
-                        src(regs, *a)
-                    } else {
-                        src(regs, *b)
-                    };
-                    out_bufs[*port as usize].push(v);
-                }
-                Op::CmpSelectWrite {
-                    op,
-                    port,
-                    x,
-                    y,
-                    a,
-                    b,
-                } => {
-                    let c = bin_infallible(*op, src(regs, *x), src(regs, *y));
-                    let v = if c != 0 { src(regs, *a) } else { src(regs, *b) };
-                    out_bufs[*port as usize].push(v);
-                }
-                Op::IncIdx { arr, idx, v, s2 } => {
-                    let info = &self.arrays[*arr as usize];
-                    let i = src(regs, *idx);
-                    if i < 0 || i as u64 >= info.len as u64 {
-                        return Err(ExecError::OutOfBounds {
-                            array: info.name.clone(),
-                            index: i,
-                            len: info.len,
-                        });
-                    }
-                    steps_acc += *s2 as u64;
-                    if steps_acc > limit {
-                        return Err(ExecError::StepLimit(limit));
-                    }
-                    let slot = info.base as usize + i as usize;
-                    arena[slot] = wrap(info.ty, arena[slot].wrapping_add(src(regs, *v)));
-                }
-                Op::WriteStream2 {
-                    port_a,
-                    src_a,
-                    port_b,
-                    src_b,
-                    s2,
-                } => {
-                    out_bufs[*port_a as usize].push(src(regs, *src_a));
-                    steps_acc += *s2 as u64;
-                    if steps_acc > limit {
-                        return Err(ExecError::StepLimit(limit));
-                    }
-                    out_bufs[*port_b as usize].push(src(regs, *src_b));
-                }
-                Op::LoadIdxWrite { arr, idx, port, s2 } => {
-                    let info = &self.arrays[*arr as usize];
-                    let i = src(regs, *idx);
-                    if i < 0 || i as u64 >= info.len as u64 {
-                        return Err(ExecError::OutOfBounds {
-                            array: info.name.clone(),
-                            index: i,
-                            len: info.len,
-                        });
-                    }
-                    let v = arena[info.base as usize + i as usize];
-                    steps_acc += *s2 as u64;
-                    if steps_acc > limit {
-                        return Err(ExecError::StepLimit(limit));
-                    }
-                    out_bufs[*port as usize].push(v);
-                }
-                Op::Fused(_) => {
-                    unreachable!("superinstructions live only in the lane-VM op stream")
-                }
-            }
-            pc += 1;
-        }
-
-        ctx.steps_acc = steps_acc;
-        ctx.dyn_branches = dyn_branches;
-        Ok(())
     }
 }
 
@@ -572,16 +131,9 @@ pub(crate) fn un_op(op: crate::ir::UnOp, a: i64) -> i64 {
     }
 }
 
-#[inline(always)]
-pub(crate) fn src(regs: &[i64], s: Src) -> i64 {
-    match s {
-        Src::Reg(r) => regs[r as usize],
-        Src::Imm(v) => v,
-    }
-}
-
-/// The operators [`Op::Bin`] can carry — everything that cannot fail.
-/// `Div`/`Mod`/`Shl`/`Shr` lower to [`Op::BinChecked`] at compile time.
+/// The operators [`Op::Bin`](crate::compile::Op::Bin) can carry —
+/// everything that cannot fail. `Div`/`Mod`/`Shl`/`Shr` lower to
+/// [`Op::BinChecked`](crate::compile::Op::BinChecked) at compile time.
 #[inline(always)]
 pub(crate) fn bin_infallible(op: crate::ir::BinOp, a: i64, b: i64) -> i64 {
     use crate::ir::BinOp::*;

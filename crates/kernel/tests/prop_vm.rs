@@ -1,10 +1,17 @@
-//! Differential property test: the bytecode VM is observationally
+//! Differential property test: compiled kernels are observationally
 //! identical to the tree-walking interpreter on randomly generated
 //! well-typed kernels — same scalar outputs, same stream contents
 //! (including tokens left unconsumed on input streams), same
 //! [`ExecStats`], and the same typed error when execution fails
 //! (underflow, out-of-bounds, divide-by-zero, shift range, missing
 //! scalar input, step limit).
+//!
+//! Every compiled run executes on the batch-lane VM. The first property
+//! checks single invocations (`CompiledKernel::run*`, a one-lane batch);
+//! the second runs each kernel as a batch of 2, 3, 4 and 8 lanes, every
+//! lane on its own variant of the inputs, and checks each lane against
+//! the interpreter on that lane's inputs alone — so lanes diverge, trap
+//! mid-op and retire at different points while their siblings go on.
 //!
 //! The generator only produces kernels the verifier accepts: every name
 //! it references is declared, writes go to scalar-out params and
@@ -153,6 +160,14 @@ fn stmt(g: &mut Gen, sc: &mut Scope, depth: u32) -> Stmt {
         }
         3 | 4 if !sc.arrays.is_empty() => {
             let (name, len) = g.pick(&sc.arrays).clone();
+            if g.chance(30) && !sc.readable.is_empty() {
+                // `a[x] = a[x] + e` lowers to the fused read-modify-write
+                // `IncIdx`; a variable index makes its bounds check
+                // data-dependent.
+                let x = g.pick(&sc.readable).clone();
+                let e = expr(g, sc, 0);
+                return store(&name, var(&x), add(idx(&name, var(&x)), e));
+            }
             let ix = if g.chance(85) {
                 c(g.below(len as u64) as i64)
             } else {
@@ -211,9 +226,11 @@ fn write_or_nop(sc: &Scope) -> Stmt {
     }
 }
 
+/// Tokens fed to each input stream, by port name.
+type Feeds = Vec<(String, Vec<i64>)>;
+
 /// One random well-typed kernel plus matching inputs.
-#[allow(clippy::type_complexity)]
-fn kernel_case(seed: u64) -> (Kernel, HashMap<String, i64>, Vec<(String, Vec<i64>)>) {
+fn kernel_case(seed: u64) -> (Kernel, HashMap<String, i64>, Feeds) {
     let mut g = Gen::new(seed);
     let mut b = KernelBuilder::new("prop");
     let mut sc = Scope {
@@ -294,25 +311,81 @@ fn kernel_case(seed: u64) -> (Kernel, HashMap<String, i64>, Vec<(String, Vec<i64
 
 const STEP_LIMIT: u64 = 200_000;
 
-fn run_both(
+fn bundle(feeds: &[(String, Vec<i64>)]) -> StreamBundle {
+    let mut b = StreamBundle::new();
+    for (port, tokens) in feeds {
+        b.feed(port, tokens.iter().copied());
+    }
+    b
+}
+
+/// A lane's variant of the case's inputs: the scalar inputs plus one,
+/// the last token of every fed stream dropped, or every token remapped.
+/// Each moves a lane's loop bounds, indices, trap points or token counts
+/// away from its siblings'.
+fn lane_variant(
+    g: &mut Gen,
+    inputs: &HashMap<String, i64>,
+    feeds: &[(String, Vec<i64>)],
+) -> (HashMap<String, i64>, Feeds) {
+    let mut inputs = inputs.clone();
+    let mut feeds = feeds.to_vec();
+    match g.below(3) {
+        0 => inputs.values_mut().for_each(|v| *v = v.wrapping_add(1)),
+        1 => feeds.iter_mut().for_each(|(_, t)| {
+            t.pop();
+        }),
+        _ => {
+            let maps: [fn(i64) -> i64; 3] = [
+                |t| t.wrapping_add(1),
+                |t| t.wrapping_sub(1),
+                i64::wrapping_neg,
+            ];
+            let map = *g.pick(&maps);
+            feeds
+                .iter_mut()
+                .for_each(|(_, t)| t.iter_mut().for_each(|v| *v = map(*v)));
+        }
+    }
+    (inputs, feeds)
+}
+
+/// Check a compiled run (`got`, which left `got_bundle` behind) against
+/// the interpreter on the same inputs: result, output streams and the
+/// tokens left on every fed input stream.
+fn assert_matches_interpreter(
+    tag: &str,
     kernel: &Kernel,
     inputs: &HashMap<String, i64>,
     feeds: &[(String, Vec<i64>)],
-) -> (
-    Result<ExecOutcome, ExecError>,
-    StreamBundle,
-    Result<ExecOutcome, ExecError>,
-    StreamBundle,
+    got: &Result<ExecOutcome, ExecError>,
+    got_bundle: &StreamBundle,
 ) {
-    let mut si = StreamBundle::new();
-    let mut sv = StreamBundle::new();
-    for (port, tokens) in feeds {
-        si.feed(port, tokens.iter().copied());
-        sv.feed(port, tokens.iter().copied());
-    }
+    let mut si = bundle(feeds);
     let ri = Interpreter::with_step_limit(kernel, STEP_LIMIT).run(inputs, &mut si);
-    let rv = CompiledKernel::compile(kernel).run_with_step_limit(inputs, &mut sv, STEP_LIMIT);
-    (ri, si, rv, sv)
+    match (&ri, got) {
+        (Ok(a), Ok(b)) => {
+            prop_assert_eq!(&a.scalar_outputs, &b.scalar_outputs, "{}", tag);
+            prop_assert_eq!(&a.stats, &b.stats, "{}", tag);
+        }
+        (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}", tag),
+        _ => panic!("{tag}: interp {ri:?} vs compiled {got:?}"),
+    }
+    // Output streams: same ports in the same order, same tokens.
+    let io: Vec<_> = si.outputs().collect();
+    let vo: Vec<_> = got_bundle.outputs().collect();
+    prop_assert_eq!(io, vo, "{}", tag);
+    // Input streams: identical leftover tokens (the engines must consume
+    // exactly the same prefix, even on error paths).
+    for (port, _) in feeds {
+        prop_assert_eq!(
+            si.input_queue(port),
+            got_bundle.input_queue(port),
+            "{} leftover on {}",
+            tag,
+            port
+        );
+    }
 }
 
 proptest! {
@@ -321,29 +394,38 @@ proptest! {
     #[test]
     fn vm_is_observationally_identical_to_interpreter(seed in any::<u64>()) {
         let (kernel, inputs, feeds) = kernel_case(seed);
-        let (ri, si, rv, sv) = run_both(&kernel, &inputs, &feeds);
-        match (&ri, &rv) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a.scalar_outputs, &b.scalar_outputs, "seed {}", seed);
-                prop_assert_eq!(&a.stats, &b.stats, "seed {}", seed);
+        let mut sv = bundle(&feeds);
+        let rv = CompiledKernel::compile(&kernel).run_with_step_limit(&inputs, &mut sv, STEP_LIMIT);
+        assert_matches_interpreter(&format!("seed {seed}"), &kernel, &inputs, &feeds, &rv, &sv);
+    }
+}
+
+proptest! {
+    // About one generated kernel in 170 drops a lane in the middle of
+    // a staged op (`IncIdx`, `LoadIdxWrite`), which a one-lane run
+    // cannot do; 2 000 cases reach that path about a dozen times.
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn lanes_are_observationally_identical_to_interpreter(seed in any::<u64>()) {
+        let (kernel, inputs, feeds) = kernel_case(seed);
+        let ck = CompiledKernel::compile(&kernel);
+        let mut g = Gen::new(!seed);
+        for k in [2usize, 3, 4, 8] {
+            // Lane 0 runs the case as generated; the others run variants.
+            let lanes: Vec<_> = (0..k)
+                .map(|l| match l {
+                    0 => (inputs.clone(), feeds.clone()),
+                    _ => lane_variant(&mut g, &inputs, &feeds),
+                })
+                .collect();
+            let ins: Vec<HashMap<String, i64>> = lanes.iter().map(|(i, _)| i.clone()).collect();
+            let mut bundles: Vec<StreamBundle> = lanes.iter().map(|(_, f)| bundle(f)).collect();
+            let out = ck.run_batch_with_step_limit(&ins, &mut bundles, STEP_LIMIT);
+            for (l, (li, lf)) in lanes.iter().enumerate() {
+                let tag = format!("seed {seed} k{k} lane{l}");
+                assert_matches_interpreter(&tag, &kernel, li, lf, &out.lanes[l], &bundles[l]);
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b, "seed {}", seed),
-            _ => panic!("seed {seed}: interp {ri:?} vs vm {rv:?}"),
-        }
-        // Output streams: same ports in the same order, same tokens.
-        let io: Vec<_> = si.outputs().collect();
-        let vo: Vec<_> = sv.outputs().collect();
-        prop_assert_eq!(io, vo, "seed {}", seed);
-        // Input streams: identical leftover tokens (the engines must
-        // consume exactly the same prefix, even on error paths).
-        for (port, _) in &feeds {
-            prop_assert_eq!(
-                si.input_queue(port),
-                sv.input_queue(port),
-                "seed {} leftover on {}",
-                seed,
-                port
-            );
         }
     }
 }

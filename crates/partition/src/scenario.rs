@@ -21,7 +21,7 @@
 //! and force a multi-board cut.
 //!
 //! The **functional** result is computed on the batch-lane kernel VM
-//! ([`CompiledKernel::run_batch`]) at width 1: the four kernels are
+//! ([`CompiledKernel::run`]) at width 1: the four kernels are
 //! compiled once per run and shared by every chain worker, and each chain
 //! runs its four stages as one-lane batches (parallelized over host
 //! threads into slot-ordered storage, so thread count never changes the
@@ -370,7 +370,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The four chain kernels, compiled once per run and shared by reference
-/// across the chain workers.
+/// across the chain workers. Each stage runs through
+/// [`CompiledKernel::run`], a one-lane batch on the lane VM. Width 1 keeps
+/// each worker's working set to a single tile: 4-lane groups measured
+/// about a fifth faster but hold four tiles' snapshots and SoA state, for
+/// a third more peak memory (DESIGN.md §13).
 struct ChainKernels {
     gray: CompiledKernel,
     hist: CompiledKernel,
@@ -389,23 +393,6 @@ impl ChainKernels {
     }
 }
 
-/// Run one stage as a one-lane batch on the lane VM. Width 1 keeps each
-/// worker's working set to a single tile: 4-lane groups measured about a
-/// fifth faster but hold four tiles' snapshots and SoA state, for a third
-/// more peak memory (DESIGN.md §13).
-fn run_stage(
-    kernel: &CompiledKernel,
-    scalars: &HashMap<String, i64>,
-    streams: &mut StreamBundle,
-) -> Result<(), ExecError> {
-    let mut batch = kernel.run_batch(std::slice::from_ref(scalars), std::slice::from_mut(streams));
-    batch
-        .lanes
-        .pop()
-        .expect("a one-lane batch has one outcome")
-        .map(|_| ())
-}
-
 /// Run one chain's four kernels and compare with the scalar reference.
 /// The chain stops at its first failing stage.
 fn run_chain(
@@ -420,24 +407,24 @@ fn run_chain(
 
     let mut s = StreamBundle::new();
     s.feed("imageIn", rgb.data.iter().map(|&p| p as i64));
-    run_stage(&compiled.gray, &scalars, &mut s)?;
+    compiled.gray.run(&scalars, &mut s)?;
     let gray_ch = s.take_output("imageOutCH").unwrap_or_default();
     let gray_seg = s.take_output("imageOutSEG").unwrap_or_default();
 
     let mut s = StreamBundle::new();
     s.feed("grayScaleImage", gray_ch);
-    run_stage(&compiled.hist, &scalars, &mut s)?;
+    compiled.hist.run(&scalars, &mut s)?;
     let hist = s.take_output("histogram").unwrap_or_default();
 
     let mut s = StreamBundle::new();
     s.feed("histogram", hist);
-    run_stage(&compiled.otsu, &HashMap::new(), &mut s)?;
+    compiled.otsu.run(&HashMap::new(), &mut s)?;
     let threshold = s.take_output("probability").unwrap_or_default()[0] as u8;
 
     let mut s = StreamBundle::new();
     s.feed("otsuThreshold", [threshold as i64]);
     s.feed("grayScaleImage", gray_seg);
-    run_stage(&compiled.seg, &scalars, &mut s)?;
+    compiled.seg.run(&scalars, &mut s)?;
     let out: Vec<u8> = s
         .take_output("segmentedGrayImage")
         .unwrap_or_default()

@@ -12,6 +12,17 @@ cargo build --offline --release --workspace --all-targets
 echo "==> cargo test (offline)"
 cargo test --offline --workspace -q
 
+echo "==> kernel tests under every lane-VM ISA tier"
+# The lane VM's hot loop is the only compiled kernel loop, and it is
+# compiled once per ISA tier (portable, AVX2, AVX-512) and picked at run
+# time; the run above only exercises the widest tier the host supports.
+# ACCELSOC_LANE_ISA pins the narrower tiers (an override the CPU cannot
+# run falls back to the detected tier).
+for isa in scalar avx2; do
+    echo "    ACCELSOC_LANE_ISA=$isa"
+    ACCELSOC_LANE_ISA=$isa cargo test --release --offline -q -p accelsoc-kernel
+done
+
 echo "==> perfbench tests (offline)"
 # The benchmark is its own cargo workspace, so nothing above builds it.
 # Its tests run every workload at tiny size and check the pinned output
@@ -38,35 +49,36 @@ fi
 echo "==> kernel VM equivalence + speedup (repro_kernelvm)"
 CACHE_DIR=$(mktemp -d)
 trap 'rm -rf "$CACHE_DIR"' EXIT
-# The bench aborts if the bytecode VM, the batch-lane VM, and the
-# tree-walking interpreter disagree on any scalar output, stream output
-# or ExecStats counter, so running it doubles as an end-to-end
-# equivalence gate (every lane of every batch width is checked against
-# the interpreter oracle on that lane's inputs alone). The gate's record
-# goes to the scratch dir: the committed BENCH_kernelvm.json is the
-# documented measurement and must not change on every gate run.
+# The bench aborts if the compiled kernels (one-lane runs and every
+# batch width) and the tree-walking interpreter disagree on any scalar
+# output, stream output or ExecStats counter, so running it doubles as
+# an end-to-end equivalence gate (every lane of every batch width is
+# checked against the interpreter oracle on that lane's inputs alone).
+# The gate's record goes to the scratch dir: the committed
+# BENCH_kernelvm.json is the documented measurement and must not change
+# on every gate run.
 ./target/release/repro_kernelvm --side 48 --reps 3 --rounds 9 \
     --lanes 1,4 --json "$CACHE_DIR/kernelvm.json" >/dev/null
 python3 - "$CACHE_DIR/kernelvm.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "accelsoc-bench-kernelvm/3", doc["schema"]
+assert doc["schema"] == "accelsoc-bench-kernelvm/4", doc["schema"]
 assert len(doc["kernels"]) == 4
 print(f"    chain speedup: {doc['chain_speedup']:.2f}x (VM vs interpreter)")
 sweep = {row["lanes"]: row for row in doc["lane_sweep"]}
 assert 4 in sweep, "lane sweep must include lanes=4"
 # Superinstruction fusion must keep amortising dispatch as lanes grow.
 assert sweep[4]["ops_per_dispatch"] > 3 * sweep[1]["ops_per_dispatch"], sweep
-# Lane-VM throughput gate: conservative floor well under the measured
-# 1.3-1.9x at lanes=4 (see EXPERIMENTS.md Ext-6) but above scalar
-# parity, so a real regression to the one-image-at-a-time path still
-# trips it. The speedup is the median of per-round paired ratios (each
-# round times scalar and lane back to back), so host noise that hits a
-# minority of the rounds cannot fail the gate.
+# Lane-VM throughput gate: 4 lanes against the same images run one at a
+# time at width 1. The floor sits under the measured 1.16-1.37x (see
+# EXPERIMENTS.md Ext-6) but above parity, so losing the lane
+# amortization still trips it. The speedup is the median of per-round
+# paired ratios (each round times width 1 and width 4 back to back), so
+# host noise that hits a minority of the rounds cannot fail the gate.
 assert sweep[4]["rounds"] >= 7, sweep[4]
-s4 = sweep[4]["speedup_vs_scalar_vm"]
+s4 = sweep[4]["speedup_vs_width1"]
 assert s4 >= 1.1, f"lane-VM speedup regressed: {s4:.2f}x at lanes=4"
-print(f"    lane-VM speedup: {s4:.2f}x at lanes=4 (gate: >= 1.1x)")
+print(f"    lane-VM speedup: {s4:.2f}x at lanes=4 vs width 1 (gate: >= 1.1x)")
 EOF
 
 echo "==> cold+warm persistent HLS cache smoke (repro_fig9)"
