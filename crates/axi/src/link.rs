@@ -3,7 +3,7 @@
 //! A cut edge of a multi-board partition compiles into a **tx endpoint**
 //! on the source board and an **rx endpoint** on the destination board,
 //! joined by a serial wire. Functionally the pair is just an
-//! [`AxiStreamChannel`](crate::stream::AxiStreamChannel) whose bounded
+//! [`AxiStreamChannel`] whose bounded
 //! FIFO models the receiver's skid buffer: the tx side pushes words until
 //! the FIFO fills (each rejected push is a backpressure event, counted by
 //! the channel itself), the rx side drains it. Timing is layered on top

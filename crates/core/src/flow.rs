@@ -21,7 +21,7 @@
 //! reproduction at the paper's scale).
 //!
 //! Every phase is wrapped in an observer span ([`accelsoc_observe::PhaseSpan`]):
-//! the [`FlowObserver`] configured via [`FlowOptions::builder`] receives
+//! the [`FlowObserver`](accelsoc_observe::FlowObserver) configured via [`FlowOptions::builder`] receives
 //! `PhaseStarted`/`PhaseEnded` pairs (well-nested even on error paths),
 //! plus the fine-grained events the lower layers emit (HLS cache queries,
 //! placement cooling, timing closure, …). A [`MetricsObserver`] always

@@ -46,7 +46,7 @@
 //! * **Store fusion** — a scalar assignment whose value expression ends
 //!   in a producer op is rewritten in place to a `*To` variant that
 //!   wraps and stores directly, eliminating the separate `StoreVar`
-//!   (see [`Compiler::try_fuse_store`] for the safety conditions).
+//!   (see `Compiler::try_fuse_store` for the safety conditions).
 //! * **Back-edge fusion** — [`Op::LoopBack`] increments, re-tests the
 //!   latched bound and jumps to the body itself, so steady-state loop
 //!   iterations dispatch one control op instead of two;
@@ -389,7 +389,7 @@ pub enum Op {
     /// delta the interpreter ticks *after* the load's bounds check; it
     /// is re-checked against the step limit inside the op so the
     /// `OutOfBounds`-vs-`StepLimit` priority is preserved exactly (see
-    /// [`Compiler::try_fuse_inc_idx`]).
+    /// `Compiler::try_fuse_inc_idx`).
     IncIdx {
         arr: u16,
         idx: Src,
@@ -416,7 +416,7 @@ pub enum Op {
         s2: u32,
     },
     /// A lane-tier superinstruction (see [`FusedOp`]). Appears **only**
-    /// in [`CompiledKernel::lane_ops`], never in `ops`: the fusion pass
+    /// in `CompiledKernel::lane_ops`, never in `ops`: the fusion pass
     /// replaces the *head* slot of a matched run while the middle slots
     /// keep their original pooled ops, so pc-alignment between the two
     /// streams — and generic re-entry at any constituent pc after a

@@ -1,5 +1,5 @@
 //! The flow fallback: run the normal single-board
-//! [`FlowEngine`](accelsoc_core::flow::FlowEngine) and, when integration
+//! [`FlowEngine`] and, when integration
 //! fails with a typed [`CapacityExceeded`], partition the HTG over
 //! several boards and co-simulate instead of giving up.
 //!

@@ -23,13 +23,13 @@
 //!   PL cycle at a time over integer-occupancy FIFOs, surfacing
 //!   backpressure, starvation and HP-port contention stalls; its
 //!   [`cosim::PhaseMemo`] simulates each distinct phase shape once;
-//! * [`sim::TaskSim`] — a discrete-event scheduler on an integer
-//!   picosecond calendar that composes task durations and dependencies
-//!   into an application makespan (used to compare Arch1–4 end to end);
+//! * [`sim`] — the integer-picosecond timebase and the one
+//!   deterministic event [`sim::Calendar`], total order `(ps, tie, seq)`,
+//!   that every discrete-event simulator in the workspace runs on;
 //! * [`multiboard`] — whole-system co-simulation of several boards at
-//!   once, joined by modeled serial stream links, on one deterministic
-//!   `(ps, board, rank, seq)` calendar (used by `accelsoc-partition`
-//!   when a design overflows a single device).
+//!   once, joined by modeled serial stream links, on one `Calendar`
+//!   keyed `(ps, board, rank, seq)` (used by `accelsoc-partition` when a
+//!   design overflows a single device).
 //!
 //! Clocks: the PL runs at 100 MHz (10 ns/cycle), the PS at 666.7 MHz
 //! (1.5 ns/cycle), matching ZedBoard defaults. All times are reported in
@@ -53,7 +53,6 @@ pub use multiboard::{
     BoardStats, LinkStats, MbLink, MbNode, MultiBoardError, MultiBoardReport, MultiBoardSpec,
     NodeTrace,
 };
-pub use sim::{SimTask, TaskSim, TaskSimResult};
 pub use trace::{trace_phase, Trace, TraceError};
 
 /// PL fabric clock period in nanoseconds (100 MHz).

@@ -21,19 +21,17 @@
 //!   `tx_done = max(t_tx + W*p, rx_done - D*p)` — the tx endpoint stalls
 //!   (backpressure) whenever the receiver lags more than the FIFO hides.
 //!
-//! Every event is keyed `(ps, board, rank, seq)` — integer picoseconds,
-//! then board id, then event rank (link transfers before node starts),
-//! then a monotone sequence number. The calendar is a total order, so a
-//! run is a pure function of its spec: two simulations of the same spec
-//! produce identical reports, bit for bit, regardless of host
+//! Events run on the shared [`Calendar`], keyed `(ps, board, rank, seq)`:
+//! integer picoseconds, then board id, then event rank (link transfers
+//! before node starts), then push order. The calendar is a total order,
+//! so a run is a pure function of its spec: two simulations of the same
+//! spec produce identical reports, bit for bit, regardless of host
 //! parallelism.
 
-use crate::sim::ns_from_ps;
+use crate::sim::{ns_from_ps, Calendar};
 use accelsoc_axi::link::LinkEndpoints;
 use accelsoc_observe::{FlowEvent, FlowObserver};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// One node of the board-level system: a named unit of compute pinned to
@@ -170,7 +168,6 @@ pub struct MultiBoardReport {
 const RANK_LINK: u8 = 0;
 const RANK_READY: u8 = 1;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// A link transfer requested at this time (payload: link index).
     Link(usize),
@@ -250,22 +247,15 @@ pub fn simulate(
         })
         .collect();
 
-    // The calendar: min-heap on (ps, board, rank, seq).
-    type CalendarKey = (u64, usize, u8, u64);
-    let mut heap: BinaryHeap<Reverse<(CalendarKey, Ev)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut push = |heap: &mut BinaryHeap<_>, ps: u64, board: usize, rank: u8, ev: Ev| {
-        heap.push(Reverse(((ps, board, rank, seq), ev)));
-        seq += 1;
-    };
+    let mut calendar: Calendar<(usize, u8), Ev> = Calendar::new();
     for (i, node) in spec.nodes.iter().enumerate() {
         if pending[i] == 0 {
-            push(&mut heap, 0, node.board, RANK_READY, Ev::Ready(i));
+            calendar.push(0, (node.board, RANK_READY), Ev::Ready(i));
         }
     }
 
     let mut started = 0usize;
-    while let Some(Reverse(((ps, _, _, _), ev))) = heap.pop() {
+    while let Some((ps, ev)) = calendar.pop() {
         match ev {
             Ev::Ready(i) => {
                 started += 1;
@@ -289,17 +279,15 @@ pub fn simulate(
                             arrival[d] = arrival[d].max(finish);
                             pending[d] -= 1;
                             if pending[d] == 0 {
-                                push(
-                                    &mut heap,
+                                calendar.push(
                                     arrival[d],
-                                    spec.nodes[d].board,
-                                    RANK_READY,
+                                    (spec.nodes[d].board, RANK_READY),
                                     Ev::Ready(d),
                                 );
                             }
                         }
                         Some(li) => {
-                            push(&mut heap, finish, node.board, RANK_LINK, Ev::Link(li));
+                            calendar.push(finish, (node.board, RANK_LINK), Ev::Link(li));
                         }
                     }
                 }
@@ -334,13 +322,7 @@ pub fn simulate(
                 arrival[d] = arrival[d].max(rx_done);
                 pending[d] -= 1;
                 if pending[d] == 0 {
-                    push(
-                        &mut heap,
-                        arrival[d],
-                        spec.nodes[d].board,
-                        RANK_READY,
-                        Ev::Ready(d),
-                    );
+                    calendar.push(arrival[d], (spec.nodes[d].board, RANK_READY), Ev::Ready(d));
                 }
             }
         }

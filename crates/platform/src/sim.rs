@@ -1,25 +1,21 @@
-//! Discrete-event task scheduler: composes per-task durations and
-//! precedence constraints into an application makespan over limited
-//! resources (CPU cores, accelerator instances, DMA engines).
-//!
-//! This is the layer that answers "how long does the whole Otsu
-//! application take on Arch2?": phase/stage durations come from
-//! [`crate::board::Board`] measurements, dependencies from the HTG.
+//! The shared simulation timebase: integer picoseconds, and the one
+//! deterministic event [`Calendar`] every discrete-event simulator in the
+//! workspace runs on (the multi-board co-simulation in
+//! [`crate::multiboard`] and the serving cluster in `accelsoc-serve`).
 //!
 //! # Timebase
 //!
-//! The event calendar is kept in **integer picoseconds** (`u64`), the way
+//! Virtual time is kept in **integer picoseconds** (`u64`), the way
 //! SST-style discrete-event frameworks and gem5 keep an integer tick
-//! counter: event ordering is exact, ties are broken deterministically by
-//! task index, and `now` never moves backwards. The seed implementation
-//! ordered completions through a lossy `(t_ns * 1000.0) as u64` float
-//! key, which truncated sub-tick fractions so that two distinct
-//! completion times could collapse onto one key and be replayed in index
-//! order rather than time order. Durations arriving from the cost models
-//! in (f64) nanoseconds are converted once, on task creation, via
-//! [`ps_from_ns`]; everything after that is integer arithmetic.
+//! counter: event ordering is exact, ties are broken deterministically,
+//! and `now` never moves backwards. A lossy float key such as
+//! `(t_ns * 1000.0) as u64` truncates sub-tick fractions, so two distinct
+//! event times can collapse onto one key and replay in insertion order
+//! rather than time order. Durations arriving from the cost models in
+//! (f64) nanoseconds are converted once, on ingest, via [`ps_from_ns`];
+//! everything after that is integer arithmetic.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Integer simulation ticks per nanosecond (the calendar runs in ps).
@@ -37,310 +33,219 @@ pub fn ns_from_ps(ps: u64) -> f64 {
     ps as f64 / PS_PER_NS as f64
 }
 
-/// A schedulable resource pool (e.g. 2 CPU cores, 1 instance of the
-/// `histogram` accelerator, 1 DMA engine pair).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ResourceId(pub String);
-
-/// One task in the simulation.
-#[derive(Debug, Clone)]
-pub struct SimTask {
-    pub name: String,
-    /// Duration in integer picoseconds (see [`ps_from_ns`]).
-    pub duration_ps: u64,
-    /// Indices of tasks that must finish first.
-    pub deps: Vec<usize>,
-    /// Resource this task occupies for its whole duration (one unit).
-    pub resource: ResourceId,
+/// A min-calendar of events in the total order `(ps, tie, seq)`.
+///
+/// `ps` is the event time; `tie` is the caller's tie-break at equal
+/// times (typically `(unit, rank)`: which board or node, then which kind
+/// of event goes first); `seq` is assigned at push, so events with equal
+/// `(ps, tie)` pop in push order. The payload `E` never takes part in the
+/// comparison. A run driven by one calendar is therefore a pure function
+/// of the pushes it makes, whatever the host does.
+///
+/// Time is monotone: debug builds assert that no event is pushed before,
+/// and none pops behind, the last popped `ps`.
+pub struct Calendar<T: Ord, E> {
+    heap: BinaryHeap<Entry<T, E>>,
+    next_seq: u64,
+    now_ps: u64,
 }
 
-impl SimTask {
-    /// Build a task from a nanosecond duration (cost models report ns).
-    pub fn from_ns(name: &str, duration_ns: f64, deps: Vec<usize>, resource: &ResourceId) -> Self {
-        SimTask {
-            name: name.to_string(),
-            duration_ps: ps_from_ns(duration_ns),
-            deps,
-            resource: resource.clone(),
+struct Entry<T, E> {
+    ps: u64,
+    tie: T,
+    seq: u64,
+    ev: E,
+}
+
+impl<T: Ord, E> Ord for Entry<T, E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // `BinaryHeap` pops its greatest entry: reverse the key order so
+        // the earliest `(ps, tie, seq)` comes out first.
+        other
+            .ps
+            .cmp(&self.ps)
+            .then_with(|| other.tie.cmp(&self.tie))
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+impl<T: Ord, E> PartialOrd for Entry<T, E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T: Ord, E> PartialEq for Entry<T, E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T: Ord, E> Eq for Entry<T, E> {}
+
+impl<T: Ord, E> Default for Calendar<T, E> {
+    fn default() -> Self {
+        Calendar {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            now_ps: 0,
         }
     }
 }
 
-/// Scheduling result. All times are integer picosecond ticks; the `_ns`
-/// accessors convert for reporting.
-#[derive(Debug, Clone)]
-pub struct TaskSimResult {
-    /// (start_ps, finish_ps) per task.
-    pub spans_ps: Vec<(u64, u64)>,
-    pub makespan_ps: u64,
-    /// Busy time per resource, for utilisation reporting.
-    pub busy_ps: Vec<(ResourceId, u64)>,
-}
-
-impl TaskSimResult {
-    pub fn makespan_ns(&self) -> f64 {
-        ns_from_ps(self.makespan_ps)
-    }
-
-    /// (start_ns, finish_ns) of one task.
-    pub fn span_ns(&self, task: usize) -> (f64, f64) {
-        let (s, e) = self.spans_ps[task];
-        (ns_from_ps(s), ns_from_ps(e))
-    }
-
-    /// Busy nanoseconds of a resource pool (0.0 if unknown).
-    pub fn busy_ns(&self, resource: &str) -> f64 {
-        self.busy_ps
-            .iter()
-            .find(|(id, _)| id.0 == resource)
-            .map(|(_, ps)| ns_from_ps(*ps))
-            .unwrap_or(0.0)
-    }
-}
-
-/// The simulator: event-driven list scheduling over resource pools.
-#[derive(Debug, Clone, Default)]
-pub struct TaskSim {
-    tasks: Vec<SimTask>,
-    capacity: std::collections::BTreeMap<ResourceId, u32>,
-}
-
-impl TaskSim {
+impl<T: Ord, E> Calendar<T, E> {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Declare a resource pool with `units` identical units.
-    pub fn add_resource(&mut self, name: &str, units: u32) -> ResourceId {
-        let id = ResourceId(name.to_string());
-        self.capacity.insert(id.clone(), units.max(1));
-        id
+    /// Schedule `ev` at `ps`, ordered after every earlier push with the
+    /// same `(ps, tie)`.
+    pub fn push(&mut self, ps: u64, tie: T, ev: E) {
+        debug_assert!(
+            ps >= self.now_ps,
+            "event pushed at {ps} ps, behind the calendar's now ({} ps)",
+            self.now_ps
+        );
+        self.heap.push(Entry {
+            ps,
+            tie,
+            seq: self.next_seq,
+            ev,
+        });
+        self.next_seq += 1;
     }
 
-    /// Add a task; returns its index for use in later `deps`.
-    pub fn add_task(&mut self, task: SimTask) -> usize {
-        assert!(
-            self.capacity.contains_key(&task.resource),
-            "unknown resource {:?}",
-            task.resource
-        );
-        for &d in &task.deps {
-            assert!(d < self.tasks.len(), "dep {d} not yet defined");
-        }
-        self.tasks.push(task);
-        self.tasks.len() - 1
+    /// Time and tie-break of the next event, without removing it.
+    pub fn peek(&self) -> Option<(u64, &T)> {
+        self.heap.peek().map(|e| (e.ps, &e.tie))
     }
 
-    /// Run to completion, returning spans and makespan.
-    pub fn run(&self) -> TaskSimResult {
-        let n = self.tasks.len();
-        let mut remaining_deps: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
-        let mut free: std::collections::BTreeMap<&ResourceId, u32> =
-            self.capacity.iter().map(|(k, v)| (k, *v)).collect();
-        let mut spans = vec![(0u64, 0u64); n];
-        let mut started = vec![false; n];
-        let mut finished = vec![false; n];
-        let mut busy: std::collections::BTreeMap<ResourceId, u64> =
-            self.capacity.keys().map(|k| (k.clone(), 0)).collect();
-
-        // Event calendar of task completions, keyed by exact integer
-        // finish tick; equal ticks are delivered in ascending task index
-        // order — deterministic, and consistent with the start policy
-        // below, which also scans in ascending index order.
-        let mut events: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let mut now: u64 = 0;
-
-        loop {
-            // Start every ready task whose resource has a free unit.
-            // Deterministic order: ascending index.
-            let mut progressed = true;
-            while progressed {
-                progressed = false;
-                for i in 0..n {
-                    if !started[i] && remaining_deps[i] == 0 {
-                        let r = &self.tasks[i].resource;
-                        if free[r] > 0 {
-                            *free.get_mut(r).unwrap() -= 1;
-                            started[i] = true;
-                            let finish = now + self.tasks[i].duration_ps;
-                            spans[i] = (now, finish);
-                            *busy.get_mut(r).unwrap() += self.tasks[i].duration_ps;
-                            events.push(Reverse((finish, i)));
-                            progressed = true;
-                        }
-                    }
-                }
-            }
-            // Advance to the next completion.
-            let Some(Reverse((finish, i))) = events.pop() else {
-                break;
-            };
-            debug_assert!(finish >= now, "event calendar must be monotone");
-            now = finish;
-            finished[i] = true;
-            *free.get_mut(&self.tasks[i].resource).unwrap() += 1;
-            for (j, t) in self.tasks.iter().enumerate() {
-                if !started[j] && t.deps.contains(&i) {
-                    remaining_deps[j] -= 1;
-                }
-            }
-        }
-
-        assert!(
-            finished.iter().all(|&f| f),
-            "deadlock: some tasks never ran"
-        );
-        let makespan_ps = spans.iter().map(|s| s.1).max().unwrap_or(0);
-        TaskSimResult {
-            spans_ps: spans,
-            makespan_ps,
-            busy_ps: busy.into_iter().collect(),
-        }
+    /// Remove the next event, advancing `now` to its time.
+    pub fn pop(&mut self) -> Option<(u64, E)> {
+        let e = self.heap.pop()?;
+        debug_assert!(e.ps >= self.now_ps, "calendar time moved backwards");
+        self.now_ps = e.ps;
+        Some((e.ps, e.ev))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn task(name: &str, d_ns: f64, deps: Vec<usize>, r: &ResourceId) -> SimTask {
-        SimTask::from_ns(name, d_ns, deps, r)
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Pop order is a stable sort of push order by `(ps, tie)`, and
+        /// popped time never decreases.
+        #[test]
+        fn pops_in_stable_key_order(
+            keys in proptest::collection::vec((0u64..40, 0u8..4), 0..120),
+        ) {
+            let mut cal = Calendar::new();
+            for (i, &(ps, tie)) in keys.iter().enumerate() {
+                cal.push(ps, tie, i);
+            }
+            let mut expected: Vec<usize> = (0..keys.len()).collect();
+            expected.sort_by_key(|&i| keys[i]);
+            let mut popped = Vec::new();
+            let mut last = 0;
+            while let Some((ps, i)) = cal.pop() {
+                prop_assert!(ps >= last, "time went backwards");
+                prop_assert_eq!(ps, keys[i].0);
+                last = ps;
+                popped.push(i);
+            }
+            prop_assert_eq!(popped, expected);
+        }
     }
 
     #[test]
-    fn chain_is_sequential() {
-        let mut sim = TaskSim::new();
-        let cpu = sim.add_resource("cpu", 1);
-        let a = sim.add_task(task("a", 10.0, vec![], &cpu));
-        let b = sim.add_task(task("b", 20.0, vec![a], &cpu));
-        sim.add_task(task("c", 5.0, vec![b], &cpu));
-        let r = sim.run();
-        assert_eq!(r.makespan_ns(), 35.0);
-        assert_eq!(r.span_ns(1).0, 10.0);
+    fn peek_shows_the_next_pop() {
+        let mut cal = Calendar::new();
+        assert_eq!(cal.peek(), None);
+        cal.push(5, (1u32, 0u8), "b");
+        cal.push(5, (0, 3), "a");
+        assert_eq!(cal.peek(), Some((5, &(0, 3))));
+        assert_eq!(cal.pop(), Some((5, "a")));
+        assert_eq!(cal.peek(), Some((5, &(1, 0))));
+        assert_eq!(cal.pop(), Some((5, "b")));
+        assert_eq!(cal.pop(), None);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn independent_tasks_parallel_on_two_units() {
-        let mut sim = TaskSim::new();
-        let cpu = sim.add_resource("cpu", 2);
-        sim.add_task(task("a", 10.0, vec![], &cpu));
-        sim.add_task(task("b", 10.0, vec![], &cpu));
-        let r = sim.run();
-        assert_eq!(r.makespan_ns(), 10.0);
+    #[should_panic(expected = "behind the calendar's now")]
+    fn push_behind_now_panics() {
+        let mut cal = Calendar::new();
+        cal.push(10, (), ());
+        cal.pop();
+        cal.push(9, (), ());
     }
 
-    #[test]
-    fn resource_contention_serialises() {
-        let mut sim = TaskSim::new();
-        let cpu = sim.add_resource("cpu", 1);
-        sim.add_task(task("a", 10.0, vec![], &cpu));
-        sim.add_task(task("b", 10.0, vec![], &cpu));
-        let r = sim.run();
-        assert_eq!(r.makespan_ns(), 20.0);
-    }
-
-    #[test]
-    fn cross_resource_overlap() {
-        let mut sim = TaskSim::new();
-        let cpu = sim.add_resource("cpu", 1);
-        let acc = sim.add_resource("accel", 1);
-        let a = sim.add_task(task("produce", 10.0, vec![], &cpu));
-        let b = sim.add_task(task("accelerate", 30.0, vec![a], &acc));
-        sim.add_task(task("other_sw", 25.0, vec![a], &cpu));
-        let r = sim.run();
-        // SW work overlaps the accelerator: makespan = 10 + 30, not 10+30+25.
-        assert_eq!(r.makespan_ns(), 40.0);
-        assert_eq!(r.span_ns(b).0, 10.0);
-    }
-
-    #[test]
-    fn busy_time_accounted_per_resource() {
-        let mut sim = TaskSim::new();
-        let cpu = sim.add_resource("cpu", 1);
-        sim.add_task(task("a", 15.0, vec![], &cpu));
-        sim.add_task(task("b", 5.0, vec![], &cpu));
-        let r = sim.run();
-        assert_eq!(r.busy_ns("cpu"), 20.0);
-    }
-
-    #[test]
-    fn diamond_dependencies() {
-        let mut sim = TaskSim::new();
-        let cpu = sim.add_resource("cpu", 4);
-        let a = sim.add_task(task("a", 10.0, vec![], &cpu));
-        let b = sim.add_task(task("b", 20.0, vec![a], &cpu));
-        let c0 = sim.add_task(task("c", 30.0, vec![a], &cpu));
-        sim.add_task(task("d", 5.0, vec![b, c0], &cpu));
-        let r = sim.run();
-        assert_eq!(r.makespan_ns(), 10.0 + 30.0 + 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown resource")]
-    fn unknown_resource_panics() {
-        let mut sim = TaskSim::new();
-        sim.add_task(SimTask {
-            name: "x".into(),
-            duration_ps: 1,
-            deps: vec![],
-            resource: ResourceId("ghost".into()),
-        });
-    }
-
-    /// Regression for the seed's float ordering key: two completions
-    /// 0.4 ns apart must stay distinct ticks and fire in time order —
-    /// the lossy `(t * 1000.0) as u64` key truncated fractional ticks,
-    /// collapsing distinct finish times onto one key and replaying them
-    /// in index order instead.
+    /// Regression for a float ordering key: two completions 0.4 ns apart
+    /// must stay distinct ticks and fire in time order — a lossy
+    /// `(t * 1000.0) as u64` key truncated fractional ticks, collapsing
+    /// distinct finish times onto one key and replaying them in index
+    /// order instead.
     #[test]
     fn sub_ns_gaps_keep_exact_order() {
-        let mut sim = TaskSim::new();
-        let r0 = sim.add_resource("r0", 1);
-        let r1 = sim.add_resource("r1", 1);
+        let mut cal = Calendar::new();
         // b (higher index) finishes 0.4 ns BEFORE a: the collapse replayed
         // a first because ties broke by index.
-        let a = sim.add_task(task("a", 10.7, vec![], &r0));
-        let b = sim.add_task(task("b", 10.3, vec![], &r1));
-        // c depends on b only, on b's resource: it must start exactly at
-        // b's finish (10.3 ns), not at a's (10.7 ns).
-        let c = sim.add_task(task("c", 1.0, vec![b], &r1));
-        let r = sim.run();
-        assert_eq!(r.spans_ps[a], (0, 10_700));
-        assert_eq!(r.spans_ps[b], (0, 10_300));
-        assert_eq!(r.spans_ps[c], (10_300, 11_300));
-        assert_eq!(r.makespan_ps, 11_300);
+        cal.push(ps_from_ns(10.7), 0usize, "a");
+        cal.push(ps_from_ns(10.3), 1usize, "b");
+        assert_eq!(cal.pop(), Some((10_300, "b")));
+        // c follows b: it starts exactly at b's finish (10.3 ns), not at
+        // a's (10.7 ns).
+        cal.push(10_300 + ps_from_ns(1.0), 2, "c");
+        assert_eq!(cal.pop(), Some((10_700, "a")));
+        assert_eq!(cal.pop(), Some((11_300, "c")));
     }
 
-    /// The old key also merged completions whose sub-tick fractions
-    /// truncated to the same integer (e.g. 10.0002 vs 10.0006 ns).
-    /// With round-on-ingest + exact integer ticks, distinct rounded
-    /// durations never merge and `now` is monotone.
+    /// Sub-tick fractions that truncate to the same integer (e.g.
+    /// 10.0002 vs 10.0006 ns) must not merge: rounding happens once, at
+    /// ingest, after which arithmetic is exact.
     #[test]
     fn fractional_ns_durations_round_once_then_stay_exact() {
-        let mut sim = TaskSim::new();
-        let cpu = sim.add_resource("cpu", 1);
-        let a = sim.add_task(task("a", 10.0004, vec![], &cpu));
-        let b = sim.add_task(task("b", 10.0006, vec![a], &cpu));
-        let r = sim.run();
-        // 10.0004 ns -> 10_000 ps, 10.0006 ns -> 10_001 ps: rounding
-        // happens once at ingest, after which arithmetic is exact.
-        assert_eq!(r.spans_ps[a], (0, 10_000));
-        assert_eq!(r.spans_ps[b], (10_000, 20_001));
-        assert_eq!(r.makespan_ps, 20_001);
+        let mut cal = Calendar::new();
+        // 10.0004 ns -> 10_000 ps, 10.0006 ns -> 10_001 ps.
+        cal.push(ps_from_ns(10.0004), 0usize, "a");
+        let (a_done, _) = cal.pop().unwrap();
+        assert_eq!(a_done, 10_000);
+        cal.push(a_done + ps_from_ns(10.0006), 1, "b");
+        assert_eq!(cal.pop(), Some((20_001, "b")));
     }
 
-    /// Many equal-duration tasks on one unit: completions tie on every
-    /// tick; index order must break the ties deterministically.
+    /// Nine equal-duration tasks list-scheduled on three units:
+    /// completions tie on every tick; the task index must break the ties
+    /// deterministically.
     #[test]
     fn equal_ticks_break_ties_by_index() {
-        let mut sim = TaskSim::new();
-        let cpu = sim.add_resource("cpu", 3);
-        for _ in 0..9 {
-            sim.add_task(task("t", 7.0, vec![], &cpu));
+        fn run() -> Vec<(u64, usize)> {
+            const UNITS: usize = 3;
+            const TASKS: usize = 9;
+            let d = ps_from_ns(7.0);
+            let mut cal = Calendar::new();
+            for i in 0..UNITS {
+                cal.push(d, i, i);
+            }
+            let mut next = UNITS;
+            let mut done = Vec::new();
+            while let Some((ps, i)) = cal.pop() {
+                done.push((ps, i));
+                if next < TASKS {
+                    cal.push(ps + d, next, next);
+                    next += 1;
+                }
+            }
+            done
         }
-        let r1 = sim.run();
-        let r2 = sim.run();
-        assert_eq!(r1.spans_ps, r2.spans_ps, "bit-deterministic replay");
-        assert_eq!(r1.makespan_ps, 3 * 7_000);
+        let r1 = run();
+        assert_eq!(r1, run(), "bit-deterministic replay");
+        let order: Vec<usize> = r1.iter().map(|&(_, i)| i).collect();
+        assert_eq!(order, (0..9).collect::<Vec<_>>());
+        assert_eq!(r1.last().unwrap().0, 3 * 7_000);
     }
 }

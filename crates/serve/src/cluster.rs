@@ -1,9 +1,11 @@
 //! Deterministic N-node serving cluster.
 //!
-//! A [`ClusterSession`] composes N embeddable [`ServeNode`]s — each
-//! owning its own board pool and admission queues — under **one**
-//! integer-picosecond calendar with the total event order
-//! `(ps, node, rank, seq)`. Jobs route to their consistent-hash home
+//! A [`ClusterSession`] composes N [`ServeNode`]s — each owning its own
+//! board pool and admission queues — under **one** integer-picosecond
+//! [`Calendar`] with the total event order `(ps, node, rank, seq)`. This
+//! is the serving runtime's only event loop: a standalone
+//! [`crate::scheduler::ServeSession`] is a one-node cluster over a free
+//! network. Jobs route to their consistent-hash home
 //! ([`crate::routing::HashRing`]), cross the modeled network
 //! ([`crate::net::NetModel`]) on every inter-node hop, and flow between
 //! nodes three ways:
@@ -18,6 +20,10 @@
 //!   in-flight jobs; each is re-dispatched (bounded by
 //!   `max_redispatch`) to the ring successor, or counted `Failed` when
 //!   the budget or the cluster is exhausted.
+//!
+//! Client arrivals stay out of the calendar: they are pre-sorted once
+//! and merged with the calendar head on the same key, so a million-job
+//! run keeps only its live events queued.
 //!
 //! Determinism follows the PR 4 argument unchanged: the only parallel
 //! stage is the pure, slot-ordered latency precompute (shared by all
@@ -36,16 +42,16 @@
 
 use crate::job::{AdmissionError, JobOutcome, JobSpec};
 use crate::net::NetModel;
-use crate::node::{Admit, Scheduled, ServeNode, SimTables};
+use crate::node::{Admit, ServeNode, SimTables};
 use crate::policy::PolicyKind;
 use crate::queue::ActiveJob;
-use crate::report::{RejectionCounts, ServeReport, TenantReport};
+use crate::report::{jobs_per_s, RejectionCounts, ServeReport, TenantReport};
 use crate::routing::HashRing;
 use crate::scheduler::{ServeConfig, ServeError};
-use accelsoc_observe::{percentile_ps, FlowEvent, FlowObserver, TenantId};
+use accelsoc_observe::{FlowEvent, FlowObserver, TenantId};
+use accelsoc_platform::sim::Calendar;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -310,8 +316,8 @@ const RANK_FAIL: u8 = 1;
 const RANK_ARRIVE: u8 = 2;
 const RANK_DELIVER: u8 = 3;
 
-/// Calendar key: the total event order `(ps, node, rank, seq)`.
-type Key = (u64, u32, u8, u64);
+/// The cluster calendar: events ordered `(ps, node, rank, seq)`.
+type ClusterCalendar = Calendar<(u32, u8), CEv>;
 
 enum DeliverKind {
     /// Pre-admission forward of job index `idx`; `hops` counts shed
@@ -365,9 +371,7 @@ impl ClusterSession {
                 let mut node_cfg = node_cfg.clone();
                 node_cfg.seed = cfg.seed;
                 node_cfg.keep_records = cfg.keep_records;
-                let mut node = ServeNode::new(i, node_cfg, Arc::clone(&tables));
-                node.emit_outcomes(true);
-                node
+                ServeNode::new(i, node_cfg, Arc::clone(&tables))
             })
             .collect();
         let ring = HashRing::new(n_nodes);
@@ -395,31 +399,28 @@ impl ClusterSession {
             tenant_lookup.get(t.name()).copied()
         };
 
-        // Arrivals stay out of the heap: indices pre-sorted by the full
-        // calendar key keep a million-job calendar at O(live events).
+        // Arrivals stay out of the calendar: indices pre-sorted by
+        // `(ps, node, rank)`, then job index as their sequence number,
+        // keep a million-job calendar at O(live events). The calendar
+        // never holds `RANK_ARRIVE`, so comparing `(ps, node, rank)`
+        // against its head totally orders the merge.
         let home: Vec<u32> = jobs.iter().map(|j| ring.home(&j.tenant) as u32).collect();
-        let arrive_key = |i: usize| -> Key {
-            (
-                jobs[i].submit_ps + cfg.net.ingress_ps,
-                home[i],
-                RANK_ARRIVE,
-                i as u64,
-            )
+        let arrive_key = |i: usize| -> (u64, u32, u8) {
+            (jobs[i].submit_ps + cfg.net.ingress_ps, home[i], RANK_ARRIVE)
         };
         let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| arrive_key(i as usize));
+        order.sort_unstable_by_key(|&i| (arrive_key(i as usize), i));
         let mut cursor = 0usize;
 
-        let mut heap: BinaryHeap<Reverse<Scheduled<Key, CEv>>> = BinaryHeap::new();
-        let mut next_seq = jobs.len() as u64;
+        let mut calendar = ClusterCalendar::new();
         for f in &cfg.failures {
-            heap.push(Reverse(Scheduled {
-                key: (f.at_ps, f.node as u32, RANK_FAIL, next_seq),
-                ev: CEv::Fail {
+            calendar.push(
+                f.at_ps,
+                (f.node as u32, RANK_FAIL),
+                CEv::Fail {
                     node: f.node as u32,
                 },
-            }));
-            next_seq += 1;
+            );
         }
 
         // --- cluster tallies ---------------------------------------------
@@ -444,27 +445,60 @@ impl ClusterSession {
         let mut t_latencies: Vec<Vec<u64>> = vec![Vec::new(); n_tenants];
         let mut records: Vec<ClusterJobRecord> = Vec::new();
 
-        macro_rules! ledger {
-            ($id:expr, $tenant:expr, $node:expr, $outcome:expr, $ps:expr) => {
-                if cfg.keep_records {
-                    records.push(ClusterJobRecord {
-                        id: $id,
-                        tenant: $tenant,
-                        node: $node,
-                        outcome: $outcome,
-                        finish_ps: $ps,
-                    });
+        // Job `idx`, carrying `hops` shed forwards, found node `from`
+        // dead on delivery: re-route it along the ring, or drop it
+        // unadmitted when the whole cluster is dead.
+        macro_rules! reroute {
+            ($from:expr, $idx:expr, $hops:expr, $now_ps:expr) => {{
+                let (from, idx, now_ps): (usize, u32, u64) = ($from, $idx, $now_ps);
+                let job = &jobs[idx as usize];
+                match ring.successor(from, &alive) {
+                    Some(t2) => {
+                        forwarded += 1;
+                        observer.on_event(&FlowEvent::JobForwarded {
+                            job: job.id,
+                            tenant: job.tenant.clone(),
+                            from_node: from,
+                            to_node: t2,
+                        });
+                        nodes[t2].pending_incoming += 1;
+                        calendar.push(
+                            now_ps + cfg.net.forward_ps,
+                            (t2 as u32, RANK_DELIVER),
+                            CEv::Deliver {
+                                node: t2 as u32,
+                                kind: DeliverKind::Forward { idx, hops: $hops },
+                            },
+                        );
+                    }
+                    None => {
+                        shed += 1;
+                        observer.on_event(&FlowEvent::JobShed {
+                            job: job.id,
+                            tenant: job.tenant.clone(),
+                            node: from,
+                        });
+                        if cfg.keep_records {
+                            records.push(ClusterJobRecord {
+                                id: job.id,
+                                tenant: job.tenant.clone(),
+                                node: None,
+                                outcome: ClusterOutcome::Shed,
+                                finish_ps: now_ps,
+                            });
+                        }
+                    }
                 }
-            };
+            }};
         }
 
         let mut sched_buf: Vec<(usize, u64)> = Vec::new();
         loop {
-            // Merge the arrival cursor with the live-event heap on the
-            // total key order.
+            // Merge the arrival cursor with the live-event calendar on
+            // the total key order.
             let next_arrival = order.get(cursor).map(|&i| arrive_key(i as usize));
-            let use_arrival = match (next_arrival, heap.peek()) {
-                (Some(a), Some(Reverse(s))) => a < s.key,
+            let use_arrival = match (next_arrival, calendar.peek()) {
+                (Some(a), Some((ps, &(node, rank)))) => a < (ps, node, rank),
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
@@ -478,8 +512,7 @@ impl ClusterSession {
             if use_arrival {
                 let i = order[cursor] as usize;
                 cursor += 1;
-                let key = arrive_key(i);
-                now_ps = key.0;
+                now_ps = arrive_key(i).0;
                 let job = &jobs[i];
                 submitted += 1;
                 if let Some(ti) = resolve(&job.tenant) {
@@ -499,8 +532,7 @@ impl ClusterSession {
                         0,
                         now_ps,
                         observer,
-                        &mut heap,
-                        &mut next_seq,
+                        &mut calendar,
                         &mut admitted,
                         &mut rejected,
                         &mut shed,
@@ -511,55 +543,11 @@ impl ClusterSession {
                         cfg.keep_records.then_some(&mut records),
                     );
                 } else {
-                    // Dead home at delivery: re-route along the ring.
-                    match ring.successor(target, &alive) {
-                        Some(t2) => {
-                            forwarded += 1;
-                            observer.on_event(&FlowEvent::JobForwarded {
-                                job: job.id,
-                                tenant: job.tenant.clone(),
-                                from_node: target,
-                                to_node: t2,
-                            });
-                            nodes[t2].pending_incoming += 1;
-                            heap.push(Reverse(Scheduled {
-                                key: (
-                                    now_ps + cfg.net.forward_ps,
-                                    t2 as u32,
-                                    RANK_DELIVER,
-                                    next_seq,
-                                ),
-                                ev: CEv::Deliver {
-                                    node: t2 as u32,
-                                    kind: DeliverKind::Forward {
-                                        idx: i as u32,
-                                        hops: 0,
-                                    },
-                                },
-                            }));
-                            next_seq += 1;
-                        }
-                        None => {
-                            // Whole cluster dead: unadmitted drop.
-                            shed += 1;
-                            observer.on_event(&FlowEvent::JobShed {
-                                job: job.id,
-                                tenant: job.tenant.clone(),
-                                node: target,
-                            });
-                            ledger!(
-                                job.id,
-                                job.tenant.clone(),
-                                None,
-                                ClusterOutcome::Shed,
-                                now_ps
-                            );
-                        }
-                    }
+                    reroute!(target, i as u32, 0, now_ps);
                 }
             } else {
-                let Reverse(Scheduled { key, ev }) = heap.pop().expect("peeked above");
-                now_ps = key.0;
+                let (ps, ev) = calendar.pop().expect("peeked above");
+                now_ps = ps;
                 match ev {
                     CEv::BatchDone { node, board } => {
                         let node = node as usize;
@@ -585,8 +573,7 @@ impl ClusterSession {
                                     job,
                                     now_ps,
                                     observer,
-                                    &mut heap,
-                                    &mut next_seq,
+                                    &mut calendar,
                                     &mut failed,
                                     &mut redispatched,
                                     cfg.keep_records.then_some(&mut records),
@@ -612,8 +599,7 @@ impl ClusterSession {
                                         hops + 1,
                                         now_ps,
                                         observer,
-                                        &mut heap,
-                                        &mut next_seq,
+                                        &mut calendar,
                                         &mut admitted,
                                         &mut rejected,
                                         &mut shed,
@@ -624,47 +610,7 @@ impl ClusterSession {
                                         cfg.keep_records.then_some(&mut records),
                                     );
                                 } else {
-                                    let job = &jobs[idx as usize];
-                                    match ring.successor(node, &alive) {
-                                        Some(t2) => {
-                                            forwarded += 1;
-                                            observer.on_event(&FlowEvent::JobForwarded {
-                                                job: job.id,
-                                                tenant: job.tenant.clone(),
-                                                from_node: node,
-                                                to_node: t2,
-                                            });
-                                            nodes[t2].pending_incoming += 1;
-                                            heap.push(Reverse(Scheduled {
-                                                key: (
-                                                    now_ps + cfg.net.forward_ps,
-                                                    t2 as u32,
-                                                    RANK_DELIVER,
-                                                    next_seq,
-                                                ),
-                                                ev: CEv::Deliver {
-                                                    node: t2 as u32,
-                                                    kind: DeliverKind::Forward { idx, hops },
-                                                },
-                                            }));
-                                            next_seq += 1;
-                                        }
-                                        None => {
-                                            shed += 1;
-                                            observer.on_event(&FlowEvent::JobShed {
-                                                job: job.id,
-                                                tenant: job.tenant.clone(),
-                                                node,
-                                            });
-                                            ledger!(
-                                                job.id,
-                                                job.tenant.clone(),
-                                                None,
-                                                ClusterOutcome::Shed,
-                                                now_ps
-                                            );
-                                        }
-                                    }
+                                    reroute!(node, idx, hops, now_ps);
                                 }
                             }
                             DeliverKind::Steal(job) | DeliverKind::Redispatch(job)
@@ -681,8 +627,7 @@ impl ClusterSession {
                                     *job,
                                     now_ps,
                                     observer,
-                                    &mut heap,
-                                    &mut next_seq,
+                                    &mut calendar,
                                     &mut failed,
                                     &mut redispatched,
                                     cfg.keep_records.then_some(&mut records),
@@ -707,14 +652,14 @@ impl ClusterSession {
                 if alive[id] {
                     nodes[id].dispatch(now_ps, observer, &mut sched_buf);
                     for (board, done_ps) in sched_buf.drain(..) {
-                        heap.push(Reverse(Scheduled {
-                            key: (done_ps, id as u32, RANK_BATCH_DONE, next_seq),
-                            ev: CEv::BatchDone {
+                        calendar.push(
+                            done_ps,
+                            (id as u32, RANK_BATCH_DONE),
+                            CEv::BatchDone {
                                 node: id as u32,
                                 board: board as u32,
                             },
-                        }));
-                        next_seq += 1;
+                        );
                     }
                 }
                 for rec in nodes[id].drain_outcomes() {
@@ -789,19 +734,14 @@ impl ClusterSession {
                         to_node: thief,
                     });
                     nodes[thief].pending_incoming += 1;
-                    heap.push(Reverse(Scheduled {
-                        key: (
-                            now_ps + cfg.net.steal_ps,
-                            thief as u32,
-                            RANK_DELIVER,
-                            next_seq,
-                        ),
-                        ev: CEv::Deliver {
+                    calendar.push(
+                        now_ps + cfg.net.steal_ps,
+                        (thief as u32, RANK_DELIVER),
+                        CEv::Deliver {
                             node: thief as u32,
                             kind: DeliverKind::Steal(Box::new(job)),
                         },
-                    }));
-                    next_seq += 1;
+                    );
                 }
             }
         }
@@ -811,30 +751,16 @@ impl ClusterSession {
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                let latencies = &t_latencies[i];
-                let mean = if latencies.is_empty() {
-                    0
-                } else {
-                    latencies.iter().sum::<u64>() / latencies.len() as u64
-                };
-                TenantReport {
-                    tenant: t.clone(),
-                    submitted: t_submitted[i],
-                    admitted: t_submitted[i] - t_rejected[i],
-                    rejected: t_rejected[i],
-                    completed: latencies.len() as u64,
-                    deadline_missed: t_missed[i],
-                    p50_latency_ps: percentile_ps(latencies, 50),
-                    p99_latency_ps: percentile_ps(latencies, 99),
-                    mean_latency_ps: mean,
-                }
+                TenantReport::new(
+                    t.clone(),
+                    t_submitted[i],
+                    t_rejected[i],
+                    t_missed[i],
+                    &t_latencies[i],
+                )
             })
             .collect();
-        let throughput_jobs_per_s = if makespan_ps > 0 {
-            (completed + completed_late) as f64 / (makespan_ps as f64 * 1e-12)
-        } else {
-            0.0
-        };
+        let throughput_jobs_per_s = jobs_per_s(completed + completed_late, makespan_ps);
         let fairness = ServeReport::jain_fairness(&tenants);
         Ok(ClusterReport {
             policy: cfg.nodes[0].policy,
@@ -877,8 +803,7 @@ impl ClusterSession {
         hops: u8,
         now_ps: u64,
         observer: &dyn FlowObserver,
-        heap: &mut BinaryHeap<Reverse<Scheduled<Key, CEv>>>,
-        next_seq: &mut u64,
+        calendar: &mut ClusterCalendar,
         admitted: &mut u64,
         rejected: &mut u64,
         shed: &mut u64,
@@ -914,16 +839,7 @@ impl ClusterSession {
                     }
                 } else {
                     *rejected += 1;
-                    match &err {
-                        AdmissionError::QueueFull { .. } => rejections.queue_full += 1,
-                        AdmissionError::JobTooLarge { .. } => rejections.job_too_large += 1,
-                        AdmissionError::DeadlineImpossible { .. } => {
-                            rejections.deadline_impossible += 1
-                        }
-                        AdmissionError::InvalidGraph { .. } => rejections.invalid_graph += 1,
-                        AdmissionError::UnknownTenant(_) => rejections.unknown_tenant += 1,
-                        AdmissionError::TooManyBoards { .. } => rejections.too_many_boards += 1,
-                    }
+                    rejections.count(&err);
                     if let Some(ti) = resolve(&job_tenant) {
                         t_rejected[ti] += 1;
                     }
@@ -958,22 +874,17 @@ impl ClusterSession {
                     to_node: target,
                 });
                 nodes[target].pending_incoming += 1;
-                heap.push(Reverse(Scheduled {
-                    key: (
-                        now_ps + cfg.net.forward_ps,
-                        target as u32,
-                        RANK_DELIVER,
-                        *next_seq,
-                    ),
-                    ev: CEv::Deliver {
+                calendar.push(
+                    now_ps + cfg.net.forward_ps,
+                    (target as u32, RANK_DELIVER),
+                    CEv::Deliver {
                         node: target as u32,
                         kind: DeliverKind::Forward {
                             idx: idx as u32,
                             hops: 1,
                         },
                     },
-                }));
-                *next_seq += 1;
+                );
             }
         }
     }
@@ -990,8 +901,7 @@ impl ClusterSession {
         mut job: ActiveJob,
         now_ps: u64,
         observer: &dyn FlowObserver,
-        heap: &mut BinaryHeap<Reverse<Scheduled<Key, CEv>>>,
-        next_seq: &mut u64,
+        calendar: &mut ClusterCalendar,
         failed: &mut u64,
         redispatched: &mut u64,
         records: Option<&mut Vec<ClusterJobRecord>>,
@@ -1012,19 +922,14 @@ impl ClusterSession {
                     to_node: t,
                 });
                 nodes[t].pending_incoming += 1;
-                heap.push(Reverse(Scheduled {
-                    key: (
-                        now_ps + cfg.net.redispatch_ps,
-                        t as u32,
-                        RANK_DELIVER,
-                        *next_seq,
-                    ),
-                    ev: CEv::Deliver {
+                calendar.push(
+                    now_ps + cfg.net.redispatch_ps,
+                    (t as u32, RANK_DELIVER),
+                    CEv::Deliver {
                         node: t as u32,
                         kind: DeliverKind::Redispatch(Box::new(job)),
                     },
-                }));
-                *next_seq += 1;
+                );
             }
             None => {
                 *failed += 1;

@@ -25,23 +25,25 @@
 //!   board.
 //!
 //! The whole runtime is **deterministic**: virtual time only (integer
-//! picoseconds, the PR 3 calendar discipline), a seeded workload
-//! generator, and a strict split between a parallel-but-pure latency
-//! precompute and a sequential event loop. The same
-//! `(workload, config)` produces a byte-identical [`ServeReport`] for
-//! any host thread count — see `DESIGN.md` §10 for the argument.
+//! picoseconds on the shared `accelsoc_platform::sim::Calendar`), a
+//! seeded workload generator, and a strict split between a
+//! parallel-but-pure latency precompute and a sequential event loop. The
+//! same `(workload, config)` produces a byte-identical [`ServeReport`]
+//! for any host thread count — see `DESIGN.md` §10 for the argument.
 //!
 //! Observability rides on `accelsoc-observe`: every admission, dispatch,
 //! completion, retry and deadline miss is a `FlowEvent`, and
 //! `FlowMetrics` folds them into counters plus per-tenant latency
 //! percentiles.
 //!
-//! On top of the single-node session, [`ClusterSession`] shards the
-//! runtime across N [`ServeNode`]s — consistent-hash routing
-//! ([`HashRing`]), a modeled network ([`NetModel`]), work stealing, load
-//! shedding and node-failure re-dispatch — under one calendar with the
-//! total event order `(ps, node, rank, seq)`, keeping the
-//! [`ClusterReport`] byte-identical across host thread counts.
+//! [`ClusterSession`] shards the runtime across N [`ServeNode`]s —
+//! consistent-hash routing ([`HashRing`]), a modeled network
+//! ([`NetModel`]), work stealing, load shedding and node-failure
+//! re-dispatch — under one calendar with the total event order
+//! `(ps, node, rank, seq)`, keeping the [`ClusterReport`] byte-identical
+//! across host thread counts. It is the runtime's only event loop: a
+//! [`ServeSession`] runs as a one-node cluster over
+//! [`NetModel::zero`].
 
 pub mod cluster;
 pub mod estimator;

@@ -34,8 +34,8 @@ impl Default for NetModel {
 }
 
 impl NetModel {
-    /// A free network: every hop is instantaneous. A 1-node cluster
-    /// with a zero net reproduces the single-node session exactly.
+    /// A free network: every hop is instantaneous. A
+    /// [`crate::ServeSession`] is a 1-node cluster over it.
     pub fn zero() -> Self {
         NetModel {
             ingress_ps: 0,

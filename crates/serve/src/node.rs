@@ -1,17 +1,16 @@
-//! One embeddable serve node: the admission / policy / batching /
-//! retry engine of PR 4's `run_serve`, factored out so it can run
-//! standalone (driven by [`crate::scheduler::ServeSession`]) or as one
-//! shard of an N-node cluster (driven by
-//! [`crate::cluster::ClusterSession`]).
+//! One serve node: the admission / policy / batching / retry engine.
+//! Every node is one shard of a [`crate::cluster::ClusterSession`]; a
+//! standalone [`crate::scheduler::ServeSession`] is the one-node case.
 //!
 //! A node owns its board pool, its bounded per-tenant queues and its
-//! policy state, and exposes *pull-style* hooks to whichever calendar
-//! drives it: the driver delivers arrivals ([`ServeNode::admit`]),
+//! policy state, and exposes *pull-style* hooks to the cluster calendar
+//! that drives it: the driver delivers arrivals ([`ServeNode::admit`]),
 //! board completions ([`ServeNode::batch_done`]) and failure injections
 //! ([`ServeNode::fail`]), then asks the node to dispatch as much as its
-//! pool allows ([`ServeNode::dispatch`]). The node never schedules its
-//! own events and never reads a clock — every timestamp comes in from
-//! the driver — which is what keeps a multi-node composition on one
+//! pool allows ([`ServeNode::dispatch`]) and drains its terminal
+//! outcomes ([`ServeNode::drain_outcomes`]). The node never schedules
+//! its own events and never reads a clock — every timestamp comes in
+//! from the driver — which is what keeps a multi-node composition on one
 //! total event order deterministic.
 //!
 //! In-flight jobs live *on the node* (in each board slot), not in the
@@ -22,45 +21,16 @@
 use crate::job::{AdmissionError, JobOutcome, JobRecord, JobSpec};
 use crate::policy::SchedPolicy;
 use crate::queue::{ActiveJob, TenantQueue};
-use crate::report::{RejectionCounts, ServeReport, TenantReport};
+use crate::report::{jobs_per_s, RejectionCounts, ServeReport, TenantReport};
 use crate::scheduler::{ServeConfig, ServeError};
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
 use accelsoc_apps::otsu::{dram_footprint, run_application_group, AppError};
 use accelsoc_core::flow::FlowArtifacts;
-use accelsoc_observe::{percentile_ps, FlowEvent, FlowObserver, TenantId};
+use accelsoc_observe::{FlowEvent, FlowObserver, TenantId};
 use accelsoc_platform::sim::{ns_from_ps, ps_from_ns};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A calendar entry ordered by `key` alone — the payload never
-/// participates in the comparison, so heaps of `Scheduled` stay cheap
-/// (no `pending` side-map) while preserving the total `(time, rank,
-/// seq)` order of the PR 3 calendar discipline.
-pub(crate) struct Scheduled<K: Ord, E> {
-    pub key: K,
-    pub ev: E,
-}
-
-impl<K: Ord, E> PartialEq for Scheduled<K, E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<K: Ord, E> Eq for Scheduled<K, E> {}
-
-impl<K: Ord, E> PartialOrd for Scheduled<K, E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K: Ord, E> Ord for Scheduled<K, E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
 
 /// Admission checks that depend only on the job itself (not on queue
 /// state). Split out so the latency precompute can skip jobs that will
@@ -286,8 +256,8 @@ pub enum Admit {
     WouldOverflow,
 }
 
-/// One serve node: board pool + admission queues + policy, driven by an
-/// external calendar. See the [module docs](self).
+/// One serve node: board pool + admission queues + policy, driven by the
+/// cluster calendar. See the [module docs](self).
 pub struct ServeNode {
     id: usize,
     cfg: ServeConfig,
@@ -299,10 +269,8 @@ pub struct ServeNode {
     policy: Box<dyn SchedPolicy>,
     max_batch: usize,
     alive: bool,
-    /// When set, every terminal job outcome is also queued in an
-    /// outcomes buffer for the driver to drain (the cluster's tally
-    /// feed). Standalone sessions leave it off.
-    emit_outcomes: bool,
+    /// Terminal job outcomes not yet drained by the driving cluster
+    /// (its tally feed).
     outcomes: Vec<JobRecord>,
     /// Jobs routed to this node but still "on the wire" — a cluster
     /// uses this to keep work-stealing away from nodes that are about
@@ -310,7 +278,6 @@ pub struct ServeNode {
     pub(crate) pending_incoming: u32,
     // --- report bookkeeping ------------------------------------------
     submitted: u64,
-    unknown_submitted: u64,
     submitted_per_tenant: Vec<u64>,
     rejected_per_tenant: Vec<u64>,
     rejections: RejectionCounts,
@@ -365,11 +332,9 @@ impl ServeNode {
             queues,
             boards,
             alive: true,
-            emit_outcomes: false,
             outcomes: Vec::new(),
             pending_incoming: 0,
             submitted: 0,
-            unknown_submitted: 0,
             submitted_per_tenant: vec![0; n],
             rejected_per_tenant: vec![0; n],
             rejections: RejectionCounts::default(),
@@ -404,13 +369,7 @@ impl ServeNode {
         self.boards.iter().filter(|b| !b.busy).count()
     }
 
-    /// Turn on the outcomes buffer (see [`ServeNode::drain_outcomes`]).
-    pub fn emit_outcomes(&mut self, on: bool) {
-        self.emit_outcomes = on;
-    }
-
-    /// Terminal job outcomes accumulated since the last drain (only
-    /// when [`ServeNode::emit_outcomes`] is on).
+    /// Terminal job outcomes accumulated since the last drain.
     pub fn drain_outcomes(&mut self) -> std::vec::Drain<'_, JobRecord> {
         self.outcomes.drain(..)
     }
@@ -425,7 +384,7 @@ impl ServeNode {
 
     /// Record one terminal outcome: counters, tenant tallies, the
     /// per-job record (when the config keeps them), and the outcomes
-    /// buffer (when the driver wants them).
+    /// buffer.
     fn record_outcome(&mut self, rec: JobRecord, ti: Option<usize>) {
         match rec.outcome {
             JobOutcome::Completed => self.completed += 1,
@@ -445,9 +404,7 @@ impl ServeNode {
         if self.cfg.keep_records {
             self.records.push(rec.clone());
         }
-        if self.emit_outcomes {
-            self.outcomes.push(rec);
-        }
+        self.outcomes.push(rec);
     }
 
     /// Deliver one job to admission control at virtual time `now_ps`.
@@ -480,21 +437,10 @@ impl ServeNode {
         self.submitted += 1;
         if let Some(ti) = self.resolve(&job.tenant) {
             self.submitted_per_tenant[ti] += 1;
-        } else {
-            self.unknown_submitted += 1;
         }
         match verdict {
             Err(err) => {
-                match &err {
-                    AdmissionError::QueueFull { .. } => self.rejections.queue_full += 1,
-                    AdmissionError::JobTooLarge { .. } => self.rejections.job_too_large += 1,
-                    AdmissionError::DeadlineImpossible { .. } => {
-                        self.rejections.deadline_impossible += 1
-                    }
-                    AdmissionError::InvalidGraph { .. } => self.rejections.invalid_graph += 1,
-                    AdmissionError::UnknownTenant(_) => self.rejections.unknown_tenant += 1,
-                    AdmissionError::TooManyBoards { .. } => self.rejections.too_many_boards += 1,
-                }
+                self.rejections.count(&err);
                 if let Some(ti) = self.resolve(&job.tenant) {
                     self.rejected_per_tenant[ti] += 1;
                 }
@@ -851,10 +797,9 @@ impl ServeNode {
         orphans
     }
 
-    /// Fold the node's bookkeeping into a [`ServeReport`]. For a
-    /// standalone single-node session this is byte-for-byte the PR 4
-    /// report; inside a cluster it is the node's local view (transfers
-    /// in/out are accounted by the cluster, not the node).
+    /// Fold the node's bookkeeping into a [`ServeReport`]: the node's
+    /// local view (transfers in/out are accounted by the cluster, not
+    /// the node). For a one-node cluster this is the session's report.
     pub fn into_report(self) -> ServeReport {
         debug_assert!(
             !self.alive || self.queues.iter().all(|q| q.is_empty()),
@@ -865,32 +810,18 @@ impl ServeNode {
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                let latencies = &self.tenant_latencies[i];
-                let mean = if latencies.is_empty() {
-                    0
-                } else {
-                    latencies.iter().sum::<u64>() / latencies.len() as u64
-                };
-                TenantReport {
-                    tenant: t.clone(),
-                    submitted: self.submitted_per_tenant[i],
-                    admitted: self.submitted_per_tenant[i] - self.rejected_per_tenant[i],
-                    rejected: self.rejected_per_tenant[i],
-                    completed: latencies.len() as u64,
-                    deadline_missed: self.tenant_missed[i],
-                    p50_latency_ps: percentile_ps(latencies, 50),
-                    p99_latency_ps: percentile_ps(latencies, 99),
-                    mean_latency_ps: mean,
-                }
+                TenantReport::new(
+                    t.clone(),
+                    self.submitted_per_tenant[i],
+                    self.rejected_per_tenant[i],
+                    self.tenant_missed[i],
+                    &self.tenant_latencies[i],
+                )
             })
             .collect();
-        let throughput_jobs_per_s = if self.makespan_ps > 0 {
-            (self.completed + self.completed_late) as f64 / (self.makespan_ps as f64 * 1e-12)
-        } else {
-            0.0
-        };
+        let throughput_jobs_per_s =
+            jobs_per_s(self.completed + self.completed_late, self.makespan_ps);
         let fairness = ServeReport::jain_fairness(&tenants);
-        let _ = self.unknown_submitted;
         ServeReport {
             policy: self.cfg.policy,
             boards: self.cfg.boards,

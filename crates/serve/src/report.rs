@@ -4,7 +4,7 @@
 //! fixed order, so serializing a [`ServeReport`] yields byte-identical
 //! JSON for the same (workload, config) regardless of host thread count.
 
-use crate::job::{JobOutcome, JobRecord};
+use crate::job::{AdmissionError, JobRecord};
 use crate::policy::PolicyKind;
 use accelsoc_observe::{percentile_ps, TenantId};
 use serde::{Deserialize, Serialize};
@@ -26,6 +26,46 @@ pub struct TenantReport {
     pub mean_latency_ps: u64,
 }
 
+impl TenantReport {
+    /// Fold one tenant's tallies into its row. `latencies` holds every
+    /// completed (on-time or late) job's latency; `missed` counts queue
+    /// expiries plus late finishes.
+    pub fn new(
+        tenant: TenantId,
+        submitted: u64,
+        rejected: u64,
+        missed: u64,
+        latencies: &[u64],
+    ) -> Self {
+        let mean = if latencies.is_empty() {
+            0
+        } else {
+            latencies.iter().sum::<u64>() / latencies.len() as u64
+        };
+        TenantReport {
+            tenant,
+            submitted,
+            admitted: submitted - rejected,
+            rejected,
+            completed: latencies.len() as u64,
+            deadline_missed: missed,
+            p50_latency_ps: percentile_ps(latencies, 50),
+            p99_latency_ps: percentile_ps(latencies, 99),
+            mean_latency_ps: mean,
+        }
+    }
+}
+
+/// Completed jobs per virtual second over `makespan_ps` (0 for an empty
+/// run).
+pub(crate) fn jobs_per_s(completed: u64, makespan_ps: u64) -> f64 {
+    if makespan_ps > 0 {
+        completed as f64 / (makespan_ps as f64 * 1e-12)
+    } else {
+        0.0
+    }
+}
+
 /// Counts of admission rejections by typed reason.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RejectionCounts {
@@ -38,6 +78,18 @@ pub struct RejectionCounts {
 }
 
 impl RejectionCounts {
+    /// Count one rejection under its typed reason.
+    pub fn count(&mut self, err: &AdmissionError) {
+        match err {
+            AdmissionError::QueueFull { .. } => self.queue_full += 1,
+            AdmissionError::JobTooLarge { .. } => self.job_too_large += 1,
+            AdmissionError::DeadlineImpossible { .. } => self.deadline_impossible += 1,
+            AdmissionError::InvalidGraph { .. } => self.invalid_graph += 1,
+            AdmissionError::UnknownTenant(_) => self.unknown_tenant += 1,
+            AdmissionError::TooManyBoards { .. } => self.too_many_boards += 1,
+        }
+    }
+
     pub fn total(&self) -> u64 {
         self.queue_full
             + self.job_too_large
@@ -81,57 +133,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Fold per-job records into the per-tenant aggregates. `tenants`
-    /// fixes the row order; `submitted`/`rejected` come from admission
-    /// bookkeeping (rejected jobs have no record).
-    pub fn tenant_rows(
-        tenants: &[TenantId],
-        submitted: &[u64],
-        rejected: &[u64],
-        records: &[JobRecord],
-    ) -> Vec<TenantReport> {
-        tenants
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let latencies: Vec<u64> = records
-                    .iter()
-                    .filter(|r| {
-                        &r.tenant == name
-                            && matches!(
-                                r.outcome,
-                                JobOutcome::Completed | JobOutcome::CompletedLate
-                            )
-                    })
-                    .map(|r| r.latency_ps)
-                    .collect();
-                let missed = records
-                    .iter()
-                    .filter(|r| {
-                        &r.tenant == name
-                            && matches!(r.outcome, JobOutcome::CompletedLate | JobOutcome::TimedOut)
-                    })
-                    .count() as u64;
-                let mean = if latencies.is_empty() {
-                    0
-                } else {
-                    latencies.iter().sum::<u64>() / latencies.len() as u64
-                };
-                TenantReport {
-                    tenant: name.clone(),
-                    submitted: submitted[i],
-                    admitted: submitted[i] - rejected[i],
-                    rejected: rejected[i],
-                    completed: latencies.len() as u64,
-                    deadline_missed: missed,
-                    p50_latency_ps: percentile_ps(&latencies, 50),
-                    p99_latency_ps: percentile_ps(&latencies, 99),
-                    mean_latency_ps: mean,
-                }
-            })
-            .collect()
-    }
-
     /// Jain fairness index over per-tenant completion counts: tenants
     /// that submitted nothing are excluded.
     pub fn jain_fairness(tenants: &[TenantReport]) -> f64 {
@@ -156,30 +157,15 @@ impl ServeReport {
 mod tests {
     use super::*;
 
-    fn record(tenant: &str, outcome: JobOutcome, latency_ps: u64) -> JobRecord {
-        JobRecord {
-            id: 0,
-            tenant: tenant.into(),
-            arch: "Arch1".into(),
-            side: 16,
-            board: Some(0),
-            outcome,
-            submit_ps: 0,
-            finish_ps: latency_ps,
-            latency_ps,
-            retries: 0,
-        }
+    fn row(tenant: &str, submitted: u64, rejected: u64, missed: u64, lat: &[u64]) -> TenantReport {
+        TenantReport::new(tenant.into(), submitted, rejected, missed, lat)
     }
 
     #[test]
     fn tenant_rows_fold_outcomes() {
-        let records = vec![
-            record("a", JobOutcome::Completed, 100),
-            record("a", JobOutcome::CompletedLate, 300),
-            record("a", JobOutcome::TimedOut, 50),
-            record("b", JobOutcome::Completed, 200),
-        ];
-        let rows = ServeReport::tenant_rows(&["a".into(), "b".into()], &[4, 1], &[1, 0], &records);
+        // Tenant a: one on-time (100 ps), one late (300 ps), one timed
+        // out and one rejected job; tenant b: one on-time (200 ps).
+        let rows = [row("a", 4, 1, 2, &[100, 300]), row("b", 1, 0, 0, &[200])];
         assert_eq!(rows[0].completed, 2, "late still counts as completed");
         assert_eq!(rows[0].deadline_missed, 2, "late + timed out");
         assert_eq!(rows[0].admitted, 3);
@@ -192,30 +178,10 @@ mod tests {
 
     #[test]
     fn jain_index_bounds() {
-        let even = ServeReport::tenant_rows(
-            &["a".into(), "b".into()],
-            &[2, 2],
-            &[0, 0],
-            &[
-                record("a", JobOutcome::Completed, 1),
-                record("a", JobOutcome::Completed, 1),
-                record("b", JobOutcome::Completed, 1),
-                record("b", JobOutcome::Completed, 1),
-            ],
-        );
+        let even = [row("a", 2, 0, 0, &[1, 1]), row("b", 2, 0, 0, &[1, 1])];
         assert_eq!(ServeReport::jain_fairness(&even), 1.0);
 
-        let skewed = ServeReport::tenant_rows(
-            &["a".into(), "b".into()],
-            &[4, 4],
-            &[0, 0],
-            &[
-                record("a", JobOutcome::Completed, 1),
-                record("a", JobOutcome::Completed, 1),
-                record("a", JobOutcome::Completed, 1),
-                record("a", JobOutcome::Completed, 1),
-            ],
-        );
+        let skewed = [row("a", 4, 0, 0, &[1, 1, 1, 1]), row("b", 4, 0, 0, &[])];
         let j = ServeReport::jain_fairness(&skewed);
         assert!(j < 0.6 && j > 0.0, "one-sided service: {j}");
         assert_eq!(ServeReport::jain_fairness(&[]), 1.0);

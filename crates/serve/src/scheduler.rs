@@ -1,17 +1,22 @@
-//! The virtual-time serving session.
+//! The virtual-time serving session: one [`ServeNode`] over one board
+//! pool.
 //!
-//! Execution happens in two strictly separated stages:
+//! A session is a one-node [`ClusterSession`] over a free network
+//! ([`NetModel::zero`]), so the serving runtime has exactly one event
+//! loop. Execution happens in two strictly separated stages:
 //!
 //! 1. **Parallel precompute** (host threads): every admissible job's true
 //!    board latency is simulated into the slot-ordered [`SimTables`] —
 //!    see [`crate::node`]. Host thread count can only change *when* a
 //!    slot is filled, never *what* it holds.
-//! 2. **Sequential event loop** (virtual time): one integer-picosecond
-//!    calendar (the PR 3 discipline — `u64` keys, explicit tie-break
-//!    ranks, no floats, no wall clock) drives a single [`ServeNode`]
-//!    through admission, policy decisions, batching, retries and
-//!    deadlines. Nothing in this stage reads anything a host thread
-//!    could have reordered.
+//! 2. **Sequential event loop** (virtual time): the cluster's
+//!    integer-picosecond calendar (`accelsoc_platform::sim::Calendar`:
+//!    `u64` times, explicit tie-break ranks, no floats, no wall clock)
+//!    drives the node through admission, policy decisions, batching,
+//!    retries and deadlines. With one node there are no peers to steal
+//!    from or shed to, so the node sees arrivals and board completions
+//!    only. Nothing in this stage reads anything a host thread could
+//!    have reordered.
 //!
 //! Hence the same `(workload, config)` yields a byte-identical
 //! [`ServeReport`] for any `--threads` value.
@@ -19,20 +24,20 @@
 //! The entry point is [`ServeSession`]: build a [`ServeConfig`] with
 //! [`ServeConfig::builder`] (the struct is `#[non_exhaustive]`; the
 //! builder is the only way to construct a non-default one) and call
-//! [`ServeSession::run`]. The PR 4 free functions [`run_serve`] and
-//! [`run_serve_seeded`] survive as deprecated thin wrappers.
+//! [`ServeSession::run`].
+//!
+//! [`ServeNode`]: crate::node::ServeNode
+//! [`SimTables`]: crate::node::SimTables
 
+use crate::cluster::{ClusterConfig, ClusterSession};
 use crate::job::JobSpec;
-use crate::node::{Scheduled, ServeNode, SimTables};
+use crate::net::NetModel;
 use crate::policy::PolicyKind;
 use crate::report::ServeReport;
 use accelsoc_apps::otsu::{AppConfig, AppError};
 use accelsoc_core::flow::FlowError;
 use accelsoc_observe::FlowObserver;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Knobs of one serve run.
 ///
@@ -228,21 +233,6 @@ impl From<AppError> for ServeError {
     }
 }
 
-/// Calendar ranks: completions before arrivals at the same instant, so a
-/// freed board is visible to a job arriving at exactly that time.
-const RANK_BATCH_DONE: u8 = 0;
-const RANK_ARRIVE: u8 = 1;
-
-enum Ev {
-    /// Index into the arrival-ordered job list.
-    Arrive(usize),
-    /// A board phase finished (the jobs live on the node's board slot).
-    BatchDone { board: usize },
-}
-
-/// Min-heap over `(ps, rank, seq)`-keyed events.
-type Calendar = BinaryHeap<Reverse<Scheduled<(u64, u8, u64), Ev>>>;
-
 /// One configured serving runtime: the single entry point for running
 /// job streams against a board pool.
 ///
@@ -270,46 +260,23 @@ impl ServeSession {
         &self.cfg
     }
 
-    /// Run the scheduler over an arrival-ordered job stream.
+    /// Run the scheduler over a job stream: a one-node
+    /// [`ClusterSession`] over a free network whose only node is this
+    /// session's config. The report is that node's.
     pub fn run(
         &self,
         jobs: &[JobSpec],
         observer: &dyn FlowObserver,
     ) -> Result<ServeReport, ServeError> {
-        let tables = SimTables::build(jobs, &self.cfg, self.cfg.threads)?;
-        let mut node = ServeNode::new(0, self.cfg.clone(), Arc::new(tables));
-
-        let mut calendar: Calendar = BinaryHeap::new();
-        let mut next_seq = 0u64;
-        for (i, job) in jobs.iter().enumerate() {
-            calendar.push(Reverse(Scheduled {
-                key: (job.submit_ps, RANK_ARRIVE, next_seq),
-                ev: Ev::Arrive(i),
-            }));
-            next_seq += 1;
-        }
-
-        let mut sched_buf: Vec<(usize, u64)> = Vec::new();
-        while let Some(Reverse(Scheduled {
-            key: (now_ps, _, _),
-            ev,
-        })) = calendar.pop()
-        {
-            match ev {
-                Ev::Arrive(i) => {
-                    node.admit(&jobs[i], now_ps, false, observer);
-                }
-                Ev::BatchDone { board } => node.batch_done(board, observer),
-            }
-            node.dispatch(now_ps, observer, &mut sched_buf);
-            for (board, done_ps) in sched_buf.drain(..) {
-                calendar.push(Reverse(Scheduled {
-                    key: (done_ps, RANK_BATCH_DONE, next_seq),
-                    ev: Ev::BatchDone { board },
-                }));
-                next_seq += 1;
-            }
-        }
-        Ok(node.into_report())
+        let cfg = ClusterConfig::builder()
+            .node(self.cfg.clone())
+            .net(NetModel::zero())
+            .threads(self.cfg.threads)
+            .seed(self.cfg.seed)
+            .keep_records(self.cfg.keep_records)
+            .build()
+            .expect("a one-node cluster is always valid");
+        let mut report = ClusterSession::new(cfg).run(jobs, observer)?;
+        Ok(report.per_node.swap_remove(0))
     }
 }

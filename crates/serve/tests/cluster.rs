@@ -1,5 +1,5 @@
 //! Cluster-level end-to-end tests: determinism across host threads,
-//! exact 1-node equivalence with the single-node session, and the
+//! how the single-node session maps onto a 1-node cluster, and the
 //! job-accounting invariant under node failure.
 
 use accelsoc_apps::archs::Arch;
@@ -94,10 +94,11 @@ proptest! {
 
 #[test]
 fn one_node_cluster_reproduces_the_single_node_session() {
-    // A 1-node cluster over a free network, with stealing and shedding
-    // ineffective (no peers), must push every event through the node in
-    // the same order as ServeSession — the per-node report is *equal*,
-    // not merely similar.
+    // ServeSession runs as a 1-node cluster over a free network. Built
+    // by hand — stealing and shedding left on but inert (no peers), the
+    // seed and record knobs set at the cluster level — the cluster's
+    // node-0 report must *equal* the session's: this pins how a
+    // ServeConfig maps onto the cluster config.
     let jobs = workload(7, 32, 30_000_000);
     for policy in PolicyKind::ALL {
         let mut single_cfg = node_cfg(policy, 2);

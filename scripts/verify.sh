@@ -46,6 +46,11 @@ else
     echo "==> cargo clippy unavailable; skipping lint step"
 fi
 
+echo "==> cargo doc (offline, -D warnings)"
+# Dead or private intra-doc links rot silently as code is deleted;
+# rustdoc flags them, so the docs build is a gate too.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> kernel VM equivalence + speedup (repro_kernelvm)"
 CACHE_DIR=$(mktemp -d)
 trap 'rm -rf "$CACHE_DIR"' EXIT

@@ -1,5 +1,6 @@
 //! Golden tests pinning the serialized `BatchReport`, `ServeReport` and
-//! `PartitionSimReport` byte-for-byte.
+//! `PartitionSimReport` byte-for-byte, plus a serve stress run's reports
+//! and full event streams.
 //!
 //! All three reports are virtual-time-only and deterministic by construction,
 //! so their JSON must not drift when the execution engine underneath is
@@ -11,11 +12,12 @@
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::batch::{image_stream, run_batch};
 use accelsoc_apps::otsu::AppConfig;
-use accelsoc_core::observe::NullObserver;
+use accelsoc_core::observe::{CollectObserver, NullObserver};
+use accelsoc_htg::graph::{Htg, TaskNode, TransferKind};
 use accelsoc_partition::{run_partition_sim, PartitionSimOptions};
 use accelsoc_serve::{
-    generate_workload, DseEstimator, PolicyKind, ServeConfig, ServeSession, TenantProfile,
-    WorkloadSpec,
+    generate_workload, pool_image_seeds, DseEstimator, JobShape, JobSpec, PolicyKind, ServeConfig,
+    ServeSession, TenantProfile, WorkloadSpec,
 };
 use std::path::Path;
 
@@ -94,6 +96,115 @@ fn serve_report_matches_golden() {
         .expect("serve");
     let out = serde_json::to_string_pretty(&rep).unwrap() + "\n";
     check_or_update("serve_report.json", &out);
+}
+
+/// Eight hand-made jobs spliced into the middle of the stream: one per
+/// static rejection kind, three multi-board gangs (one faulting) and one
+/// submitted at time 0, so arrival order differs from slice order.
+fn stress_extras(next_id: u64, mid_ps: u64) -> Vec<JobSpec> {
+    let base = |id: u64, tenant: &str| JobSpec {
+        id,
+        tenant: tenant.into(),
+        arch: Arch::Arch1,
+        side: 16,
+        image_seed: id,
+        submit_ps: mid_ps,
+        deadline_ps: None,
+        transient_fault: false,
+        graph: None,
+        shape: JobShape::SingleBoard,
+    };
+    let task = |kernel: &str| TaskNode {
+        kernel: kernel.into(),
+        sw_cycles: 1,
+        sw_only: false,
+    };
+    let mut cyclic = Htg::new();
+    let a = cyclic.add_task("A", task("a")).unwrap();
+    let b = cyclic.add_task("B", task("b")).unwrap();
+    cyclic
+        .add_edge(a, b, TransferKind::SharedBuffer { bytes: 4 })
+        .unwrap();
+    cyclic
+        .add_edge(b, a, TransferKind::SharedBuffer { bytes: 4 })
+        .unwrap();
+
+    let mut extras: Vec<JobSpec> = (next_id..next_id + 8).map(|id| base(id, "batch")).collect();
+    extras[0].tenant = "nobody".into();
+    extras[1].side = 6_000;
+    extras[2].deadline_ps = Some(mid_ps + 1);
+    extras[3].graph = Some(cyclic);
+    extras[4].shape = JobShape::MultiBoard { boards: 2 };
+    extras[5].shape = JobShape::MultiBoard { boards: 2 };
+    extras[5].transient_fault = true;
+    extras[6].shape = JobShape::MultiBoard { boards: 3 };
+    extras[7].submit_ps = 0;
+    extras
+}
+
+/// A saturated serve run that exercises every path of the event loop:
+/// retries, queue time-outs, late completions, all six rejection kinds
+/// and multi-board gangs, under every policy. Each run writes its compact
+/// report, then every `FlowEvent` it emitted, one JSON document a line.
+#[test]
+fn serve_stress_matches_golden() {
+    let profiles = vec![
+        TenantProfile {
+            name: "interactive".into(),
+            weight: 2,
+            sides: vec![16, 24],
+            archs: vec![Arch::Arch4, Arch::Arch2],
+            deadline_slack_pct: Some(150),
+            fault_rate: 0.3,
+        },
+        TenantProfile {
+            name: "batch".into(),
+            weight: 1,
+            sides: vec![24],
+            archs: vec![Arch::Arch1, Arch::Arch3],
+            deadline_slack_pct: None,
+            fault_rate: 0.3,
+        },
+    ];
+    let spec = WorkloadSpec {
+        tenants: profiles.clone(),
+        jobs: 80,
+        mean_interarrival_ps: 40_000_000,
+        seed: 1,
+    };
+    let mut jobs = generate_workload(&spec, &mut DseEstimator::new());
+    pool_image_seeds(&mut jobs, 6);
+    let mid = jobs.len() / 2;
+    let extras = stress_extras(jobs.len() as u64, jobs[mid - 1].submit_ps);
+    jobs.splice(mid..mid, extras);
+
+    let mut out = String::new();
+    for (policy, boards) in [
+        (PolicyKind::Fifo, 2),
+        (PolicyKind::RoundRobin, 2),
+        (PolicyKind::Sjf, 2),
+        (PolicyKind::Sjf, 1),
+    ] {
+        let cfg = ServeConfig::builder()
+            .tenants(profiles.iter().map(|t| t.name.clone()))
+            .boards(boards)
+            .policy(policy)
+            .queue_depth(2)
+            .max_batch(3)
+            .max_retries(1)
+            .threads(2)
+            .seed(spec.seed)
+            .build();
+        let obs = CollectObserver::new();
+        let rep = ServeSession::new(cfg).run(&jobs, &obs).expect("serve");
+        out.push_str(&serde_json::to_string(&rep).unwrap());
+        out.push('\n');
+        for event in obs.events() {
+            out.push_str(&serde_json::to_string(&event).unwrap());
+            out.push('\n');
+        }
+    }
+    check_or_update("serve_stress.jsonl", &out);
 }
 
 #[test]
