@@ -1,26 +1,26 @@
-//! # accelsoc-axi — transaction-level AXI protocol models
+//! # accelsoc-axi — the DMA side of the AXI interconnect
 //!
-//! The paper's target platform interconnects everything with AMBA/AXI: the
-//! **AXI-Lite** protocol for memory-mapped control traffic (configuring
-//! accelerators, reading status/results) and **AXI-Stream** for bulk
-//! producer/consumer data movement, fronted by **DMA** engines on the Zynq
-//! HP ports.
+//! The paper's flow turns every `link` into an AXI-Stream connection,
+//! with an AXI DMA engine on each `'soc` end reading and writing shared
+//! DRAM through the Zynq HP ports, and every `connect` into AXI-Lite
+//! control. This crate holds the part of that interconnect that carries
+//! data:
 //!
-//! This crate models those protocols at transaction level with cycle
-//! annotations: operations return the number of bus cycles they consume,
-//! and the discrete-event platform simulator (`accelsoc-platform`) turns
-//! those into simulated time. Functional correctness (routing, data
-//! integrity, FIFO ordering, backpressure) is exact; timing is a
-//! calibrated model.
+//! * [`dma`] — the DMA engine: descriptor checks, little-endian beat
+//!   packing and the per-transfer cycle model. A streaming phase moves
+//!   each buffer whole, with [`dma::mm2s`] (DRAM to stream tokens) and
+//!   [`dma::s2mm`] (stream tokens to DRAM);
+//! * [`protocol`] — the [`MemoryPort`] contract the DMA reads and writes
+//!   through, and [`protocol::VecMemory`], the paged store behind board
+//!   DRAM.
+//!
+//! Stream timing — bounded FIFOs, backpressure, HP-port contention — is
+//! modelled once, by the co-simulation in `accelsoc-platform`, from the
+//! token counts a phase moved. AXI-Lite control is charged there too, by
+//! `Board::invoke_lite`, at a fixed cost per transaction.
 
 pub mod dma;
-pub mod link;
-pub mod lite;
 pub mod protocol;
-pub mod stream;
 
-pub use dma::{DmaDescriptor, DmaEngine, DmaError, DmaStats};
-pub use link::{LinkEndpoints, LinkTransfer};
-pub use lite::{AddressMap, AxiLiteBus, AxiLiteError, AxiLiteSlave, RegisterFile};
-pub use protocol::{AxiResp, MemError, MemoryPort};
-pub use stream::{AxiStreamChannel, Beat, StreamError};
+pub use dma::{DmaDescriptor, DmaEngine, DmaError};
+pub use protocol::{MemError, MemoryPort};

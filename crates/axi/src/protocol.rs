@@ -1,6 +1,6 @@
-//! Common protocol types shared by the AXI models: response codes, the
-//! [`MemoryPort`] contract DMA engines and the CPU model use to touch
-//! memory, and [`VecMemory`], a sparse in-process store behind it.
+//! The memory side of the DMA model: the [`MemoryPort`] contract the DMA
+//! channels read and write through, and [`VecMemory`], the sparse
+//! in-process store behind it (and behind the platform's board DRAM).
 //!
 //! `VecMemory` keeps its contents in 4 KiB pages that are allocated on
 //! the first write into them; a byte that was never written reads as 0.
@@ -9,21 +9,9 @@
 //! access is range-checked without overflow, so an address near the top
 //! of the 64-bit space is a [`MemError::OutOfRange`], never a panic.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
-
-/// AXI response codes (subset relevant at transaction level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AxiResp {
-    /// OKAY — transfer succeeded.
-    Okay,
-    /// SLVERR — the addressed slave signalled an error.
-    SlvErr,
-    /// DECERR — no slave decodes the address.
-    DecErr,
-}
 
 /// Errors raised by memory-port accesses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,9 +33,8 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
-/// A byte-addressable memory port — the contract DMA engines and the CPU
-/// model use to touch DRAM. Implementations may track access statistics
-/// and latency.
+/// A byte-addressable memory port — the contract the DMA channels use to
+/// touch DRAM.
 pub trait MemoryPort {
     /// Fill `buf` from `addr`.
     fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), MemError>;

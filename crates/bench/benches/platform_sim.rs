@@ -5,9 +5,8 @@
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
 use accelsoc_apps::otsu::run_application;
-use accelsoc_axi::dma::{DmaDescriptor, DmaEngine};
+use accelsoc_axi::dma::{mm2s, DmaDescriptor};
 use accelsoc_axi::protocol::VecMemory;
-use accelsoc_axi::stream::AxiStreamChannel;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_application(c: &mut Criterion) {
@@ -30,16 +29,14 @@ fn bench_dma(c: &mut Criterion) {
     for kib in [1usize, 16, 64] {
         group.bench_function(format!("{kib}KiB"), |b| {
             let mut mem = VecMemory::new(kib * 1024);
-            let mut dma = DmaEngine::new("bench");
             b.iter(|| {
-                let mut ch = AxiStreamChannel::new("s", 32, 1 << 16);
-                dma.mm2s(
+                mm2s(
                     &mut mem,
                     DmaDescriptor {
                         addr: 0,
                         len: (kib * 1024) as u64,
                     },
-                    &mut ch,
+                    4,
                 )
                 .unwrap()
             });

@@ -33,10 +33,6 @@ pub struct AccelInstance {
     pub startup_cycles: u64,
     /// Scalar register state (AXI-Lite visible arguments).
     pub scalar_args: HashMap<String, i64>,
-    /// Cumulative busy fabric cycles.
-    pub busy_cycles: u64,
-    /// Number of completed invocations.
-    pub invocations: u64,
 }
 
 impl AccelInstance {
@@ -57,8 +53,6 @@ impl AccelInstance {
             unit,
             startup_cycles: 40,
             scalar_args: HashMap::new(),
-            busy_cycles: 0,
-            invocations: 0,
         }
     }
 
@@ -86,7 +80,7 @@ impl AccelInstance {
     /// Fire one invocation: consume/produce stream tokens on the lane
     /// VM. Returns (scalar outputs, fabric cycles consumed).
     pub fn invoke(
-        &mut self,
+        &self,
         streams: &mut StreamBundle,
     ) -> Result<(HashMap<String, i64>, u64), ExecError> {
         let in_tokens: u64 = streams.input_tokens();
@@ -95,8 +89,6 @@ impl AccelInstance {
         // source-style kernels are paced by their output stream.
         let out_tokens: u64 = streams.output_tokens();
         let cycles = self.cycles_for_tokens(in_tokens.max(out_tokens));
-        self.busy_cycles += cycles;
-        self.invocations += 1;
         Ok((outcome.scalar_outputs, cycles))
     }
 }
@@ -134,8 +126,6 @@ mod tests {
         assert!(outs.is_empty());
         assert_eq!(s.output("out"), &[0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(cycles, a.startup_cycles + a.ii_max() * 8);
-        assert_eq!(a.busy_cycles, cycles);
-        assert_eq!(a.invocations, 1);
     }
 
     #[test]

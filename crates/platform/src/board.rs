@@ -1,33 +1,33 @@
-//! The assembled board: DRAM + CPU + AXI-Lite bus + stream topology +
-//! DMA engines + accelerators.
+//! The assembled board: DRAM + CPU + stream topology + DMA engines +
+//! accelerators.
 //!
 //! Two execution styles, matching the paper's two interconnect kinds:
 //!
 //! * [`Board::invoke_lite`] — memory-mapped invocation of one core: the
 //!   host writes argument registers over AXI-Lite, starts the core, polls
-//!   for completion and reads results (ADD/MULT style in Fig. 4).
-//! * [`Board::run_stream_phase`] — a streaming phase: MM2S DMA feeds the
-//!   head of an accelerator pipeline, cores fire as data arrives, S2MM
-//!   DMA collects the tail back to DRAM (GAUSS→EDGE style). Timing uses a
-//!   steady-state pipeline model: transfers and computation overlap, so
-//!   the makespan is the pipeline fill plus the *slowest* stage, not the
-//!   sum of stages.
+//!   for completion and reads results (ADD/MULT style in Fig. 4). Each
+//!   AXI-Lite transaction costs a fixed 5 PL cycles.
+//! * [`Board::run_stream_phase`] — a streaming phase (GAUSS→EDGE style):
+//!   each MM2S DMA reads its whole input buffer ([`dma::mm2s`]), the
+//!   cores fire in feed-forward order, and each S2MM DMA writes its whole
+//!   output buffer back ([`dma::s2mm`]). Timing uses a steady-state
+//!   pipeline model: transfers and computation overlap, so the makespan
+//!   is the pipeline fill plus the *slowest* stage, not the sum of stages.
 //!
 //! A streaming phase's function runs every time; its timing comes from
 //! the board's [`PhaseMemo`], which simulates each distinct phase shape
-//! once ([`crate::cosim`]). [`Board::new`] gives a board a private memo;
-//! a flow engine shares one memo across every board it builds
-//! ([`Board::set_phase_memo`]). Board DRAM is paged ([`Dram`]), so a
-//! board costs only the pages its phases touch.
+//! once ([`crate::cosim`]) from the phase's token counts alone.
+//! [`Board::new`] gives a board a private memo; a flow engine shares one
+//! memo across every board it builds ([`Board::set_phase_memo`]). Board
+//! DRAM is paged ([`Dram`]), so a board costs only the pages its phases
+//! touch.
 
 use crate::accel::AccelInstance;
 use crate::cosim::{CosimPhase, PhaseMemo, SinkSpec, SourceSpec, StagePort, StageSpec};
 use crate::cpu::Cpu;
 use crate::memory::Dram;
 use crate::PL_CLK_NS;
-use accelsoc_axi::dma::{DmaDescriptor, DmaEngine, DmaError, DmaStats, Mm2sTransfer, S2mmTransfer};
-use accelsoc_axi::lite::AxiLiteBus;
-use accelsoc_axi::stream::{AxiStreamChannel, Beat};
+use accelsoc_axi::dma::{self, DmaDescriptor, DmaEngine, DmaError};
 use accelsoc_kernel::interp::{ExecError, StreamBundle};
 use accelsoc_observe::{null_observer, FlowEvent, SharedObserver};
 use std::collections::HashMap;
@@ -153,7 +153,6 @@ pub struct PhaseStats {
 pub struct Board {
     pub dram: Dram,
     pub cpu: Cpu,
-    pub bus: AxiLiteBus,
     pub accels: Vec<AccelInstance>,
     pub dmas: Vec<DmaEngine>,
     pub links: Vec<StreamLink>,
@@ -181,7 +180,6 @@ impl Board {
         Board {
             dram: Dram::new(dram_bytes),
             cpu: Cpu::cortex_a9(),
-            bus: AxiLiteBus::new(),
             accels: Vec::new(),
             dmas: Vec::new(),
             links: Vec::new(),
@@ -371,15 +369,16 @@ impl Board {
         // pass, indexed like `self.links` — the cycle simulation replays
         // exactly this traffic over bounded FIFOs.
         let mut link_tokens = vec![0u64; self.links.len()];
-        // DMA endpoints observed this phase, for the cycle simulation:
-        // (link index, beats, bytes per beat, setup, burst beats, burst
-        // overhead, stage label).
-        let mut src_specs: Vec<(usize, u64, u64, u64, u64, u64, String)> = Vec::new();
-        let mut sink_specs: Vec<(usize, u64, u64, u64, u64, u64, String)> = Vec::new();
+        // The phase's timing model: one FIFO per stream link; each DMA
+        // transfer adds its endpoint as it completes, the accelerators
+        // join after the functional pass.
+        let mut phase = CosimPhase::default();
+        for _ in &self.links {
+            phase.add_fifo(self.stream_fifo_depth as u64);
+        }
 
-        // 1. MM2S: DRAM -> head channels, co-scheduled with the inbox
-        // drain over a bounded FIFO (the resumable state machine stalls
-        // whenever the FIFO fills; the drain frees it).
+        // 1. MM2S: each input buffer moves whole from DRAM into the inbox
+        // of the accelerator port its link feeds.
         for (dma_idx, desc) in inputs {
             // Find the link leaving this DMA.
             let (link_idx, link) = self
@@ -393,40 +392,32 @@ impl Board {
                 Endpoint::Accel { accel, port } => (*accel, port.clone()),
                 Endpoint::Dma(_) => continue, // DMA->DMA loopback: nothing to compute
             };
-            let bits = self.endpoint_bits(&link.to, true)?.unwrap_or(32);
-            let mut ch = AxiStreamChannel::new("mm2s", bits, self.stream_fifo_depth);
-            let mut xfer = Mm2sTransfer::start(&mut self.dram, *desc, ch.beat_bytes())?;
-            let mut tokens: Vec<i64> = Vec::new();
-            while !xfer.is_done() || !ch.is_empty() {
-                xfer.pump(&mut ch, self.stream_fifo_depth as u64);
-                while let Some(b) = ch.pop() {
-                    tokens.push(b.data as i64);
-                }
-            }
-            let dma = self
+            let beat_bytes = self
+                .endpoint_bits(&link.to, true)?
+                .unwrap_or(32)
+                .div_ceil(8);
+            let tokens = dma::mm2s(&mut self.dram, *desc, beat_bytes)?;
+            let engine = self
                 .dmas
-                .get_mut(*dma_idx)
+                .get(*dma_idx)
                 .ok_or(BoardError::UnknownDma(*dma_idx))?;
-            let st = DmaStats {
-                bytes: desc.len,
-                beats: xfer.beats_total(),
-                cycles: dma.cycles_for(xfer.beats_total()),
-            };
-            dma.record(st);
-            stats.bytes_in += st.bytes;
-            dma_bursts += st.beats.div_ceil(dma.burst_beats as u64);
-            let label = format!("dma{dma_idx}:mm2s");
-            stats.per_stage.push((label.clone(), st.cycles));
-            src_specs.push((
-                link_idx,
-                st.beats,
-                ch.beat_bytes() as u64,
-                dma.setup_cycles as u64,
-                dma.burst_beats as u64,
-                dma.burst_overhead_cycles as u64,
-                label,
-            ));
-            link_tokens[link_idx] += tokens.len() as u64;
+            let beats = tokens.len() as u64;
+            let name = format!("dma{dma_idx}:mm2s");
+            stats.bytes_in += desc.len;
+            dma_bursts += engine.bursts(beats);
+            stats
+                .per_stage
+                .push((name.clone(), engine.cycles_for(beats)));
+            phase.sources.push(SourceSpec {
+                name,
+                beats,
+                bytes_per_beat: beat_bytes as u64,
+                setup_cycles: engine.setup_cycles as u64,
+                burst_beats: engine.burst_beats as u64,
+                burst_overhead: engine.burst_overhead_cycles as u64,
+                out_fifo: link_idx,
+            });
+            link_tokens[link_idx] += beats;
             inbox.entry((accel, port)).or_default().extend(tokens);
         }
 
@@ -464,7 +455,7 @@ impl Board {
                 let tokens = inbox.remove(&(accel_idx, port.clone())).unwrap_or_default();
                 bundle.feed(port, tokens);
             }
-            let a = &mut self.accels[accel_idx];
+            let a = &self.accels[accel_idx];
             let name = a.kernel.name.clone();
             let (_, cycles) = a.invoke(&mut bundle).map_err(|err| BoardError::Exec {
                 accel: name.clone(),
@@ -509,96 +500,48 @@ impl Board {
             }
         }
 
-        // 3. S2MM: tail channels -> DRAM, again co-scheduled over a
-        // bounded FIFO: the producer refills as the resumable S2MM state
-        // machine drains, and the FIFO never exceeds its capacity.
+        // 3. S2MM: each exit's tokens move whole into their DRAM buffer.
+        // The DMA is looked up first, so a phase that fails here has
+        // written nothing for this exit.
         for (dma_idx, desc) in outputs {
             let (tokens, bits) = outbox.remove(dma_idx).unwrap_or((Vec::new(), 32));
-            let n = tokens.len();
-            if n == 0 {
+            if tokens.is_empty() {
                 continue;
             }
-            let link_idx = self
+            let engine = self
+                .dmas
+                .get(*dma_idx)
+                .ok_or(BoardError::UnknownDma(*dma_idx))?;
+            let beat_bytes = bits.div_ceil(8);
+            let beats = dma::s2mm(&mut self.dram, *desc, beat_bytes, &tokens)?;
+            let name = format!("dma{dma_idx}:s2mm");
+            stats.bytes_out += beats * beat_bytes as u64;
+            dma_bursts += engine.bursts(beats);
+            stats
+                .per_stage
+                .push((name.clone(), engine.cycles_for(beats)));
+            let in_fifo = self
                 .links
                 .iter()
                 .position(|l| l.to == Endpoint::Dma(*dma_idx));
-            let mut ch = AxiStreamChannel::new("s2mm", bits, self.stream_fifo_depth);
-            let mut xfer = S2mmTransfer::start(*desc, ch.beat_bytes())?;
-            let mut iter = tokens.into_iter().enumerate();
-            let mut pending = iter.next();
-            while !xfer.is_done() {
-                while let Some((i, t)) = pending {
-                    if !ch.can_push() {
-                        pending = Some((i, t));
-                        break;
-                    }
-                    // `can_push` was just checked, but treat a refused
-                    // push as a stall (the beat stays pending) rather
-                    // than a panic — a malformed phase must surface as
-                    // a typed error or a stall, never a crash.
-                    let beat = Beat {
-                        data: t as u64,
-                        last: i + 1 == n,
-                    };
-                    if ch.push(beat).is_err() {
-                        pending = Some((i, t));
-                        break;
-                    }
-                    pending = iter.next();
-                }
-                let moved = xfer.pump(&mut ch, self.stream_fifo_depth as u64)?;
-                if moved == 0 && pending.is_none() && ch.is_empty() {
-                    break;
-                }
-            }
-            let dma = self
-                .dmas
-                .get_mut(*dma_idx)
-                .ok_or(BoardError::UnknownDma(*dma_idx))?;
-            let (bytes, beats) = xfer.finish(&mut self.dram)?;
-            let st = DmaStats {
-                bytes,
-                beats,
-                cycles: dma.cycles_for(beats),
-            };
-            dma.record(st);
-            stats.bytes_out += st.bytes;
-            dma_bursts += st.beats.div_ceil(dma.burst_beats as u64);
-            let label = format!("dma{dma_idx}:s2mm");
-            stats.per_stage.push((label.clone(), st.cycles));
-            if let Some(li) = link_idx {
-                sink_specs.push((
-                    li,
-                    st.beats,
-                    ch.beat_bytes() as u64,
-                    dma.setup_cycles as u64,
-                    dma.burst_beats as u64,
-                    dma.burst_overhead_cycles as u64,
-                    label,
-                ));
+            if let Some(in_fifo) = in_fifo {
+                phase.sinks.push(SinkSpec {
+                    name,
+                    beats,
+                    bytes_per_beat: beat_bytes as u64,
+                    setup_cycles: engine.setup_cycles as u64,
+                    burst_beats: engine.burst_beats as u64,
+                    burst_overhead: engine.burst_overhead_cycles as u64,
+                    in_fifo,
+                });
             }
         }
 
-        // 4. Timing: replay the phase's traffic through the co-scheduled
-        // bounded-FIFO cycle simulation — one FIFO per stream link, one
-        // stage per participating accelerator, MM2S/S2MM endpoints
-        // sharing the HP port's per-cycle byte budget. The memo runs it
-        // only for a shape it has not seen.
-        let mut phase = CosimPhase::default();
-        for _ in &self.links {
-            phase.add_fifo(self.stream_fifo_depth as u64);
-        }
-        for (li, beats, bpb, setup, bb, bo, name) in src_specs {
-            phase.sources.push(SourceSpec {
-                name,
-                beats,
-                bytes_per_beat: bpb,
-                setup_cycles: setup,
-                burst_beats: bb,
-                burst_overhead: bo,
-                out_fifo: li,
-            });
-        }
+        // 4. Timing: add one stage per participating accelerator and
+        // replay the phase's traffic through the co-scheduled
+        // bounded-FIFO cycle simulation, the MM2S/S2MM endpoints sharing
+        // the HP port's per-cycle byte budget. The memo runs it only for
+        // a shape it has not seen.
         for accel_idx in self.topo_order()? {
             let inputs: Vec<StagePort> = self
                 .links
@@ -634,17 +577,6 @@ impl Board {
                 ii: a.ii_max(),
                 inputs,
                 outputs,
-            });
-        }
-        for (li, beats, bpb, setup, bb, bo, name) in sink_specs {
-            phase.sinks.push(SinkSpec {
-                name,
-                beats,
-                bytes_per_beat: bpb,
-                setup_cycles: setup,
-                burst_beats: bb,
-                burst_overhead: bo,
-                in_fifo: li,
             });
         }
         let (r, timing_reused) =
@@ -686,6 +618,8 @@ mod tests {
     use accelsoc_hls::project::{synthesize_kernel, HlsOptions};
     use accelsoc_kernel::builder::*;
     use accelsoc_kernel::types::Ty;
+    use accelsoc_observe::CollectObserver;
+    use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest};
 
     fn make_accel(k: accelsoc_kernel::ir::Kernel) -> AccelInstance {
         let r = synthesize_kernel(&k, &HlsOptions::default()).unwrap();
@@ -715,6 +649,53 @@ mod tests {
             .build()
     }
 
+    /// A board whose `inc_kernel` stages, one per name, form a single
+    /// chain from DMA 0 (MM2S) to DMA 1 (S2MM) over `depth`-deep FIFOs.
+    /// Returns the board and the stages' accelerator indices.
+    fn chain(names: &[&str], depth: usize) -> (Board, Vec<usize>) {
+        let mut b = Board::new(1 << 20);
+        b.stream_fifo_depth = depth;
+        let stages: Vec<usize> = names
+            .iter()
+            .map(|n| b.add_accel(make_accel(inc_kernel(n))))
+            .collect();
+        let din = b.add_dma();
+        let dout = b.add_dma();
+        let mut from = Endpoint::Dma(din);
+        for &accel in &stages {
+            let port = |p: &str| Endpoint::Accel {
+                accel,
+                port: p.into(),
+            };
+            b.link(from, port("in")).unwrap();
+            from = port("out");
+        }
+        b.link(from, Endpoint::Dma(dout)).unwrap();
+        (b, stages)
+    }
+
+    /// One phase on a [`chain`]: `len` bytes in from 0x1000 (every
+    /// stage's `n` is `len`), into an `out_len`-byte buffer at 0x8000.
+    fn run_chain(
+        b: &mut Board,
+        stages: &[usize],
+        len: u64,
+        out_len: u64,
+    ) -> Result<PhaseStats, BoardError> {
+        let args: Vec<(usize, &str, i64)> = stages.iter().map(|&s| (s, "n", len as i64)).collect();
+        b.run_stream_phase(
+            &[(0, DmaDescriptor { addr: 0x1000, len })],
+            &[(
+                1,
+                DmaDescriptor {
+                    addr: 0x8000,
+                    len: out_len,
+                },
+            )],
+            &args,
+        )
+    }
+
     #[test]
     fn lite_invocation_computes_and_costs_time() {
         let mut b = Board::new(1 << 16);
@@ -726,60 +707,10 @@ mod tests {
 
     #[test]
     fn two_stage_stream_pipeline_end_to_end() {
-        let mut b = Board::new(1 << 16);
-        let s1 = b.add_accel(make_accel(inc_kernel("S1")));
-        let s2 = b.add_accel(make_accel(inc_kernel("S2")));
-        let din = b.add_dma();
-        let dout = b.add_dma();
-        b.link(
-            Endpoint::Dma(din),
-            Endpoint::Accel {
-                accel: s1,
-                port: "in".into(),
-            },
-        )
-        .unwrap();
-        b.link(
-            Endpoint::Accel {
-                accel: s1,
-                port: "out".into(),
-            },
-            Endpoint::Accel {
-                accel: s2,
-                port: "in".into(),
-            },
-        )
-        .unwrap();
-        b.link(
-            Endpoint::Accel {
-                accel: s2,
-                port: "out".into(),
-            },
-            Endpoint::Dma(dout),
-        )
-        .unwrap();
-
-        b.dram.load_bytes(0x100, &[10, 20, 30, 40]).unwrap();
-        let stats = b
-            .run_stream_phase(
-                &[(
-                    din,
-                    DmaDescriptor {
-                        addr: 0x100,
-                        len: 4,
-                    },
-                )],
-                &[(
-                    dout,
-                    DmaDescriptor {
-                        addr: 0x200,
-                        len: 4,
-                    },
-                )],
-                &[(s1, "n", 4), (s2, "n", 4)],
-            )
-            .unwrap();
-        assert_eq!(b.dram.dump_bytes(0x200, 4).unwrap(), vec![12, 22, 32, 42]);
+        let (mut b, stages) = chain(&["S1", "S2"], 16);
+        b.dram.load_bytes(0x1000, &[10, 20, 30, 40]).unwrap();
+        let stats = run_chain(&mut b, &stages, 4, 4).unwrap();
+        assert_eq!(b.dram.dump_bytes(0x8000, 4).unwrap(), vec![12, 22, 32, 42]);
         assert_eq!(stats.bytes_in, 4);
         assert_eq!(stats.bytes_out, 4);
         assert!(stats.ns > 0.0);
@@ -792,76 +723,14 @@ mod tests {
     fn hp_bandwidth_bounds_steady_state() {
         // A wide pipeline (II = 1) moving lots of bytes: with a crippled
         // HP port, the port — not the compute — sets the phase time.
-        let mut fast = Board::new(1 << 20);
-        let a1 = fast.add_accel(make_accel(inc_kernel("S1")));
-        let din = fast.add_dma();
-        let dout = fast.add_dma();
-        fast.link(
-            Endpoint::Dma(din),
-            Endpoint::Accel {
-                accel: a1,
-                port: "in".into(),
-            },
-        )
-        .unwrap();
-        fast.link(
-            Endpoint::Accel {
-                accel: a1,
-                port: "out".into(),
-            },
-            Endpoint::Dma(dout),
-        )
-        .unwrap();
-        let mut slow = Board::new(1 << 20);
-        slow.hp_bytes_per_cycle = 1; // starved port
-        let b1 = slow.add_accel(make_accel(inc_kernel("S1")));
-        let din2 = slow.add_dma();
-        let dout2 = slow.add_dma();
-        slow.link(
-            Endpoint::Dma(din2),
-            Endpoint::Accel {
-                accel: b1,
-                port: "in".into(),
-            },
-        )
-        .unwrap();
-        slow.link(
-            Endpoint::Accel {
-                accel: b1,
-                port: "out".into(),
-            },
-            Endpoint::Dma(dout2),
-        )
-        .unwrap();
-
-        let data = vec![7u8; 4096];
-        for (board, a, di, do_) in [(&mut fast, a1, din, dout), (&mut slow, b1, din2, dout2)] {
-            board.dram.load_bytes(0x1000, &data).unwrap();
-            let _ = (a, di, do_);
-        }
-        let run = |board: &mut Board, a: usize, di: usize, do_: usize| {
-            board
-                .run_stream_phase(
-                    &[(
-                        di,
-                        DmaDescriptor {
-                            addr: 0x1000,
-                            len: 4096,
-                        },
-                    )],
-                    &[(
-                        do_,
-                        DmaDescriptor {
-                            addr: 0x8000,
-                            len: 4096,
-                        },
-                    )],
-                    &[(a, "n", 4096)],
-                )
-                .unwrap()
+        let run = |hp_bytes_per_cycle: u64| {
+            let (mut b, stages) = chain(&["S1"], 16);
+            b.hp_bytes_per_cycle = hp_bytes_per_cycle;
+            b.dram.load_bytes(0x1000, &[7; 4096]).unwrap();
+            run_chain(&mut b, &stages, 4096, 4096).unwrap()
         };
-        let f = run(&mut fast, a1, din, dout);
-        let s = run(&mut slow, b1, din2, dout2);
+        let f = run(8);
+        let s = run(1); // starved port
         assert!(s.total_cycles > f.total_cycles);
         // 8192 bytes over 1 B/cycle = 8192 cycles lower bound.
         assert!(s.total_cycles >= 8192);
@@ -873,53 +742,14 @@ mod tests {
     fn shallow_fifos_surface_backpressure_stalls() {
         // Same single-stage pipeline twice; the shallow-FIFO board must
         // report strictly more producer stalls and no fewer cycles.
-        let build = |depth: usize| {
-            let mut b = Board::new(1 << 20);
-            b.stream_fifo_depth = depth;
-            let a = b.add_accel(make_accel(inc_kernel("S1")));
-            let din = b.add_dma();
-            let dout = b.add_dma();
-            b.link(
-                Endpoint::Dma(din),
-                Endpoint::Accel {
-                    accel: a,
-                    port: "in".into(),
-                },
-            )
-            .unwrap();
-            b.link(
-                Endpoint::Accel {
-                    accel: a,
-                    port: "out".into(),
-                },
-                Endpoint::Dma(dout),
-            )
-            .unwrap();
-            let data = vec![9u8; 2048];
-            b.dram.load_bytes(0x1000, &data).unwrap();
-            let stats = b
-                .run_stream_phase(
-                    &[(
-                        din,
-                        DmaDescriptor {
-                            addr: 0x1000,
-                            len: 2048,
-                        },
-                    )],
-                    &[(
-                        dout,
-                        DmaDescriptor {
-                            addr: 0x8000,
-                            len: 2048,
-                        },
-                    )],
-                    &[(a, "n", 2048)],
-                )
-                .unwrap();
+        let run = |depth: usize| {
+            let (mut b, stages) = chain(&["S1"], depth);
+            b.dram.load_bytes(0x1000, &[9; 2048]).unwrap();
+            let stats = run_chain(&mut b, &stages, 2048, 2048).unwrap();
             (stats, b.dram.dump_bytes(0x8000, 4).unwrap())
         };
-        let (shallow, out_shallow) = build(1);
-        let (deep, out_deep) = build(64);
+        let (shallow, out_shallow) = run(1);
+        let (deep, out_deep) = run(64);
         // Functional output is identical — capacity only affects timing.
         assert_eq!(out_shallow, out_deep);
         assert_eq!(out_shallow, vec![10, 10, 10, 10]);
@@ -930,50 +760,11 @@ mod tests {
 
     #[test]
     fn stream_phase_emits_sim_counters() {
-        use accelsoc_observe::{CollectObserver, FlowEvent};
-        use std::sync::Arc;
         let collect = Arc::new(CollectObserver::new());
-        let mut b = Board::new(1 << 16);
+        let (mut b, stages) = chain(&["S1"], 16);
         b.set_observer(collect.clone());
-        let s1 = b.add_accel(make_accel(inc_kernel("S1")));
-        let din = b.add_dma();
-        let dout = b.add_dma();
-        b.link(
-            Endpoint::Dma(din),
-            Endpoint::Accel {
-                accel: s1,
-                port: "in".into(),
-            },
-        )
-        .unwrap();
-        b.link(
-            Endpoint::Accel {
-                accel: s1,
-                port: "out".into(),
-            },
-            Endpoint::Dma(dout),
-        )
-        .unwrap();
-        b.dram.load_bytes(0x100, &[1, 2, 3, 4]).unwrap();
-        let stats = b
-            .run_stream_phase(
-                &[(
-                    din,
-                    DmaDescriptor {
-                        addr: 0x100,
-                        len: 4,
-                    },
-                )],
-                &[(
-                    dout,
-                    DmaDescriptor {
-                        addr: 0x200,
-                        len: 4,
-                    },
-                )],
-                &[(s1, "n", 4)],
-            )
-            .unwrap();
+        b.dram.load_bytes(0x1000, &[1, 2, 3, 4]).unwrap();
+        let stats = run_chain(&mut b, &stages, 4, 4).unwrap();
         let events = collect.events();
         match events.as_slice() {
             [FlowEvent::SimPhaseDone {
@@ -992,6 +783,80 @@ mod tests {
                 assert_eq!(*dma_bursts, 2);
             }
             other => panic!("expected one SimPhaseDone, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overlong_s2mm_fails_identically_at_every_fifo_depth() {
+        // 8 one-byte tokens into a 4-byte S2MM buffer: at every depth the
+        // phase fails with the same overrun, before DRAM is written and
+        // before the co-simulation runs.
+        for depth in [1, 2, 3, 4, 16] {
+            let (mut b, stages) = chain(&["S1", "S2"], depth);
+            let memo = Arc::new(PhaseMemo::new());
+            b.set_phase_memo(memo.clone());
+            b.dram.load_bytes(0x1000, &[1; 8]).unwrap();
+            let err = run_chain(&mut b, &stages, 8, 4).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    BoardError::Dma(DmaError::BufferOverrun {
+                        got: 5,
+                        capacity: 4
+                    })
+                ),
+                "depth {depth}: {err}"
+            );
+            assert_eq!(
+                b.dram.dump_bytes(0x8000, 8).unwrap(),
+                [0; 8],
+                "depth {depth}"
+            );
+            assert!(memo.is_empty(), "depth {depth}: timing was simulated");
+        }
+    }
+
+    proptest! {
+        /// A phase's function does not depend on the FIFO depth: on random
+        /// input bytes, the two-stage chain at any depth writes the same
+        /// bytes and reports the same byte counts, DMA bursts and DMA rows
+        /// as at depth 16 — and a one-byte-short S2MM buffer fails the
+        /// same way.
+        #[test]
+        fn phase_function_is_independent_of_fifo_depth(
+            data in proptest::collection::vec(any::<u8>(), 2..64),
+            depth in 1usize..=32,
+        ) {
+            let len = data.len() as u64;
+            let run = |depth: usize, out_len: u64| {
+                let (mut b, stages) = chain(&["S1", "S2"], depth);
+                let events = Arc::new(CollectObserver::new());
+                b.set_observer(events.clone());
+                b.dram.load_bytes(0x1000, &data).unwrap();
+                let stats = run_chain(&mut b, &stages, len, out_len).map_err(|e| e.to_string())?;
+                let dma_bursts = events.events().iter().find_map(|e| match e {
+                    FlowEvent::SimPhaseDone { dma_bursts, .. } => Some(*dma_bursts),
+                    _ => None,
+                });
+                let dma_rows: Vec<(String, u64)> = stats
+                    .per_stage
+                    .into_iter()
+                    .filter(|(name, _)| name.starts_with("dma"))
+                    .collect();
+                Ok::<_, String>((
+                    b.dram.dump_bytes(0x8000, out_len as usize).unwrap(),
+                    stats.bytes_in,
+                    stats.bytes_out,
+                    dma_bursts,
+                    dma_rows,
+                ))
+            };
+            let at_16 = run(16, len);
+            prop_assert!(at_16.is_ok(), "{at_16:?}");
+            prop_assert_eq!(run(depth, len), at_16);
+            let short_at_16 = run(16, len - 1);
+            prop_assert!(short_at_16.is_err(), "{short_at_16:?}");
+            prop_assert_eq!(run(depth, len - 1), short_at_16);
         }
     }
 

@@ -6,17 +6,18 @@
 //! have no board, so this crate simulates one at the granularity the
 //! paper's flow needs:
 //!
-//! * [`memory::Dram`] — shared DDR3 with a latency + bandwidth model,
-//!   paged so that a board costs only the pages it writes;
+//! * [`memory::Dram`] — shared DDR3 contents, paged so that a board
+//!   costs only the pages it writes (DMA traffic is timed by [`cosim`]);
 //! * [`cpu::Cpu`] — the ARM PS as a cost model over kernel execution
 //!   statistics (software tasks execute on the kernel lane VM; the
 //!   model converts operation counts into cycles);
 //! * [`accel::AccelInstance`] — a PL accelerator whose *function* is the
 //!   kernel's lane-VM execution unit and whose *timing* comes from its
 //!   HLS report (initiation interval × tokens + startup);
-//! * [`board::Board`] — the assembled system: AXI-Lite control bus,
-//!   AXI-Stream topology, DMA engines, DRAM, accelerators; it can execute
-//!   memory-mapped core invocations and streaming phases functionally and
+//! * [`board::Board`] — the assembled system: AXI-Stream topology, DMA
+//!   engines, DRAM, accelerators; it can execute memory-mapped core
+//!   invocations (AXI-Lite control at a fixed cost per transaction) and
+//!   streaming phases (each DMA buffer moved whole) functionally and
 //!   return cycle-accurate-ish statistics;
 //! * [`cosim`] — the co-scheduled bounded-FIFO cycle simulation behind
 //!   streaming-phase timing: every DMA endpoint and accelerator steps one
@@ -27,9 +28,9 @@
 //!   deterministic event [`sim::Calendar`], total order `(ps, tie, seq)`,
 //!   that every discrete-event simulator in the workspace runs on;
 //! * [`multiboard`] — whole-system co-simulation of several boards at
-//!   once, joined by modeled serial stream links, on one `Calendar`
-//!   keyed `(ps, board, rank, seq)` (used by `accelsoc-partition` when a
-//!   design overflows a single device).
+//!   once, joined by serial stream links timed in closed form, on one
+//!   `Calendar` keyed `(ps, board, rank, seq)` (used by
+//!   `accelsoc-partition` when a design overflows a single device).
 //!
 //! Clocks: the PL runs at 100 MHz (10 ns/cycle), the PS at 666.7 MHz
 //! (1.5 ns/cycle), matching ZedBoard defaults. All times are reported in

@@ -19,7 +19,11 @@
 //!   most `D` words: with `t_tx` the wire grant and `t_rx` the rx-DMA
 //!   grant, `rx_done = t_rx + W*p` and
 //!   `tx_done = max(t_tx + W*p, rx_done - D*p)` — the tx endpoint stalls
-//!   (backpressure) whenever the receiver lags more than the FIFO hides.
+//!   (backpressure) whenever the receiver lags more than the FIFO hides;
+//! * at the word level, a `W`-word packet into a `D`-deep receive FIFO
+//!   (`D` at least 1) fills it with its first `D` words and stalls the
+//!   handshake once for each word after that: `max(W - D, 0)` stalls,
+//!   counted in [`LinkStats::handshake_stalls`].
 //!
 //! Events run on the shared [`Calendar`], keyed `(ps, board, rank, seq)`:
 //! integer picoseconds, then board id, then event rank (link transfers
@@ -29,7 +33,6 @@
 //! parallelism.
 
 use crate::sim::{ns_from_ps, Calendar};
-use accelsoc_axi::link::LinkEndpoints;
 use accelsoc_observe::{FlowEvent, FlowObserver};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -121,7 +124,8 @@ pub struct LinkStats {
     pub backpressure_ps: u64,
     /// Wire-busy time attributable to this link.
     pub busy_ps: u64,
-    /// Word-level handshake stalls counted by the AXI-Stream FIFO.
+    /// Word-level handshake stalls: per packet, the words beyond the
+    /// receive-FIFO depth (see the module docs).
     pub handshake_stalls: u64,
     /// `busy_ps` over the run makespan.
     pub occupancy: f64,
@@ -184,7 +188,7 @@ pub fn simulate(
     check(spec)?;
     let n = spec.nodes.len();
 
-    // Link lookup by (src, dst) node pair, plus functional endpoints.
+    // Link lookup by (src, dst) node pair.
     let mut link_of_edge: Vec<Option<usize>> = vec![None; spec.edges.len()];
     for (ei, &(s, d)) in spec.edges.iter().enumerate() {
         if spec.nodes[s].board != spec.nodes[d].board {
@@ -196,12 +200,6 @@ pub fn simulate(
             link_of_edge[ei] = Some(li);
         }
     }
-    let mut endpoints: Vec<LinkEndpoints> = spec
-        .links
-        .iter()
-        .map(|l| LinkEndpoints::new(&format!("link{}", l.id), l.width_bits, l.fifo_depth))
-        .collect();
-
     let mut pending: Vec<usize> = vec![0; n];
     for &(_, d) in &spec.edges {
         pending[d] += 1;
@@ -235,6 +233,7 @@ pub fn simulate(
         rx_wait: u64,
         backpressure: u64,
         busy: u64,
+        handshake_stalls: u64,
     }
     let mut link_acc: Vec<LinkAcc> = (0..spec.links.len())
         .map(|_| LinkAcc {
@@ -244,6 +243,7 @@ pub fn simulate(
             rx_wait: 0,
             backpressure: 0,
             busy: 0,
+            handshake_stalls: 0,
         })
         .collect();
 
@@ -314,9 +314,7 @@ pub fn simulate(
                 acc.rx_wait += t_rx - wire_arrival;
                 acc.backpressure += tx_done - (t_tx + serial);
                 acc.busy += tx_done - t_tx;
-                // Word-level handshake through the AXI-Stream FIFO (the
-                // functional counterpart of the closed-form timing).
-                endpoints[li].transfer_packet(link.words);
+                acc.handshake_stalls += link.words.saturating_sub(link.fifo_depth.max(1) as u64);
 
                 let d = link.dst;
                 arrival[d] = arrival[d].max(rx_done);
@@ -366,7 +364,7 @@ pub fn simulate(
                 rx_wait_ps: acc.rx_wait,
                 backpressure_ps: acc.backpressure,
                 busy_ps: acc.busy,
-                handshake_stalls: endpoints[li].backpressure_events(),
+                handshake_stalls: acc.handshake_stalls,
                 occupancy: acc.busy as f64 / span,
             }
         })
@@ -505,6 +503,38 @@ mod tests {
         // tx_done = max(100+10_000, 15_100-4_000) = 11_100 > 10_100:
         // 1_000 ps of backpressure.
         assert_eq!(r.links[0].backpressure_ps, 1_000);
+    }
+
+    /// Handshake stalls of one `words`-long packet over a link whose
+    /// receive FIFO is `fifo_depth` words deep.
+    fn packet_stalls(words: u64, fifo_depth: usize) -> u64 {
+        let spec = MultiBoardSpec {
+            boards: 2,
+            nodes: vec![node("a", 0, 100), node("b", 1, 100)],
+            edges: vec![(0, 1)],
+            links: vec![MbLink {
+                fifo_depth,
+                ..link(0, 0, 1, words)
+            }],
+        };
+        simulate(&spec, &NullObserver).unwrap().links[0].handshake_stalls
+    }
+
+    #[test]
+    fn short_packet_sees_no_backpressure() {
+        assert_eq!(packet_stalls(16, 16), 0);
+    }
+
+    #[test]
+    fn long_packet_backpressures_past_fifo_depth() {
+        // First 8 words fill the FIFO; every further word stalls once.
+        assert_eq!(packet_stalls(100, 8), 92);
+    }
+
+    #[test]
+    fn zero_depth_fifo_holds_one_word() {
+        assert_eq!(packet_stalls(10, 0), 9);
+        assert_eq!(packet_stalls(10, 1), 9);
     }
 
     #[test]

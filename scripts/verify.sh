@@ -23,12 +23,15 @@ for isa in scalar avx2; do
     ACCELSOC_LANE_ISA=$isa cargo test --release --offline -q -p accelsoc-kernel
 done
 
-echo "==> perfbench tests (offline)"
+echo "==> perfbench tests (offline, locked)"
 # The benchmark is its own cargo workspace, so nothing above builds it.
 # Its tests run every workload at tiny size and check the pinned output
 # digests, so a public-API change that breaks the benchmark, or a model
-# change that moves a simulated number, fails here.
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# change that moves a simulated number, fails here. --locked: editing
+# any first-party crate's dependency list makes cargo rewrite
+# perfbench/Cargo.lock, which changes only together with the benchmark;
+# the gate fails instead of leaving the lockfile modified.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -172,20 +172,17 @@ fn board_runtime_errors_surface_cleanly() {
 
 #[test]
 fn dma_misuse_detected() {
-    use accelsoc_axi::dma::{DmaDescriptor, DmaEngine, DmaError};
+    use accelsoc_axi::dma::{mm2s, DmaDescriptor, DmaError};
     use accelsoc_axi::protocol::VecMemory;
-    use accelsoc_axi::stream::AxiStreamChannel;
     let mut mem = VecMemory::new(64);
-    let mut dma = DmaEngine::new("d");
-    let mut ch = AxiStreamChannel::new("s", 32, 16);
-    // Misaligned length for a 4-byte channel.
+    // Misaligned length for a 4-byte beat.
     assert!(matches!(
-        dma.mm2s(&mut mem, DmaDescriptor { addr: 0, len: 10 }, &mut ch),
+        mm2s(&mut mem, DmaDescriptor { addr: 0, len: 10 }, 4),
         Err(DmaError::LengthMisaligned { .. })
     ));
     // Reads past the end of DRAM.
     assert!(matches!(
-        dma.mm2s(&mut mem, DmaDescriptor { addr: 32, len: 64 }, &mut ch),
+        mm2s(&mut mem, DmaDescriptor { addr: 32, len: 64 }, 4),
         Err(DmaError::Mem(_))
     ));
 }
