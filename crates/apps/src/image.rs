@@ -30,7 +30,7 @@ impl GrayImage {
         GrayImage {
             width,
             height,
-            data: vec![0; (width * height) as usize],
+            data: vec![0; width as usize * height as usize],
         }
     }
 
@@ -39,11 +39,18 @@ impl GrayImage {
     }
 
     pub fn get(&self, x: u32, y: u32) -> u8 {
-        self.data[(y * self.width + x) as usize]
+        self.data[self.index(x, y)]
     }
 
     pub fn set(&mut self, x: u32, y: u32, v: u8) {
-        self.data[(y * self.width + x) as usize] = v;
+        let i = self.index(x, y);
+        self.data[i] = v;
+    }
+
+    /// Row-major offset of `(x, y)`, in `usize` so large images cannot
+    /// wrap.
+    fn index(&self, x: u32, y: u32) -> usize {
+        y as usize * self.width as usize + x as usize
     }
 
     /// Serialize as binary PGM (P5).
@@ -91,7 +98,7 @@ impl GrayImage {
             return Err(format!("unsupported maxval {maxval}"));
         }
         let data = bytes[header_end..].to_vec();
-        if data.len() != (width * height) as usize {
+        if data.len() != width as usize * height as usize {
             return Err(format!(
                 "payload size {} != {}x{}",
                 data.len(),
@@ -207,5 +214,17 @@ mod tests {
         img.set(2, 1, 99);
         assert_eq!(img.get(2, 1), 99);
         assert_eq!(img.pixels(), 12);
+    }
+
+    #[test]
+    fn pixel_offsets_do_not_wrap_at_u32() {
+        // 100 000 x 100 000 is past u32::MAX pixels; the offset is only
+        // computed, so no data is needed.
+        let img = GrayImage {
+            width: 100_000,
+            height: 100_000,
+            data: Vec::new(),
+        };
+        assert_eq!(img.index(5, 50_000), 5_000_000_005);
     }
 }

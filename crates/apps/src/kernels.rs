@@ -192,14 +192,20 @@ pub fn segment() -> Kernel {
         .build()
 }
 
-/// All four Otsu kernels, keyed by their Listing-4 node names.
+/// All four Otsu kernels, in chain order (see [`crate::otsu::STAGES`]).
 pub fn otsu_kernels() -> Vec<Kernel> {
-    vec![
-        grayscale(),
-        compute_histogram(),
-        half_probability(),
-        segment(),
-    ]
+    crate::otsu::STAGES.iter().map(|s| s.kernel_ir()).collect()
+}
+
+/// The Otsu kernel with Listing-4 node name `name`.
+pub fn otsu_kernel(name: &str) -> Option<Kernel> {
+    Some(match name {
+        "grayScale" => grayscale(),
+        "computeHistogram" => compute_histogram(),
+        "halfProbability" => half_probability(),
+        "segment" => segment(),
+        _ => return None,
+    })
 }
 
 // --- Fig. 4 demo kernels -------------------------------------------------

@@ -1,16 +1,28 @@
 //! The Otsu case study: software reference implementations of all six
-//! tasks (Fig. 8) and the application runner that executes any of the four
-//! architectures (Table I) on the simulated platform — software tasks on
-//! the CPU model, hardware tasks as a streaming phase on the board.
+//! tasks (Fig. 8), the chain's one description, and the application
+//! runner that executes any of the four architectures (Table I) on the
+//! simulated platform.
+//!
+//! [`STAGES`] is the chain: each stage's task, kernel, input and output
+//! ports and the [`Value`] each carries (token width and count per
+//! image). A Table I architecture is a contiguous range of it in
+//! hardware ([`hw_range`]). The runner walks the table: software stages
+//! before the range, one streaming phase on the board for the range,
+//! software stages after it. Partition-sim's functional chains and the
+//! DSE's task profiles walk the same table.
 
 use crate::archs::Arch;
 use crate::image::{GrayImage, RgbImage};
+use crate::kernels;
 use accelsoc_axi::dma::DmaDescriptor;
 use accelsoc_axi::protocol::MemError;
 use accelsoc_core::flow::{FlowArtifacts, FlowEngine, FlowError};
 use accelsoc_kernel::interp::StreamBundle;
+use accelsoc_kernel::ir::Kernel;
 use accelsoc_platform::board::{Board, BoardError};
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 // --- software reference --------------------------------------------------
 
@@ -83,6 +95,201 @@ pub fn otsu_reference(rgb: &RgbImage) -> (GrayImage, u8) {
     let h = histogram_reference(&gray);
     let thr = otsu_threshold_from_hist(&h);
     (binarize_reference(&gray, thr), thr)
+}
+
+// --- the chain -----------------------------------------------------------
+
+/// A per-image value that flows along the chain: the edges of Fig. 8.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Value {
+    /// The packed-RGB input image.
+    Rgb,
+    /// The 8-bit gray image.
+    Gray,
+    /// The 256-bin histogram.
+    Histogram,
+    /// The Otsu threshold.
+    Threshold,
+    /// The binarized output image.
+    Segmented,
+}
+
+impl Value {
+    /// Bytes per token: the width of every kernel port that carries it.
+    pub const fn token_bytes(self) -> u64 {
+        match self {
+            Value::Rgb | Value::Histogram | Value::Threshold => 4,
+            Value::Gray | Value::Segmented => 1,
+        }
+    }
+
+    /// Tokens per image of `pixels` pixels.
+    pub const fn tokens(self, pixels: u64) -> u64 {
+        match self {
+            Value::Rgb | Value::Gray | Value::Segmented => pixels,
+            Value::Histogram => 256,
+            Value::Threshold => 1,
+        }
+    }
+
+    /// Bytes per image of `pixels` pixels.
+    pub const fn bytes(self, pixels: u64) -> u64 {
+        self.token_bytes() * self.tokens(pixels)
+    }
+}
+
+/// One task of the chain and the kernel that implements it.
+#[derive(Debug)]
+pub struct Stage {
+    /// Task name (Fig. 8, Table I).
+    pub task: &'static str,
+    /// Kernel name: the Listing-4 node, built by [`kernels::otsu_kernel`].
+    pub kernel: &'static str,
+    /// Input ports and the value each reads. The first is the stream
+    /// the stage iterates over: its token count sets the hardware time
+    /// and it is what a hardware range starting here reads from DRAM.
+    pub inputs: &'static [(&'static str, Value)],
+    /// Output port and the value it writes.
+    pub output: (&'static str, Value),
+    /// The kernel takes the pixel count as scalar `n`.
+    pub takes_n: bool,
+}
+
+/// The Otsu chain of Fig. 8, in order. Every Table I architecture runs a
+/// contiguous range of it in hardware ([`hw_range`]) and the rest on the
+/// CPU. `grayScale` also writes a second gray copy on `imageOutSEG`;
+/// only Arch4's DSL wires it, so the table does not name it.
+pub const STAGES: [Stage; 4] = [
+    Stage {
+        task: "grayScale",
+        kernel: "grayScale",
+        inputs: &[("imageIn", Value::Rgb)],
+        output: ("imageOutCH", Value::Gray),
+        takes_n: true,
+    },
+    Stage {
+        task: "histogram",
+        kernel: "computeHistogram",
+        inputs: &[("grayScaleImage", Value::Gray)],
+        output: ("histogram", Value::Histogram),
+        takes_n: true,
+    },
+    Stage {
+        task: "otsuMethod",
+        kernel: "halfProbability",
+        inputs: &[("histogram", Value::Histogram)],
+        output: ("probability", Value::Threshold),
+        takes_n: false,
+    },
+    Stage {
+        task: "binarization",
+        kernel: "segment",
+        inputs: &[
+            ("grayScaleImage", Value::Gray),
+            ("otsuThreshold", Value::Threshold),
+        ],
+        output: ("segmentedGrayImage", Value::Segmented),
+        takes_n: true,
+    },
+];
+
+impl Stage {
+    /// The stage's kernel IR.
+    pub fn kernel_ir(&self) -> Kernel {
+        kernels::otsu_kernel(self.kernel).expect("every stage names an Otsu kernel")
+    }
+
+    /// The stage's input streams, fed from `values` (a value not yet
+    /// produced feeds an empty stream, which the kernel reports as an
+    /// underflow).
+    pub fn inputs_from(&self, values: &ChainValues) -> StreamBundle {
+        let mut bundle = StreamBundle::new();
+        for &(port, value) in self.inputs {
+            bundle.feed(port, values.get(value).unwrap_or_default().iter().copied());
+        }
+        bundle
+    }
+
+    /// The stage's scalar inputs for an image of `pixels` pixels.
+    pub fn scalars(&self, pixels: u64) -> HashMap<String, i64> {
+        if self.takes_n {
+            HashMap::from([("n".to_string(), pixels as i64)])
+        } else {
+            HashMap::new()
+        }
+    }
+
+    /// Move the stage's output stream out of `bundle` into `values`.
+    pub fn store_output(&self, bundle: &mut StreamBundle, values: &mut ChainValues) {
+        let (port, value) = self.output;
+        values.set(value, bundle.take_output(port).unwrap_or_default());
+    }
+}
+
+/// The range of [`STAGES`] that `arch` runs in hardware: its Table I row
+/// ([`Arch::hw_tasks`]), which is contiguous in chain order.
+pub fn hw_range(arch: Arch) -> Range<usize> {
+    let hw = arch.hw_tasks();
+    let start = STAGES
+        .iter()
+        .position(|s| s.task == hw[0])
+        .expect("Table I names chain tasks");
+    start..start + hw.len()
+}
+
+/// The values a hardware range reads from and writes back to DRAM: its
+/// first stage's stream input and its last stage's output.
+fn range_io(range: &Range<usize>) -> (Value, Value) {
+    (
+        STAGES[range.start].inputs[0].1,
+        STAGES[range.end - 1].output.1,
+    )
+}
+
+/// One image's token streams along the chain, by [`Value`].
+#[derive(Debug, Clone, Default)]
+pub struct ChainValues([Option<Vec<i64>>; 5]);
+
+impl ChainValues {
+    /// The chain's input: `rgb`'s pixels as [`Value::Rgb`] tokens.
+    pub fn new(rgb: &RgbImage) -> Self {
+        let mut values = ChainValues::default();
+        values.set(Value::Rgb, rgb.data.iter().map(|&p| p as i64).collect());
+        values
+    }
+
+    /// The tokens of `value`, if a stage has produced it.
+    pub(crate) fn get(&self, value: Value) -> Option<&[i64]> {
+        self.0[value as usize].as_deref()
+    }
+
+    /// Record the tokens of `value`, replacing any earlier ones.
+    pub fn set(&mut self, value: Value, tokens: Vec<i64>) {
+        self.0[value as usize] = Some(tokens);
+    }
+
+    /// The threshold, once it has left the stage that computes it.
+    pub fn threshold(&self) -> Option<u8> {
+        self.get(Value::Threshold)?.first().map(|&t| t as u8)
+    }
+
+    /// The binarized pixels (empty before `binarization` ran).
+    pub fn segmented(&self) -> Vec<u8> {
+        let tokens = self.get(Value::Segmented).unwrap_or_default();
+        tokens.iter().map(|&t| t as u8).collect()
+    }
+}
+
+/// `readImage`'s cost model: an SD-card read at ≈ 20 MB/s (50 ns per
+/// byte) of the RGBA input.
+pub fn read_image_ns(pixels: u64) -> f64 {
+    Value::Rgb.bytes(pixels) as f64 * 50.0
+}
+
+/// `writeImage`'s cost model: the same 50 ns per byte over the
+/// segmented output.
+pub fn write_image_ns(pixels: u64) -> f64 {
+    Value::Segmented.bytes(pixels) as f64 * 50.0
 }
 
 // --- application runner ---------------------------------------------------
@@ -159,15 +366,16 @@ const IN_BUF: u64 = 0x10_0000;
 const OUT_BUF: u64 = 0x20_0000;
 
 /// Bytes of board DRAM the runner needs for an image of `pixels`
-/// pixels on any architecture: the hardware phase's input at `IN_BUF`
-/// and its output at `OUT_BUF`. The largest input is Arch4's RGBA
-/// words (or the 256-bin histogram Arch2 takes), the largest output
-/// Arch4's segmented bytes (or the histogram Arch1 returns).
+/// pixels on any architecture: the hardware range's input at `IN_BUF`
+/// and its output at `OUT_BUF`, for the largest of the four ranges.
+/// Serve admission calls this once per job, so the ranges' DRAM values
+/// are worked out once.
 pub fn dram_footprint(pixels: u64) -> u64 {
-    const HIST_BYTES: u64 = 256 * 4;
-    let input = (4 * pixels).max(HIST_BYTES);
-    let output = pixels.max(HIST_BYTES);
-    (IN_BUF + input).max(OUT_BUF + output)
+    static RANGE_IO: OnceLock<[(Value, Value); 4]> = OnceLock::new();
+    let ios = RANGE_IO.get_or_init(|| Arch::all().map(|arch| range_io(&hw_range(arch))));
+    ios.iter()
+        .map(|(input, output)| (IN_BUF + input.bytes(pixels)).max(OUT_BUF + output.bytes(pixels)))
+        .fold(0, u64::max)
 }
 
 /// Board-level knobs for an application run.
@@ -205,11 +413,14 @@ pub struct GroupExec {
     pub vm_dispatches: u64,
 }
 
-/// Per-lane mutable state for one group run: boards, task timelines and
-/// failure flags, plus the group-wide dispatch/work counters.
+/// Per-lane mutable state for one group run: boards, chain values, task
+/// timelines and failure flags, plus the group-wide dispatch/work
+/// counters.
 struct LaneGroup<'e> {
     engine: &'e FlowEngine,
     boards: Vec<Board>,
+    values: Vec<ChainValues>,
+    pixels: Vec<u64>,
     tasks: Vec<Vec<(String, f64, bool)>>,
     dma_bytes: Vec<u64>,
     failed: Vec<Option<AppError>>,
@@ -225,203 +436,100 @@ impl LaneGroup<'_> {
             .collect()
     }
 
-    /// Run one software task for `lanes` as a single lane-VM batch of
-    /// the engine's `kernel` (one decoded instruction stream over all of
-    /// them), charge each lane's CPU model with its bit-exact
+    /// Run `stage` in software for every live lane as a single lane-VM
+    /// batch of the engine's kernel (one decoded instruction stream over
+    /// all of them), charge each lane's CPU model with its bit-exact
     /// `ExecStats`, and record the task entry. A lane that traps is
     /// retired into `failed` without disturbing its siblings; a kernel
     /// the engine lacks fails the whole group.
-    fn sw_stage(
-        &mut self,
-        kernel: &str,
-        task: &str,
-        lanes: &[usize],
-        scalars: Vec<HashMap<String, i64>>,
-        bundles: &mut [StreamBundle],
-    ) -> Result<(), FlowError> {
-        debug_assert_eq!(lanes.len(), bundles.len());
+    fn sw_stage(&mut self, stage: &Stage) -> Result<(), FlowError> {
+        let lanes = self.alive();
         if lanes.is_empty() {
             return Ok(());
         }
-        let unit = self.engine.exec_unit(kernel)?;
-        let out = unit.run_batch(&scalars, bundles);
+        let mut bundles: Vec<StreamBundle> = lanes
+            .iter()
+            .map(|&l| stage.inputs_from(&self.values[l]))
+            .collect();
+        let scalars: Vec<_> = lanes
+            .iter()
+            .map(|&l| stage.scalars(self.pixels[l]))
+            .collect();
+        let unit = self.engine.exec_unit(stage.kernel)?;
+        let out = unit.run_batch(&scalars, &mut bundles);
         self.vm_dispatches += out.dispatches;
-        for (i, res) in out.lanes.into_iter().enumerate() {
-            let l = lanes[i];
+        for ((&l, res), bundle) in lanes.iter().zip(out.lanes).zip(&mut bundles) {
             match res {
                 Ok(o) => {
                     self.ir_ops += o.stats.steps;
                     let ns = self.boards[l].cpu.execute(&o.stats);
-                    self.tasks[l].push((task.to_string(), ns, false));
+                    self.tasks[l].push((stage.task.to_string(), ns, false));
+                    stage.store_output(bundle, &mut self.values[l]);
                 }
                 Err(e) => self.failed[l] = Some(AppError::Exec(e)),
             }
         }
         Ok(())
     }
-}
 
-/// What one lane's hardware streaming phase produced.
-struct HwPhase {
-    /// Histogram, when the phase's output is the histogram (Arch1).
-    hist: Vec<u32>,
-    thr: Option<u8>,
-    seg: Option<Vec<u8>>,
-    dma_bytes: u64,
-    task: (String, f64, bool),
-}
-
-/// The contiguous hardware phase for one lane: per-arch DMA descriptors
-/// in and out of DRAM, one streaming phase on that lane's board.
-fn hw_phase(
-    arch: Arch,
-    artifacts: &FlowArtifacts,
-    board: &mut Board,
-    input: &RgbImage,
-    gray: &[i64],
-    hist_in: &[u32],
-) -> Result<HwPhase, AppError> {
-    let n = input.data.len() as i64;
-    let accel_of = |name: &str| -> Result<usize, AppError> {
-        artifacts
-            .hls
-            .iter()
-            .position(|(nm, _)| nm == name)
-            .ok_or_else(|| AppError::MissingAccel(name.to_string()))
-    };
-    match arch {
-        Arch::Arch1 => {
-            // HW: computeHistogram. in: gray bytes; out: 256 u32.
-            let in_bytes: Vec<u8> = gray.iter().map(|&v| v as u8).collect();
-            board.dram.load_bytes(IN_BUF, &in_bytes)?;
-            let stats = board.run_stream_phase(
-                &[(
-                    0,
-                    DmaDescriptor {
-                        addr: IN_BUF,
-                        len: in_bytes.len() as u64,
-                    },
-                )],
-                &[(
-                    0,
-                    DmaDescriptor {
-                        addr: OUT_BUF,
-                        len: 256 * 4,
-                    },
-                )],
-                &[(accel_of("computeHistogram")?, "n", n)],
-            )?;
-            let out = board.dram.dump_bytes(OUT_BUF, 256 * 4)?;
-            Ok(HwPhase {
-                hist: bytes_to_u32s(&out),
-                thr: None,
-                seg: None,
-                dma_bytes: stats.bytes_in + stats.bytes_out,
-                task: ("histogram".into(), stats.ns, true),
-            })
+    /// Run `STAGES[range]` on lane `l`'s board as one streaming phase:
+    /// DMA the value entering the range in from DRAM and the value
+    /// leaving it back out, and pass `n` to every accelerator in the
+    /// range that takes it.
+    fn hw_stages(
+        &mut self,
+        l: usize,
+        range: &Range<usize>,
+        artifacts: &FlowArtifacts,
+    ) -> Result<(), AppError> {
+        let stages = &STAGES[range.clone()];
+        let (input, output) = range_io(range);
+        let pixels = self.pixels[l];
+        let width = input.token_bytes() as usize;
+        let tokens = self.values[l].get(input).unwrap_or_default();
+        let mut in_bytes = Vec::with_capacity(tokens.len() * width);
+        for &t in tokens {
+            in_bytes.extend_from_slice(&t.to_le_bytes()[..width]);
         }
-        Arch::Arch2 => {
-            // HW: halfProbability over the software-computed histogram.
-            let in_bytes = u32s_to_bytes(hist_in);
-            board.dram.load_bytes(IN_BUF, &in_bytes)?;
-            let stats = board.run_stream_phase(
-                &[(
-                    0,
-                    DmaDescriptor {
-                        addr: IN_BUF,
-                        len: in_bytes.len() as u64,
-                    },
-                )],
-                &[(
-                    0,
-                    DmaDescriptor {
-                        addr: OUT_BUF,
-                        len: 4,
-                    },
-                )],
-                &[],
-            )?;
-            let thr = board.dram.dump_bytes(OUT_BUF, 4)?[0];
-            Ok(HwPhase {
-                hist: Vec::new(),
-                thr: Some(thr),
-                seg: None,
-                dma_bytes: stats.bytes_in + stats.bytes_out,
-                task: ("otsuMethod".into(), stats.ns, true),
-            })
+        let board = &mut self.boards[l];
+        board.dram.load_bytes(IN_BUF, &in_bytes)?;
+        let mut scalars = Vec::new();
+        for stage in stages.iter().filter(|s| s.takes_n) {
+            let accel = artifacts
+                .hls
+                .iter()
+                .position(|(name, _)| name == stage.kernel)
+                .ok_or_else(|| AppError::MissingAccel(stage.kernel.to_string()))?;
+            scalars.push((accel, "n", pixels as i64));
         }
-        Arch::Arch3 => {
-            // HW: computeHistogram -> halfProbability chained.
-            let in_bytes: Vec<u8> = gray.iter().map(|&v| v as u8).collect();
-            board.dram.load_bytes(IN_BUF, &in_bytes)?;
-            let stats = board.run_stream_phase(
-                &[(
-                    0,
-                    DmaDescriptor {
-                        addr: IN_BUF,
-                        len: in_bytes.len() as u64,
-                    },
-                )],
-                &[(
-                    0,
-                    DmaDescriptor {
-                        addr: OUT_BUF,
-                        len: 4,
-                    },
-                )],
-                &[(accel_of("computeHistogram")?, "n", n)],
-            )?;
-            let thr = board.dram.dump_bytes(OUT_BUF, 4)?[0];
-            Ok(HwPhase {
-                hist: Vec::new(),
-                thr: Some(thr),
-                seg: None,
-                dma_bytes: stats.bytes_in + stats.bytes_out,
-                task: ("histogram+otsuMethod".into(), stats.ns, true),
-            })
-        }
-        Arch::Arch4 => {
-            // Whole pipeline in HW: RGB in, segmented image out.
-            let in_bytes = u32s_to_bytes(&input.data);
-            board.dram.load_bytes(IN_BUF, &in_bytes)?;
-            let stats = board.run_stream_phase(
-                &[(
-                    0,
-                    DmaDescriptor {
-                        addr: IN_BUF,
-                        len: in_bytes.len() as u64,
-                    },
-                )],
-                &[(
-                    0,
-                    DmaDescriptor {
-                        addr: OUT_BUF,
-                        len: input.data.len() as u64,
-                    },
-                )],
-                &[
-                    (accel_of("grayScale")?, "n", n),
-                    (accel_of("computeHistogram")?, "n", n),
-                    (accel_of("segment")?, "n", n),
-                ],
-            )?;
-            let seg = board.dram.dump_bytes(OUT_BUF, input.data.len())?;
-            // The threshold never leaves the PL in Arch4 (it flows core to
-            // core); recompute it host-side for reporting only — no CPU
-            // time charged.
-            let thr = otsu_threshold_from_hist(&histogram_reference(&grayscale_reference(input)));
-            Ok(HwPhase {
-                hist: Vec::new(),
-                thr: Some(thr),
-                seg: Some(seg),
-                dma_bytes: stats.bytes_in + stats.bytes_out,
-                task: (
-                    "grayScale+histogram+otsuMethod+binarization".into(),
-                    stats.ns,
-                    true,
-                ),
-            })
-        }
+        let out_len = output.bytes(pixels);
+        let stats = board.run_stream_phase(
+            &[(
+                0,
+                DmaDescriptor {
+                    addr: IN_BUF,
+                    len: in_bytes.len() as u64,
+                },
+            )],
+            &[(
+                0,
+                DmaDescriptor {
+                    addr: OUT_BUF,
+                    len: out_len,
+                },
+            )],
+            &scalars,
+        )?;
+        let out = board.dram.dump_bytes(OUT_BUF, out_len as usize)?;
+        let tokens = out
+            .chunks_exact(output.token_bytes() as usize)
+            .map(|c| c.iter().rev().fold(0i64, |acc, &b| (acc << 8) | b as i64))
+            .collect();
+        self.values[l].set(output, tokens);
+        let task = stages.iter().map(|s| s.task).collect::<Vec<_>>().join("+");
+        self.tasks[l].push((task, stats.ns, true));
+        self.dma_bytes[l] += stats.bytes_in + stats.bytes_out;
+        Ok(())
     }
 }
 
@@ -454,10 +562,11 @@ pub fn run_application_with(
     group.runs.remove(0)
 }
 
-/// Execute the application for a whole group of images at once: every
-/// software task runs as **one** lane-VM batch over the group (one
-/// decoded instruction stream, K structure-of-arrays lanes), while the
-/// modeled hardware phase stays per-lane (boards are independent SoCs).
+/// Execute the application for a whole group of images at once: the
+/// software stages before and after `arch`'s hardware range each run as
+/// **one** lane-VM batch over the group (one decoded instruction
+/// stream, K structure-of-arrays lanes), while the range itself is one
+/// modeled streaming phase per lane (boards are independent SoCs).
 /// `runs[l]` is bit-identical to running image `l` alone — lanes only
 /// amortize host-side dispatch, never simulated time.
 pub fn run_application_group(
@@ -471,167 +580,32 @@ pub fn run_application_group(
     let mut g = LaneGroup {
         engine,
         boards: Vec::with_capacity(k),
+        values: images.iter().map(ChainValues::new).collect(),
+        pixels: images.iter().map(|img| img.data.len() as u64).collect(),
         tasks: vec![Vec::new(); k],
         dma_bytes: vec![0u64; k],
         failed: (0..k).map(|_| None).collect(),
         ir_ops: 0,
         vm_dispatches: 0,
     };
-    for input in images {
+    for l in 0..k {
         let mut board = engine.build_board(artifacts, cfg.dram_bytes)?;
         board.stream_fifo_depth = cfg.stream_fifo_depth.max(1);
         g.boards.push(board);
-        // readImage: fixed I/O cost model (SD-card read ≈ 20 MB/s).
-        let read_ns = input.data.len() as f64 * 4.0 * 50.0;
-        g.tasks[g.boards.len() - 1].push(("readImage".into(), read_ns, false));
+        g.tasks[l].push(("readImage".into(), read_image_ns(g.pixels[l]), false));
     }
 
-    // --- grayScale: one lane-group software stage (Arch1-3) ---
-    let hw_gray = arch.hw_tasks().contains(&"grayScale");
-    let mut gray: Vec<Vec<i64>> = vec![Vec::new(); k];
-    if !hw_gray {
-        let lanes = g.alive();
-        let mut bundles: Vec<StreamBundle> = lanes
-            .iter()
-            .map(|&l| {
-                let mut b = StreamBundle::new();
-                b.feed("imageIn", images[l].data.iter().map(|&p| p as i64));
-                b
-            })
-            .collect();
-        let scalars = lanes
-            .iter()
-            .map(|&l| HashMap::from([("n".to_string(), images[l].data.len() as i64)]))
-            .collect();
-        g.sw_stage("grayScale", "grayScale", &lanes, scalars, &mut bundles)?;
-        for (i, &l) in lanes.iter().enumerate() {
-            if g.failed[l].is_none() {
-                gray[l] = bundles[i].output("imageOutCH").to_vec();
-            }
-        }
+    let hw = hw_range(arch);
+    for stage in &STAGES[..hw.start] {
+        g.sw_stage(stage)?;
     }
-
-    // --- Arch2 computes its histogram in software before the HW phase ---
-    let mut hist: Vec<Vec<u32>> = vec![Vec::new(); k];
-    if matches!(arch, Arch::Arch2) {
-        let lanes = g.alive();
-        let mut bundles: Vec<StreamBundle> = lanes
-            .iter()
-            .map(|&l| {
-                let mut b = StreamBundle::new();
-                b.feed("grayScaleImage", gray[l].iter().copied());
-                b
-            })
-            .collect();
-        let scalars = lanes
-            .iter()
-            .map(|&l| HashMap::from([("n".to_string(), images[l].data.len() as i64)]))
-            .collect();
-        g.sw_stage(
-            "computeHistogram",
-            "histogram",
-            &lanes,
-            scalars,
-            &mut bundles,
-        )?;
-        for (i, &l) in lanes.iter().enumerate() {
-            if g.failed[l].is_none() {
-                hist[l] = bundles[i]
-                    .output("histogram")
-                    .iter()
-                    .map(|&v| v as u32)
-                    .collect();
-            }
-        }
-    }
-
-    // --- the hardware streaming phase, per lane ---
-    let mut thr: Vec<Option<u8>> = vec![None; k];
-    let mut seg: Vec<Option<Vec<u8>>> = vec![None; k];
     for l in g.alive() {
-        match hw_phase(
-            arch,
-            artifacts,
-            &mut g.boards[l],
-            &images[l],
-            &gray[l],
-            &hist[l],
-        ) {
-            Ok(ph) => {
-                g.dma_bytes[l] += ph.dma_bytes;
-                g.tasks[l].push(ph.task);
-                if !ph.hist.is_empty() {
-                    hist[l] = ph.hist;
-                }
-                thr[l] = ph.thr;
-                seg[l] = ph.seg;
-            }
-            Err(e) => g.failed[l] = Some(e),
+        if let Err(e) = g.hw_stages(l, &hw, artifacts) {
+            g.failed[l] = Some(e);
         }
     }
-
-    // --- SW otsuMethod for lanes whose threshold stayed on the CPU ---
-    let lanes: Vec<usize> = g
-        .alive()
-        .into_iter()
-        .filter(|&l| thr[l].is_none())
-        .collect();
-    if !lanes.is_empty() {
-        let mut bundles: Vec<StreamBundle> = lanes
-            .iter()
-            .map(|&l| {
-                let mut b = StreamBundle::new();
-                b.feed("histogram", hist[l].iter().map(|&v| v as i64));
-                b
-            })
-            .collect();
-        let scalars = lanes.iter().map(|_| HashMap::new()).collect();
-        g.sw_stage(
-            "halfProbability",
-            "otsuMethod",
-            &lanes,
-            scalars,
-            &mut bundles,
-        )?;
-        for (i, &l) in lanes.iter().enumerate() {
-            if g.failed[l].is_none() {
-                thr[l] = Some(bundles[i].output("probability")[0] as u8);
-            }
-        }
-    }
-
-    // --- SW binarization for lanes whose pixels stayed on the CPU ---
-    let lanes: Vec<usize> = g
-        .alive()
-        .into_iter()
-        .filter(|&l| seg[l].is_none())
-        .collect();
-    if !lanes.is_empty() {
-        let mut bundles: Vec<StreamBundle> = lanes
-            .iter()
-            .map(|&l| {
-                let mut b = StreamBundle::new();
-                b.feed("otsuThreshold", [thr[l].unwrap() as i64]);
-                b.feed("grayScaleImage", gray[l].iter().copied());
-                b
-            })
-            .collect();
-        let scalars = lanes
-            .iter()
-            .map(|&l| HashMap::from([("n".to_string(), images[l].data.len() as i64)]))
-            .collect();
-        g.sw_stage("segment", "binarization", &lanes, scalars, &mut bundles)?;
-        for (i, &l) in lanes.iter().enumerate() {
-            if g.failed[l].is_none() {
-                seg[l] = Some(
-                    bundles[i]
-                        .output("segmentedGrayImage")
-                        .iter()
-                        .map(|&v| v as u8)
-                        .collect(),
-                );
-            }
-        }
+    for stage in &STAGES[hw.end..] {
+        g.sw_stage(stage)?;
     }
 
     // --- writeImage + assemble, in input order ---
@@ -641,18 +615,23 @@ pub fn run_application_group(
             runs.push(Err(e));
             continue;
         }
-        let write_ns = input.data.len() as f64 * 50.0;
-        g.tasks[l].push(("writeImage".into(), write_ns, false));
+        g.tasks[l].push(("writeImage".into(), write_image_ns(g.pixels[l]), false));
         let tasks = std::mem::take(&mut g.tasks[l]);
         let total_ns: f64 = tasks.iter().map(|(_, ns, _)| ns).sum();
+        let values = &g.values[l];
+        // Arch4's threshold flows core to core and never reaches DRAM;
+        // recompute it host-side for reporting only (no CPU time).
+        let threshold = values.threshold().unwrap_or_else(|| {
+            otsu_threshold_from_hist(&histogram_reference(&grayscale_reference(input)))
+        });
         runs.push(Ok(AppRun {
             arch,
             output: GrayImage {
                 width: input.width,
                 height: input.height,
-                data: seg[l].take().expect("alive lane has segmented pixels"),
+                data: values.segmented(),
             },
-            threshold: thr[l].expect("alive lane has a threshold"),
+            threshold,
             total_ns,
             tasks,
             dma_bytes: g.dma_bytes[l],
@@ -663,16 +642,6 @@ pub fn run_application_group(
         ir_ops: g.ir_ops,
         vm_dispatches: g.vm_dispatches,
     })
-}
-
-fn u32s_to_bytes(v: &[u32]) -> Vec<u8> {
-    v.iter().flat_map(|x| x.to_le_bytes()).collect()
-}
-
-fn bytes_to_u32s(b: &[u8]) -> Vec<u32> {
-    b.chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
 }
 
 #[cfg(test)]
@@ -722,6 +691,86 @@ mod tests {
                 "segment"
             ]
         );
+    }
+
+    /// The stage table cannot drift from Table I, the DSL listings or the
+    /// kernels: each architecture's hardware set is a contiguous range
+    /// whose kernels are exactly its DSL nodes, entered and left through
+    /// the ports its `'soc` links name, and every port the table names
+    /// exists on its kernel with the table's direction and width.
+    #[test]
+    fn stage_table_matches_table1_the_dsl_and_the_kernels() {
+        use accelsoc_core::graph::LinkEnd;
+        use accelsoc_kernel::ir::ParamKind;
+        for arch in Arch::all() {
+            let range = hw_range(arch);
+            let stages = &STAGES[range.clone()];
+            let tasks: Vec<&str> = stages.iter().map(|s| s.task).collect();
+            assert_eq!(tasks, arch.hw_tasks(), "{arch:?}");
+
+            // The range reads exactly one value it does not produce.
+            let (input, output) = range_io(&range);
+            let produced: Vec<Value> = stages.iter().map(|s| s.output.1).collect();
+            let mut read: Vec<Value> = stages
+                .iter()
+                .flat_map(|s| s.inputs.iter().map(|&(_, v)| v))
+                .filter(|v| !produced.contains(v))
+                .collect();
+            read.dedup();
+            assert_eq!(read, [input], "{arch:?}");
+
+            let graph = accelsoc_core::dsl::parse(&arch_dsl_source(arch)).unwrap();
+            let mut nodes: Vec<&str> = graph.nodes.iter().map(|n| n.name.as_str()).collect();
+            let mut kernels: Vec<&str> = stages.iter().map(|s| s.kernel).collect();
+            nodes.sort();
+            kernels.sort();
+            assert_eq!(kernels, nodes, "{arch:?}");
+            let port = |stage: &Stage, port: &str| LinkEnd::Port {
+                node: stage.kernel.into(),
+                port: port.into(),
+            };
+            let first = &stages[0];
+            let last = &stages[stages.len() - 1];
+            let soc: Vec<(&LinkEnd, &LinkEnd)> = graph
+                .links()
+                .filter(|(a, b)| **a == LinkEnd::Soc || **b == LinkEnd::Soc)
+                .collect();
+            assert_eq!(
+                soc,
+                [
+                    (&LinkEnd::Soc, &port(first, first.inputs[0].0)),
+                    (&port(last, last.output.0), &LinkEnd::Soc)
+                ],
+                "{arch:?}"
+            );
+            assert_eq!(
+                (input, output),
+                (first.inputs[0].1, last.output.1),
+                "{arch:?}"
+            );
+        }
+        for stage in &STAGES {
+            let k = kernels::otsu_kernel(stage.kernel).expect("stage kernel exists");
+            let outputs = [(stage.output.0, stage.output.1, ParamKind::StreamOut)];
+            let inputs = stage
+                .inputs
+                .iter()
+                .map(|&(p, v)| (p, v, ParamKind::StreamIn));
+            for (port, value, kind) in inputs.chain(outputs) {
+                let param = k
+                    .param(port)
+                    .unwrap_or_else(|| panic!("{} has no port {port}", k.name));
+                assert_eq!(param.kind, kind, "{}.{port}", k.name);
+                assert_eq!(
+                    u64::from(param.ty.bits),
+                    8 * value.token_bytes(),
+                    "{}.{port}",
+                    k.name
+                );
+            }
+            let takes_n = k.param("n").is_some_and(|p| p.kind == ParamKind::ScalarIn);
+            assert_eq!(takes_n, stage.takes_n, "{}", k.name);
+        }
     }
 
     #[test]

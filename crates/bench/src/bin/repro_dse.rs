@@ -8,6 +8,7 @@
 //! sweep; `--cache-dir <dir>` persists the four kernel HLS runs that
 //! feed the cost model, so repeated sweeps skip synthesis entirely.
 
+use accelsoc_apps::archs::Arch;
 use accelsoc_bench::{save_json, Table};
 use accelsoc_dse::otsu::otsu_chain_model_cached;
 use accelsoc_dse::pareto::pareto_front;
@@ -46,20 +47,16 @@ fn main() {
     let mut points = exhaustive_parallel(&model, threads);
     points.sort_by(|a, b| a.runtime_ns.partial_cmp(&b.runtime_ns).unwrap());
 
-    let table_i = [
-        ("Arch1", vec!["histogram"]),
-        ("Arch2", vec!["otsuMethod"]),
-        ("Arch3", vec!["histogram", "otsuMethod"]),
-        (
-            "Arch4",
-            vec!["binarization", "grayScale", "histogram", "otsuMethod"],
-        ),
-    ];
+    // Design points list their hardware tasks sorted by name.
     let label_of = |hw: &[String]| -> String {
-        table_i
-            .iter()
-            .find(|(_, t)| hw.iter().map(|s| s.as_str()).collect::<Vec<_>>() == *t)
-            .map(|(n, _)| format!(" <- Table I {n}"))
+        Arch::all()
+            .into_iter()
+            .find(|arch| {
+                let mut t = arch.hw_tasks().to_vec();
+                t.sort_unstable();
+                hw.iter().map(String::as_str).eq(t)
+            })
+            .map(|arch| format!(" <- Table I {}", arch.name()))
             .unwrap_or_default()
     };
 

@@ -15,7 +15,7 @@
 //! comparison. `--dump` prints each stage's compiled program instead.
 
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
-use accelsoc_apps::kernels;
+use accelsoc_apps::otsu::{self, ChainValues, Value, STAGES};
 use accelsoc_bench::{save_json, Table};
 use accelsoc_kernel::compile::CompiledKernel;
 use accelsoc_kernel::interp::{ExecOutcome, Interpreter, StreamBundle};
@@ -50,15 +50,11 @@ fn arg_lanes(args: &[String], default: &[usize]) -> Vec<usize> {
 struct Stage {
     kernel: Kernel,
     scalars: HashMap<String, i64>,
-    feeds: Vec<(&'static str, Vec<i64>)>,
+    inputs: StreamBundle,
 }
 
 fn fresh_bundle(stage: &Stage) -> StreamBundle {
-    let mut b = StreamBundle::new();
-    for (port, tokens) in &stage.feeds {
-        b.feed(port, tokens.iter().copied());
-    }
-    b
+    stage.inputs.clone()
 }
 
 /// Build the four chained stages from one synthetic image, feeding each
@@ -70,36 +66,21 @@ fn build_stages(side: u32) -> Vec<Stage> {
 
 fn build_stages_seeded(side: u32, seed: u64) -> Vec<Stage> {
     let rgb = RgbImage::from_gray(&synthetic_scene(side, side, seed));
-    let n = rgb.data.len() as i64;
-    let gray = accelsoc_apps::otsu::grayscale_reference(&rgb);
-    let hist = accelsoc_apps::otsu::histogram_reference(&gray);
-    let thr = accelsoc_apps::otsu::otsu_threshold_from_hist(&hist);
-    let gray_tokens: Vec<i64> = gray.data.iter().map(|&v| v as i64).collect();
-    vec![
-        Stage {
-            kernel: kernels::grayscale(),
-            scalars: HashMap::from([("n".to_string(), n)]),
-            feeds: vec![("imageIn", rgb.data.iter().map(|&p| p as i64).collect())],
-        },
-        Stage {
-            kernel: kernels::compute_histogram(),
-            scalars: HashMap::from([("n".to_string(), n)]),
-            feeds: vec![("grayScaleImage", gray_tokens.clone())],
-        },
-        Stage {
-            kernel: kernels::half_probability(),
-            scalars: HashMap::new(),
-            feeds: vec![("histogram", hist.iter().map(|&v| v as i64).collect())],
-        },
-        Stage {
-            kernel: kernels::segment(),
-            scalars: HashMap::from([("n".to_string(), n)]),
-            feeds: vec![
-                ("otsuThreshold", vec![thr as i64]),
-                ("grayScaleImage", gray_tokens),
-            ],
-        },
-    ]
+    let gray = otsu::grayscale_reference(&rgb);
+    let hist = otsu::histogram_reference(&gray);
+    let thr = otsu::otsu_threshold_from_hist(&hist);
+    let mut values = ChainValues::new(&rgb);
+    values.set(Value::Gray, gray.data.iter().map(|&v| v as i64).collect());
+    values.set(Value::Histogram, hist.iter().map(|&v| v as i64).collect());
+    values.set(Value::Threshold, vec![thr as i64]);
+    STAGES
+        .iter()
+        .map(|stage| Stage {
+            kernel: stage.kernel_ir(),
+            scalars: stage.scalars(rgb.data.len() as u64),
+            inputs: stage.inputs_from(&values),
+        })
+        .collect()
 }
 
 /// Median of `v` (the upper middle element for even lengths).

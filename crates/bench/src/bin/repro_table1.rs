@@ -7,44 +7,30 @@
 //! builds*, not a hand-maintained list.
 
 use accelsoc_apps::archs::{arch_dsl_source, Arch};
+use accelsoc_apps::otsu::STAGES;
 use accelsoc_bench::{save_json, Table};
 use accelsoc_core::dsl::parse;
 
-/// Node-name → application-function mapping (Listing 4's names).
-const FUNCTIONS: [(&str, &str); 4] = [
-    ("grayScale", "grayScale"),
-    ("computeHistogram", "histogram"),
-    ("halfProbability", "otsuMethod"),
-    ("segment", "binarization"),
-];
-
 fn main() {
-    let mut table = Table::new(vec![
-        "Solution",
-        "grayScale",
-        "histogram",
-        "otsuMethod",
-        "binarization",
-    ]);
+    // One column per chain task; a node named after the task's kernel
+    // (Listing 4's names) puts that task in hardware.
+    let mut header = vec!["Solution"];
+    header.extend(STAGES.iter().map(|s| s.task));
+    let mut table = Table::new(header);
     let mut records = Vec::new();
     for arch in Arch::all() {
         let g = parse(&arch_dsl_source(arch)).expect("arch DSL parses");
-        let cells: Vec<String> = FUNCTIONS
+        let in_hw = |kernel: &str| g.node(kernel).is_some();
+        let cells: Vec<String> = STAGES
             .iter()
-            .map(|(node, _)| {
-                if g.node(node).is_some() {
-                    "x".to_string()
-                } else {
-                    "".to_string()
-                }
-            })
+            .map(|s| if in_hw(s.kernel) { "x" } else { "" }.to_string())
             .collect();
         records.push(serde_json::json!({
             "arch": arch.name(),
-            "hw_functions": FUNCTIONS
+            "hw_functions": STAGES
                 .iter()
-                .filter(|(node, _)| g.node(node).is_some())
-                .map(|(_, f)| *f)
+                .filter(|s| in_hw(s.kernel))
+                .map(|s| s.task)
                 .collect::<Vec<_>>(),
         }));
         let mut row = vec![arch.name().to_string()];

@@ -1,16 +1,21 @@
 //! Case-study binding: build the Otsu [`ChainModel`] from measured data —
 //! software times from the kernels' dynamic operation counts + CPU model,
 //! hardware times and areas from real HLS runs of the four kernels.
+//!
+//! The profiles walk [`accelsoc_apps::otsu::STAGES`], the runner's own
+//! description of the chain: each stage's kernel, ports and value sizes
+//! come from there, and `readImage`/`writeImage` use the runner's I/O
+//! cost model.
 
 use crate::model::{ChainModel, TaskProfile};
+use accelsoc_apps::otsu::{read_image_ns, write_image_ns, ChainValues, Value, STAGES};
 use accelsoc_hls::cache::HlsCache;
 use accelsoc_hls::project::HlsOptions;
 use accelsoc_hls::resource::ResourceEstimate;
-use accelsoc_kernel::{CompiledKernel, StreamBundle};
+use accelsoc_kernel::CompiledKernel;
 use accelsoc_observe::{FlowObserver, NullObserver};
 use accelsoc_platform::cpu::Cpu;
 use accelsoc_platform::PL_CLK_NS;
-use std::collections::HashMap;
 
 /// Build the Otsu chain model for an image of `pixels` pixels.
 ///
@@ -44,39 +49,49 @@ pub fn otsu_chain_model_cached(
     // profile operation counts per pixel, then scale.
     let probe_pixels = 1024u64;
     let scale = pixels as f64 / probe_pixels as f64;
+    let probe_gray: Vec<i64> = (0..probe_pixels as i64).map(|i| i & 0xFF).collect();
+    let mut hist = vec![0i64; 256];
+    for &g in &probe_gray {
+        hist[g as usize] += 1;
+    }
+    let mut probe = ChainValues::default();
+    probe.set(
+        Value::Rgb,
+        (0..probe_pixels as i64)
+            .map(|i| (i * 79) & 0xFFFFFF)
+            .collect(),
+    );
+    probe.set(Value::Gray, probe_gray);
+    probe.set(Value::Histogram, hist);
+    probe.set(Value::Threshold, vec![128]);
 
-    let mut profiles = Vec::new();
-
-    // readImage (sw-only): SD-card-ish 20 MB/s over RGBA words.
-    profiles.push(TaskProfile {
-        name: "readImage".into(),
-        sw_ns: pixels as f64 * 4.0 * 50.0,
+    let io_task = |name: &str, sw_ns: f64, input_bytes: u64, output_bytes: u64| TaskProfile {
+        name: name.into(),
+        sw_ns,
         hw_ns: f64::INFINITY,
         area: ResourceEstimate::ZERO,
-        input_bytes: 0,
-        output_bytes: pixels * 4,
+        input_bytes,
+        output_bytes,
         sw_only: true,
-    });
-
-    let run_sw = |kernel: &accelsoc_kernel::ir::Kernel,
-                  scalars: &[(&str, i64)],
-                  feeds: &[(&str, Vec<i64>)]|
-     -> f64 {
-        let mut s = StreamBundle::new();
-        for (port, tokens) in feeds {
-            s.feed(port, tokens.iter().copied());
-        }
-        let inputs: HashMap<String, i64> =
-            scalars.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-        let out = CompiledKernel::compile(kernel)
-            .run(&inputs, &mut s)
-            .expect("profile run");
-        cpu.cycles_for(&out.stats) as f64 * accelsoc_platform::PS_CLK_NS
     };
-
-    let hw_ns = |kernel: &accelsoc_kernel::ir::Kernel, tokens: u64| -> (f64, ResourceEstimate) {
+    let mut profiles = vec![io_task(
+        "readImage",
+        read_image_ns(pixels),
+        0,
+        Value::Rgb.bytes(pixels),
+    )];
+    for stage in &STAGES {
+        let kernel = stage.kernel_ir();
+        let mut bundle = stage.inputs_from(&probe);
+        let out = CompiledKernel::compile(&kernel)
+            .run(&stage.scalars(probe_pixels), &mut bundle)
+            .expect("profile run");
+        let sw = cpu.cycles_for(&out.stats) as f64 * accelsoc_platform::PS_CLK_NS;
+        // A stage that loops over `n` pixels scales from the probe;
+        // otsuMethod's fixed 256-bin work does not.
+        let sw_ns = if stage.takes_n { sw * scale } else { sw };
         let (r, _hit) = cache
-            .get_or_synthesize(kernel, &opts, observer)
+            .get_or_synthesize(&kernel, &opts, observer)
             .expect("hls");
         let ii = r
             .report
@@ -85,95 +100,23 @@ pub fn otsu_chain_model_cached(
             .map(|(_, ii)| *ii as u64)
             .max()
             .unwrap_or(1);
-        ((40 + ii * tokens) as f64 * PL_CLK_NS, r.report.resources)
-    };
-
-    let probe_rgb: Vec<i64> = (0..probe_pixels as i64)
-        .map(|i| (i * 79) & 0xFFFFFF)
-        .collect();
-    let probe_gray: Vec<i64> = (0..probe_pixels as i64).map(|i| i & 0xFF).collect();
-    let hist: Vec<i64> = {
-        let mut h = vec![0i64; 256];
-        for &g in &probe_gray {
-            h[g as usize] += 1;
-        }
-        h
-    };
-
-    // grayScale.
-    let k = accelsoc_apps::kernels::grayscale();
-    let sw = run_sw(&k, &[("n", probe_pixels as i64)], &[("imageIn", probe_rgb)]) * scale;
-    let (hw, area) = hw_ns(&k, pixels);
-    profiles.push(TaskProfile {
-        name: "grayScale".into(),
-        sw_ns: sw,
-        hw_ns: hw,
-        area,
-        input_bytes: pixels * 4,
-        output_bytes: pixels,
-        sw_only: false,
-    });
-
-    // histogram.
-    let k = accelsoc_apps::kernels::compute_histogram();
-    let sw = run_sw(
-        &k,
-        &[("n", probe_pixels as i64)],
-        &[("grayScaleImage", probe_gray.clone())],
-    ) * scale;
-    let (hw, area) = hw_ns(&k, pixels);
-    profiles.push(TaskProfile {
-        name: "histogram".into(),
-        sw_ns: sw,
-        hw_ns: hw,
-        area,
-        input_bytes: pixels,
-        output_bytes: 256 * 4,
-        sw_only: false,
-    });
-
-    // otsuMethod: fixed 256-token work, no scaling.
-    let k = accelsoc_apps::kernels::half_probability();
-    let sw = run_sw(&k, &[], &[("histogram", hist)]);
-    let (hw, area) = hw_ns(&k, 256);
-    profiles.push(TaskProfile {
-        name: "otsuMethod".into(),
-        sw_ns: sw,
-        hw_ns: hw,
-        area,
-        input_bytes: 256 * 4,
-        output_bytes: 4,
-        sw_only: false,
-    });
-
-    // binarization.
-    let k = accelsoc_apps::kernels::segment();
-    let sw = run_sw(
-        &k,
-        &[("n", probe_pixels as i64)],
-        &[("otsuThreshold", vec![128]), ("grayScaleImage", probe_gray)],
-    ) * scale;
-    let (hw, area) = hw_ns(&k, pixels);
-    profiles.push(TaskProfile {
-        name: "binarization".into(),
-        sw_ns: sw,
-        hw_ns: hw,
-        area,
-        input_bytes: pixels,
-        output_bytes: pixels,
-        sw_only: false,
-    });
-
-    // writeImage (sw-only).
-    profiles.push(TaskProfile {
-        name: "writeImage".into(),
-        sw_ns: pixels as f64 * 50.0,
-        hw_ns: f64::INFINITY,
-        area: ResourceEstimate::ZERO,
-        input_bytes: pixels,
-        output_bytes: 0,
-        sw_only: true,
-    });
+        let stream = stage.inputs[0].1;
+        profiles.push(TaskProfile {
+            name: stage.task.into(),
+            sw_ns,
+            hw_ns: (40 + ii * stream.tokens(pixels)) as f64 * PL_CLK_NS,
+            area: r.report.resources,
+            input_bytes: stream.bytes(pixels),
+            output_bytes: stage.output.1.bytes(pixels),
+            sw_only: false,
+        });
+    }
+    profiles.push(io_task(
+        "writeImage",
+        write_image_ns(pixels),
+        Value::Segmented.bytes(pixels),
+        0,
+    ));
 
     ChainModel {
         tasks: profiles,

@@ -44,7 +44,7 @@ pub mod transform;
 pub use cache::{CacheKey, CacheTier, HlsCache, CACHE_FORMAT_VERSION};
 pub use dfg::{DfgError, OpClass, OpNode, RegionDfg};
 pub use interface::{AxiLiteRegister, CoreInterface, StreamPort};
-pub use project::{HlsOptions, HlsProject, HlsResult};
+pub use project::{HlsOptions, HlsResult};
 pub use report::HlsReport;
 pub use resource::ResourceEstimate;
 pub use techlib::TechLib;

@@ -14,7 +14,7 @@ use crate::schedule::{list_schedule, schedule_region, ResourceConstraints};
 use crate::techlib::{FuClass, TechLib};
 use accelsoc_kernel::ir::Kernel;
 use accelsoc_kernel::verify::{verify, VerifyError};
-use accelsoc_observe::{null_observer, FlowEvent, FlowObserver, SharedObserver};
+use accelsoc_observe::{FlowEvent, FlowObserver};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -60,67 +60,6 @@ impl fmt::Display for HlsError {
 }
 
 impl std::error::Error for HlsError {}
-
-/// An HLS "project": a set of kernels synthesized against one target
-/// library (the paper creates one Vivado HLS project per node; this type
-/// covers both usages).
-#[derive(Debug, Clone, Default)]
-pub struct HlsProject {
-    pub name: String,
-    pub kernels: Vec<Kernel>,
-    pub options: HlsOptions,
-}
-
-impl HlsProject {
-    pub fn new(name: &str) -> Self {
-        HlsProject {
-            name: name.to_string(),
-            kernels: Vec::new(),
-            options: HlsOptions::default(),
-        }
-    }
-
-    pub fn add_kernel(&mut self, kernel: Kernel) {
-        self.kernels.push(kernel);
-    }
-
-    /// Synthesize every kernel, in parallel (one OS thread per kernel via
-    /// crossbeam scoped threads — the paper's flow runs independent node
-    /// syntheses concurrently with the software flow).
-    pub fn synthesize_all(&self) -> Vec<Result<HlsResult, HlsError>> {
-        self.synthesize_all_observed(&null_observer())
-    }
-
-    /// [`HlsProject::synthesize_all`], reporting per-kernel statistics to
-    /// `observer` (which is shared across the worker threads).
-    pub fn synthesize_all_observed(
-        &self,
-        observer: &SharedObserver,
-    ) -> Vec<Result<HlsResult, HlsError>> {
-        if self.kernels.len() <= 1 {
-            return self
-                .kernels
-                .iter()
-                .map(|k| synthesize_kernel_observed(k, &self.options, observer.as_ref()))
-                .collect();
-        }
-        let mut out: Vec<Option<Result<HlsResult, HlsError>>> =
-            (0..self.kernels.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|s| {
-            for (slot, kernel) in out.iter_mut().zip(&self.kernels) {
-                let opts = &self.options;
-                let observer = observer.clone();
-                s.spawn(move |_| {
-                    *slot = Some(synthesize_kernel_observed(kernel, opts, observer.as_ref()));
-                });
-            }
-        })
-        .expect("synthesis worker panicked");
-        out.into_iter()
-            .map(|r| r.expect("worker filled slot"))
-            .collect()
-    }
-}
 
 /// Synthesize one kernel into a complete [`HlsResult`].
 pub fn synthesize_kernel(kernel: &Kernel, options: &HlsOptions) -> Result<HlsResult, HlsError> {
@@ -369,31 +308,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_project_synthesis_matches_sequential() {
-        let mut p = HlsProject::new("proj");
-        p.add_kernel(adder());
-        p.add_kernel(hist());
-        p.add_kernel(divider_heavy());
-        let results = p.synthesize_all();
-        assert_eq!(results.len(), 3);
-        for (k, r) in p.kernels.iter().zip(&results) {
-            let solo = synthesize_kernel(k, &p.options).unwrap();
-            let par = r.as_ref().unwrap();
-            assert_eq!(par.report.resources, solo.report.resources, "{}", k.name);
-            assert_eq!(par.report.latency, solo.report.latency);
-        }
-    }
-
-    #[test]
     fn observed_synthesis_reports_kernel_stats() {
-        use accelsoc_observe::{CollectObserver, FlowEvent, SharedObserver};
-        use std::sync::Arc;
-        let collect = Arc::new(CollectObserver::new());
-        let mut p = HlsProject::new("proj");
-        p.add_kernel(adder());
-        p.add_kernel(hist());
-        let results = p.synthesize_all_observed(&(collect.clone() as SharedObserver));
-        assert!(results.iter().all(|r| r.is_ok()));
+        use accelsoc_observe::{CollectObserver, FlowEvent};
+        let collect = CollectObserver::new();
+        for k in [adder(), hist()] {
+            synthesize_kernel_observed(&k, &HlsOptions::default(), &collect).unwrap();
+        }
         let names: Vec<String> = collect
             .events()
             .iter()
@@ -407,9 +327,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(sorted, ["add", "histogram"]);
+        assert_eq!(names, ["add", "histogram"]);
     }
 
     #[test]

@@ -26,11 +26,9 @@ pub mod dataflow;
 pub mod dot;
 pub mod graph;
 pub mod partition;
-pub mod sdf;
 pub mod validate;
 
 pub use dataflow::{Actor, ActorId, DataflowGraph, Rate, StreamEdge, StreamId};
 pub use graph::{Htg, HtgError, NodeId, NodeKind, TaskNode, TopEdge, TransferKind};
 pub use partition::{Mapping, Partition, PartitionError};
-pub use sdf::{simulate, SdfError, SdfRun};
 pub use validate::{ValidationError, ValidationReport};

@@ -20,33 +20,39 @@
 //! block per chain — so enough replicas genuinely overflow one device
 //! and force a multi-board cut.
 //!
+//! Both the graph and the functional chains come from the runner's own
+//! description of the chain, [`accelsoc_apps::otsu::STAGES`]: its tasks
+//! are the nodes, its values (with their byte sizes) the edges.
+//!
 //! The **functional** result is computed on the batch-lane kernel VM
-//! ([`CompiledKernel::run`]) at width 1: the four kernels are
-//! compiled once per run and shared by every chain worker, and each chain
-//! runs its four stages as one-lane batches (parallelized over host
-//! threads into slot-ordered storage, so thread count never changes the
-//! answer). Every chain is compared pixel-for-pixel with
+//! ([`CompiledKernel::run`]) at width 1: the stage kernels are compiled
+//! once per run and shared by every chain worker, and each chain walks
+//! the stage table as one-lane batches (parallelized over host threads
+//! into slot-ordered storage, so thread count never changes the answer).
+//! Every chain is compared pixel-for-pixel with
 //! [`accelsoc_apps::otsu::otsu_reference`]. The **timing** result comes
 //! from [`accelsoc_platform::multiboard`]. The two never mix: the report
-//! is byte-identical across `--threads`.
+//! is byte-identical across `--threads`. A tile whose runner layout does
+//! not fit one board's DRAM ([`accelsoc_apps::otsu::dram_footprint`]) is
+//! refused before any of this runs.
 
 use crate::pack::{partition_observed, PartitionOptions};
 use crate::plan::{BoardPlan, PlanError};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
-use accelsoc_apps::{kernels, otsu};
+use accelsoc_apps::otsu::{self, AppConfig, ChainValues, Value, STAGES};
 use accelsoc_dse::otsu::otsu_chain_model_cached;
 use accelsoc_hls::cache::HlsCache;
 use accelsoc_hls::resource::ResourceEstimate;
 use accelsoc_htg::graph::{Htg, TaskNode, TransferKind};
 use accelsoc_integration::device::Device;
-use accelsoc_kernel::{CompiledKernel, ExecError, StreamBundle};
+use accelsoc_kernel::{CompiledKernel, ExecError};
 use accelsoc_observe::{FlowObserver, NullObserver};
 use accelsoc_platform::multiboard::{
     simulate, MbLink, MbNode, MultiBoardError, MultiBoardReport, MultiBoardSpec,
 };
 use accelsoc_platform::sim::ps_from_ns;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Knobs of one `partition-sim` run.
@@ -164,6 +170,13 @@ pub struct PartitionSimReport {
 /// Why a `partition-sim` run failed.
 #[derive(Debug)]
 pub enum PartitionSimError {
+    /// A `side × side` tile needs more board DRAM than a board has
+    /// (the bound serve admission applies to the same runner layout).
+    TileTooLarge {
+        side: u32,
+        bytes: u64,
+        capacity: u64,
+    },
     Plan(PlanError),
     Sim(MultiBoardError),
     Exec(ExecError),
@@ -172,6 +185,14 @@ pub enum PartitionSimError {
 impl fmt::Display for PartitionSimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            PartitionSimError::TileTooLarge {
+                side,
+                bytes,
+                capacity,
+            } => write!(
+                f,
+                "a {side}x{side} tile needs {bytes} B of board DRAM, more than its {capacity} B"
+            ),
             PartitionSimError::Plan(e) => write!(f, "partitioning failed: {e}"),
             PartitionSimError::Sim(e) => write!(f, "co-simulation failed: {e}"),
             PartitionSimError::Exec(e) => write!(f, "kernel execution failed: {e}"),
@@ -182,6 +203,7 @@ impl fmt::Display for PartitionSimError {
 impl std::error::Error for PartitionSimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            PartitionSimError::TileTooLarge { .. } => None,
             PartitionSimError::Plan(e) => Some(e),
             PartitionSimError::Sim(e) => Some(e),
             PartitionSimError::Exec(e) => Some(e),
@@ -207,15 +229,14 @@ impl From<ExecError> for PartitionSimError {
     }
 }
 
-/// The four chain tasks, in chain order, with their edge payloads.
-const CHAIN_TASKS: [&str; 4] = ["grayScale", "histogram", "otsuMethod", "binarization"];
-
 /// Build the K-times-replicated Otsu HTG plus the per-node area map.
 ///
 /// Timing and area for the four kernels come from the measured DSE chain
 /// model at `pixels` pixels; each chain is additionally charged one DMA
 /// infrastructure block (on its first node) because every replica needs
-/// its own stream endpoints.
+/// its own stream endpoints. Nodes and edges follow [`STAGES`]: each
+/// stage's output feeds every later stage that reads it, the RGBA tile
+/// comes from `scatter` and the last stage's output drains to `gather`.
 pub fn scaled_otsu_htg(
     scale: usize,
     pixels: u64,
@@ -244,72 +265,73 @@ pub fn scaled_otsu_htg(
     // tiles, `gather` collects and writes the K results. Small stream-
     // switch area; time from the model's sw-only I/O tasks, scaled by K.
     let endpoint_area = ResourceEstimate::new(400, 600, 1, 0);
-    let scatter = htg
-        .add_task(
-            "scatter",
-            TaskNode {
-                kernel: "readImage".into(),
-                sw_cycles: 0,
-                sw_only: false,
-            },
-        )
-        .expect("fresh graph");
-    areas.insert("scatter".to_string(), endpoint_area);
-    compute_ps.insert(
-        "scatter".to_string(),
-        ps_from_ns(profile("readImage").sw_ns) * scale as u64,
-    );
-    let gather = htg
-        .add_task(
-            "gather",
-            TaskNode {
-                kernel: "writeImage".into(),
-                sw_cycles: 0,
-                sw_only: false,
-            },
-        )
-        .expect("fresh graph");
-    areas.insert("gather".to_string(), endpoint_area);
-    compute_ps.insert(
-        "gather".to_string(),
-        ps_from_ns(profile("writeImage").sw_ns) * scale as u64,
-    );
+    let mut endpoint = |name: &str, task: &str| {
+        let id = htg
+            .add_task(
+                name,
+                TaskNode {
+                    kernel: task.into(),
+                    sw_cycles: 0,
+                    sw_only: false,
+                },
+            )
+            .expect("fresh graph");
+        areas.insert(name.to_string(), endpoint_area);
+        compute_ps.insert(
+            name.to_string(),
+            ps_from_ns(profile(task).sw_ns) * scale as u64,
+        );
+        id
+    };
+    let scatter = endpoint("scatter", "readImage");
+    let gather = endpoint("gather", "writeImage");
 
+    // The threshold is a parameter copy; every other value moves
+    // through a shared buffer.
+    let transfer = |value: Value| {
+        let bytes = value.bytes(pixels);
+        if value == Value::Threshold {
+            TransferKind::ParameterCopy { bytes }
+        } else {
+            TransferKind::SharedBuffer { bytes }
+        }
+    };
+    let last = STAGES.len() - 1;
     for k in 0..scale {
-        let mut ids = Vec::with_capacity(CHAIN_TASKS.len());
-        for task in CHAIN_TASKS {
-            let p = profile(task);
-            let name = format!("c{k}_{task}");
+        let mut ids = Vec::with_capacity(STAGES.len());
+        for (i, stage) in STAGES.iter().enumerate() {
+            let p = profile(stage.task);
+            let name = format!("c{k}_{}", stage.task);
             let id = htg
                 .add_task(
                     &name,
                     TaskNode {
-                        kernel: task.to_string(),
+                        kernel: stage.task.to_string(),
                         sw_cycles: (p.sw_ns / accelsoc_platform::PS_CLK_NS) as u64,
                         sw_only: false,
                     },
                 )
                 .expect("chain node names are unique");
             let mut area = p.area;
-            if task == CHAIN_TASKS[0] {
+            if i == 0 {
                 area += chain_infra;
             }
             areas.insert(name.clone(), area);
             compute_ps.insert(name, ps_from_ns(p.hw_ns));
             ids.push(id);
         }
-        let buf = |bytes| TransferKind::SharedBuffer { bytes };
-        // scatter -> gray (RGBA tile in), gray -> histogram (gray
-        // pixels), gray -> binarization (the second gray copy),
-        // histogram -> otsu (256 bins), otsu -> binarization (the
-        // threshold), binarization -> gather (binary tile out).
-        htg.add_edge(scatter, ids[0], buf(pixels * 4)).unwrap();
-        htg.add_edge(ids[0], ids[1], buf(pixels)).unwrap();
-        htg.add_edge(ids[0], ids[3], buf(pixels)).unwrap();
-        htg.add_edge(ids[1], ids[2], buf(256 * 4)).unwrap();
-        htg.add_edge(ids[2], ids[3], TransferKind::ParameterCopy { bytes: 4 })
+        htg.add_edge(scatter, ids[0], transfer(STAGES[0].inputs[0].1))
             .unwrap();
-        htg.add_edge(ids[3], gather, buf(pixels)).unwrap();
+        for (i, producer) in STAGES.iter().enumerate() {
+            let value = producer.output.1;
+            for (j, consumer) in STAGES.iter().enumerate().skip(i + 1) {
+                if consumer.inputs.iter().any(|&(_, v)| v == value) {
+                    htg.add_edge(ids[i], ids[j], transfer(value)).unwrap();
+                }
+            }
+        }
+        htg.add_edge(ids[last], gather, transfer(STAGES[last].output.1))
+            .unwrap();
     }
     (htg, areas, compute_ps)
 }
@@ -369,68 +391,25 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The four chain kernels, compiled once per run and shared by reference
-/// across the chain workers. Each stage runs through
-/// [`CompiledKernel::run`], a one-lane batch on the lane VM. Width 1 keeps
-/// each worker's working set to a single tile: 4-lane groups measured
-/// about a fifth faster but hold four tiles' snapshots and SoA state, for
-/// a third more peak memory (DESIGN.md §13).
-struct ChainKernels {
-    gray: CompiledKernel,
-    hist: CompiledKernel,
-    otsu: CompiledKernel,
-    seg: CompiledKernel,
-}
-
-impl ChainKernels {
-    fn compile() -> ChainKernels {
-        ChainKernels {
-            gray: CompiledKernel::compile(&kernels::grayscale()),
-            hist: CompiledKernel::compile(&kernels::compute_histogram()),
-            otsu: CompiledKernel::compile(&kernels::half_probability()),
-            seg: CompiledKernel::compile(&kernels::segment()),
-        }
-    }
-}
-
-/// Run one chain's four kernels and compare with the scalar reference.
-/// The chain stops at its first failing stage.
+/// Run one chain's stages on `units` (one compiled kernel per entry of
+/// [`STAGES`]) and compare with the scalar reference. The chain stops at
+/// its first failing stage.
 fn run_chain(
-    compiled: &ChainKernels,
+    units: &[CompiledKernel],
     chain: usize,
     side: u32,
     seed: u64,
 ) -> Result<ChainResult, ExecError> {
     let rgb = RgbImage::from_gray(&synthetic_scene(side, side, seed));
-    let n = (side * side) as i64;
-    let scalars: HashMap<String, i64> = [("n".to_string(), n)].into_iter().collect();
-
-    let mut s = StreamBundle::new();
-    s.feed("imageIn", rgb.data.iter().map(|&p| p as i64));
-    compiled.gray.run(&scalars, &mut s)?;
-    let gray_ch = s.take_output("imageOutCH").unwrap_or_default();
-    let gray_seg = s.take_output("imageOutSEG").unwrap_or_default();
-
-    let mut s = StreamBundle::new();
-    s.feed("grayScaleImage", gray_ch);
-    compiled.hist.run(&scalars, &mut s)?;
-    let hist = s.take_output("histogram").unwrap_or_default();
-
-    let mut s = StreamBundle::new();
-    s.feed("histogram", hist);
-    compiled.otsu.run(&HashMap::new(), &mut s)?;
-    let threshold = s.take_output("probability").unwrap_or_default()[0] as u8;
-
-    let mut s = StreamBundle::new();
-    s.feed("otsuThreshold", [threshold as i64]);
-    s.feed("grayScaleImage", gray_seg);
-    compiled.seg.run(&scalars, &mut s)?;
-    let out: Vec<u8> = s
-        .take_output("segmentedGrayImage")
-        .unwrap_or_default()
-        .iter()
-        .map(|&v| v as u8)
-        .collect();
+    let pixels = rgb.data.len() as u64;
+    let mut values = ChainValues::new(&rgb);
+    for (stage, unit) in STAGES.iter().zip(units) {
+        let mut bundle = stage.inputs_from(&values);
+        unit.run(&stage.scalars(pixels), &mut bundle)?;
+        stage.store_output(&mut bundle, &mut values);
+    }
+    let threshold = values.threshold().unwrap_or_default();
+    let out = values.segmented();
 
     let (ref_img, ref_thr) = otsu::otsu_reference(&rgb);
     let exact = threshold == ref_thr && out == ref_img.data;
@@ -457,6 +436,15 @@ pub fn run_partition_sim_observed(
     observer: &dyn FlowObserver,
 ) -> Result<PartitionSimReport, PartitionSimError> {
     let pixels = u64::from(opts.side) * u64::from(opts.side);
+    let bytes = otsu::dram_footprint(pixels);
+    let capacity = AppConfig::default().dram_bytes as u64;
+    if bytes > capacity {
+        return Err(PartitionSimError::TileTooLarge {
+            side: opts.side,
+            bytes,
+            capacity,
+        });
+    }
     let cache = HlsCache::in_memory();
     let (htg, areas, compute_ps) = scaled_otsu_htg(opts.scale, pixels, &cache, observer);
 
@@ -471,7 +459,17 @@ pub fn run_partition_sim_observed(
 
     // Functional layer: parallel-but-pure, slot-ordered, so `threads`
     // never leaks into the report.
-    let compiled = &ChainKernels::compile();
+    // The stage kernels, compiled once per run and shared by reference
+    // across the chain workers. Each stage runs through
+    // [`CompiledKernel::run`], a one-lane batch on the lane VM. Width 1
+    // keeps each worker's working set to a single tile: 4-lane groups
+    // measured about a fifth faster but hold four tiles' snapshots and
+    // SoA state, for a third more peak memory (DESIGN.md §13).
+    let units: Vec<CompiledKernel> = STAGES
+        .iter()
+        .map(|stage| CompiledKernel::compile(&stage.kernel_ir()))
+        .collect();
+    let units = &units;
     let mut slots: Vec<Option<Result<ChainResult, ExecError>>> = Vec::new();
     slots.resize_with(opts.scale, || None);
     let chunk = opts.scale.div_ceil(opts.threads).max(1);
@@ -481,7 +479,7 @@ pub fn run_partition_sim_observed(
         for (id_chunk, slot_chunk) in chain_ids.chunks(chunk).zip(slots.chunks_mut(chunk)) {
             s.spawn(move |_| {
                 for (&k, slot) in id_chunk.iter().zip(slot_chunk.iter_mut()) {
-                    *slot = Some(run_chain(compiled, k, side, seed.wrapping_add(k as u64)));
+                    *slot = Some(run_chain(units, k, side, seed.wrapping_add(k as u64)));
                 }
             });
         }
@@ -560,6 +558,15 @@ mod tests {
         match run_partition_sim(&opts) {
             Err(PartitionSimError::Plan(PlanError::ExceedsBoardBudget { .. })) => {}
             other => panic!("expected budget error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_tile_is_a_typed_error_before_any_work() {
+        let opts = PartitionSimOptions::builder().side(100_000).build();
+        match run_partition_sim(&opts) {
+            Err(PartitionSimError::TileTooLarge { side: 100_000, .. }) => {}
+            other => panic!("expected a tile-size error, got {other:?}"),
         }
     }
 

@@ -3,6 +3,7 @@
 //! accepted job.
 
 use accelsoc_apps::archs::Arch;
+use accelsoc_apps::otsu::Value;
 use accelsoc_htg::graph::Htg;
 use accelsoc_observe::TenantId;
 use serde::{Deserialize, Serialize};
@@ -85,7 +86,7 @@ impl JobSpec {
 
     /// Bytes of DRAM the job's input occupies (RGBA words).
     pub fn input_bytes(&self) -> u64 {
-        self.pixels() * 4
+        Value::Rgb.bytes(self.pixels())
     }
 }
 

@@ -25,7 +25,7 @@ use crate::report::{jobs_per_s, RejectionCounts, ServeReport, TenantReport};
 use crate::scheduler::{ServeConfig, ServeError};
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
-use accelsoc_apps::otsu::{dram_footprint, run_application_group, AppError};
+use accelsoc_apps::otsu::{dram_footprint, run_application_group, AppError, Value};
 use accelsoc_core::flow::FlowArtifacts;
 use accelsoc_observe::{FlowEvent, FlowObserver, TenantId};
 use accelsoc_platform::sim::{ns_from_ps, ps_from_ns};
@@ -67,7 +67,8 @@ pub(crate) fn static_admission(
     // The board needs the input image and the output buffer resident at
     // once, at the fixed DRAM addresses the runner stages them at;
     // reject anything that cannot fit the pool's DRAM.
-    let need = (job.input_bytes() + job.pixels()).max(dram_footprint(job.pixels()));
+    let output_bytes = Value::Segmented.bytes(job.pixels());
+    let need = (job.input_bytes() + output_bytes).max(dram_footprint(job.pixels()));
     let capacity = cfg.app.dram_bytes as u64;
     if need > capacity {
         return Err(AdmissionError::JobTooLarge {

@@ -63,7 +63,8 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Lane width of the precompute's batch-lane VM: same-arch jobs are
     /// simulated as one lane group of up to this many images (no effect
-    /// on results, only on host-side dispatch amortization).
+    /// on results, only on host-side dispatch amortization). Defaults
+    /// to [`accelsoc_apps::DEFAULT_LANES`]; no builder setter.
     pub lanes: usize,
     /// Fixed per-batch dispatch cost (descriptor setup, doorbell).
     pub dispatch_overhead_ps: u64,
@@ -156,12 +157,6 @@ impl ServeConfigBuilder {
 
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = threads;
-        self
-    }
-
-    /// Lane width for the batch-lane precompute (results unaffected).
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.cfg.lanes = lanes;
         self
     }
 

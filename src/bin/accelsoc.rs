@@ -320,20 +320,51 @@ fn cmd_sim(args: &[String]) -> ExitCode {
     let mut fifo_depth: usize = 16;
     let mut i = 1;
     while i < args.len() {
+        let parse_next = |what: &str| -> Result<&String, ExitCode> {
+            args.get(i + 1).ok_or_else(|| {
+                eprintln!("error: `{what}` requires a value");
+                ExitCode::from(2)
+            })
+        };
+        macro_rules! positive {
+            ($flag:literal, $slot:ident) => {
+                match parse_next($flag).map(|v| v.parse::<usize>()) {
+                    Ok(Ok(v)) if v > 0 => {
+                        $slot = v;
+                        i += 2;
+                    }
+                    Ok(_) => {
+                        eprintln!(concat!("error: `", $flag, "` needs a positive integer"));
+                        return ExitCode::from(2);
+                    }
+                    Err(c) => return c,
+                }
+            };
+        }
         match args[i].as_str() {
-            "--n" if i + 1 < args.len() => {
-                n = args[i + 1].parse().unwrap_or(64);
-                i += 2;
-            }
-            "--fifo-depth" if i + 1 < args.len() => {
-                fifo_depth = args[i + 1].parse().unwrap_or(16);
-                i += 2;
-            }
+            "--n" => positive!("--n", n),
+            "--fifo-depth" => positive!("--fifo-depth", fifo_depth),
             other => {
                 eprintln!("error: unknown option `{other}`");
                 return ExitCode::from(2);
             }
         }
+    }
+    // The n input bytes go to IN_ADDR, the 4n output bytes to OUT_ADDR
+    // (room for 32-bit output tokens); both must fit the board's DRAM.
+    const DRAM_BYTES: u64 = 64 << 20;
+    const IN_ADDR: u64 = 0x1_0000;
+    const OUT_ADDR: u64 = 0x8_0000;
+    let out_end = (n as u64)
+        .checked_mul(4)
+        .and_then(|b| b.checked_add(OUT_ADDR));
+    if out_end.is_none_or(|end| end > DRAM_BYTES) {
+        eprintln!(
+            "error: `--n {n}` does not fit the board's {} MiB of DRAM \
+             (the output buffer alone is 4n bytes)",
+            DRAM_BYTES >> 20
+        );
+        return ExitCode::from(2);
     }
     let mut engine = FlowEngine::new(FlowOptions::default());
     for k in builtin_kernels() {
@@ -346,7 +377,7 @@ fn cmd_sim(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut board = match engine.build_board(&art, 64 << 20) {
+    let mut board = match engine.build_board(&art, DRAM_BYTES as usize) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("{}: board error: {e}", path.display());
@@ -355,7 +386,10 @@ fn cmd_sim(args: &[String]) -> ExitCode {
     };
     board.stream_fifo_depth = fifo_depth.max(1);
     let data: Vec<u8> = (0..n).map(|i| (i & 0xff) as u8).collect();
-    board.dram.load_bytes(0x1_0000, &data).unwrap();
+    if let Err(e) = board.dram.load_bytes(IN_ADDR, &data) {
+        eprintln!("simulation error: {e}");
+        return ExitCode::FAILURE;
+    }
     // Every streaming node that takes an `n`/`W` scalar gets the count.
     let mut scalar_args: Vec<(usize, &str, i64)> = Vec::new();
     for (idx, (_, r)) in art.hls.iter().enumerate() {
@@ -369,14 +403,14 @@ fn cmd_sim(args: &[String]) -> ExitCode {
         &[(
             0,
             accelsoc_axi::dma::DmaDescriptor {
-                addr: 0x1_0000,
+                addr: IN_ADDR,
                 len: n as u64,
             },
         )],
         &[(
             0,
             accelsoc_axi::dma::DmaDescriptor {
-                addr: 0x8_0000,
+                addr: OUT_ADDR,
                 len: 4 * n as u64,
             },
         )],
@@ -385,7 +419,7 @@ fn cmd_sim(args: &[String]) -> ExitCode {
         Ok(stats) => {
             let out = board
                 .dram
-                .dump_bytes(0x8_0000, n.min(16))
+                .dump_bytes(OUT_ADDR, n.min(16))
                 .unwrap_or_default();
             println!("input  ({n} tokens): {:?}...", &data[..n.min(16)]);
             println!("output (first {}): {:?}", out.len(), out);

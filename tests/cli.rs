@@ -254,3 +254,32 @@ fn sim_runs_pipeline_and_emits_vcd() {
     let vcd = std::fs::read_to_string(dir.join("sim.vcd")).unwrap();
     assert!(vcd.contains("$enddefinitions"));
 }
+
+/// Inputs that used to panic (exit 101) or were silently replaced by a
+/// default: each must now fail with a usage or model error instead.
+#[test]
+fn bad_sim_and_partition_inputs_fail_without_panicking() {
+    let dir = std::env::temp_dir().join("accelsoc_cli_bad_inputs");
+    std::fs::create_dir_all(&dir).unwrap();
+    let src = write_tg(&dir, "p.tg", PIPE);
+    let src = src.to_str().unwrap();
+    for (args, stderr) in [
+        (vec!["sim", src, "--n", "100000000"], "does not fit"),
+        (vec!["sim", src, "--n", "abc"], "needs a positive integer"),
+        (
+            vec!["sim", src, "--fifo-depth", "abc"],
+            "needs a positive integer",
+        ),
+        (vec!["sim", src, "--n"], "requires a value"),
+        (vec!["partition-sim", "--side", "100000"], "tile needs"),
+    ] {
+        let out = bin().current_dir(&dir).args(&args).output().unwrap();
+        let code = out.status.code();
+        assert!(
+            code.is_some_and(|c| c != 0 && c != 101),
+            "{args:?} exited with {code:?}"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(stderr), "{args:?}: {err}");
+    }
+}

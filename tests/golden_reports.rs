@@ -1,6 +1,7 @@
 //! Golden tests pinning the serialized `BatchReport`, `ServeReport` and
-//! `PartitionSimReport` byte-for-byte, plus a serve stress run's reports
-//! and full event streams.
+//! `PartitionSimReport` byte-for-byte, a serve stress run's reports and
+//! full event streams, and the Otsu chain's per-task runs, DSE profiles
+//! and scaled HTG.
 //!
 //! All three reports are virtual-time-only and deterministic by construction,
 //! so their JSON must not drift when the execution engine underneath is
@@ -11,10 +12,13 @@
 
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::batch::{image_stream, run_batch};
-use accelsoc_apps::otsu::AppConfig;
+use accelsoc_apps::image::{synthetic_scene, RgbImage};
+use accelsoc_apps::otsu::{run_application_group, AppConfig};
 use accelsoc_core::observe::{CollectObserver, NullObserver};
+use accelsoc_dse::otsu_chain_model;
+use accelsoc_hls::cache::HlsCache;
 use accelsoc_htg::graph::{Htg, TaskNode, TransferKind};
-use accelsoc_partition::{run_partition_sim, PartitionSimOptions};
+use accelsoc_partition::{run_partition_sim, scaled_otsu_htg, PartitionSimOptions};
 use accelsoc_serve::{
     generate_workload, pool_image_seeds, DseEstimator, JobShape, JobSpec, PolicyKind, ServeConfig,
     ServeSession, TenantProfile, WorkloadSpec,
@@ -228,4 +232,68 @@ fn partition_report_matches_golden() {
         out.push('\n');
     }
     check_or_update("partition_report.json", &out);
+}
+
+/// FNV-1a over a byte slice.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The Otsu chain task by task: every architecture's per-task names,
+/// times and hardware flags, DMA bytes, threshold and output digest at
+/// three image sides (one odd); the DSE chain profiles at two pixel
+/// counts; and the scaled HTG's nodes, edges, areas and compute times.
+/// The other goldens pin only totals, so this is what shows a task
+/// renamed, split or retimed.
+#[test]
+fn otsu_chain_matches_golden() {
+    let mut engine = otsu_flow_engine();
+    let mut runs = Vec::new();
+    for arch in Arch::all() {
+        let art = engine.run_source(&arch_dsl_source(arch)).expect("flow");
+        for side in [16u32, 17, 24] {
+            let images: Vec<RgbImage> = (0..2)
+                .map(|seed| RgbImage::from_gray(&synthetic_scene(side, side, seed)))
+                .collect();
+            let group = run_application_group(arch, &engine, &art, &images, &AppConfig::default())
+                .expect("group");
+            for (seed, run) in group.runs.into_iter().enumerate() {
+                let run = run.expect("run");
+                let tasks: Vec<serde_json::Value> = run
+                    .tasks
+                    .iter()
+                    .map(|(name, ns, hw)| serde_json::json!({"name": name, "ns": ns, "hw": hw}))
+                    .collect();
+                runs.push(serde_json::json!({
+                    "arch": arch.name(),
+                    "side": side,
+                    "seed": seed,
+                    "tasks": tasks,
+                    "total_ns": run.total_ns,
+                    "dma_bytes": run.dma_bytes,
+                    "threshold": run.threshold,
+                    "output_fnv1a": fnv1a(&run.output.data),
+                }));
+            }
+        }
+    }
+    let models: Vec<serde_json::Value> = [64u64 * 64, 512 * 512]
+        .into_iter()
+        .map(
+            |pixels| serde_json::json!({"pixels": pixels, "tasks": otsu_chain_model(pixels).tasks}),
+        )
+        .collect();
+    let (htg, areas, compute_ps) =
+        scaled_otsu_htg(3, 17 * 17, &HlsCache::in_memory(), &NullObserver);
+    let doc = serde_json::json!({
+        "runs": runs,
+        "chain_models": models,
+        "scaled_htg": {"htg": htg, "areas": areas, "compute_ps": compute_ps},
+    });
+    check_or_update(
+        "otsu_chain.json",
+        &(serde_json::to_string_pretty(&doc).unwrap() + "\n"),
+    );
 }
