@@ -28,7 +28,6 @@
 //! separate scalar loop. The interpreter remains the differential oracle
 //! (see `tests/prop_vm.rs` and `tests/prop_lanes.rs`).
 
-pub mod analysis;
 pub mod builder;
 pub mod compile;
 pub mod exec;

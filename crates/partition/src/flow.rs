@@ -139,8 +139,15 @@ impl PartitionedFlow {
     }
 }
 
-/// Lower a plan + per-node compute times into the platform's spec.
-fn lower_spec(htg: &Htg, plan: &BoardPlan, compute_ps: &BTreeMap<String, u64>) -> MultiBoardSpec {
+/// Lower a validated plan + per-node compute times into the platform's
+/// board-neutral co-simulation spec. A node missing from `compute_ps`
+/// computes for 0 ps: [`PartitionedFlow::run`] takes the map from its
+/// caller.
+pub(crate) fn lower_spec(
+    htg: &Htg,
+    plan: &BoardPlan,
+    compute_ps: &BTreeMap<String, u64>,
+) -> MultiBoardSpec {
     let nodes: Vec<MbNode> = htg
         .node_ids()
         .map(|id| {

@@ -36,6 +36,7 @@
 //! not fit one board's DRAM ([`accelsoc_apps::otsu::dram_footprint`]) is
 //! refused before any of this runs.
 
+use crate::flow::lower_spec;
 use crate::pack::{partition_observed, PartitionOptions};
 use crate::plan::{BoardPlan, PlanError};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
@@ -47,9 +48,7 @@ use accelsoc_htg::graph::{Htg, TaskNode, TransferKind};
 use accelsoc_integration::device::Device;
 use accelsoc_kernel::{CompiledKernel, ExecError};
 use accelsoc_observe::{FlowObserver, NullObserver};
-use accelsoc_platform::multiboard::{
-    simulate, MbLink, MbNode, MultiBoardError, MultiBoardReport, MultiBoardSpec,
-};
+use accelsoc_platform::multiboard::{simulate, MultiBoardError, MultiBoardReport};
 use accelsoc_platform::sim::ps_from_ns;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -336,51 +335,6 @@ pub fn scaled_otsu_htg(
     (htg, areas, compute_ps)
 }
 
-/// Lower a validated plan + per-node compute times into the platform's
-/// board-neutral co-simulation spec.
-fn lower_to_spec(
-    htg: &Htg,
-    plan: &BoardPlan,
-    compute_ps: &BTreeMap<String, u64>,
-) -> MultiBoardSpec {
-    let nodes: Vec<MbNode> = htg
-        .node_ids()
-        .map(|id| {
-            let name = htg.name(id);
-            MbNode {
-                name: name.to_string(),
-                board: plan.board_of(name).expect("plan covers every node"),
-                compute_ps: compute_ps[name],
-            }
-        })
-        .collect();
-    let edges: Vec<(usize, usize)> = htg
-        .edges()
-        .iter()
-        .map(|e| (e.src.0 as usize, e.dst.0 as usize))
-        .collect();
-    let links: Vec<MbLink> = plan
-        .links
-        .iter()
-        .map(|l| MbLink {
-            id: l.id,
-            src: htg.lookup(&l.src_node).expect("link endpoints exist").0 as usize,
-            dst: htg.lookup(&l.dst_node).expect("link endpoints exist").0 as usize,
-            words: l.words(),
-            width_bits: l.width_bits,
-            word_ps: l.word_ps,
-            latency_ps: l.latency_ps,
-            fifo_depth: l.fifo_depth,
-        })
-        .collect();
-    MultiBoardSpec {
-        boards: plan.board_count(),
-        nodes,
-        edges,
-        links,
-    }
-}
-
 /// FNV-1a over the output pixels.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -454,7 +408,7 @@ pub fn run_partition_sim_observed(
     let device = Device::zynq7020();
     let plan = partition_observed(&htg, &areas, &device, &popts, observer)?;
 
-    let spec = lower_to_spec(&htg, &plan, &compute_ps);
+    let spec = lower_spec(&htg, &plan, &compute_ps);
     let sim = simulate(&spec, observer)?;
 
     // Functional layer: parallel-but-pure, slot-ordered, so `threads`

@@ -51,7 +51,6 @@ use crate::scheduler::{ServeConfig, ServeError};
 use accelsoc_observe::{FlowEvent, FlowObserver, TenantId};
 use accelsoc_platform::sim::Calendar;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -266,6 +265,8 @@ pub struct ClusterReport {
     pub seed: u64,
     pub nodes: usize,
     pub submitted: u64,
+    /// Summed over `per_node`, as are `completed`, `completed_late` and
+    /// `timed_out`; `makespan_ps` is their max.
     pub admitted: u64,
     /// Terminal admission rejections (shed-reclassified queue-fulls are
     /// *not* counted here).
@@ -289,7 +290,11 @@ pub struct ClusterReport {
     pub throughput_jobs_per_s: f64,
     /// Jain fairness over per-tenant completion counts.
     pub fairness: f64,
-    /// Cluster-wide per-tenant rows (shed jobs count into `rejected`).
+    /// Cluster-wide per-tenant rows. `submitted` counts arrivals and
+    /// `rejected` only terminal rejections, so a shed job, which is
+    /// neither rejected nor admitted by any node, still counts into its
+    /// row's `admitted` (`submitted - rejected`). The rows' `admitted`
+    /// can therefore sum to more than the report's `admitted`.
     pub tenants: Vec<TenantReport>,
     /// Each node's local view, in node order ([`ServeNode`] reports;
     /// transfers in/out are cluster-accounted, not node-accounted).
@@ -356,14 +361,70 @@ impl ClusterSession {
         jobs: &[JobSpec],
         observer: &dyn FlowObserver,
     ) -> Result<ClusterReport, ServeError> {
-        let cfg = &self.cfg;
-        let n_nodes = cfg.nodes.len();
-        assert!(n_nodes >= 1, "ClusterConfig::builder validates >= 1 node");
-
+        assert!(
+            !self.cfg.nodes.is_empty(),
+            "ClusterConfig::builder validates >= 1 node"
+        );
         // Shared precompute: one table set for every node (node 0's
         // board model — the builder validated homogeneity).
-        let tables = Arc::new(SimTables::build(jobs, &cfg.nodes[0], cfg.threads)?);
-        let mut nodes: Vec<ServeNode> = cfg
+        let tables = Arc::new(SimTables::build(
+            jobs,
+            &self.cfg.nodes[0],
+            self.cfg.threads,
+        )?);
+        Ok(ClusterRun::new(&self.cfg, jobs, observer, tables).run())
+    }
+}
+
+/// One cluster run in progress: the whole state of the event loop, in
+/// one value.
+///
+/// Who counts what: each node counts what happens on its own queues and
+/// boards (admissions, completions, late completions, time-outs, their
+/// latencies and the makespan), and the report folds those from the
+/// nodes at the end. The run counts only what no node can see: arrivals
+/// per tenant, terminal rejections, sheds, failures, forwards, steals,
+/// re-dispatches and node failures.
+struct ClusterRun<'a> {
+    cfg: &'a ClusterConfig,
+    jobs: &'a [JobSpec],
+    observer: &'a dyn FlowObserver,
+    nodes: Vec<ServeNode>,
+    ring: HashRing,
+    alive: Vec<bool>,
+    alive_count: usize,
+    calendar: ClusterCalendar,
+    /// Each job's consistent-hash home node.
+    home: Vec<u32>,
+    /// Job indices in arrival order, and the next one to arrive.
+    order: Vec<u32>,
+    cursor: usize,
+    /// Batches the last node dispatch started, as `(board, done_ps)`.
+    started: Vec<(usize, u64)>,
+    t_submitted: Vec<u64>,
+    rejected: u64,
+    rejections: RejectionCounts,
+    t_rejected: Vec<u64>,
+    shed: u64,
+    failed: u64,
+    forwarded: u64,
+    stolen: u64,
+    redispatched: u64,
+    node_failures: u64,
+    records: Vec<ClusterJobRecord>,
+    /// How many of each node's own records the ledger already holds.
+    node_records_seen: Vec<usize>,
+}
+
+impl<'a> ClusterRun<'a> {
+    fn new(
+        cfg: &'a ClusterConfig,
+        jobs: &'a [JobSpec],
+        observer: &'a dyn FlowObserver,
+        tables: Arc<SimTables>,
+    ) -> Self {
+        let n_nodes = cfg.nodes.len();
+        let nodes: Vec<ServeNode> = cfg
             .nodes
             .iter()
             .enumerate()
@@ -375,43 +436,7 @@ impl ClusterSession {
             })
             .collect();
         let ring = HashRing::new(n_nodes);
-        let mut alive = vec![true; n_nodes];
-        let mut alive_count = n_nodes;
-
-        // Cluster-wide tenant registry (node 0's tenant order).
-        let tenant_ids: Vec<TenantId> = cfg.nodes[0]
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| TenantId::new(i as u32, t.as_str()))
-            .collect();
-        let tenant_lookup: HashMap<&str, usize> = cfg.nodes[0]
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.as_str(), i))
-            .collect();
-        let resolve = |t: &TenantId| -> Option<usize> {
-            let i = t.index() as usize;
-            if i < tenant_ids.len() && tenant_ids[i].name() == t.name() {
-                return Some(i);
-            }
-            tenant_lookup.get(t.name()).copied()
-        };
-
-        // Arrivals stay out of the calendar: indices pre-sorted by
-        // `(ps, node, rank)`, then job index as their sequence number,
-        // keep a million-job calendar at O(live events). The calendar
-        // never holds `RANK_ARRIVE`, so comparing `(ps, node, rank)`
-        // against its head totally orders the merge.
         let home: Vec<u32> = jobs.iter().map(|j| ring.home(&j.tenant) as u32).collect();
-        let arrive_key = |i: usize| -> (u64, u32, u8) {
-            (jobs[i].submit_ps + cfg.net.ingress_ps, home[i], RANK_ARRIVE)
-        };
-        let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| (arrive_key(i as usize), i));
-        let mut cursor = 0usize;
-
         let mut calendar = ClusterCalendar::new();
         for f in &cfg.failures {
             calendar.push(
@@ -422,532 +447,450 @@ impl ClusterSession {
                 },
             );
         }
+        let n_tenants = cfg.nodes[0].tenants.len();
+        let mut run = ClusterRun {
+            cfg,
+            jobs,
+            observer,
+            nodes,
+            ring,
+            alive: vec![true; n_nodes],
+            alive_count: n_nodes,
+            calendar,
+            home,
+            order: Vec::new(),
+            cursor: 0,
+            started: Vec::new(),
+            t_submitted: vec![0; n_tenants],
+            rejected: 0,
+            rejections: RejectionCounts::default(),
+            t_rejected: vec![0; n_tenants],
+            shed: 0,
+            failed: 0,
+            forwarded: 0,
+            stolen: 0,
+            redispatched: 0,
+            node_failures: 0,
+            records: Vec::new(),
+            node_records_seen: vec![0; n_nodes],
+        };
+        // Arrivals stay out of the calendar: indices pre-sorted by
+        // `(ps, node, rank)`, then job index as their sequence number,
+        // keep a million-job calendar at O(live events). The calendar
+        // never holds `RANK_ARRIVE`, so comparing `(ps, node, rank)`
+        // against its head totally orders the merge.
+        let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| (run.arrive_key(i as usize), i));
+        run.order = order;
+        run
+    }
 
-        // --- cluster tallies ---------------------------------------------
-        let n_tenants = tenant_ids.len();
-        let mut submitted = 0u64;
-        let mut admitted = 0u64;
-        let mut rejected = 0u64;
-        let mut shed = 0u64;
-        let mut completed = 0u64;
-        let mut completed_late = 0u64;
-        let mut timed_out = 0u64;
-        let mut failed = 0u64;
-        let mut forwarded = 0u64;
-        let mut stolen = 0u64;
-        let mut redispatched = 0u64;
-        let mut node_failures = 0u64;
-        let mut rejections = RejectionCounts::default();
-        let mut makespan_ps = 0u64;
-        let mut t_submitted = vec![0u64; n_tenants];
-        let mut t_rejected = vec![0u64; n_tenants];
-        let mut t_missed = vec![0u64; n_tenants];
-        let mut t_latencies: Vec<Vec<u64>> = vec![Vec::new(); n_tenants];
-        let mut records: Vec<ClusterJobRecord> = Vec::new();
+    fn arrive_key(&self, i: usize) -> (u64, u32, u8) {
+        (
+            self.jobs[i].submit_ps + self.cfg.net.ingress_ps,
+            self.home[i],
+            RANK_ARRIVE,
+        )
+    }
 
-        // Job `idx`, carrying `hops` shed forwards, found node `from`
-        // dead on delivery: re-route it along the ring, or drop it
-        // unadmitted when the whole cluster is dead.
-        macro_rules! reroute {
-            ($from:expr, $idx:expr, $hops:expr, $now_ps:expr) => {{
-                let (from, idx, now_ps): (usize, u32, u64) = ($from, $idx, $now_ps);
-                let job = &jobs[idx as usize];
-                match ring.successor(from, &alive) {
-                    Some(t2) => {
-                        forwarded += 1;
-                        observer.on_event(&FlowEvent::JobForwarded {
-                            job: job.id,
-                            tenant: job.tenant.clone(),
-                            from_node: from,
-                            to_node: t2,
-                        });
-                        nodes[t2].pending_incoming += 1;
-                        calendar.push(
-                            now_ps + cfg.net.forward_ps,
-                            (t2 as u32, RANK_DELIVER),
-                            CEv::Deliver {
-                                node: t2 as u32,
-                                kind: DeliverKind::Forward { idx, hops: $hops },
-                            },
-                        );
-                    }
-                    None => {
-                        shed += 1;
-                        observer.on_event(&FlowEvent::JobShed {
-                            job: job.id,
-                            tenant: job.tenant.clone(),
-                            node: from,
-                        });
-                        if cfg.keep_records {
-                            records.push(ClusterJobRecord {
-                                id: job.id,
-                                tenant: job.tenant.clone(),
-                                node: None,
-                                outcome: ClusterOutcome::Shed,
-                                finish_ps: now_ps,
-                            });
-                        }
-                    }
-                }
-            }};
-        }
-
-        let mut sched_buf: Vec<(usize, u64)> = Vec::new();
+    fn run(mut self) -> ClusterReport {
         loop {
             // Merge the arrival cursor with the live-event calendar on
             // the total key order.
-            let next_arrival = order.get(cursor).map(|&i| arrive_key(i as usize));
-            let use_arrival = match (next_arrival, calendar.peek()) {
+            let next_arrival = self
+                .order
+                .get(self.cursor)
+                .map(|&i| self.arrive_key(i as usize));
+            let use_arrival = match (next_arrival, self.calendar.peek()) {
                 (Some(a), Some((ps, &(node, rank)))) => a < (ps, node, rank),
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
-
-            // Nodes touched by this event, serviced (dispatch + outcome
-            // drain + steal scan) below.
-            let mut touched: Option<usize> = None;
-            let now_ps;
-
-            if use_arrival {
-                let i = order[cursor] as usize;
-                cursor += 1;
-                now_ps = arrive_key(i).0;
-                let job = &jobs[i];
-                submitted += 1;
-                if let Some(ti) = resolve(&job.tenant) {
-                    t_submitted[ti] += 1;
-                }
-                let target = home[i] as usize;
-                if alive[target] {
-                    touched = Some(target);
-                    Self::deliver(
-                        cfg,
-                        jobs,
-                        &mut nodes,
-                        &alive,
-                        alive_count,
-                        target,
-                        i,
-                        0,
-                        now_ps,
-                        observer,
-                        &mut calendar,
-                        &mut admitted,
-                        &mut rejected,
-                        &mut shed,
-                        &mut forwarded,
-                        &mut rejections,
-                        &mut t_rejected,
-                        &resolve,
-                        cfg.keep_records.then_some(&mut records),
-                    );
-                } else {
-                    reroute!(target, i as u32, 0, now_ps);
-                }
+            let (now_ps, touched) = if use_arrival {
+                self.arrive()
             } else {
-                let (ps, ev) = calendar.pop().expect("peeked above");
-                now_ps = ps;
-                match ev {
-                    CEv::BatchDone { node, board } => {
-                        let node = node as usize;
-                        if alive[node] {
-                            nodes[node].batch_done(board as usize, observer);
-                            touched = Some(node);
-                        }
-                    }
-                    CEv::Fail { node } => {
-                        let node = node as usize;
-                        if alive[node] {
-                            alive[node] = false;
-                            alive_count -= 1;
-                            node_failures += 1;
-                            let orphans = nodes[node].fail(now_ps, observer);
-                            for job in orphans {
-                                Self::redispatch(
-                                    cfg,
-                                    &mut nodes,
-                                    &ring,
-                                    &alive,
-                                    node,
-                                    job,
-                                    now_ps,
-                                    observer,
-                                    &mut calendar,
-                                    &mut failed,
-                                    &mut redispatched,
-                                    cfg.keep_records.then_some(&mut records),
-                                );
-                            }
-                        }
-                    }
-                    CEv::Deliver { node, kind } => {
-                        let node = node as usize;
-                        nodes[node].pending_incoming -= 1;
-                        match kind {
-                            DeliverKind::Forward { idx, hops } => {
-                                if alive[node] {
-                                    touched = Some(node);
-                                    Self::deliver(
-                                        cfg,
-                                        jobs,
-                                        &mut nodes,
-                                        &alive,
-                                        alive_count,
-                                        node,
-                                        idx as usize,
-                                        hops + 1,
-                                        now_ps,
-                                        observer,
-                                        &mut calendar,
-                                        &mut admitted,
-                                        &mut rejected,
-                                        &mut shed,
-                                        &mut forwarded,
-                                        &mut rejections,
-                                        &mut t_rejected,
-                                        &resolve,
-                                        cfg.keep_records.then_some(&mut records),
-                                    );
-                                } else {
-                                    reroute!(node, idx, hops, now_ps);
-                                }
-                            }
-                            DeliverKind::Steal(job) | DeliverKind::Redispatch(job)
-                                if !alive[node] =>
-                            {
-                                // The receiver died mid-transfer: the job
-                                // is orphaned again.
-                                Self::redispatch(
-                                    cfg,
-                                    &mut nodes,
-                                    &ring,
-                                    &alive,
-                                    node,
-                                    *job,
-                                    now_ps,
-                                    observer,
-                                    &mut calendar,
-                                    &mut failed,
-                                    &mut redispatched,
-                                    cfg.keep_records.then_some(&mut records),
-                                );
-                            }
-                            DeliverKind::Steal(job) => {
-                                nodes[node].transfer_in(*job, false);
-                                touched = Some(node);
-                            }
-                            DeliverKind::Redispatch(job) => {
-                                nodes[node].transfer_in(*job, true);
-                                touched = Some(node);
-                            }
-                        }
-                    }
-                }
+                self.next_event()
+            };
+            if let Some(node) = touched {
+                self.service(node, now_ps);
             }
-
-            // Service the touched node: dispatch freed capacity, then
-            // drain terminal outcomes into the cluster tallies.
-            if let Some(id) = touched {
-                if alive[id] {
-                    nodes[id].dispatch(now_ps, observer, &mut sched_buf);
-                    for (board, done_ps) in sched_buf.drain(..) {
-                        calendar.push(
-                            done_ps,
-                            (id as u32, RANK_BATCH_DONE),
-                            CEv::BatchDone {
-                                node: id as u32,
-                                board: board as u32,
-                            },
-                        );
-                    }
-                }
-                for rec in nodes[id].drain_outcomes() {
-                    makespan_ps = makespan_ps.max(rec.finish_ps);
-                    let outcome = match rec.outcome {
-                        JobOutcome::Completed => {
-                            completed += 1;
-                            ClusterOutcome::Completed
-                        }
-                        JobOutcome::CompletedLate => {
-                            completed_late += 1;
-                            ClusterOutcome::CompletedLate
-                        }
-                        JobOutcome::TimedOut => {
-                            timed_out += 1;
-                            ClusterOutcome::TimedOut
-                        }
-                    };
-                    if let Some(ti) = resolve(&rec.tenant) {
-                        match outcome {
-                            ClusterOutcome::Completed => t_latencies[ti].push(rec.latency_ps),
-                            ClusterOutcome::CompletedLate => {
-                                t_latencies[ti].push(rec.latency_ps);
-                                t_missed[ti] += 1;
-                            }
-                            ClusterOutcome::TimedOut => t_missed[ti] += 1,
-                            _ => unreachable!("node outcomes are completions"),
-                        }
-                    }
-                    if cfg.keep_records {
-                        records.push(ClusterJobRecord {
-                            id: rec.id,
-                            tenant: rec.tenant.clone(),
-                            node: Some(id),
-                            outcome,
-                            finish_ps: rec.finish_ps,
-                        });
-                    }
-                }
-            }
-
-            // Work-stealing scan: idle, empty, nothing inbound → steal
-            // the newest job from the most-loaded alive peer.
-            if cfg.steal && alive_count >= 2 {
-                for thief in 0..n_nodes {
-                    if !alive[thief]
-                        || nodes[thief].pending_incoming > 0
-                        || nodes[thief].idle_boards() == 0
-                        || nodes[thief].queued_total() > 0
-                    {
-                        continue;
-                    }
-                    let mut victim: Option<(usize, usize)> = None; // (queued, id)
-                    for v in 0..n_nodes {
-                        if v == thief || !alive[v] {
-                            continue;
-                        }
-                        let q = nodes[v].queued_total();
-                        if q > victim.map_or(0, |(q, _)| q) {
-                            victim = Some((q, v));
-                        }
-                    }
-                    let Some((_, v)) = victim else { continue };
-                    let Some(job) = nodes[v].steal_out() else {
-                        continue;
-                    };
-                    stolen += 1;
-                    observer.on_event(&FlowEvent::JobStolen {
-                        job: job.spec.id,
-                        tenant: job.spec.tenant.clone(),
-                        from_node: v,
-                        to_node: thief,
-                    });
-                    nodes[thief].pending_incoming += 1;
-                    calendar.push(
-                        now_ps + cfg.net.steal_ps,
-                        (thief as u32, RANK_DELIVER),
-                        CEv::Deliver {
-                            node: thief as u32,
-                            kind: DeliverKind::Steal(Box::new(job)),
-                        },
-                    );
-                }
+            if self.cfg.steal && self.alive_count >= 2 {
+                self.steal_scan(now_ps);
             }
         }
+        self.into_report()
+    }
 
-        // --- fold into the report ----------------------------------------
-        let tenants: Vec<TenantReport> = tenant_ids
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                TenantReport::new(
-                    t.clone(),
-                    t_submitted[i],
-                    t_rejected[i],
-                    t_missed[i],
-                    &t_latencies[i],
-                )
-            })
-            .collect();
-        let throughput_jobs_per_s = jobs_per_s(completed + completed_late, makespan_ps);
-        let fairness = ServeReport::jain_fairness(&tenants);
-        Ok(ClusterReport {
-            policy: cfg.nodes[0].policy,
-            seed: cfg.seed,
-            nodes: n_nodes,
-            submitted,
-            admitted,
-            rejected,
-            shed,
-            completed,
-            completed_late,
-            timed_out,
-            failed,
-            forwarded,
-            stolen,
-            redispatched,
-            node_failures,
-            rejections,
-            makespan_ps,
-            throughput_jobs_per_s,
-            fairness,
-            tenants,
-            per_node: nodes.into_iter().map(ServeNode::into_report).collect(),
-            records,
-        })
+    /// Take the next client arrival to its home node (re-routing it when
+    /// the home is dead). Returns the time and the node it touched.
+    fn arrive(&mut self) -> (u64, Option<usize>) {
+        let i = self.order[self.cursor] as usize;
+        self.cursor += 1;
+        let (now_ps, home, _) = self.arrive_key(i);
+        if let Some(ti) = self.nodes[0].resolve(&self.jobs[i].tenant) {
+            self.t_submitted[ti] += 1;
+        }
+        let home = home as usize;
+        if self.alive[home] {
+            self.deliver(home, i, 0, now_ps);
+            (now_ps, Some(home))
+        } else {
+            self.reroute(home, i as u32, 0, now_ps);
+            (now_ps, None)
+        }
+    }
+
+    /// Apply the calendar's next event. Returns its time and the node it
+    /// touched.
+    fn next_event(&mut self) -> (u64, Option<usize>) {
+        let (now_ps, ev) = self.calendar.pop().expect("peeked above");
+        let touched = match ev {
+            CEv::BatchDone { node, board } => {
+                let node = node as usize;
+                if self.alive[node] {
+                    self.nodes[node].batch_done(board as usize, self.observer);
+                    Some(node)
+                } else {
+                    // Stale: the node's failure orphaned this batch.
+                    None
+                }
+            }
+            CEv::Fail { node } => {
+                let node = node as usize;
+                if self.alive[node] {
+                    self.alive[node] = false;
+                    self.alive_count -= 1;
+                    self.node_failures += 1;
+                    for job in self.nodes[node].fail(now_ps, self.observer) {
+                        self.redispatch(node, job, now_ps);
+                    }
+                }
+                None
+            }
+            CEv::Deliver { node, kind } => {
+                let node = node as usize;
+                self.nodes[node].pending_incoming -= 1;
+                match kind {
+                    DeliverKind::Forward { idx, hops } if self.alive[node] => {
+                        self.deliver(node, idx as usize, hops + 1, now_ps);
+                        Some(node)
+                    }
+                    DeliverKind::Forward { idx, hops } => {
+                        self.reroute(node, idx, hops, now_ps);
+                        None
+                    }
+                    DeliverKind::Steal(job) | DeliverKind::Redispatch(job) if !self.alive[node] => {
+                        // The receiver died mid-transfer: the job is
+                        // orphaned again.
+                        self.redispatch(node, *job, now_ps);
+                        None
+                    }
+                    DeliverKind::Steal(job) => {
+                        self.nodes[node].transfer_in(*job, false);
+                        Some(node)
+                    }
+                    DeliverKind::Redispatch(job) => {
+                        self.nodes[node].transfer_in(*job, true);
+                        Some(node)
+                    }
+                }
+            }
+        };
+        (now_ps, touched)
+    }
+
+    /// Put `kind` on the wire to node `to`, landing at `at_ps`. The
+    /// receiver counts it as inbound until then, which keeps stealing
+    /// away from a node that is about to get work anyway.
+    fn send(&mut self, to: usize, at_ps: u64, kind: DeliverKind) {
+        self.nodes[to].pending_incoming += 1;
+        self.calendar.push(
+            at_ps,
+            (to as u32, RANK_DELIVER),
+            CEv::Deliver {
+                node: to as u32,
+                kind,
+            },
+        );
+    }
+
+    /// Append a terminal outcome to the ledger when the run keeps
+    /// records: the one place a [`ClusterJobRecord`] is built.
+    fn record(
+        &mut self,
+        id: u64,
+        tenant: &TenantId,
+        node: Option<usize>,
+        outcome: ClusterOutcome,
+        finish_ps: u64,
+    ) {
+        if self.cfg.keep_records {
+            self.records.push(ClusterJobRecord {
+                id,
+                tenant: tenant.clone(),
+                node,
+                outcome,
+                finish_ps,
+            });
+        }
     }
 
     /// Deliver job `idx` to `node`'s admission control. `hops` counts
     /// shed forwards already taken: hop 0 may bounce a queue-full job to
     /// the least-loaded peer; hop 1's queue-full is terminal `Shed`.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        cfg: &ClusterConfig,
-        jobs: &[JobSpec],
-        nodes: &mut [ServeNode],
-        alive: &[bool],
-        alive_count: usize,
-        node: usize,
-        idx: usize,
-        hops: u8,
-        now_ps: u64,
-        observer: &dyn FlowObserver,
-        calendar: &mut ClusterCalendar,
-        admitted: &mut u64,
-        rejected: &mut u64,
-        shed: &mut u64,
-        forwarded: &mut u64,
-        rejections: &mut RejectionCounts,
-        t_rejected: &mut [u64],
-        resolve: &dyn Fn(&TenantId) -> Option<usize>,
-        mut records: Option<&mut Vec<ClusterJobRecord>>,
-    ) {
-        let job = &jobs[idx];
-        let job_id = job.id;
-        let job_tenant = job.tenant.clone();
-        let probe = cfg.shed && hops == 0 && alive_count >= 2;
-        match nodes[node].admit(job, now_ps, probe, observer) {
-            Admit::Queued(_) => *admitted += 1,
+    fn deliver(&mut self, node: usize, idx: usize, hops: u8, now_ps: u64) {
+        let job = &self.jobs[idx];
+        let probe = self.cfg.shed && hops == 0 && self.alive_count >= 2;
+        match self.nodes[node].admit(job, now_ps, probe, self.observer) {
+            Admit::Queued(_) => {}
+            Admit::Rejected(AdmissionError::QueueFull { .. }) if hops > 0 => {
+                // The forwarded hop also found a full queue: shed.
+                self.shed += 1;
+                self.observer.on_event(&FlowEvent::JobShed {
+                    job: job.id,
+                    tenant: job.tenant.clone(),
+                    node,
+                });
+                self.record(
+                    job.id,
+                    &job.tenant,
+                    Some(node),
+                    ClusterOutcome::Shed,
+                    now_ps,
+                );
+            }
             Admit::Rejected(err) => {
-                if hops > 0 && matches!(err, AdmissionError::QueueFull { .. }) {
-                    // The forwarded hop also found a full queue: shed.
-                    *shed += 1;
-                    observer.on_event(&FlowEvent::JobShed {
-                        job: job_id,
-                        tenant: job_tenant.clone(),
-                        node,
-                    });
-                    if let Some(records) = records.as_deref_mut() {
-                        records.push(ClusterJobRecord {
-                            id: job_id,
-                            tenant: job_tenant,
-                            node: Some(node),
-                            outcome: ClusterOutcome::Shed,
-                            finish_ps: now_ps,
-                        });
-                    }
-                } else {
-                    *rejected += 1;
-                    rejections.count(&err);
-                    if let Some(ti) = resolve(&job_tenant) {
-                        t_rejected[ti] += 1;
-                    }
-                    if let Some(records) = records {
-                        records.push(ClusterJobRecord {
-                            id: job_id,
-                            tenant: job_tenant,
-                            node: Some(node),
-                            outcome: ClusterOutcome::Rejected,
-                            finish_ps: now_ps,
-                        });
-                    }
+                self.rejected += 1;
+                self.rejections.count(&err);
+                if let Some(ti) = self.nodes[0].resolve(&job.tenant) {
+                    self.t_rejected[ti] += 1;
                 }
+                self.record(
+                    job.id,
+                    &job.tenant,
+                    Some(node),
+                    ClusterOutcome::Rejected,
+                    now_ps,
+                );
             }
             Admit::WouldOverflow => {
                 // Least-loaded alive peer (queued + inbound, id as
                 // tie-break) takes the bounce.
-                let target = (0..nodes.len())
-                    .filter(|&v| v != node && alive[v])
+                let to = (0..self.nodes.len())
+                    .filter(|&v| v != node && self.alive[v])
                     .min_by_key(|&v| {
-                        (
-                            nodes[v].queued_total() + nodes[v].pending_incoming as usize,
-                            v,
-                        )
+                        let n = &self.nodes[v];
+                        (n.queued_total() + n.pending_incoming as usize, v)
                     })
                     .expect("alive_count >= 2 checked by probe");
-                *forwarded += 1;
-                observer.on_event(&FlowEvent::JobForwarded {
-                    job: job_id,
-                    tenant: job_tenant,
+                self.forwarded += 1;
+                self.observer.on_event(&FlowEvent::JobForwarded {
+                    job: job.id,
+                    tenant: job.tenant.clone(),
                     from_node: node,
-                    to_node: target,
+                    to_node: to,
                 });
-                nodes[target].pending_incoming += 1;
-                calendar.push(
-                    now_ps + cfg.net.forward_ps,
-                    (target as u32, RANK_DELIVER),
-                    CEv::Deliver {
-                        node: target as u32,
-                        kind: DeliverKind::Forward {
-                            idx: idx as u32,
-                            hops: 1,
-                        },
-                    },
-                );
+                let kind = DeliverKind::Forward {
+                    idx: idx as u32,
+                    hops: 1,
+                };
+                self.send(to, now_ps + self.cfg.net.forward_ps, kind);
+            }
+        }
+    }
+
+    /// Job `idx`, carrying `hops` shed forwards, found node `from` dead
+    /// on delivery: re-route it along the ring, or drop it unadmitted
+    /// when the whole cluster is dead.
+    fn reroute(&mut self, from: usize, idx: u32, hops: u8, now_ps: u64) {
+        let job = &self.jobs[idx as usize];
+        match self.ring.successor(from, &self.alive) {
+            Some(to) => {
+                self.forwarded += 1;
+                self.observer.on_event(&FlowEvent::JobForwarded {
+                    job: job.id,
+                    tenant: job.tenant.clone(),
+                    from_node: from,
+                    to_node: to,
+                });
+                let kind = DeliverKind::Forward { idx, hops };
+                self.send(to, now_ps + self.cfg.net.forward_ps, kind);
+            }
+            None => {
+                self.shed += 1;
+                self.observer.on_event(&FlowEvent::JobShed {
+                    job: job.id,
+                    tenant: job.tenant.clone(),
+                    node: from,
+                });
+                self.record(job.id, &job.tenant, None, ClusterOutcome::Shed, now_ps);
             }
         }
     }
 
     /// Re-dispatch a failure-orphaned job, or count it `Failed` when
     /// the budget or the cluster is exhausted.
-    #[allow(clippy::too_many_arguments)]
-    fn redispatch(
-        cfg: &ClusterConfig,
-        nodes: &mut [ServeNode],
-        ring: &HashRing,
-        alive: &[bool],
-        from_node: usize,
-        mut job: ActiveJob,
-        now_ps: u64,
-        observer: &dyn FlowObserver,
-        calendar: &mut ClusterCalendar,
-        failed: &mut u64,
-        redispatched: &mut u64,
-        records: Option<&mut Vec<ClusterJobRecord>>,
-    ) {
+    fn redispatch(&mut self, from: usize, mut job: ActiveJob, now_ps: u64) {
         job.redispatches += 1;
-        let target = if job.redispatches > cfg.max_redispatch {
+        let target = if job.redispatches > self.cfg.max_redispatch {
             None
         } else {
-            ring.route(&job.spec.tenant, alive)
+            self.ring.route(&job.spec.tenant, &self.alive)
         };
         match target {
-            Some(t) => {
-                *redispatched += 1;
-                observer.on_event(&FlowEvent::JobRedispatched {
+            Some(to) => {
+                self.redispatched += 1;
+                self.observer.on_event(&FlowEvent::JobRedispatched {
                     job: job.spec.id,
                     tenant: job.spec.tenant.clone(),
-                    from_node,
-                    to_node: t,
+                    from_node: from,
+                    to_node: to,
                 });
-                nodes[t].pending_incoming += 1;
-                calendar.push(
-                    now_ps + cfg.net.redispatch_ps,
-                    (t as u32, RANK_DELIVER),
-                    CEv::Deliver {
-                        node: t as u32,
-                        kind: DeliverKind::Redispatch(Box::new(job)),
+                let at_ps = now_ps + self.cfg.net.redispatch_ps;
+                self.send(to, at_ps, DeliverKind::Redispatch(Box::new(job)));
+            }
+            None => {
+                self.failed += 1;
+                self.observer.on_event(&FlowEvent::JobFailed {
+                    job: job.spec.id,
+                    tenant: job.spec.tenant.clone(),
+                    node: from,
+                });
+                self.record(
+                    job.spec.id,
+                    &job.spec.tenant,
+                    Some(from),
+                    ClusterOutcome::Failed,
+                    now_ps,
+                );
+            }
+        }
+    }
+
+    /// Service a node an event touched: let it dispatch what its freed
+    /// capacity allows, then move the completions and time-outs it
+    /// recorded since its last service into the ledger.
+    fn service(&mut self, id: usize, now_ps: u64) {
+        if self.alive[id] {
+            self.nodes[id].dispatch(now_ps, self.observer, &mut self.started);
+            for (board, done_ps) in self.started.drain(..) {
+                self.calendar.push(
+                    done_ps,
+                    (id as u32, RANK_BATCH_DONE),
+                    CEv::BatchDone {
+                        node: id as u32,
+                        board: board as u32,
                     },
                 );
             }
-            None => {
-                *failed += 1;
-                observer.on_event(&FlowEvent::JobFailed {
-                    job: job.spec.id,
-                    tenant: job.spec.tenant.clone(),
-                    node: from_node,
-                });
-                if let Some(records) = records {
-                    records.push(ClusterJobRecord {
-                        id: job.spec.id,
-                        tenant: job.spec.tenant.clone(),
-                        node: Some(from_node),
-                        outcome: ClusterOutcome::Failed,
-                        finish_ps: now_ps,
-                    });
+        }
+        // A node keeps its records exactly when the ledger is kept.
+        while let Some(rec) = self.nodes[id].records().get(self.node_records_seen[id]) {
+            let outcome = match rec.outcome {
+                JobOutcome::Completed => ClusterOutcome::Completed,
+                JobOutcome::CompletedLate => ClusterOutcome::CompletedLate,
+                JobOutcome::TimedOut => ClusterOutcome::TimedOut,
+            };
+            let (job, tenant, finish_ps) = (rec.id, rec.tenant.clone(), rec.finish_ps);
+            self.node_records_seen[id] += 1;
+            self.record(job, &tenant, Some(id), outcome, finish_ps);
+        }
+    }
+
+    /// Work-stealing scan: an alive node that is idle, empty and has
+    /// nothing inbound steals the newest job from the most-loaded alive
+    /// peer.
+    fn steal_scan(&mut self, now_ps: u64) {
+        for thief in 0..self.nodes.len() {
+            let t = &self.nodes[thief];
+            if !self.alive[thief]
+                || t.pending_incoming > 0
+                || t.idle_boards() == 0
+                || t.queued_total() > 0
+            {
+                continue;
+            }
+            let mut victim: Option<(usize, usize)> = None; // (queued, id)
+            for v in 0..self.nodes.len() {
+                if v == thief || !self.alive[v] {
+                    continue;
+                }
+                let q = self.nodes[v].queued_total();
+                if q > victim.map_or(0, |(q, _)| q) {
+                    victim = Some((q, v));
                 }
             }
+            let Some((_, v)) = victim else { continue };
+            let Some(job) = self.nodes[v].steal_out() else {
+                continue;
+            };
+            self.stolen += 1;
+            self.observer.on_event(&FlowEvent::JobStolen {
+                job: job.spec.id,
+                tenant: job.spec.tenant.clone(),
+                from_node: v,
+                to_node: thief,
+            });
+            let at_ps = now_ps + self.cfg.net.steal_ps;
+            self.send(thief, at_ps, DeliverKind::Steal(Box::new(job)));
+        }
+    }
+
+    /// Fold the run into its report: the cluster's own tallies, plus the
+    /// admissions, completions, time-outs, latencies and makespan summed
+    /// (or maxed, or merged) over the nodes.
+    fn into_report(self) -> ClusterReport {
+        let tenants: Vec<TenantReport> = self.nodes[0]
+            .tenant_ids()
+            .iter()
+            .enumerate()
+            .map(|(ti, tenant)| {
+                let mut latencies = Vec::new();
+                let mut missed = 0;
+                for node in &self.nodes {
+                    let (node_latencies, node_missed) = node.tenant_completions(ti);
+                    latencies.extend_from_slice(node_latencies);
+                    missed += node_missed;
+                }
+                TenantReport::new(
+                    tenant.clone(),
+                    self.t_submitted[ti],
+                    self.t_rejected[ti],
+                    missed,
+                    &latencies,
+                )
+            })
+            .collect();
+        let per_node: Vec<ServeReport> =
+            self.nodes.into_iter().map(ServeNode::into_report).collect();
+        let sum = |count: fn(&ServeReport) -> u64| per_node.iter().map(count).sum::<u64>();
+        let completed = sum(|r| r.completed);
+        let completed_late = sum(|r| r.completed_late);
+        let makespan_ps = per_node.iter().map(|r| r.makespan_ps).max().unwrap_or(0);
+        ClusterReport {
+            policy: self.cfg.nodes[0].policy,
+            seed: self.cfg.seed,
+            nodes: per_node.len(),
+            submitted: self.jobs.len() as u64,
+            admitted: sum(|r| r.admitted),
+            rejected: self.rejected,
+            shed: self.shed,
+            completed,
+            completed_late,
+            timed_out: sum(|r| r.timed_out),
+            failed: self.failed,
+            forwarded: self.forwarded,
+            stolen: self.stolen,
+            redispatched: self.redispatched,
+            node_failures: self.node_failures,
+            rejections: self.rejections,
+            makespan_ps,
+            throughput_jobs_per_s: jobs_per_s(completed + completed_late, makespan_ps),
+            fairness: ServeReport::jain_fairness(&tenants),
+            tenants,
+            per_node,
+            records: self.records,
         }
     }
 }

@@ -7,11 +7,16 @@
 //! that drives it: the driver delivers arrivals ([`ServeNode::admit`]),
 //! board completions ([`ServeNode::batch_done`]) and failure injections
 //! ([`ServeNode::fail`]), then asks the node to dispatch as much as its
-//! pool allows ([`ServeNode::dispatch`]) and drains its terminal
-//! outcomes ([`ServeNode::drain_outcomes`]). The node never schedules
-//! its own events and never reads a clock — every timestamp comes in
-//! from the driver — which is what keeps a multi-node composition on one
-//! total event order deterministic.
+//! pool allows ([`ServeNode::dispatch`]). The node never schedules its
+//! own events and never reads a clock — every timestamp comes in from the
+//! driver — which is what keeps a multi-node composition on one total
+//! event order deterministic.
+//!
+//! The node counts every terminal outcome that happens on it
+//! (completions, late completions, queue time-outs, their latencies and
+//! the makespan), and keeps a [`JobRecord`] per outcome only when its
+//! config keeps records; the cluster folds those counts from its nodes
+//! and copies new records into its ledger instead of counting again.
 //!
 //! In-flight jobs live *on the node* (in each board slot), not in the
 //! calendar: a `BatchDone` event is just `(node, board)`, so a node
@@ -270,9 +275,6 @@ pub struct ServeNode {
     policy: Box<dyn SchedPolicy>,
     max_batch: usize,
     alive: bool,
-    /// Terminal job outcomes not yet drained by the driving cluster
-    /// (its tally feed).
-    outcomes: Vec<JobRecord>,
     /// Jobs routed to this node but still "on the wire" — a cluster
     /// uses this to keep work-stealing away from nodes that are about
     /// to receive work anyway.
@@ -333,7 +335,6 @@ impl ServeNode {
             queues,
             boards,
             alive: true,
-            outcomes: Vec::new(),
             pending_incoming: 0,
             submitted: 0,
             submitted_per_tenant: vec![0; n],
@@ -370,12 +371,27 @@ impl ServeNode {
         self.boards.iter().filter(|b| !b.busy).count()
     }
 
-    /// Terminal job outcomes accumulated since the last drain.
-    pub fn drain_outcomes(&mut self) -> std::vec::Drain<'_, JobRecord> {
-        self.outcomes.drain(..)
+    /// The tenant registry, in report order (shared by every node of a
+    /// cluster: the builder checks they agree).
+    pub(crate) fn tenant_ids(&self) -> &[TenantId] {
+        &self.tenant_ids
     }
 
-    fn resolve(&self, tenant: &TenantId) -> Option<usize> {
+    /// Tenant `ti`'s completions here: each completed (on-time or late)
+    /// job's latency, and the deadline misses (late finishes plus queue
+    /// time-outs).
+    pub(crate) fn tenant_completions(&self, ti: usize) -> (&[u64], u64) {
+        (&self.tenant_latencies[ti], self.tenant_missed[ti])
+    }
+
+    /// The per-job records kept so far, in completion/expiry order
+    /// (empty unless the config keeps records).
+    pub(crate) fn records(&self) -> &[JobRecord] {
+        &self.records
+    }
+
+    /// Index of `tenant` in the registry (`None` for an unknown tenant).
+    pub(crate) fn resolve(&self, tenant: &TenantId) -> Option<usize> {
         let i = tenant.index() as usize;
         if i < self.tenant_ids.len() && self.tenant_ids[i].name() == tenant.name() {
             return Some(i);
@@ -383,29 +399,48 @@ impl ServeNode {
         self.tenant_lookup.get(tenant.name()).copied()
     }
 
-    /// Record one terminal outcome: counters, tenant tallies, the
-    /// per-job record (when the config keeps them), and the outcomes
-    /// buffer.
-    fn record_outcome(&mut self, rec: JobRecord, ti: Option<usize>) {
-        match rec.outcome {
+    /// Record one terminal outcome of `job` at `finish_ps`: the
+    /// makespan, counters and tenant tallies, and the per-job record
+    /// when the config keeps records.
+    fn record_outcome(
+        &mut self,
+        job: &ActiveJob,
+        board: Option<usize>,
+        outcome: JobOutcome,
+        finish_ps: u64,
+        retries: u32,
+    ) {
+        let latency_ps = finish_ps - job.spec.submit_ps;
+        self.makespan_ps = self.makespan_ps.max(finish_ps);
+        match outcome {
             JobOutcome::Completed => self.completed += 1,
             JobOutcome::CompletedLate => self.completed_late += 1,
             JobOutcome::TimedOut => self.timed_out += 1,
         }
-        if let Some(ti) = ti {
-            match rec.outcome {
-                JobOutcome::Completed => self.tenant_latencies[ti].push(rec.latency_ps),
+        if let Some(ti) = self.resolve(&job.spec.tenant) {
+            match outcome {
+                JobOutcome::Completed => self.tenant_latencies[ti].push(latency_ps),
                 JobOutcome::CompletedLate => {
-                    self.tenant_latencies[ti].push(rec.latency_ps);
+                    self.tenant_latencies[ti].push(latency_ps);
                     self.tenant_missed[ti] += 1;
                 }
                 JobOutcome::TimedOut => self.tenant_missed[ti] += 1,
             }
         }
         if self.cfg.keep_records {
-            self.records.push(rec.clone());
+            self.records.push(JobRecord {
+                id: job.spec.id,
+                tenant: job.spec.tenant.clone(),
+                arch: job.spec.arch.name().into(),
+                side: job.spec.side,
+                board,
+                outcome,
+                submit_ps: job.spec.submit_ps,
+                finish_ps,
+                latency_ps,
+                retries,
+            });
         }
-        self.outcomes.push(rec);
     }
 
     /// Deliver one job to admission control at virtual time `now_ps`.
@@ -539,7 +574,6 @@ impl ServeNode {
                 continue;
             }
             let finish_ps = inflight.finish_ps;
-            self.makespan_ps = self.makespan_ps.max(finish_ps);
             let outcome = match job.spec.deadline_ps {
                 Some(d) if finish_ps > d => {
                     observer.on_event(&FlowEvent::JobDeadlineMissed {
@@ -559,22 +593,7 @@ impl ServeNode {
                 board,
                 latency_ps: finish_ps - job.spec.submit_ps,
             });
-            let ti = self.resolve(&job.spec.tenant);
-            self.record_outcome(
-                JobRecord {
-                    id: job.spec.id,
-                    tenant: job.spec.tenant.clone(),
-                    arch: job.spec.arch.name().into(),
-                    side: job.spec.side,
-                    board: Some(board),
-                    outcome,
-                    submit_ps: job.spec.submit_ps,
-                    finish_ps,
-                    latency_ps: finish_ps - job.spec.submit_ps,
-                    retries: job.attempts - 1,
-                },
-                ti,
-            );
+            self.record_outcome(&job, Some(board), outcome, finish_ps, job.attempts - 1);
         }
     }
 
@@ -592,23 +611,7 @@ impl ServeNode {
                     node: self.id,
                     late_ps: now_ps.saturating_sub(deadline),
                 });
-                self.makespan_ps = self.makespan_ps.max(deadline);
-                let ti = self.resolve(&job.spec.tenant);
-                self.record_outcome(
-                    JobRecord {
-                        id: job.spec.id,
-                        tenant: job.spec.tenant.clone(),
-                        arch: job.spec.arch.name().into(),
-                        side: job.spec.side,
-                        board: None,
-                        outcome: JobOutcome::TimedOut,
-                        submit_ps: job.spec.submit_ps,
-                        finish_ps: deadline,
-                        latency_ps: deadline - job.spec.submit_ps,
-                        retries: job.attempts,
-                    },
-                    ti,
-                );
+                self.record_outcome(&job, None, JobOutcome::TimedOut, deadline, job.attempts);
             }
         }
     }

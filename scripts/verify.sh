@@ -39,12 +39,8 @@ cargo fmt --check
 # Clippy is not part of the minimal toolchain baked into every image;
 # lint hard when it exists, skip quietly when it doesn't.
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy (offline, -D warnings, all first-party crates)"
-    cargo clippy --offline -p accelsoc-kernel -p accelsoc-core -p accelsoc-hls \
-        -p accelsoc-dse -p accelsoc-platform -p accelsoc-axi -p accelsoc-serve \
-        -p accelsoc-observe -p accelsoc-bench -p accelsoc -p accelsoc-htg \
-        -p accelsoc-integration -p accelsoc-partition -p accelsoc-apps \
-        --all-targets -- -D warnings
+    echo "==> cargo clippy (offline, -D warnings, whole workspace)"
+    cargo clippy --offline --workspace --all-targets -- -D warnings
 else
     echo "==> cargo clippy unavailable; skipping lint step"
 fi

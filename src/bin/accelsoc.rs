@@ -64,6 +64,35 @@ use accelsoc_integration::assembler::DmaPolicy;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+// Report output goes through `write_stdout`: these shadow the std
+// macros, which panic when stdout's reader has gone away.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+macro_rules! println {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write report output to stdout. When the reader has gone away
+/// (`accelsoc cluster-sim | head -3`) the write fails with `BrokenPipe`,
+/// and the process ends quietly with the status a shell reports for a
+/// writer killed by SIGPIPE (128 + 13); any other write error is
+/// reported and ends it with status 1.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn builtin_kernels() -> Vec<accelsoc::kernel::ir::Kernel> {
     use accelsoc::apps::kernels as k;
     vec![

@@ -283,3 +283,25 @@ fn bad_sim_and_partition_inputs_fail_without_panicking() {
         assert!(err.contains(stderr), "{args:?}: {err}");
     }
 }
+
+/// A reader of stdout that went away (`accelsoc cluster-sim | head -3`)
+/// makes every report write fail with `BrokenPipe`: the process must end
+/// quietly instead of panicking (exit 101). The read end is closed before
+/// the child starts, so its very first write already fails.
+#[test]
+fn closed_stdout_ends_the_process_without_panicking() {
+    for args in [
+        &["kernels"][..],
+        &["serve-sim", "--jobs", "4"],
+        &["cluster-sim", "--jobs", "8"],
+        &["partition-sim", "--scale", "2", "--side", "16"],
+    ] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = bin().args(args).stdout(writer).output().unwrap();
+        let code = out.status.code();
+        assert_ne!(code, Some(101), "{args:?} exited with {code:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}

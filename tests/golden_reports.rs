@@ -1,7 +1,7 @@
 //! Golden tests pinning the serialized `BatchReport`, `ServeReport` and
-//! `PartitionSimReport` byte-for-byte, a serve stress run's reports and
-//! full event streams, and the Otsu chain's per-task runs, DSE profiles
-//! and scaled HTG.
+//! `PartitionSimReport` byte-for-byte, the reports and full event streams
+//! of serve and multi-node cluster stress runs, and the Otsu chain's
+//! per-task runs, DSE profiles and scaled HTG.
 //!
 //! All three reports are virtual-time-only and deterministic by construction,
 //! so their JSON must not drift when the execution engine underneath is
@@ -20,8 +20,9 @@ use accelsoc_hls::cache::HlsCache;
 use accelsoc_htg::graph::{Htg, TaskNode, TransferKind};
 use accelsoc_partition::{run_partition_sim, scaled_otsu_htg, PartitionSimOptions};
 use accelsoc_serve::{
-    generate_workload, pool_image_seeds, DseEstimator, JobShape, JobSpec, PolicyKind, ServeConfig,
-    ServeSession, TenantProfile, WorkloadSpec,
+    generate_workload, pool_image_seeds, ClusterConfig, ClusterOutcome, ClusterSession,
+    DseEstimator, JobShape, JobSpec, PolicyKind, ServeConfig, ServeSession, TenantProfile,
+    WorkloadSpec,
 };
 use std::path::Path;
 
@@ -146,12 +147,11 @@ fn stress_extras(next_id: u64, mid_ps: u64) -> Vec<JobSpec> {
     extras
 }
 
-/// A saturated serve run that exercises every path of the event loop:
-/// retries, queue time-outs, late completions, all six rejection kinds
-/// and multi-board gangs, under every policy. Each run writes its compact
-/// report, then every `FlowEvent` it emitted, one JSON document a line.
-#[test]
-fn serve_stress_matches_golden() {
+/// The stress workload: a saturated two-tenant stream (30 % transient
+/// faults, tight interactive deadlines, six pooled images) with
+/// [`stress_extras`] spliced into its middle. Returns the tenant names,
+/// the jobs and the workload seed.
+fn stress_workload() -> (Vec<String>, Vec<JobSpec>, u64) {
     let profiles = vec![
         TenantProfile {
             name: "interactive".into(),
@@ -181,7 +181,27 @@ fn serve_stress_matches_golden() {
     let mid = jobs.len() / 2;
     let extras = stress_extras(jobs.len() as u64, jobs[mid - 1].submit_ps);
     jobs.splice(mid..mid, extras);
+    let tenants = profiles.into_iter().map(|t| t.name).collect();
+    (tenants, jobs, spec.seed)
+}
 
+/// Append a run's compact report JSON, then every `FlowEvent` it
+/// emitted, one JSON document a line.
+fn push_run(out: &mut String, report: String, obs: &CollectObserver) {
+    out.push_str(&report);
+    out.push('\n');
+    for event in obs.events() {
+        out.push_str(&serde_json::to_string(&event).unwrap());
+        out.push('\n');
+    }
+}
+
+/// A saturated serve run that exercises every path of the event loop:
+/// retries, queue time-outs, late completions, all six rejection kinds
+/// and multi-board gangs, under every policy.
+#[test]
+fn serve_stress_matches_golden() {
+    let (tenants, jobs, seed) = stress_workload();
     let mut out = String::new();
     for (policy, boards) in [
         (PolicyKind::Fifo, 2),
@@ -190,25 +210,98 @@ fn serve_stress_matches_golden() {
         (PolicyKind::Sjf, 1),
     ] {
         let cfg = ServeConfig::builder()
-            .tenants(profiles.iter().map(|t| t.name.clone()))
+            .tenants(tenants.clone())
             .boards(boards)
             .policy(policy)
             .queue_depth(2)
             .max_batch(3)
             .max_retries(1)
             .threads(2)
-            .seed(spec.seed)
+            .seed(seed)
             .build();
         let obs = CollectObserver::new();
         let rep = ServeSession::new(cfg).run(&jobs, &obs).expect("serve");
-        out.push_str(&serde_json::to_string(&rep).unwrap());
-        out.push('\n');
-        for event in obs.events() {
-            out.push_str(&serde_json::to_string(&event).unwrap());
-            out.push('\n');
-        }
+        push_run(&mut out, serde_json::to_string(&rep).unwrap(), &obs);
     }
     check_or_update("serve_stress.jsonl", &out);
+}
+
+/// The stress workload on three heterogeneous nodes (fifo/rr/sjf on
+/// 2/2/1 boards, queue depth 2) over the default network, in three
+/// clusters: stealing and shedding on with node 1 killed mid-run;
+/// stealing and shedding off, no re-dispatch budget and node 0 killed
+/// mid-run; and every node killed before the stream ends. Pins the multi-node loop's
+/// report (tenant rows, per-node views, the ordered ledger) and events.
+#[test]
+fn cluster_stress_matches_golden() {
+    let (tenants, jobs, seed) = stress_workload();
+    let last_ps = jobs.iter().map(|j| j.submit_ps).max().unwrap();
+    let node = |policy: PolicyKind, boards: usize| {
+        ServeConfig::builder()
+            .tenants(tenants.clone())
+            .boards(boards)
+            .policy(policy)
+            .queue_depth(2)
+            .max_batch(3)
+            .max_retries(1)
+            .build()
+    };
+    let base = || {
+        ClusterConfig::builder()
+            .node(node(PolicyKind::Fifo, 2))
+            .node(node(PolicyKind::RoundRobin, 2))
+            .node(node(PolicyKind::Sjf, 1))
+            .threads(2)
+            .seed(seed)
+            .keep_records(true)
+    };
+    let configs = [
+        base().fail_node(1, last_ps / 2),
+        base()
+            .steal(false)
+            .shed(false)
+            .max_redispatch(0)
+            .fail_node(0, last_ps / 2),
+        base()
+            .fail_node(0, last_ps / 4)
+            .fail_node(1, last_ps / 2)
+            .fail_node(2, last_ps * 3 / 4),
+    ];
+
+    let mut out = String::new();
+    let mut outcomes = Vec::new();
+    let mut unrouted_shed = false;
+    let (mut forwarded, mut stolen, mut redispatched) = (0, 0, 0);
+    for cfg in configs {
+        let obs = CollectObserver::new();
+        let rep = ClusterSession::new(cfg.build().unwrap())
+            .run(&jobs, &obs)
+            .expect("cluster");
+        assert!(rep.accounting_ok(), "accounting violated: {rep:?}");
+        for rec in &rep.records {
+            if !outcomes.contains(&rec.outcome) {
+                outcomes.push(rec.outcome);
+            }
+            unrouted_shed |= rec.outcome == ClusterOutcome::Shed && rec.node.is_none();
+        }
+        forwarded += rep.forwarded;
+        stolen += rep.stolen;
+        redispatched += rep.redispatched;
+        push_run(&mut out, serde_json::to_string(&rep).unwrap(), &obs);
+    }
+    for outcome in [
+        ClusterOutcome::Completed,
+        ClusterOutcome::CompletedLate,
+        ClusterOutcome::TimedOut,
+        ClusterOutcome::Rejected,
+        ClusterOutcome::Shed,
+        ClusterOutcome::Failed,
+    ] {
+        assert!(outcomes.contains(&outcome), "no run reached {outcome:?}");
+    }
+    assert!(unrouted_shed, "no job arrived at an all-dead cluster");
+    assert!(forwarded > 0 && stolen > 0 && redispatched > 0);
+    check_or_update("cluster_stress.jsonl", &out);
 }
 
 #[test]
