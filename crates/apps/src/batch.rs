@@ -16,6 +16,30 @@ use crate::otsu::{run_application_group, AppConfig, AppError};
 use accelsoc_core::flow::{FlowArtifacts, FlowEngine};
 use serde::{Deserialize, Serialize};
 
+/// Map `f` over `0..n` on up to `threads` scoped host threads, each
+/// taking one contiguous chunk of indices, and return the results in
+/// index order — so the output never depends on `threads`.
+pub fn par_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(n, || None);
+    let chunk = n.div_ceil(threads.max(1)).max(1);
+    let f = &f;
+    crossbeam::thread::scope(|s| {
+        for (c, out) in slots.chunks_mut(chunk).enumerate() {
+            s.spawn(move |_| {
+                for (i, slot) in out.iter_mut().enumerate() {
+                    *slot = Some(f(c * chunk + i));
+                }
+            });
+        }
+    })
+    .expect("parallel map worker panicked");
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every slot filled"))
+        .collect()
+}
+
 /// Lane width used when the caller doesn't pick one: wide enough to
 /// amortize dispatch, narrow enough that divergence stays cheap.
 pub const DEFAULT_LANES: usize = 4;
@@ -97,35 +121,20 @@ pub fn run_batch_lanes(
     lanes: usize,
     cfg: &AppConfig,
 ) -> Result<BatchReport, AppError> {
-    let threads = threads.max(1);
-    let lanes = lanes.max(1);
-    let groups: Vec<&[RgbImage]> = images.chunks(lanes).collect();
-    type GroupSlot = Option<Result<(Vec<f64>, u64, u64), AppError>>;
-    let mut slots: Vec<GroupSlot> = Vec::new();
-    slots.resize_with(groups.len(), || None);
-    let chunk = groups.len().div_ceil(threads).max(1);
-    crossbeam::thread::scope(|s| {
-        for (grp_chunk, out_chunk) in groups.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            s.spawn(move |_| {
-                for (grp, slot) in grp_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(
-                        run_application_group(arch, engine, artifacts, grp, cfg).and_then(|g| {
-                            let mut ns = Vec::with_capacity(g.runs.len());
-                            for run in g.runs {
-                                ns.push(run?.total_ns);
-                            }
-                            Ok((ns, g.ir_ops, g.vm_dispatches))
-                        }),
-                    );
-                }
-            });
-        }
-    })
-    .expect("batch worker panicked");
+    let groups: Vec<&[RgbImage]> = images.chunks(lanes.max(1)).collect();
+    let results = par_map(groups.len(), threads, |g| {
+        run_application_group(arch, engine, artifacts, groups[g], cfg).and_then(|g| {
+            let mut ns = Vec::with_capacity(g.runs.len());
+            for run in g.runs {
+                ns.push(run?.total_ns);
+            }
+            Ok((ns, g.ir_ops, g.vm_dispatches))
+        })
+    });
     let mut per_image_ns = Vec::with_capacity(images.len());
     let (mut ir_ops, mut vm_dispatches) = (0u64, 0u64);
-    for slot in slots {
-        let (ns, ops, disp) = slot.expect("every group slot filled")?;
+    for result in results {
+        let (ns, ops, disp) = result?;
         per_image_ns.extend(ns);
         ir_ops += ops;
         vm_dispatches += disp;

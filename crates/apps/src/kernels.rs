@@ -11,8 +11,10 @@ use accelsoc_kernel::builder::*;
 use accelsoc_kernel::ir::Kernel;
 use accelsoc_kernel::types::Ty;
 
-/// Maximum supported pixel count (20-bit pixel counters).
-pub const MAX_PIXELS: u32 = 1 << 20;
+/// Largest image the Otsu kernels can count: `halfProbability` holds
+/// pixel counts (`total`, `wB`, `wF`) in 21-bit unsigned locals, which
+/// wrap past 2^21 − 1.
+pub const MAX_PIXELS: u32 = (1 << 21) - 1;
 
 /// `grayScale`: packed-RGB stream in, two duplicated 8-bit gray streams
 /// out (one feeding the histogram path, one the segmentation path).

@@ -43,6 +43,7 @@ fn opts(scale: usize, boards: usize, side: u32, seed: u64, threads: usize) -> Pa
 fn error_kind(e: &PartitionSimError) -> &'static str {
     match e {
         PartitionSimError::TileTooLarge { .. } => "TileTooLarge",
+        PartitionSimError::TooManyPixels { .. } => "TooManyPixels",
         PartitionSimError::Plan(_) => "Plan",
         PartitionSimError::Sim(_) => "Sim",
         PartitionSimError::Exec(_) => "Exec",

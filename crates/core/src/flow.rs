@@ -466,12 +466,6 @@ impl FlowEngine {
         self.kernels.insert(entry.kernel.name.clone(), entry);
     }
 
-    pub fn kernel_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.kernels.keys().map(|s| s.as_str()).collect();
-        v.sort();
-        v
-    }
-
     /// Number of cores currently cached (Fig. 9's reuse effect).
     pub fn cached_cores(&self) -> usize {
         self.hls_cache.len()

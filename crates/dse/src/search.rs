@@ -1,35 +1,23 @@
 //! Search strategies over the 2^N partition space.
 
 use crate::model::{ChainModel, DesignPoint};
+use accelsoc_apps::par_map;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 /// Exhaustive enumeration of all partitions of the partitionable tasks.
 pub fn exhaustive(model: &ChainModel) -> Vec<DesignPoint> {
-    let tasks = model.partitionable();
-    let n = tasks.len();
-    assert!(
-        n <= 20,
-        "exhaustive search over 2^{n} points is unreasonable"
-    );
-    (0..(1u32 << n))
-        .map(|mask| {
-            let hw: HashSet<&str> = tasks
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, t)| *t)
-                .collect();
-            model.evaluate(&hw)
-        })
+    let tasks = searchable(model);
+    (0..1 << tasks.len())
+        .map(|mask| point(model, &tasks, mask))
         .collect()
 }
 
-/// [`exhaustive`], fanned out over `threads` crossbeam scoped threads.
+/// [`exhaustive`], fanned out over `threads` host threads.
 ///
 /// The mask range is split into contiguous chunks, one per worker, and
-/// the chunk outputs are stitched back in mask order — so the result is
+/// the results come back in mask order ([`par_map`]) — so the result is
 /// element-for-element identical to the sequential enumeration (the
 /// differential property `tests/prop_cache.rs` pins this). The cost
 /// model itself is pure, so workers share nothing but the model; when
@@ -37,41 +25,30 @@ pub fn exhaustive(model: &ChainModel) -> Vec<DesignPoint> {
 /// [`crate::otsu::otsu_chain_model_cached`]), the expensive HLS work
 /// has already been amortized once, before the sweep.
 pub fn exhaustive_parallel(model: &ChainModel, threads: usize) -> Vec<DesignPoint> {
+    let tasks = searchable(model);
+    par_map(1 << tasks.len(), threads, |mask| point(model, &tasks, mask))
+}
+
+/// The partitionable tasks, few enough to enumerate.
+fn searchable(model: &ChainModel) -> Vec<&str> {
     let tasks = model.partitionable();
     let n = tasks.len();
     assert!(
         n <= 20,
         "exhaustive search over 2^{n} points is unreasonable"
     );
-    let total = 1u32 << n;
-    let threads = threads.clamp(1, total as usize);
-    let chunk = total.div_ceil(threads as u32);
-    let mut slots: Vec<Option<Vec<DesignPoint>>> = (0..threads).map(|_| None).collect();
-    crossbeam::thread::scope(|s| {
-        for (t, slot) in slots.iter_mut().enumerate() {
-            let tasks = &tasks;
-            s.spawn(move |_| {
-                let lo = (t as u32).saturating_mul(chunk).min(total);
-                let hi = lo.saturating_add(chunk).min(total);
-                let mut out = Vec::with_capacity((hi - lo) as usize);
-                for mask in lo..hi {
-                    let hw: HashSet<&str> = tasks
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| mask & (1 << i) != 0)
-                        .map(|(_, t)| *t)
-                        .collect();
-                    out.push(model.evaluate(&hw));
-                }
-                *slot = Some(out);
-            });
-        }
-    })
-    .expect("DSE evaluation worker panicked");
-    slots
-        .into_iter()
-        .flat_map(|v| v.expect("worker filled its slot"))
-        .collect()
+    tasks
+}
+
+/// The design point that maps the tasks selected by `mask` to hardware.
+fn point(model: &ChainModel, tasks: &[&str], mask: usize) -> DesignPoint {
+    let hw: HashSet<&str> = tasks
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, t)| *t)
+        .collect();
+    model.evaluate(&hw)
 }
 
 /// Greedy accretion: starting from all-software, repeatedly move the task

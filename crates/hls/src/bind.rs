@@ -44,13 +44,6 @@ pub struct Binding {
     pub units: HashMap<FuClass, Vec<u8>>,
 }
 
-impl Binding {
-    /// Total unit count across classes.
-    pub fn unit_count(&self) -> usize {
-        self.units.values().map(|v| v.len()).sum()
-    }
-}
-
 /// Greedy interval binding (left-edge): ops sorted by start cycle, each
 /// assigned to the first unit of its class that is free over the op's
 /// execution interval.

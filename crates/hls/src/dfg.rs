@@ -55,11 +55,6 @@ impl RegionDfg {
         self.ops.len()
     }
 
-    /// Indices of ops with no predecessors.
-    pub fn roots(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.ops.len()).filter(|&i| self.ops[i].deps.is_empty())
-    }
-
     /// Sanity invariant: deps always point backwards (acyclic by
     /// construction).
     pub fn is_topologically_ordered(&self) -> bool {

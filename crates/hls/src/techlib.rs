@@ -54,10 +54,6 @@ impl Default for TechLib {
 }
 
 impl TechLib {
-    pub fn zynq7000() -> Self {
-        Self::default()
-    }
-
     /// Cost of one operator of `class` at `bits` operand width.
     pub fn op_cost(&self, class: OpClass, bits: u8) -> OpCost {
         let b = bits as u32;

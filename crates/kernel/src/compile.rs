@@ -44,9 +44,10 @@
 //!   infallible immediate-shift ops. The replayed [`StatDelta`] still
 //!   counts the source-level `muls`/`divs`.
 //! * **Store fusion** — a scalar assignment whose value expression ends
-//!   in a producer op is rewritten in place to a `*To` variant that
-//!   wraps and stores directly, eliminating the separate `StoreVar`
-//!   (see `Compiler::try_fuse_store` for the safety conditions).
+//!   in a producer op points that op's `dst` at the variable and its
+//!   [`Wrap`] at the variable's type, eliminating the separate
+//!   `StoreVar` (see `Compiler::try_fuse_store` for the safety
+//!   conditions).
 //! * **Back-edge fusion** — [`Op::LoopBack`] increments, re-tests the
 //!   latched bound and jumps to the body itself, so steady-state loop
 //!   iterations dispatch one control op instead of two;
@@ -54,6 +55,7 @@
 
 use crate::ir::{BinOp, Expr, Kernel, LValue, ParamKind, Stmt, UnOp};
 use crate::types::Ty;
+use crate::vm::{bin_checked, bin_infallible, un_op};
 use std::collections::HashMap;
 
 /// An operand: a register or an inline immediate.
@@ -111,16 +113,46 @@ pub(crate) const STAT_STEPS: usize = 0;
 /// Index of `branches` in [`StatDelta::to_array`] / the VM accumulator.
 pub(crate) const STAT_BRANCHES: usize = 10;
 
-/// One bytecode instruction. Arithmetic results are raw 64-bit values
-/// (wrapping happens at stores, mirroring the interpreter); `target` /
-/// `exit` / `body` fields are absolute indices into the op vector.
-///
-/// The `*To` variants are store-fused forms produced when a scalar
-/// assignment's value expression ends in the corresponding producer op:
-/// instead of `producer t; StoreVar dst, wrap(t)` the compiler rewrites
-/// the producer in place to write `ty.wrap(result)` straight into the
-/// named register, saving one dispatch + delta replay per assignment on
-/// the hot path.
+/// What a producing op does to its result before writing `dst`:
+/// [`Ty::wrap`] in [`vm::wrap`](crate::vm)'s shift-pair form, `shift =
+/// 64 - bits`. A named variable's wrap is its type's; a temporary's is
+/// `Wrap::RAW`, the identity (shift 0), because arithmetic results stay
+/// raw 64-bit values until a store wraps them, as in the interpreter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wrap {
+    pub(crate) shift: u8,
+    pub(crate) signed: bool,
+}
+
+impl Wrap {
+    /// The identity: a temporary keeps the raw 64-bit result.
+    pub(crate) const RAW: Wrap = Wrap {
+        shift: 0,
+        signed: true,
+    };
+
+    /// Whether the op stores into a typed variable rather than a
+    /// temporary.
+    pub(crate) fn is_typed(self) -> bool {
+        self.shift != 0
+    }
+}
+
+impl From<Ty> for Wrap {
+    fn from(ty: Ty) -> Wrap {
+        Wrap {
+            shift: 64 - ty.bits,
+            signed: ty.signed,
+        }
+    }
+}
+
+/// One bytecode instruction; `target` / `exit` / `body` fields are
+/// absolute indices into the op vector. A producing op (one with `dst`
+/// and `w`) writes `w(result)`: the raw 64-bit value into a temporary, or
+/// — when store fusion pointed it at a scalar assignment's variable — the
+/// value wrapped to that variable's type, which saves the `StoreVar`
+/// dispatch and delta replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// `dst = a <op> b` for the infallible operators (everything except
@@ -128,6 +160,7 @@ pub enum Op {
     Bin {
         op: BinOp,
         dst: u16,
+        w: Wrap,
         a: Src,
         b: Src,
     },
@@ -136,6 +169,7 @@ pub enum Op {
     BinChecked {
         op: BinOp,
         dst: u16,
+        w: Wrap,
         a: Src,
         b: Src,
     },
@@ -143,11 +177,13 @@ pub enum Op {
     Un {
         op: UnOp,
         dst: u16,
+        w: Wrap,
         a: Src,
     },
     /// `dst = c != 0 ? a : b` (mux: operands already evaluated).
     Select {
         dst: u16,
+        w: Wrap,
         c: Src,
         a: Src,
         b: Src,
@@ -155,6 +191,7 @@ pub enum Op {
     /// `dst = arena[arrays[arr] + idx]`, bounds-checked.
     LoadIdx {
         dst: u16,
+        w: Wrap,
         arr: u16,
         idx: Src,
     },
@@ -173,6 +210,7 @@ pub enum Op {
     /// Pop one token from input stream slot `port`.
     ReadStream {
         dst: u16,
+        w: Wrap,
         port: u16,
     },
     /// Push one token to output stream slot `port`.
@@ -218,96 +256,28 @@ pub enum Op {
     /// or a source-level shift by a constant) — infallible.
     ShlPow2 {
         dst: u16,
+        w: Wrap,
         a: Src,
         k: u8,
     },
     /// `a >> k` (arithmetic) for a constant in-range `k` — infallible.
     ShrImm {
         dst: u16,
+        w: Wrap,
         a: Src,
         k: u8,
     },
     /// Strength-reduced `a / 2^k` (C truncation, branchless fixup).
     DivPow2 {
         dst: u16,
+        w: Wrap,
         a: Src,
         k: u8,
     },
     /// Strength-reduced `a % 2^k` (sign-correct mask + fixup).
     ModPow2 {
         dst: u16,
-        a: Src,
-        k: u8,
-    },
-    /// Store-fused [`Op::Bin`]: `regs[dst] = ty.wrap(a <op> b)`.
-    BinTo {
-        op: BinOp,
-        dst: u16,
-        ty: Ty,
-        a: Src,
-        b: Src,
-    },
-    /// Store-fused [`Op::BinChecked`].
-    BinCheckedTo {
-        op: BinOp,
-        dst: u16,
-        ty: Ty,
-        a: Src,
-        b: Src,
-    },
-    /// Store-fused [`Op::Un`].
-    UnTo {
-        op: UnOp,
-        dst: u16,
-        ty: Ty,
-        a: Src,
-    },
-    /// Store-fused [`Op::Select`].
-    SelectTo {
-        dst: u16,
-        ty: Ty,
-        c: Src,
-        a: Src,
-        b: Src,
-    },
-    /// Store-fused [`Op::LoadIdx`].
-    LoadIdxTo {
-        dst: u16,
-        ty: Ty,
-        arr: u16,
-        idx: Src,
-    },
-    /// Store-fused [`Op::ReadStream`].
-    ReadStreamTo {
-        dst: u16,
-        ty: Ty,
-        port: u16,
-    },
-    /// Store-fused [`Op::ShlPow2`].
-    ShlPow2To {
-        dst: u16,
-        ty: Ty,
-        a: Src,
-        k: u8,
-    },
-    /// Store-fused [`Op::ShrImm`].
-    ShrImmTo {
-        dst: u16,
-        ty: Ty,
-        a: Src,
-        k: u8,
-    },
-    /// Store-fused [`Op::DivPow2`].
-    DivPow2To {
-        dst: u16,
-        ty: Ty,
-        a: Src,
-        k: u8,
-    },
-    /// Store-fused [`Op::ModPow2`].
-    ModPow2To {
-        dst: u16,
-        ty: Ty,
+        w: Wrap,
         a: Src,
         k: u8,
     },
@@ -315,14 +285,7 @@ pub enum Op {
     /// whose result feeds an `And` with a constant mask).
     ShrAnd {
         dst: u16,
-        a: Src,
-        k: u8,
-        mask: i64,
-    },
-    /// Store-fused [`Op::ShrAnd`].
-    ShrAndTo {
-        dst: u16,
-        ty: Ty,
+        w: Wrap,
         a: Src,
         k: u8,
         mask: i64,
@@ -332,14 +295,7 @@ pub enum Op {
     /// associative, so the fused form is bit-identical.
     MulAcc {
         dst: u16,
-        a: Src,
-        b: Src,
-        acc: Src,
-    },
-    /// Store-fused [`Op::MulAcc`].
-    MulAccTo {
-        dst: u16,
-        ty: Ty,
+        w: Wrap,
         a: Src,
         b: Src,
         acc: Src,
@@ -349,16 +305,7 @@ pub enum Op {
     CmpSelect {
         op: BinOp,
         dst: u16,
-        x: Src,
-        y: Src,
-        a: Src,
-        b: Src,
-    },
-    /// Store-fused [`Op::CmpSelect`].
-    CmpSelectTo {
-        op: BinOp,
-        dst: u16,
-        ty: Ty,
+        w: Wrap,
         x: Src,
         y: Src,
         a: Src,
@@ -415,33 +362,58 @@ pub enum Op {
         port: u16,
         s2: u32,
     },
-    /// A lane-tier superinstruction (see [`FusedOp`]). Appears **only**
-    /// in `CompiledKernel::lane_ops`, never in `ops`: the fusion pass
-    /// replaces the *head* slot of a matched run while the middle slots
-    /// keep their original pooled ops, so pc-alignment between the two
-    /// streams — and generic re-entry at any constituent pc after a
-    /// hot-loop bail — is preserved. The boxed payload keeps the `Op`
-    /// enum's size unchanged for the dominant unfused stream.
-    Fused(Box<FusedOp>),
+    /// A lane superinstruction (see [`FusedOp`]) in the head slot of the
+    /// run it covers, together with the head's own op. The hot loop runs
+    /// the whole run in one dispatch; the general step runs the head op
+    /// alone, and the middle slots keep their own ops, so op-granularity
+    /// execution and re-entry at any constituent pc after a hot-loop bail
+    /// see the unfused program. The box keeps the `Op` enum's size
+    /// unchanged.
+    Fused(Box<(Op, FusedOp)>),
 }
 
-/// Lane-VM superinstructions: several consecutive `lane_ops` executed as
-/// one hot-loop dispatch. Candidates are matched *after* immediate
-/// pooling (every operand is a plain register row, stored here as raw
-/// `u16` indices) and only where no branch target lands inside the run,
-/// so the fused head is the unique entry point. Each variant carries
-/// `steps`: the run's total `steps` debit (including the staged `s2`
-/// shares), pre-summed so the hot loop does one limit check per
-/// superinstruction — sums are monotone, so "the total would exceed the
-/// limit" is exactly "some constituent's own check would trip", and the
-/// hot loop bails to op-granularity execution in that case.
+impl Op {
+    /// The destination register and wrap of a producing op.
+    fn dest_mut(&mut self) -> Option<(&mut u16, &mut Wrap)> {
+        match self {
+            Op::Bin { dst, w, .. }
+            | Op::BinChecked { dst, w, .. }
+            | Op::Un { dst, w, .. }
+            | Op::Select { dst, w, .. }
+            | Op::LoadIdx { dst, w, .. }
+            | Op::ReadStream { dst, w, .. }
+            | Op::ShlPow2 { dst, w, .. }
+            | Op::ShrImm { dst, w, .. }
+            | Op::DivPow2 { dst, w, .. }
+            | Op::ModPow2 { dst, w, .. }
+            | Op::ShrAnd { dst, w, .. }
+            | Op::MulAcc { dst, w, .. }
+            | Op::CmpSelect { dst, w, .. } => Some((dst, w)),
+            _ => None,
+        }
+    }
+}
+
+/// Lane-VM superinstructions: several consecutive ops executed as one
+/// hot-loop dispatch. Candidates are matched *after* immediate pooling
+/// (every operand is a plain register row, stored here as raw `u16`
+/// indices) and only where no branch target lands inside the run, so the
+/// fused head is the unique entry point. Each variant carries `steps`:
+/// the run's total `steps` debit (including the staged `s2` shares),
+/// pre-summed so the hot loop does one limit check per superinstruction —
+/// sums are monotone, so "the total would exceed the limit" is exactly
+/// "some constituent's own check would trip", and the hot loop bails to
+/// op-granularity execution in that case. "Into a variable" below means a
+/// producing op whose wrap is typed (store-fused); the other producers
+/// write raw temporaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FusedOp {
-    /// `ReadStreamTo` + `CmpSelectWrite` + `LoopBack` — the streaming
-    /// compare/threshold loop body, one dispatch per element.
+    /// `ReadStream` into a variable + `CmpSelectWrite` + `LoopBack` —
+    /// the streaming compare/threshold loop body, one dispatch per
+    /// element.
     ReadCswBack {
         dst: u16,
-        rty: Ty,
+        rw: Wrap,
         port: u16,
         op: BinOp,
         wport: u16,
@@ -455,11 +427,12 @@ pub enum FusedOp {
         body: u32,
         steps: u32,
     },
-    /// `ReadStreamTo` + `IncIdx` (indexed by the read's dst) +
-    /// `LoopBack` — the histogram loop body, one dispatch per element.
+    /// `ReadStream` into a variable + `IncIdx` (indexed by the read's
+    /// dst) + `LoopBack` — the histogram loop body, one dispatch per
+    /// element.
     ReadIncBack {
         dst: u16,
-        rty: Ty,
+        rw: Wrap,
         port: u16,
         arr: u16,
         v: u16,
@@ -469,26 +442,28 @@ pub enum FusedOp {
         body: u32,
         steps: u32,
     },
-    /// `ReadStreamTo` + two `ShrAndTo` + `BinTo(And)` all extracting
-    /// fields of the read value — the packed-pixel unpack prologue.
+    /// `ReadStream`, two `ShrAnd` and a `Bin(And)`, each into a variable,
+    /// the last three extracting fields of the read value — the
+    /// packed-pixel unpack prologue.
     ReadUnpack3 {
         dst: u16,
-        rty: Ty,
+        rw: Wrap,
         port: u16,
         d1: u16,
-        t1: Ty,
+        w1: Wrap,
         k1: u8,
         m1: i64,
         d2: u16,
-        t2: Ty,
+        w2: Wrap,
         k2: u8,
         m2: i64,
         d3: u16,
-        t3: Ty,
+        w3: Wrap,
         b3: u16,
         steps: u32,
     },
-    /// `Bin(Mul)` + `MulAcc` + `MulAcc` — a three-term dot product.
+    /// `Bin(Mul)` + `MulAcc` + `MulAcc`, all into temporaries — a
+    /// three-term dot product.
     Dot3 {
         d1: u16,
         a1: u16,
@@ -503,11 +478,11 @@ pub enum FusedOp {
         c3: u16,
         steps: u32,
     },
-    /// `ShrImmTo` + `WriteStream2` + `LoopBack` — the scale-and-emit
-    /// loop tail.
+    /// `ShrImm` into a variable + `WriteStream2` + `LoopBack` — the
+    /// scale-and-emit loop tail.
     ShrWriteBack {
         dst: u16,
-        ty: Ty,
+        w: Wrap,
         a: u16,
         sh: u8,
         port_a: u16,
@@ -546,10 +521,13 @@ pub struct ScalarSlot {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledKernel {
     pub name: String,
-    /// The base op stream, immediates inline and no superinstructions:
-    /// the source of `lane_ops`, and what the lane VM's general step
-    /// executes at the head of a fused run.
-    pub(crate) ops: Vec<Op>,
+    /// The op stream. Every operand is a register: each immediate is
+    /// pooled into a broadcast register (see
+    /// [`CompiledKernel::imm_seed`]), so the lane VM's per-lane loops
+    /// fetch every operand from an SoA row with no immediate-vs-register
+    /// branch. The head of each superinstruction run is an
+    /// [`Op::Fused`], which also carries the op it replaced.
+    pub(crate) lane_ops: Vec<Op>,
     /// Per-op counter increments in [`StatDelta::to_array`] lane order.
     /// Replayed `counts[pc] * delta` on successful exit — counters other
     /// than `steps` are only observable on success, so the hot loop just
@@ -565,12 +543,6 @@ pub struct CompiledKernel {
     pub(crate) scalar_outs: Vec<(String, u16)>,
     pub(crate) stream_ins: Vec<String>,
     pub(crate) stream_outs: Vec<String>,
-    /// Lane-VM op stream: identical to `ops` pc-for-pc except every
-    /// `Src::Imm` is rewritten to a pooled broadcast register (see
-    /// [`CompiledKernel::imm_seed`]), so the batch interpreter's
-    /// per-lane loops fetch every operand from an SoA row with no
-    /// immediate-vs-register branch in the inner loop.
-    pub(crate) lane_ops: Vec<Op>,
     /// Pooled immediates: `imm_seed[i]` is broadcast into register
     /// `num_regs + i` of every lane before batch execution.
     pub(crate) imm_seed: Vec<i64>,
@@ -579,17 +551,25 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Human-readable listing of the op streams (`pc`, step cost, the
-    /// base op, and the lane-tier op where it differs) — a debugging
-    /// and tuning aid for the superinstruction passes.
+    /// Human-readable listing of the program (the pooled immediates'
+    /// registers, then per op its `pc`, step cost and op; a fused head
+    /// prints its base op and, below it, the superinstruction) — a
+    /// debugging and tuning aid for the superinstruction passes.
     pub fn disasm(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
-        for (pc, op) in self.ops.iter().enumerate() {
-            let _ = write!(s, "{pc:4}  [{:2}] {op:?}", self.steps[pc]);
-            if self.lane_ops[pc] != *op {
-                let _ = write!(s, "\n      lane: {:?}", self.lane_ops[pc]);
-            }
+        for (i, v) in self.imm_seed.iter().enumerate() {
+            let _ = writeln!(s, "      imm Reg({}) = {v}", self.num_regs as usize + i);
+        }
+        for (pc, op) in self.lane_ops.iter().enumerate() {
+            let _ = match op {
+                Op::Fused(f) => write!(
+                    s,
+                    "{pc:4}  [{:2}] {:?}\n      fused: {:?}",
+                    self.steps[pc], f.0, f.1
+                ),
+                op => write!(s, "{pc:4}  [{:2}] {op:?}", self.steps[pc]),
+            };
             s.push('\n');
         }
         s
@@ -600,24 +580,17 @@ impl CompiledKernel {
 /// rewrite for the lane VM).
 fn for_each_src(op: &mut Op, f: &mut impl FnMut(&mut Src)) {
     match op {
-        Op::Bin { a, b, .. }
-        | Op::BinChecked { a, b, .. }
-        | Op::BinTo { a, b, .. }
-        | Op::BinCheckedTo { a, b, .. } => {
+        Op::Bin { a, b, .. } | Op::BinChecked { a, b, .. } => {
             f(a);
             f(b);
         }
-        Op::Un { a, .. } | Op::UnTo { a, .. } => f(a),
-        Op::Select { c, a, b, .. }
-        | Op::SelectTo { c, a, b, .. }
-        | Op::SelectWrite { c, a, b, .. } => {
+        Op::Un { a, .. } => f(a),
+        Op::Select { c, a, b, .. } | Op::SelectWrite { c, a, b, .. } => {
             f(c);
             f(a);
             f(b);
         }
-        Op::LoadIdx { idx, .. } | Op::LoadIdxTo { idx, .. } | Op::LoadIdxWrite { idx, .. } => {
-            f(idx)
-        }
+        Op::LoadIdx { idx, .. } | Op::LoadIdxWrite { idx, .. } => f(idx),
         Op::StoreIdx { idx, src, .. } => {
             f(idx);
             f(src);
@@ -635,24 +608,13 @@ fn for_each_src(op: &mut Op, f: &mut impl FnMut(&mut Src)) {
         | Op::ShrImm { a, .. }
         | Op::DivPow2 { a, .. }
         | Op::ModPow2 { a, .. }
-        | Op::ShlPow2To { a, .. }
-        | Op::ShrImmTo { a, .. }
-        | Op::DivPow2To { a, .. }
-        | Op::ModPow2To { a, .. }
-        | Op::ShrAnd { a, .. }
-        | Op::ShrAndTo { a, .. } => f(a),
-        Op::MulAcc { a, b, acc, .. } | Op::MulAccTo { a, b, acc, .. } => {
+        | Op::ShrAnd { a, .. } => f(a),
+        Op::MulAcc { a, b, acc, .. } => {
             f(a);
             f(b);
             f(acc);
         }
-        Op::CmpSelect { x, y, a, b, .. } | Op::CmpSelectTo { x, y, a, b, .. } => {
-            f(x);
-            f(y);
-            f(a);
-            f(b);
-        }
-        Op::CmpSelectWrite { x, y, a, b, .. } => {
+        Op::CmpSelect { x, y, a, b, .. } | Op::CmpSelectWrite { x, y, a, b, .. } => {
             f(x);
             f(y);
             f(a);
@@ -666,18 +628,18 @@ fn for_each_src(op: &mut Op, f: &mut impl FnMut(&mut Src)) {
             f(src_a);
             f(src_b);
         }
-        Op::ReadStream { .. } | Op::ReadStreamTo { .. } | Op::Jump { .. } => {}
+        Op::ReadStream { .. } | Op::Jump { .. } => {}
         // Superinstructions are formed after pooling, from already
         // immediate-free ops; their operands are raw register indices.
         Op::Fused(_) => {}
     }
 }
 
-/// Superinstruction selection over the pooled lane stream: replace the
-/// head of each matched run with an [`Op::Fused`] while the middle slots
-/// keep their original ops (see [`Op::Fused`] for why). A run is legal
-/// only when no branch target — loop exit, back-edge, `if` target,
-/// `Jump` — lands strictly inside it; entry at the head (e.g. a
+/// Superinstruction selection over the pooled op stream: replace the
+/// head of each matched run with an [`Op::Fused`] that keeps the head's
+/// op, while the middle slots keep theirs (see [`Op::Fused`] for why). A
+/// run is legal only when no branch target — loop exit, back-edge, `if`
+/// target, `Jump` — lands strictly inside it; entry at the head (e.g. a
 /// back-edge to its own loop body) is fine. Patterns that end in a
 /// `LoopBack` additionally require that no earlier constituent writes
 /// the induction or bound register, so the back-edge test is computable
@@ -698,229 +660,199 @@ fn fuse_lane_ops(lane_ops: &mut [Op], deltas: &[[u32; 11]]) {
     }
     let total =
         |pc: usize, len: usize| -> u32 { deltas[pc..pc + len].iter().map(|d| d[STAT_STEPS]).sum() };
-    let clear = |is_target: &[bool], pc: usize, len: usize| {
-        pc + len <= n && (pc + 1..pc + len).all(|i| !is_target[i])
-    };
     let reg = |s: &Src| match s {
-        Src::Reg(r) => Some(*r),
-        Src::Imm(_) => None,
+        Src::Reg(r) => *r,
+        Src::Imm(_) => unreachable!("pooled ops carry no immediates"),
     };
 
     let mut pc = 0;
     while pc < n {
-        let mut fused: Option<(FusedOp, usize)> = None;
-        if clear(&is_target, pc, 4) {
-            if let [Op::ReadStreamTo { dst, ty: rty, port }, Op::ShrAndTo {
+        let clear = |len: usize| pc + len <= n && (pc + 1..pc + len).all(|i| !is_target[i]);
+        let fused = match &lane_ops[pc..n.min(pc + 4)] {
+            [Op::ReadStream { dst, w: rw, port }, Op::ShrAnd {
                 dst: d1,
-                ty: t1,
+                w: w1,
                 a: a1,
                 k: k1,
                 mask: m1,
-            }, Op::ShrAndTo {
+            }, Op::ShrAnd {
                 dst: d2,
-                ty: t2,
+                w: w2,
                 a: a2,
                 k: k2,
                 mask: m2,
-            }, Op::BinTo {
+            }, Op::Bin {
                 op: BinOp::And,
                 dst: d3,
-                ty: t3,
+                w: w3,
                 a: a3,
                 b,
-            }] = &lane_ops[pc..pc + 4]
+            }] if clear(4)
+                && [rw, w1, w2, w3].iter().all(|w| w.is_typed())
+                && [a1, a2, a3].iter().all(|a| **a == Src::Reg(*dst)) =>
             {
-                let src = Src::Reg(*dst);
-                if *a1 == src && *a2 == src && *a3 == src {
-                    if let Some(b3) = reg(b) {
-                        fused = Some((
-                            FusedOp::ReadUnpack3 {
-                                dst: *dst,
-                                rty: *rty,
-                                port: *port,
-                                d1: *d1,
-                                t1: *t1,
-                                k1: *k1,
-                                m1: *m1,
-                                d2: *d2,
-                                t2: *t2,
-                                k2: *k2,
-                                m2: *m2,
-                                d3: *d3,
-                                t3: *t3,
-                                b3,
-                                steps: total(pc, 4),
-                            },
-                            4,
-                        ));
-                    }
-                }
+                Some((
+                    FusedOp::ReadUnpack3 {
+                        dst: *dst,
+                        rw: *rw,
+                        port: *port,
+                        d1: *d1,
+                        w1: *w1,
+                        k1: *k1,
+                        m1: *m1,
+                        d2: *d2,
+                        w2: *w2,
+                        k2: *k2,
+                        m2: *m2,
+                        d3: *d3,
+                        w3: *w3,
+                        b3: reg(b),
+                        steps: total(pc, 4),
+                    },
+                    4,
+                ))
             }
-        }
-        if fused.is_none() && clear(&is_target, pc, 3) {
-            match &lane_ops[pc..pc + 3] {
-                [Op::ReadStreamTo { dst, ty: rty, port }, Op::IncIdx { arr, idx, v, .. }, Op::LoopBack {
-                    var,
-                    ty: lty,
-                    hi,
-                    body,
-                }] if *idx == Src::Reg(*dst) && *var != *dst => {
-                    if let (Some(v), Some(hi)) = (reg(v), reg(hi)) {
-                        if hi != *dst {
-                            fused = Some((
-                                FusedOp::ReadIncBack {
-                                    dst: *dst,
-                                    rty: *rty,
-                                    port: *port,
-                                    arr: *arr,
-                                    v,
-                                    var: *var,
-                                    lty: *lty,
-                                    hi,
-                                    body: *body,
-                                    steps: total(pc, 3),
-                                },
-                                3,
-                            ));
-                        }
-                    }
-                }
-                [Op::ReadStreamTo { dst, ty: rty, port }, Op::CmpSelectWrite {
-                    op,
-                    port: wport,
-                    x,
-                    y,
-                    a,
-                    b,
-                }, Op::LoopBack {
-                    var,
-                    ty: lty,
-                    hi,
-                    body,
-                }] if *var != *dst => {
-                    if let (Some(x), Some(y), Some(a), Some(b), Some(hi)) =
-                        (reg(x), reg(y), reg(a), reg(b), reg(hi))
-                    {
-                        if hi != *dst {
-                            fused = Some((
-                                FusedOp::ReadCswBack {
-                                    dst: *dst,
-                                    rty: *rty,
-                                    port: *port,
-                                    op: *op,
-                                    wport: *wport,
-                                    x,
-                                    y,
-                                    a,
-                                    b,
-                                    var: *var,
-                                    lty: *lty,
-                                    hi,
-                                    body: *body,
-                                    steps: total(pc, 3),
-                                },
-                                3,
-                            ));
-                        }
-                    }
-                }
-                [Op::ShrImmTo { dst, ty, a, k }, Op::WriteStream2 {
-                    port_a,
-                    src_a,
-                    port_b,
-                    src_b,
-                    ..
-                }, Op::LoopBack {
-                    var,
-                    ty: lty,
-                    hi,
-                    body,
-                }] if *var != *dst => {
-                    if let (Some(a), Some(sa), Some(sb), Some(hi)) =
-                        (reg(a), reg(src_a), reg(src_b), reg(hi))
-                    {
-                        if hi != *dst {
-                            fused = Some((
-                                FusedOp::ShrWriteBack {
-                                    dst: *dst,
-                                    ty: *ty,
-                                    a,
-                                    sh: *k,
-                                    port_a: *port_a,
-                                    sa,
-                                    port_b: *port_b,
-                                    sb,
-                                    var: *var,
-                                    lty: *lty,
-                                    hi,
-                                    body: *body,
-                                    steps: total(pc, 3),
-                                },
-                                3,
-                            ));
-                        }
-                    }
-                }
-                [Op::Bin {
-                    op: BinOp::Mul,
-                    dst: d1,
-                    a: a1,
-                    b: b1,
-                }, Op::MulAcc {
-                    dst: d2,
-                    a: a2,
-                    b: b2,
-                    acc: c2,
-                }, Op::MulAcc {
-                    dst: d3,
-                    a: a3,
-                    b: b3,
-                    acc: c3,
-                }] => {
-                    if let (
-                        Some(a1),
-                        Some(b1),
-                        Some(a2),
-                        Some(b2),
-                        Some(c2),
-                        Some(a3),
-                        Some(b3),
-                        Some(c3),
-                    ) = (
-                        reg(a1),
-                        reg(b1),
-                        reg(a2),
-                        reg(b2),
-                        reg(c2),
-                        reg(a3),
-                        reg(b3),
-                        reg(c3),
-                    ) {
-                        fused = Some((
-                            FusedOp::Dot3 {
-                                d1: *d1,
-                                a1,
-                                b1,
-                                d2: *d2,
-                                a2,
-                                b2,
-                                c2,
-                                d3: *d3,
-                                a3,
-                                b3,
-                                c3,
-                                steps: total(pc, 3),
-                            },
-                            3,
-                        ));
-                    }
-                }
-                _ => {}
+            [Op::ReadStream { dst, w: rw, port }, Op::IncIdx { arr, idx, v, .. }, Op::LoopBack {
+                var,
+                ty: lty,
+                hi,
+                body,
+            }, ..]
+                if clear(3)
+                    && rw.is_typed()
+                    && *idx == Src::Reg(*dst)
+                    && *var != *dst
+                    && reg(hi) != *dst =>
+            {
+                Some((
+                    FusedOp::ReadIncBack {
+                        dst: *dst,
+                        rw: *rw,
+                        port: *port,
+                        arr: *arr,
+                        v: reg(v),
+                        var: *var,
+                        lty: *lty,
+                        hi: reg(hi),
+                        body: *body,
+                        steps: total(pc, 3),
+                    },
+                    3,
+                ))
             }
-        }
+            [Op::ReadStream { dst, w: rw, port }, Op::CmpSelectWrite {
+                op,
+                port: wport,
+                x,
+                y,
+                a,
+                b,
+            }, Op::LoopBack {
+                var,
+                ty: lty,
+                hi,
+                body,
+            }, ..]
+                if clear(3) && rw.is_typed() && *var != *dst && reg(hi) != *dst =>
+            {
+                Some((
+                    FusedOp::ReadCswBack {
+                        dst: *dst,
+                        rw: *rw,
+                        port: *port,
+                        op: *op,
+                        wport: *wport,
+                        x: reg(x),
+                        y: reg(y),
+                        a: reg(a),
+                        b: reg(b),
+                        var: *var,
+                        lty: *lty,
+                        hi: reg(hi),
+                        body: *body,
+                        steps: total(pc, 3),
+                    },
+                    3,
+                ))
+            }
+            [Op::ShrImm { dst, w, a, k }, Op::WriteStream2 {
+                port_a,
+                src_a,
+                port_b,
+                src_b,
+                ..
+            }, Op::LoopBack {
+                var,
+                ty: lty,
+                hi,
+                body,
+            }, ..]
+                if clear(3) && w.is_typed() && *var != *dst && reg(hi) != *dst =>
+            {
+                Some((
+                    FusedOp::ShrWriteBack {
+                        dst: *dst,
+                        w: *w,
+                        a: reg(a),
+                        sh: *k,
+                        port_a: *port_a,
+                        sa: reg(src_a),
+                        port_b: *port_b,
+                        sb: reg(src_b),
+                        var: *var,
+                        lty: *lty,
+                        hi: reg(hi),
+                        body: *body,
+                        steps: total(pc, 3),
+                    },
+                    3,
+                ))
+            }
+            [Op::Bin {
+                op: BinOp::Mul,
+                dst: d1,
+                w: w1,
+                a: a1,
+                b: b1,
+            }, Op::MulAcc {
+                dst: d2,
+                w: w2,
+                a: a2,
+                b: b2,
+                acc: c2,
+            }, Op::MulAcc {
+                dst: d3,
+                w: w3,
+                a: a3,
+                b: b3,
+                acc: c3,
+            }, ..]
+                if clear(3) && ![w1, w2, w3].iter().any(|w| w.is_typed()) =>
+            {
+                Some((
+                    FusedOp::Dot3 {
+                        d1: *d1,
+                        a1: reg(a1),
+                        b1: reg(b1),
+                        d2: *d2,
+                        a2: reg(a2),
+                        b2: reg(b2),
+                        c2: reg(c2),
+                        d3: *d3,
+                        a3: reg(a3),
+                        b3: reg(b3),
+                        c3: reg(c3),
+                        steps: total(pc, 3),
+                    },
+                    3,
+                ))
+            }
+            _ => None,
+        };
         match fused {
             Some((f, len)) => {
-                lane_ops[pc] = Op::Fused(Box::new(f));
+                let base = lane_ops[pc].clone();
+                lane_ops[pc] = Op::Fused(Box::new((base, f)));
                 pc += len;
             }
             None => pc += 1,
@@ -928,13 +860,12 @@ fn fuse_lane_ops(lane_ops: &mut [Op], deltas: &[[u32; 11]]) {
     }
 }
 
-/// Rewrite `ops` into the immediate-free lane stream: each distinct
-/// immediate is assigned one register past `num_regs` and every
-/// `Src::Imm` use becomes a `Src::Reg` of its pooled slot.
-fn pool_imms(ops: &[Op], num_regs: u16) -> (Vec<Op>, Vec<i64>) {
+/// Rewrite every `Src::Imm` operand of `ops` in place into the register
+/// of its pooled slot (each distinct immediate gets one register past
+/// `num_regs`); returns the pool, in register order.
+fn pool_imms(ops: &mut [Op], num_regs: u16) -> Vec<i64> {
     let mut pool: Vec<i64> = Vec::new();
-    let mut lane_ops: Vec<Op> = ops.to_vec();
-    for op in &mut lane_ops {
+    for op in ops {
         for_each_src(op, &mut |s| {
             if let Src::Imm(v) = *s {
                 let i = match pool.iter().position(|p| *p == v) {
@@ -953,7 +884,7 @@ fn pool_imms(ops: &[Op], num_regs: u16) -> (Vec<Op>, Vec<i64>) {
             }
         });
     }
-    (lane_ops, pool)
+    pool
 }
 
 impl CompiledKernel {
@@ -966,11 +897,11 @@ impl CompiledKernel {
 
     /// Number of bytecode instructions (for introspection/tests).
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.lane_ops.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.lane_ops.is_empty()
     }
 }
 
@@ -1103,28 +1034,27 @@ impl<'k> Compiler<'k> {
             .filter(|p| p.kind == ParamKind::ScalarOut)
             .map(|p| (p.name.clone(), self.regs[&p.name]))
             .collect();
-        let (mut lane_ops, imm_seed) = pool_imms(&self.ops, self.max_regs);
-        fuse_lane_ops(&mut lane_ops, &self.deltas);
-        let lane_regs = self.max_regs + imm_seed.len() as u16;
+        let steps = self
+            .ops
+            .iter()
+            .zip(self.deltas.iter())
+            .map(|(op, d)| match op {
+                // Staged ops re-check `s2` of their steps in-op; the
+                // dispatch-top check covers only the remainder.
+                Op::IncIdx { s2, .. }
+                | Op::WriteStream2 { s2, .. }
+                | Op::LoadIdxWrite { s2, .. } => d[STAT_STEPS] - s2,
+                _ => d[STAT_STEPS],
+            })
+            .collect();
+        let imm_seed = pool_imms(&mut self.ops, self.max_regs);
+        fuse_lane_ops(&mut self.ops, &self.deltas);
         CompiledKernel {
             name: self.kernel.name.clone(),
-            lane_ops,
+            lane_ops: self.ops,
+            lane_regs: self.max_regs + imm_seed.len() as u16,
             imm_seed,
-            lane_regs,
-            steps: self
-                .ops
-                .iter()
-                .zip(self.deltas.iter())
-                .map(|(op, d)| match op {
-                    // Staged ops re-check `s2` of their steps in-op; the
-                    // dispatch-top check covers only the remainder.
-                    Op::IncIdx { s2, .. }
-                    | Op::WriteStream2 { s2, .. }
-                    | Op::LoadIdxWrite { s2, .. } => d[STAT_STEPS] - s2,
-                    _ => d[STAT_STEPS],
-                })
-                .collect(),
-            ops: self.ops,
+            steps,
             deltas: self.deltas,
             num_regs: self.max_regs,
             arena_len: self.arrays.iter().map(|a| a.len).sum(),
@@ -1161,9 +1091,9 @@ impl<'k> Compiler<'k> {
         }
     }
 
-    /// Store fusion: rewrite the op that produced temporary `v` so it
-    /// writes `ty.wrap(result)` directly into named register `dst`,
-    /// absorbing the store's pending ticks into that op's delta.
+    /// Store fusion: point the op that produced temporary `v` at named
+    /// register `dst` with `ty`'s wrap, absorbing the store's pending
+    /// ticks into that op's delta.
     ///
     /// Safe only when (a) `v` is a temporary and the *last* emitted op
     /// wrote it — temporaries are written exactly once per statement, so
@@ -1180,63 +1110,21 @@ impl<'k> Compiler<'k> {
         if t < self.temp_base {
             return false;
         }
+        let pending_steps = self.pending.steps;
         let Some(last) = self.ops.last_mut() else {
             return false;
         };
-        let pure = matches!(
+        let impure = matches!(
             last,
-            Op::Bin { .. }
-                | Op::Un { .. }
-                | Op::Select { .. }
-                | Op::ShlPow2 { .. }
-                | Op::ShrImm { .. }
-                | Op::DivPow2 { .. }
-                | Op::ModPow2 { .. }
-                | Op::ShrAnd { .. }
-                | Op::MulAcc { .. }
-                | Op::CmpSelect { .. }
+            Op::BinChecked { .. } | Op::LoadIdx { .. } | Op::ReadStream { .. }
         );
-        if !pure && self.pending.steps != 0 {
+        let Some((d, w)) = last.dest_mut() else {
+            return false;
+        };
+        if *d != t || impure && pending_steps != 0 {
             return false;
         }
-        let fused = match *last {
-            Op::Bin { op, dst: d, a, b } if d == t => Op::BinTo { op, dst, ty, a, b },
-            Op::BinChecked { op, dst: d, a, b } if d == t => Op::BinCheckedTo { op, dst, ty, a, b },
-            Op::Un { op, dst: d, a } if d == t => Op::UnTo { op, dst, ty, a },
-            Op::Select { dst: d, c, a, b } if d == t => Op::SelectTo { dst, ty, c, a, b },
-            Op::LoadIdx { dst: d, arr, idx } if d == t => Op::LoadIdxTo { dst, ty, arr, idx },
-            Op::ReadStream { dst: d, port } if d == t => Op::ReadStreamTo { dst, ty, port },
-            Op::ShlPow2 { dst: d, a, k } if d == t => Op::ShlPow2To { dst, ty, a, k },
-            Op::ShrImm { dst: d, a, k } if d == t => Op::ShrImmTo { dst, ty, a, k },
-            Op::DivPow2 { dst: d, a, k } if d == t => Op::DivPow2To { dst, ty, a, k },
-            Op::ModPow2 { dst: d, a, k } if d == t => Op::ModPow2To { dst, ty, a, k },
-            Op::ShrAnd { dst: d, a, k, mask } if d == t => Op::ShrAndTo {
-                dst,
-                ty,
-                a,
-                k,
-                mask,
-            },
-            Op::MulAcc { dst: d, a, b, acc } if d == t => Op::MulAccTo { dst, ty, a, b, acc },
-            Op::CmpSelect {
-                op,
-                dst: d,
-                x,
-                y,
-                a,
-                b,
-            } if d == t => Op::CmpSelectTo {
-                op,
-                dst,
-                ty,
-                x,
-                y,
-                a,
-                b,
-            },
-            _ => return false,
-        };
-        *last = fused;
+        (*d, *w) = (dst, ty.into());
         self.absorb_pending_into_last();
         true
     }
@@ -1262,12 +1150,14 @@ impl<'k> Compiler<'k> {
                 dst: lt,
                 arr: larr,
                 idx: lidx,
+                ..
             },
             Op::Bin {
                 op: BinOp::Add,
                 dst,
                 a,
                 b,
+                ..
             },
         ) = (&self.ops[n - 2], &self.ops[n - 1])
         else {
@@ -1487,7 +1377,7 @@ impl<'k> Compiler<'k> {
                 if let Src::Reg(t) = v {
                     if t >= self.temp_base {
                         match self.ops.last() {
-                            Some(Op::Select { dst, c, a, b }) if *dst == t => {
+                            Some(Op::Select { dst, c, a, b, .. }) if *dst == t => {
                                 let (c, a, b) = (*c, *a, *b);
                                 *self.ops.last_mut().expect("just matched") =
                                     Op::SelectWrite { port, c, a, b };
@@ -1501,6 +1391,7 @@ impl<'k> Compiler<'k> {
                                 y,
                                 a,
                                 b,
+                                ..
                             }) if *dst == t => {
                                 let (op, x, y, a, b) = (*op, *x, *y, *a, *b);
                                 *self.ops.last_mut().expect("just matched") = Op::CmpSelectWrite {
@@ -1514,7 +1405,7 @@ impl<'k> Compiler<'k> {
                                 self.absorb_pending_into_last();
                                 return;
                             }
-                            Some(Op::LoadIdx { dst, arr, idx }) if *dst == t => {
+                            Some(Op::LoadIdx { dst, arr, idx, .. }) if *dst == t => {
                                 let (arr, idx) = (*arr, *idx);
                                 let s2 = self.pending.steps;
                                 *self.ops.last_mut().expect("just matched") =
@@ -1544,22 +1435,25 @@ impl<'k> Compiler<'k> {
                 self.pending.mem_reads += 1;
                 let arr = self.array_idx[name];
                 let dst = self.temp();
-                self.emit(Op::LoadIdx { dst, arr, idx });
+                self.emit(Op::LoadIdx {
+                    dst,
+                    w: Wrap::RAW,
+                    arr,
+                    idx,
+                });
                 Src::Reg(dst)
             }
             Expr::Unary(op, a) => {
                 let av = self.expr(a);
                 self.pending.bitops += 1;
                 if let Src::Imm(v) = av {
-                    return Src::Imm(match op {
-                        UnOp::Neg => v.wrapping_neg(),
-                        UnOp::Not => !v,
-                    });
+                    return Src::Imm(un_op(*op, v));
                 }
                 let dst = self.temp();
                 self.emit(Op::Un {
                     op: *op,
                     dst,
+                    w: Wrap::RAW,
                     a: av,
                 });
                 Src::Reg(dst)
@@ -1573,7 +1467,11 @@ impl<'k> Compiler<'k> {
                 self.pending.stream_reads += 1;
                 let port = self.stream_in_idx[port];
                 let dst = self.temp();
-                self.emit(Op::ReadStream { dst, port });
+                self.emit(Op::ReadStream {
+                    dst,
+                    w: Wrap::RAW,
+                    port,
+                });
                 Src::Reg(dst)
             }
             Expr::Select(c0, a, b) => {
@@ -1597,17 +1495,19 @@ impl<'k> Compiler<'k> {
                         if let Some(Op::Bin {
                             op,
                             dst,
+                            w,
                             a: x,
                             b: y,
                         }) = self.ops.last()
                         {
                             use BinOp::*;
                             if *dst == t && matches!(op, Lt | Le | Gt | Ge | Eq | Ne) {
-                                let (op, dst, x, y) = (*op, *dst, *x, *y);
+                                let (op, dst, w, x, y) = (*op, *dst, *w, *x, *y);
                                 debug_assert!(av != cv && bv != cv);
                                 *self.ops.last_mut().expect("just matched") = Op::CmpSelect {
                                     op,
                                     dst,
+                                    w,
                                     x,
                                     y,
                                     a: av,
@@ -1622,6 +1522,7 @@ impl<'k> Compiler<'k> {
                 let dst = self.temp();
                 self.emit(Op::Select {
                     dst,
+                    w: Wrap::RAW,
                     c: cv,
                     a: av,
                     b: bv,
@@ -1643,14 +1544,18 @@ impl<'k> Compiler<'k> {
             Shl | Shr | And | Or | Xor => self.pending.bitops += 1,
             Lt | Le | Gt | Ge | Eq | Ne => self.pending.compares += 1,
         }
-        // Constant folding — only when the op cannot fail on these
-        // exact values (a constant division by zero or out-of-range
-        // shift must still raise its typed error at runtime).
+        let checked = matches!(op, Div | Mod | Shl | Shr);
+        // Constant folding through the VM's own op helpers — unless the
+        // op fails on these exact values (a constant division by zero or
+        // out-of-range shift must still raise its typed error at runtime).
         if let (Imm(x), Imm(y)) = (a, b) {
-            let fallible = matches!(op, Div | Mod) && y == 0
-                || matches!(op, Shl | Shr) && !(0..64).contains(&y);
-            if !fallible {
-                return Imm(fold_binop(op, x, y));
+            let folded = if checked {
+                bin_checked(op, x, y).ok()
+            } else {
+                Some(bin_infallible(op, x, y))
+            };
+            if let Some(v) = folded {
+                return Imm(v);
             }
         }
         // Identity elimination: the surviving operand's ops (and side
@@ -1680,11 +1585,18 @@ impl<'k> Compiler<'k> {
             };
             if let Some((t, m)) = rm {
                 if t >= self.temp_base {
-                    if let Some(Op::ShrImm { dst, a: inner, k }) = self.ops.last() {
+                    if let Some(Op::ShrImm {
+                        dst,
+                        w,
+                        a: inner,
+                        k,
+                    }) = self.ops.last()
+                    {
                         if *dst == t {
-                            let (dst, inner, k) = (*dst, *inner, *k);
+                            let (dst, w, inner, k) = (*dst, *w, *inner, *k);
                             *self.ops.last_mut().expect("just matched") = Op::ShrAnd {
                                 dst,
+                                w,
                                 a: inner,
                                 k,
                                 mask: m,
@@ -1707,14 +1619,16 @@ impl<'k> Compiler<'k> {
                         if let Some(Op::Bin {
                             op: Mul,
                             dst,
+                            w,
                             a: ma,
                             b: mb,
                         }) = self.ops.last()
                         {
                             if *dst == t {
-                                let (dst, ma, mb) = (*dst, *ma, *mb);
+                                let (dst, w, ma, mb) = (*dst, *w, *ma, *mb);
                                 *self.ops.last_mut().expect("just matched") = Op::MulAcc {
                                     dst,
+                                    w,
                                     a: ma,
                                     b: mb,
                                     acc,
@@ -1727,91 +1641,53 @@ impl<'k> Compiler<'k> {
                 }
             }
         }
-        // Strength reduction for power-of-two constants. `d >= 2`
-        // (d == 1 was handled by the identities above).
-        let pow2 = |v: i64| v > 0 && v & (v - 1) == 0;
-        if let Imm(d) = b {
-            if pow2(d) {
-                let k = d.trailing_zeros() as u8;
-                let special = match op {
-                    Mul => Some(Op::ShlPow2 { dst: 0, a, k }),
-                    Div => Some(Op::DivPow2 { dst: 0, a, k }),
-                    Mod => Some(Op::ModPow2 { dst: 0, a, k }),
-                    _ => None,
-                };
-                if let Some(mut sop) = special {
-                    let dst = self.temp();
-                    match &mut sop {
-                        Op::ShlPow2 { dst: d, .. }
-                        | Op::DivPow2 { dst: d, .. }
-                        | Op::ModPow2 { dst: d, .. } => *d = dst,
-                        _ => unreachable!(),
-                    }
-                    self.emit(sop);
-                    return Src::Reg(dst);
-                }
-            }
-        }
-        if let Imm(m) = a {
-            if op == Mul && pow2(m) {
-                let dst = self.temp();
-                let k = m.trailing_zeros() as u8;
-                self.emit(Op::ShlPow2 { dst, a: b, k });
-                return Src::Reg(dst);
-            }
-        }
-        // A shift by an in-range constant can never fail: lower it to
-        // the infallible immediate form (`k == 0` was eliminated above,
+        // Strength reduction for power-of-two constants (`d == 1` was
+        // handled by the identities above), and infallible immediate
+        // shifts for in-range constant amounts (`0` was eliminated above;
         // out-of-range constants keep the checked op for its error).
-        if let Imm(s) = b {
-            if (0..64).contains(&s) {
-                let k = s as u8;
-                match op {
-                    Shl => {
-                        let dst = self.temp();
-                        self.emit(Op::ShlPow2 { dst, a, k });
-                        return Src::Reg(dst);
-                    }
-                    Shr => {
-                        let dst = self.temp();
-                        self.emit(Op::ShrImm { dst, a, k });
-                        return Src::Reg(dst);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let dst = self.temp();
-        if matches!(op, Div | Mod | Shl | Shr) {
-            self.emit(Op::BinChecked { op, dst, a, b });
-        } else {
-            self.emit(Op::Bin { op, dst, a, b });
-        }
+        let pow2 = |v: i64| v > 0 && v & (v - 1) == 0;
+        let log2 = |v: i64| v.trailing_zeros() as u8;
+        let (dst, w) = (self.temp(), Wrap::RAW);
+        self.emit(match (op, a, b) {
+            (Mul, a, Imm(d)) if pow2(d) => Op::ShlPow2 {
+                dst,
+                w,
+                a,
+                k: log2(d),
+            },
+            (Div, a, Imm(d)) if pow2(d) => Op::DivPow2 {
+                dst,
+                w,
+                a,
+                k: log2(d),
+            },
+            (Mod, a, Imm(d)) if pow2(d) => Op::ModPow2 {
+                dst,
+                w,
+                a,
+                k: log2(d),
+            },
+            (Mul, Imm(m), b) if pow2(m) => Op::ShlPow2 {
+                dst,
+                w,
+                a: b,
+                k: log2(m),
+            },
+            (Shl, a, Imm(s)) if (0..64).contains(&s) => Op::ShlPow2 {
+                dst,
+                w,
+                a,
+                k: s as u8,
+            },
+            (Shr, a, Imm(s)) if (0..64).contains(&s) => Op::ShrImm {
+                dst,
+                w,
+                a,
+                k: s as u8,
+            },
+            _ if checked => Op::BinChecked { op, dst, w, a, b },
+            _ => Op::Bin { op, dst, w, a, b },
+        });
         Src::Reg(dst)
-    }
-}
-
-/// Compile-time evaluation with the interpreter's exact semantics:
-/// wrapping arithmetic, C-truncation division, 0/1 comparisons. Callers
-/// must have excluded the fallible cases.
-fn fold_binop(op: BinOp, a: i64, b: i64) -> i64 {
-    use BinOp::*;
-    match op {
-        Add => a.wrapping_add(b),
-        Sub => a.wrapping_sub(b),
-        Mul => a.wrapping_mul(b),
-        Div => a.wrapping_div(b),
-        Mod => a.wrapping_rem(b),
-        Shl => a.wrapping_shl(b as u32),
-        Shr => a.wrapping_shr(b as u32),
-        And => a & b,
-        Or => a | b,
-        Xor => a ^ b,
-        Lt => (a < b) as i64,
-        Le => (a <= b) as i64,
-        Gt => (a > b) as i64,
-        Ge => (a >= b) as i64,
-        Eq => (a == b) as i64,
-        Ne => (a != b) as i64,
     }
 }

@@ -50,7 +50,7 @@
 //! groups simply run to completion sequentially — reconvergence is an
 //! optimization, never a correctness requirement.
 
-use crate::compile::{CompiledKernel, FusedOp, Op, Src, STAT_STEPS};
+use crate::compile::{CompiledKernel, FusedOp, Op, Src, Wrap, STAT_STEPS};
 use crate::interp::{ExecError, ExecOutcome, StreamBundle};
 use crate::vm::{
     bin_checked, bin_infallible, div_pow2, mod_pow2, stats_from, un_op, wrap, DEFAULT_STEP_LIMIT,
@@ -199,7 +199,7 @@ struct LaneVm<'a> {
 fn lsrc(regs: &[i64], k: usize, l: usize, s: Src) -> i64 {
     match s {
         Src::Reg(r) => regs[r as usize * k + l],
-        Src::Imm(v) => v,
+        Src::Imm(_) => unreachable!("pooled ops carry no immediates"),
     }
 }
 
@@ -295,7 +295,7 @@ impl<'a> LaneVm<'a> {
             return;
         }
         debug_assert!(self.stack.is_empty());
-        let n = self.ck.ops.len();
+        let n = self.ck.lane_ops.len();
         let k = self.k;
         let mut pl = PerLane {
             counts: vec![0u64; n * k],
@@ -417,27 +417,24 @@ impl<'a> LaneVm<'a> {
         }
 
         // Superinstructions are a hot-loop specialization only: at op
-        // granularity (divergence, traps, mid-run step limits) the
-        // unfused base op stream `ops` — pc-aligned with `lane_ops` by
-        // construction — carries the exact semantics, and `lsrc` resolves
-        // its inline immediates.
-        let lop = &ck.lane_ops[pc];
-        let lop = if matches!(lop, Op::Fused(_)) {
-            &ck.ops[pc]
-        } else {
-            lop
+        // granularity (divergence, traps, mid-run step limits) a fused
+        // head runs the base op it carries, and the run's other slots
+        // run their own ops.
+        let op = match &ck.lane_ops[pc] {
+            Op::Fused(f) => &f.0,
+            op => op,
         };
-        match lop {
-            Op::Fused(_) => unreachable!("the base op stream never carries superinstructions"),
-            Op::Bin { op, dst, a, b } => {
+        match op {
+            Op::Fused(_) => unreachable!("a fused head carries its unfused op"),
+            Op::Bin { op, dst, w, a, b } => {
                 let db = *dst as usize * k;
                 each!(|l| {
                     let av = lsrc(&self.regs, k, l, *a);
                     let bv = lsrc(&self.regs, k, l, *b);
-                    self.regs[db + l] = bin_infallible(*op, av, bv);
+                    self.regs[db + l] = wrap(*w, bin_infallible(*op, av, bv));
                 });
             }
-            Op::BinChecked { op, dst, a, b } => {
+            Op::BinChecked { op, dst, w, a, b } => {
                 let db = *dst as usize * k;
                 let mut i = 0;
                 while i < lanes.len() {
@@ -446,30 +443,30 @@ impl<'a> LaneVm<'a> {
                     let bv = lsrc(&self.regs, k, l, *b);
                     match bin_checked(*op, av, bv) {
                         Ok(v) => {
-                            self.regs[db + l] = v;
+                            self.regs[db + l] = wrap(*w, v);
                             i += 1;
                         }
                         Err(e) => self.retire(lanes, i, e),
                     }
                 }
             }
-            Op::Un { op, dst, a } => {
+            Op::Un { op, dst, w, a } => {
                 let db = *dst as usize * k;
                 each!(|l| {
                     let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = un_op(*op, av);
+                    self.regs[db + l] = wrap(*w, un_op(*op, av));
                 });
             }
-            Op::Select { dst, c, a, b } => {
+            Op::Select { dst, w, c, a, b } => {
                 let db = *dst as usize * k;
                 each!(|l| {
                     let cv = lsrc(&self.regs, k, l, *c);
                     let av = lsrc(&self.regs, k, l, *a);
                     let bv = lsrc(&self.regs, k, l, *b);
-                    self.regs[db + l] = if cv != 0 { av } else { bv };
+                    self.regs[db + l] = wrap(*w, if cv != 0 { av } else { bv });
                 });
             }
-            Op::LoadIdx { dst, arr, idx } => {
+            Op::LoadIdx { dst, w, arr, idx } => {
                 let info = &ck.arrays[*arr as usize];
                 let (base, len) = (info.base as usize, info.len);
                 let db = *dst as usize * k;
@@ -485,7 +482,7 @@ impl<'a> LaneVm<'a> {
                         };
                         self.retire(lanes, i, e);
                     } else {
-                        self.regs[db + l] = self.arena[(base + iv as usize) * k + l];
+                        self.regs[db + l] = wrap(*w, self.arena[(base + iv as usize) * k + l]);
                         i += 1;
                     }
                 }
@@ -518,11 +515,8 @@ impl<'a> LaneVm<'a> {
                     self.regs[db + l] = wrap(*ty, vv);
                 });
             }
-            Op::ReadStream { dst, port } => {
-                self.read_stream(lanes, *dst, *port, None);
-            }
-            Op::ReadStreamTo { dst, ty, port } => {
-                self.read_stream(lanes, *dst, *port, Some(*ty));
+            Op::ReadStream { dst, w, port } => {
+                self.read_stream(lanes, *dst, *w, *port);
             }
             Op::WriteStream { port, src: v } => {
                 let qb = *port as usize * k;
@@ -648,125 +642,37 @@ impl<'a> LaneVm<'a> {
             Op::Jump { target } => {
                 return *target as usize;
             }
-            Op::ShlPow2 { dst, a, k: sh } => {
+            Op::ShlPow2 { dst, w, a, k: sh } => {
                 let db = *dst as usize * k;
                 each!(|l| {
                     let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = av.wrapping_shl(*sh as u32);
+                    self.regs[db + l] = wrap(*w, av.wrapping_shl(*sh as u32));
                 });
             }
-            Op::ShrImm { dst, a, k: sh } => {
+            Op::ShrImm { dst, w, a, k: sh } => {
                 let db = *dst as usize * k;
                 each!(|l| {
                     let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = av.wrapping_shr(*sh as u32);
+                    self.regs[db + l] = wrap(*w, av.wrapping_shr(*sh as u32));
                 });
             }
-            Op::DivPow2 { dst, a, k: sh } => {
+            Op::DivPow2 { dst, w, a, k: sh } => {
                 let db = *dst as usize * k;
                 each!(|l| {
                     let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = div_pow2(av, *sh);
+                    self.regs[db + l] = wrap(*w, div_pow2(av, *sh));
                 });
             }
-            Op::ModPow2 { dst, a, k: sh } => {
+            Op::ModPow2 { dst, w, a, k: sh } => {
                 let db = *dst as usize * k;
                 each!(|l| {
                     let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = mod_pow2(av, *sh);
-                });
-            }
-            Op::BinTo { op, dst, ty, a, b } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    let bv = lsrc(&self.regs, k, l, *b);
-                    self.regs[db + l] = wrap(*ty, bin_infallible(*op, av, bv));
-                });
-            }
-            Op::BinCheckedTo { op, dst, ty, a, b } => {
-                let db = *dst as usize * k;
-                let mut i = 0;
-                while i < lanes.len() {
-                    let l = lanes[i] as usize;
-                    let av = lsrc(&self.regs, k, l, *a);
-                    let bv = lsrc(&self.regs, k, l, *b);
-                    match bin_checked(*op, av, bv) {
-                        Ok(v) => {
-                            self.regs[db + l] = wrap(*ty, v);
-                            i += 1;
-                        }
-                        Err(e) => self.retire(lanes, i, e),
-                    }
-                }
-            }
-            Op::UnTo { op, dst, ty, a } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*ty, un_op(*op, av));
-                });
-            }
-            Op::SelectTo { dst, ty, c, a, b } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let cv = lsrc(&self.regs, k, l, *c);
-                    let av = lsrc(&self.regs, k, l, *a);
-                    let bv = lsrc(&self.regs, k, l, *b);
-                    self.regs[db + l] = wrap(*ty, if cv != 0 { av } else { bv });
-                });
-            }
-            Op::LoadIdxTo { dst, ty, arr, idx } => {
-                let info = &ck.arrays[*arr as usize];
-                let (base, len, ty) = (info.base as usize, info.len, *ty);
-                let db = *dst as usize * k;
-                let mut i = 0;
-                while i < lanes.len() {
-                    let l = lanes[i] as usize;
-                    let iv = lsrc(&self.regs, k, l, *idx);
-                    if iv < 0 || iv as u64 >= len as u64 {
-                        let e = ExecError::OutOfBounds {
-                            array: info.name.clone(),
-                            index: iv,
-                            len,
-                        };
-                        self.retire(lanes, i, e);
-                    } else {
-                        self.regs[db + l] = wrap(ty, self.arena[(base + iv as usize) * k + l]);
-                        i += 1;
-                    }
-                }
-            }
-            Op::ShlPow2To { dst, ty, a, k: sh } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*ty, av.wrapping_shl(*sh as u32));
-                });
-            }
-            Op::ShrImmTo { dst, ty, a, k: sh } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*ty, av.wrapping_shr(*sh as u32));
-                });
-            }
-            Op::DivPow2To { dst, ty, a, k: sh } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*ty, div_pow2(av, *sh));
-                });
-            }
-            Op::ModPow2To { dst, ty, a, k: sh } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*ty, mod_pow2(av, *sh));
+                    self.regs[db + l] = wrap(*w, mod_pow2(av, *sh));
                 });
             }
             Op::ShrAnd {
                 dst,
+                w,
                 a,
                 k: sh,
                 mask,
@@ -774,43 +680,22 @@ impl<'a> LaneVm<'a> {
                 let db = *dst as usize * k;
                 each!(|l| {
                     let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = av.wrapping_shr(*sh as u32) & *mask;
+                    self.regs[db + l] = wrap(*w, av.wrapping_shr(*sh as u32) & *mask);
                 });
             }
-            Op::ShrAndTo {
-                dst,
-                ty,
-                a,
-                k: sh,
-                mask,
-            } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*ty, av.wrapping_shr(*sh as u32) & *mask);
-                });
-            }
-            Op::MulAcc { dst, a, b, acc } => {
+            Op::MulAcc { dst, w, a, b, acc } => {
                 let db = *dst as usize * k;
                 each!(|l| {
                     let av = lsrc(&self.regs, k, l, *a);
                     let bv = lsrc(&self.regs, k, l, *b);
                     let cv = lsrc(&self.regs, k, l, *acc);
-                    self.regs[db + l] = cv.wrapping_add(av.wrapping_mul(bv));
-                });
-            }
-            Op::MulAccTo { dst, ty, a, b, acc } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    let bv = lsrc(&self.regs, k, l, *b);
-                    let cv = lsrc(&self.regs, k, l, *acc);
-                    self.regs[db + l] = wrap(*ty, cv.wrapping_add(av.wrapping_mul(bv)));
+                    self.regs[db + l] = wrap(*w, cv.wrapping_add(av.wrapping_mul(bv)));
                 });
             }
             Op::CmpSelect {
                 op,
                 dst,
+                w,
                 x,
                 y,
                 a,
@@ -822,25 +707,7 @@ impl<'a> LaneVm<'a> {
                         bin_infallible(*op, lsrc(&self.regs, k, l, *x), lsrc(&self.regs, k, l, *y));
                     let av = lsrc(&self.regs, k, l, *a);
                     let bv = lsrc(&self.regs, k, l, *b);
-                    self.regs[db + l] = if c != 0 { av } else { bv };
-                });
-            }
-            Op::CmpSelectTo {
-                op,
-                dst,
-                ty,
-                x,
-                y,
-                a,
-                b,
-            } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let c =
-                        bin_infallible(*op, lsrc(&self.regs, k, l, *x), lsrc(&self.regs, k, l, *y));
-                    let av = lsrc(&self.regs, k, l, *a);
-                    let bv = lsrc(&self.regs, k, l, *b);
-                    self.regs[db + l] = wrap(*ty, if c != 0 { av } else { bv });
+                    self.regs[db + l] = wrap(*w, if c != 0 { av } else { bv });
                 });
             }
             Op::SelectWrite { port, c, a, b } => {
@@ -957,15 +824,9 @@ impl<'a> LaneVm<'a> {
         pc + 1
     }
 
-    /// `ReadStream`/`ReadStreamTo`: per-lane cursor advance; a lane that
-    /// runs out of snapshot retires with `StreamUnderflow`.
-    fn read_stream(
-        &mut self,
-        lanes: &mut Vec<u16>,
-        dst: u16,
-        port: u16,
-        ty: Option<crate::types::Ty>,
-    ) {
+    /// `ReadStream`: per-lane cursor advance; a lane that runs out of
+    /// snapshot retires with `StreamUnderflow`.
+    fn read_stream(&mut self, lanes: &mut Vec<u16>, dst: u16, w: Wrap, port: u16) {
         let k = self.k;
         let p = port as usize;
         let db = dst as usize * k;
@@ -975,11 +836,7 @@ impl<'a> LaneVm<'a> {
             let b = p * k + l;
             let cur = self.cursors[b];
             if cur < self.in_end[b] {
-                let v = self.in_all[cur];
-                self.regs[db + l] = match ty {
-                    Some(t) => wrap(t, v),
-                    None => v,
-                };
+                self.regs[db + l] = wrap(w, self.in_all[cur]);
                 self.cursors[b] = cur + 1;
                 i += 1;
             } else {
@@ -1146,7 +1003,7 @@ impl<'a> LaneVm<'a> {
             }
 
             pc = match &ops[pc] {
-                Op::Bin { op, dst, a, b } => {
+                Op::Bin { op, dst, w, a, b } => {
                     acct!();
                     let db = rowb(regs.len(), *dst, k);
                     let ra = srow!(*a);
@@ -1154,11 +1011,11 @@ impl<'a> LaneVm<'a> {
                     for l in 0..k {
                         let av = ld!(ra, l);
                         let bv = ld!(rb, l);
-                        regs[db + l] = bin_infallible(*op, av, bv);
+                        regs[db + l] = wrap(*w, bin_infallible(*op, av, bv));
                     }
                     pc + 1
                 }
-                Op::BinChecked { op, dst, a, b } => {
+                Op::BinChecked { op, dst, w, a, b } => {
                     let ra = srow!(*a);
                     let rb = srow!(*b);
                     let mut ok = true;
@@ -1173,19 +1030,21 @@ impl<'a> LaneVm<'a> {
                     }
                     acct!();
                     let db = rowb(regs.len(), *dst, k);
-                    regs[db..db + k].copy_from_slice(&vals[..k]);
+                    for l in 0..k {
+                        regs[db + l] = wrap(*w, vals[l]);
+                    }
                     pc + 1
                 }
-                Op::Un { op, dst, a } => {
+                Op::Un { op, dst, w, a } => {
                     acct!();
                     let db = rowb(regs.len(), *dst, k);
                     let ra = srow!(*a);
                     for l in 0..k {
-                        regs[db + l] = un_op(*op, ld!(ra, l));
+                        regs[db + l] = wrap(*w, un_op(*op, ld!(ra, l)));
                     }
                     pc + 1
                 }
-                Op::Select { dst, c, a, b } => {
+                Op::Select { dst, w, c, a, b } => {
                     acct!();
                     let db = rowb(regs.len(), *dst, k);
                     let rc = srow!(*c);
@@ -1195,11 +1054,11 @@ impl<'a> LaneVm<'a> {
                         let cv = ld!(rc, l);
                         let av = ld!(ra, l);
                         let bv = ld!(rb, l);
-                        regs[db + l] = if cv != 0 { av } else { bv };
+                        regs[db + l] = wrap(*w, if cv != 0 { av } else { bv });
                     }
                     pc + 1
                 }
-                Op::LoadIdx { dst, arr, idx } => {
+                Op::LoadIdx { dst, w, arr, idx } => {
                     let info = &ck.arrays[*arr as usize];
                     let (base, len) = (info.base as usize, info.len);
                     let ri = srow!(*idx);
@@ -1215,7 +1074,7 @@ impl<'a> LaneVm<'a> {
                     let db = rowb(regs.len(), *dst, k);
                     for l in 0..k {
                         let iv = ld!(ri, l) as usize;
-                        regs[db + l] = arena[(base + iv) * k + l];
+                        regs[db + l] = wrap(*w, arena[(base + iv) * k + l]);
                     }
                     pc + 1
                 }
@@ -1249,7 +1108,7 @@ impl<'a> LaneVm<'a> {
                     }
                     pc + 1
                 }
-                Op::ReadStream { dst, port } => {
+                Op::ReadStream { dst, w, port } => {
                     let pb = rowb(in_end.len(), *port, k);
                     let mut ok = true;
                     for l in 0..k {
@@ -1262,25 +1121,7 @@ impl<'a> LaneVm<'a> {
                     let db = rowb(regs.len(), *dst, k);
                     for l in 0..k {
                         let cur = cursors[pb + l];
-                        regs[db + l] = in_all[cur];
-                        cursors[pb + l] = cur + 1;
-                    }
-                    pc + 1
-                }
-                Op::ReadStreamTo { dst, ty, port } => {
-                    let pb = rowb(in_end.len(), *port, k);
-                    let mut ok = true;
-                    for l in 0..k {
-                        ok &= cursors[pb + l] < in_end[pb + l];
-                    }
-                    if !ok {
-                        bail!();
-                    }
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    for l in 0..k {
-                        let cur = cursors[pb + l];
-                        regs[db + l] = wrap(*ty, in_all[cur]);
+                        regs[db + l] = wrap(*w, in_all[cur]);
                         cursors[pb + l] = cur + 1;
                     }
                     pc + 1
@@ -1401,155 +1242,45 @@ impl<'a> LaneVm<'a> {
                     acct!();
                     *target as usize
                 }
-                Op::ShlPow2 { dst, a, k: sh } => {
+                Op::ShlPow2 { dst, w, a, k: sh } => {
                     acct!();
                     let db = rowb(regs.len(), *dst, k);
                     let ra = srow!(*a);
                     for l in 0..k {
-                        regs[db + l] = ld!(ra, l).wrapping_shl(*sh as u32);
+                        regs[db + l] = wrap(*w, ld!(ra, l).wrapping_shl(*sh as u32));
                     }
                     pc + 1
                 }
-                Op::ShrImm { dst, a, k: sh } => {
+                Op::ShrImm { dst, w, a, k: sh } => {
                     acct!();
                     let db = rowb(regs.len(), *dst, k);
                     let ra = srow!(*a);
                     for l in 0..k {
-                        regs[db + l] = ld!(ra, l).wrapping_shr(*sh as u32);
+                        regs[db + l] = wrap(*w, ld!(ra, l).wrapping_shr(*sh as u32));
                     }
                     pc + 1
                 }
-                Op::DivPow2 { dst, a, k: sh } => {
+                Op::DivPow2 { dst, w, a, k: sh } => {
                     acct!();
                     let db = rowb(regs.len(), *dst, k);
                     let ra = srow!(*a);
                     for l in 0..k {
-                        regs[db + l] = div_pow2(ld!(ra, l), *sh);
+                        regs[db + l] = wrap(*w, div_pow2(ld!(ra, l), *sh));
                     }
                     pc + 1
                 }
-                Op::ModPow2 { dst, a, k: sh } => {
+                Op::ModPow2 { dst, w, a, k: sh } => {
                     acct!();
                     let db = rowb(regs.len(), *dst, k);
                     let ra = srow!(*a);
                     for l in 0..k {
-                        regs[db + l] = mod_pow2(ld!(ra, l), *sh);
-                    }
-                    pc + 1
-                }
-                Op::BinTo { op, dst, ty, a, b } => {
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    let ra = srow!(*a);
-                    let rb = srow!(*b);
-                    for l in 0..k {
-                        let av = ld!(ra, l);
-                        let bv = ld!(rb, l);
-                        regs[db + l] = wrap(*ty, bin_infallible(*op, av, bv));
-                    }
-                    pc + 1
-                }
-                Op::BinCheckedTo { op, dst, ty, a, b } => {
-                    let ra = srow!(*a);
-                    let rb = srow!(*b);
-                    let mut ok = true;
-                    for l in 0..k {
-                        match bin_checked(*op, ld!(ra, l), ld!(rb, l)) {
-                            Ok(v) => vals[l] = v,
-                            Err(_) => ok = false,
-                        }
-                    }
-                    if !ok {
-                        bail!();
-                    }
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    for l in 0..k {
-                        regs[db + l] = wrap(*ty, vals[l]);
-                    }
-                    pc + 1
-                }
-                Op::UnTo { op, dst, ty, a } => {
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    let ra = srow!(*a);
-                    for l in 0..k {
-                        regs[db + l] = wrap(*ty, un_op(*op, ld!(ra, l)));
-                    }
-                    pc + 1
-                }
-                Op::SelectTo { dst, ty, c, a, b } => {
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    let rc = srow!(*c);
-                    let ra = srow!(*a);
-                    let rb = srow!(*b);
-                    for l in 0..k {
-                        let cv = ld!(rc, l);
-                        let av = ld!(ra, l);
-                        let bv = ld!(rb, l);
-                        regs[db + l] = wrap(*ty, if cv != 0 { av } else { bv });
-                    }
-                    pc + 1
-                }
-                Op::LoadIdxTo { dst, ty, arr, idx } => {
-                    let info = &ck.arrays[*arr as usize];
-                    let (base, len, ty) = (info.base as usize, info.len, *ty);
-                    let ri = srow!(*idx);
-                    let mut ok = true;
-                    for l in 0..k {
-                        let iv = ld!(ri, l);
-                        ok &= iv >= 0 && (iv as u64) < len as u64;
-                    }
-                    if !ok {
-                        bail!();
-                    }
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    for l in 0..k {
-                        let iv = ld!(ri, l) as usize;
-                        regs[db + l] = wrap(ty, arena[(base + iv) * k + l]);
-                    }
-                    pc + 1
-                }
-                Op::ShlPow2To { dst, ty, a, k: sh } => {
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    let ra = srow!(*a);
-                    for l in 0..k {
-                        regs[db + l] = wrap(*ty, ld!(ra, l).wrapping_shl(*sh as u32));
-                    }
-                    pc + 1
-                }
-                Op::ShrImmTo { dst, ty, a, k: sh } => {
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    let ra = srow!(*a);
-                    for l in 0..k {
-                        regs[db + l] = wrap(*ty, ld!(ra, l).wrapping_shr(*sh as u32));
-                    }
-                    pc + 1
-                }
-                Op::DivPow2To { dst, ty, a, k: sh } => {
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    let ra = srow!(*a);
-                    for l in 0..k {
-                        regs[db + l] = wrap(*ty, div_pow2(ld!(ra, l), *sh));
-                    }
-                    pc + 1
-                }
-                Op::ModPow2To { dst, ty, a, k: sh } => {
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    let ra = srow!(*a);
-                    for l in 0..k {
-                        regs[db + l] = wrap(*ty, mod_pow2(ld!(ra, l), *sh));
+                        regs[db + l] = wrap(*w, mod_pow2(ld!(ra, l), *sh));
                     }
                     pc + 1
                 }
                 Op::ShrAnd {
                     dst,
+                    w,
                     a,
                     k: sh,
                     mask,
@@ -1558,26 +1289,11 @@ impl<'a> LaneVm<'a> {
                     let db = rowb(regs.len(), *dst, k);
                     let ra = srow!(*a);
                     for l in 0..k {
-                        regs[db + l] = ld!(ra, l).wrapping_shr(*sh as u32) & *mask;
+                        regs[db + l] = wrap(*w, ld!(ra, l).wrapping_shr(*sh as u32) & *mask);
                     }
                     pc + 1
                 }
-                Op::ShrAndTo {
-                    dst,
-                    ty,
-                    a,
-                    k: sh,
-                    mask,
-                } => {
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    let ra = srow!(*a);
-                    for l in 0..k {
-                        regs[db + l] = wrap(*ty, ld!(ra, l).wrapping_shr(*sh as u32) & *mask);
-                    }
-                    pc + 1
-                }
-                Op::MulAcc { dst, a, b, acc } => {
+                Op::MulAcc { dst, w, a, b, acc } => {
                     acct!();
                     let db = rowb(regs.len(), *dst, k);
                     let ra = srow!(*a);
@@ -1587,27 +1303,14 @@ impl<'a> LaneVm<'a> {
                         let av = ld!(ra, l);
                         let bv = ld!(rb, l);
                         let cv = ld!(rc, l);
-                        regs[db + l] = cv.wrapping_add(av.wrapping_mul(bv));
-                    }
-                    pc + 1
-                }
-                Op::MulAccTo { dst, ty, a, b, acc } => {
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    let ra = srow!(*a);
-                    let rb = srow!(*b);
-                    let rc = srow!(*acc);
-                    for l in 0..k {
-                        let av = ld!(ra, l);
-                        let bv = ld!(rb, l);
-                        let cv = ld!(rc, l);
-                        regs[db + l] = wrap(*ty, cv.wrapping_add(av.wrapping_mul(bv)));
+                        regs[db + l] = wrap(*w, cv.wrapping_add(av.wrapping_mul(bv)));
                     }
                     pc + 1
                 }
                 Op::CmpSelect {
                     op,
                     dst,
+                    w,
                     x,
                     y,
                     a,
@@ -1623,30 +1326,7 @@ impl<'a> LaneVm<'a> {
                         let c = bin_infallible(*op, ld!(rx, l), ld!(ry, l));
                         let av = ld!(ra, l);
                         let bv = ld!(rb, l);
-                        regs[db + l] = if c != 0 { av } else { bv };
-                    }
-                    pc + 1
-                }
-                Op::CmpSelectTo {
-                    op,
-                    dst,
-                    ty,
-                    x,
-                    y,
-                    a,
-                    b,
-                } => {
-                    acct!();
-                    let db = rowb(regs.len(), *dst, k);
-                    let rx = srow!(*x);
-                    let ry = srow!(*y);
-                    let ra = srow!(*a);
-                    let rb = srow!(*b);
-                    for l in 0..k {
-                        let c = bin_infallible(*op, ld!(rx, l), ld!(ry, l));
-                        let av = ld!(ra, l);
-                        let bv = ld!(rb, l);
-                        regs[db + l] = wrap(*ty, if c != 0 { av } else { bv });
+                        regs[db + l] = wrap(*w, if c != 0 { av } else { bv });
                     }
                     pc + 1
                 }
@@ -1849,10 +1529,10 @@ impl<'a> LaneVm<'a> {
                             }
                         }};
                     }
-                    match &**f {
+                    match &f.1 {
                         FusedOp::ReadCswBack {
                             dst,
-                            rty,
+                            rw,
                             port,
                             op,
                             wport,
@@ -1873,7 +1553,7 @@ impl<'a> LaneVm<'a> {
                             let db = rowb(regs.len(), *dst, k);
                             for l in 0..k {
                                 let cur = cursors[pb + l];
-                                regs[db + l] = wrap(*rty, in_all[cur]);
+                                regs[db + l] = wrap(*rw, in_all[cur]);
                                 cursors[pb + l] = cur + 1;
                             }
                             let rx = rowb(regs.len(), *x, k);
@@ -1895,7 +1575,7 @@ impl<'a> LaneVm<'a> {
                         }
                         FusedOp::ReadIncBack {
                             dst,
-                            rty,
+                            rw,
                             port,
                             arr,
                             v,
@@ -1914,7 +1594,7 @@ impl<'a> LaneVm<'a> {
                             // without committing the cursors.
                             let mut ok = true;
                             for l in 0..k {
-                                let iv = wrap(*rty, in_all[cursors[pb + l]]);
+                                let iv = wrap(*rw, in_all[cursors[pb + l]]);
                                 ok &= iv >= 0 && (iv as u64) < len as u64;
                             }
                             if !ok {
@@ -1926,7 +1606,7 @@ impl<'a> LaneVm<'a> {
                             let rv = rowb(regs.len(), *v, k);
                             for l in 0..k {
                                 let cur = cursors[pb + l];
-                                regs[db + l] = wrap(*rty, in_all[cur]);
+                                regs[db + l] = wrap(*rw, in_all[cur]);
                                 cursors[pb + l] = cur + 1;
                             }
                             for l in 0..k {
@@ -1939,18 +1619,18 @@ impl<'a> LaneVm<'a> {
                         }
                         FusedOp::ReadUnpack3 {
                             dst,
-                            rty,
+                            rw,
                             port,
                             d1,
-                            t1,
+                            w1,
                             k1,
                             m1,
                             d2,
-                            t2,
+                            w2,
                             k2,
                             m2,
                             d3,
-                            t3,
+                            w3,
                             b3,
                             steps,
                         } => {
@@ -1960,23 +1640,23 @@ impl<'a> LaneVm<'a> {
                             let db = rowb(regs.len(), *dst, k);
                             for l in 0..k {
                                 let cur = cursors[pb + l];
-                                regs[db + l] = wrap(*rty, in_all[cur]);
+                                regs[db + l] = wrap(*rw, in_all[cur]);
                                 cursors[pb + l] = cur + 1;
                             }
                             let r1 = rowb(regs.len(), *d1, k);
                             for l in 0..k {
                                 regs[r1 + l] =
-                                    wrap(*t1, regs[db + l].wrapping_shr(*k1 as u32) & *m1);
+                                    wrap(*w1, regs[db + l].wrapping_shr(*k1 as u32) & *m1);
                             }
                             let r2 = rowb(regs.len(), *d2, k);
                             for l in 0..k {
                                 regs[r2 + l] =
-                                    wrap(*t2, regs[db + l].wrapping_shr(*k2 as u32) & *m2);
+                                    wrap(*w2, regs[db + l].wrapping_shr(*k2 as u32) & *m2);
                             }
                             let r3 = rowb(regs.len(), *d3, k);
                             let rb = rowb(regs.len(), *b3, k);
                             for l in 0..k {
-                                regs[r3 + l] = wrap(*t3, regs[db + l] & regs[rb + l]);
+                                regs[r3 + l] = wrap(*w3, regs[db + l] & regs[rb + l]);
                             }
                             pc + 4
                         }
@@ -2022,7 +1702,7 @@ impl<'a> LaneVm<'a> {
                         }
                         FusedOp::ShrWriteBack {
                             dst,
-                            ty,
+                            w,
                             a,
                             sh,
                             port_a,
@@ -2041,7 +1721,7 @@ impl<'a> LaneVm<'a> {
                             let db = rowb(regs.len(), *dst, k);
                             let ra = rowb(regs.len(), *a, k);
                             for l in 0..k {
-                                regs[db + l] = wrap(*ty, regs[ra + l].wrapping_shr(*sh as u32));
+                                regs[db + l] = wrap(*w, regs[ra + l].wrapping_shr(*sh as u32));
                             }
                             let qa = rowb(out_bufs.len(), *port_a, k);
                             let rs = rowb(regs.len(), *sa, k);
@@ -2069,7 +1749,7 @@ impl<'a> LaneVm<'a> {
     /// The machine loop: run groups to completion, splitting at mixed
     /// control ops and merging at reconvergence points.
     fn exec(&mut self, mut lanes: Vec<u16>) {
-        let n = self.ck.ops.len();
+        let n = self.ck.lane_ops.len();
         let mut pc = 0usize;
         loop {
             if lanes.is_empty() {
@@ -2183,8 +1863,8 @@ impl CompiledKernel {
         let nq = self.stream_outs.len();
         let mut regs = vec![0i64; nr * k];
         let mut done = vec![LaneState::Running; k];
-        // Broadcast the pooled immediates (the lane op stream reads
-        // every operand from a register row; see `CompiledKernel::imm_seed`).
+        // Broadcast the pooled immediates (every op reads its operands
+        // from register rows; see `CompiledKernel::imm_seed`).
         for (i, v) in self.imm_seed.iter().enumerate() {
             let b = (self.num_regs as usize + i) * k;
             regs[b..b + k].fill(*v);
@@ -2265,7 +1945,7 @@ impl CompiledKernel {
             in_start,
             in_end,
             out_bufs,
-            sh_counts: vec![0u64; self.ops.len()],
+            sh_counts: vec![0u64; self.lane_ops.len()],
             sh_steps: 0,
             sh_dyn: 0,
             pl: None,
@@ -2300,7 +1980,7 @@ impl CompiledKernel {
             }
         });
 
-        let mut counts_col = vec![0u64; self.ops.len()];
+        let mut counts_col = vec![0u64; self.lane_ops.len()];
         let lanes = (0..k)
             .map(|l| match &vm.done[l] {
                 LaneState::SeedErr(e) | LaneState::Trapped(e) => Err(e.clone()),

@@ -36,7 +36,6 @@ impl Ty {
     pub const I8: Ty = Ty::signed(8);
     pub const I16: Ty = Ty::signed(16);
     pub const I32: Ty = Ty::signed(32);
-    pub const I48: Ty = Ty::signed(48);
 
     /// Wrap `v` to this type (truncate to `bits`, then sign- or
     /// zero-extend), matching hardware register semantics.

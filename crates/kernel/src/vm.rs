@@ -11,9 +11,8 @@
 //! helpers below define each op's arithmetic once, for the lane VM's hot
 //! loop and its general step alike.
 
-use crate::compile::{CompiledKernel, STAT_BRANCHES};
+use crate::compile::{CompiledKernel, Wrap, STAT_BRANCHES};
 use crate::interp::{ExecError, ExecOutcome, ExecStats, StreamBundle};
-use crate::types::Ty;
 use std::collections::HashMap;
 
 /// Default step budget, matching [`Interpreter::new`](crate::interp::Interpreter::new).
@@ -84,19 +83,21 @@ pub(crate) fn stats_from(acc: &[u64; 11]) -> ExecStats {
     }
 }
 
-/// Branch-light equivalent of [`Ty::wrap`] for the hot loop: truncate to
-/// `bits` and re-extend by shifting the value to the top of the word and
-/// back (arithmetic shift for signed types, logical for unsigned).
-/// `Ty::bits` is 1..=63, so the shift amount is always in range; the
-/// focused test below and the differential property suite hold the two
-/// implementations identical over the full value range.
+/// Branch-light equivalent of [`Ty::wrap`](crate::types::Ty::wrap) for
+/// the hot loop, in shift-pair form: shift the value to the top of the
+/// word and back (arithmetic shift for signed types, logical for
+/// unsigned). A [`Wrap`] made from a `Ty` shifts by `64 - bits`, which
+/// `Ty::bits` (1..=63) keeps in range; [`Wrap::RAW`] shifts by 0, the
+/// identity, so a producing op that writes a temporary passes its raw
+/// result through. The focused test below and the differential property
+/// suite hold this identical to `Ty::wrap` over the full value range.
 #[inline(always)]
-pub(crate) fn wrap(ty: Ty, v: i64) -> i64 {
-    let s = (64 - ty.bits) as u32;
-    if ty.signed {
-        (v << s) >> s
+pub(crate) fn wrap(w: impl Into<Wrap>, v: i64) -> i64 {
+    let Wrap { shift, signed } = w.into();
+    if signed {
+        (v << shift) >> shift
     } else {
-        (((v as u64) << s) >> s) as i64
+        (((v as u64) << shift) >> shift) as i64
     }
 }
 
@@ -252,6 +253,7 @@ mod tests {
                     i64::MAX,
                 ] {
                     assert_eq!(wrap(ty, v), ty.wrap(v), "{ty} wrap({v})");
+                    assert_eq!(wrap(Wrap::RAW, v), v, "raw wrap({v})");
                 }
             }
         }

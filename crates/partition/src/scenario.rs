@@ -28,19 +28,23 @@
 //! ([`CompiledKernel::run`]) at width 1: the stage kernels are compiled
 //! once per run and shared by every chain worker, and each chain walks
 //! the stage table as one-lane batches (parallelized over host threads
-//! into slot-ordered storage, so thread count never changes the answer).
+//! by [`accelsoc_apps::par_map`], in chain order, so thread count never
+//! changes the answer).
 //! Every chain is compared pixel-for-pixel with
 //! [`accelsoc_apps::otsu::otsu_reference`]. The **timing** result comes
 //! from [`accelsoc_platform::multiboard`]. The two never mix: the report
 //! is byte-identical across `--threads`. A tile whose runner layout does
-//! not fit one board's DRAM ([`accelsoc_apps::otsu::dram_footprint`]) is
-//! refused before any of this runs.
+//! not fit one board's DRAM ([`accelsoc_apps::otsu::dram_footprint`]), or
+//! whose pixel count the Otsu kernels cannot count
+//! ([`MAX_PIXELS`]), is refused before any of this runs.
 
 use crate::flow::lower_spec;
 use crate::pack::{partition_observed, PartitionOptions};
 use crate::plan::{BoardPlan, PlanError};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
+use accelsoc_apps::kernels::MAX_PIXELS;
 use accelsoc_apps::otsu::{self, AppConfig, ChainValues, Value, STAGES};
+use accelsoc_apps::par_map;
 use accelsoc_dse::otsu::otsu_chain_model_cached;
 use accelsoc_hls::cache::HlsCache;
 use accelsoc_hls::resource::ResourceEstimate;
@@ -176,6 +180,13 @@ pub enum PartitionSimError {
         bytes: u64,
         capacity: u64,
     },
+    /// A `side × side` tile has more pixels than the Otsu kernels'
+    /// pixel counters hold ([`MAX_PIXELS`]).
+    TooManyPixels {
+        side: u32,
+        pixels: u64,
+        max: u64,
+    },
     Plan(PlanError),
     Sim(MultiBoardError),
     Exec(ExecError),
@@ -192,6 +203,11 @@ impl fmt::Display for PartitionSimError {
                 f,
                 "a {side}x{side} tile needs {bytes} B of board DRAM, more than its {capacity} B"
             ),
+            PartitionSimError::TooManyPixels { side, pixels, max } => write!(
+                f,
+                "a {side}x{side} tile has {pixels} pixels, more than the Otsu kernels' \
+                 pixel counters hold ({max})"
+            ),
             PartitionSimError::Plan(e) => write!(f, "partitioning failed: {e}"),
             PartitionSimError::Sim(e) => write!(f, "co-simulation failed: {e}"),
             PartitionSimError::Exec(e) => write!(f, "kernel execution failed: {e}"),
@@ -202,7 +218,9 @@ impl fmt::Display for PartitionSimError {
 impl std::error::Error for PartitionSimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            PartitionSimError::TileTooLarge { .. } => None,
+            PartitionSimError::TileTooLarge { .. } | PartitionSimError::TooManyPixels { .. } => {
+                None
+            }
             PartitionSimError::Plan(e) => Some(e),
             PartitionSimError::Sim(e) => Some(e),
             PartitionSimError::Exec(e) => Some(e),
@@ -399,6 +417,13 @@ pub fn run_partition_sim_observed(
             capacity,
         });
     }
+    if pixels > u64::from(MAX_PIXELS) {
+        return Err(PartitionSimError::TooManyPixels {
+            side: opts.side,
+            pixels,
+            max: u64::from(MAX_PIXELS),
+        });
+    }
     let cache = HlsCache::in_memory();
     let (htg, areas, compute_ps) = scaled_otsu_htg(opts.scale, pixels, &cache, observer);
 
@@ -423,26 +448,11 @@ pub fn run_partition_sim_observed(
         .iter()
         .map(|stage| CompiledKernel::compile(&stage.kernel_ir()))
         .collect();
-    let units = &units;
-    let mut slots: Vec<Option<Result<ChainResult, ExecError>>> = Vec::new();
-    slots.resize_with(opts.scale, || None);
-    let chunk = opts.scale.div_ceil(opts.threads).max(1);
-    let chain_ids: Vec<usize> = (0..opts.scale).collect();
-    let (side, seed) = (opts.side, opts.seed);
-    crossbeam::thread::scope(|s| {
-        for (id_chunk, slot_chunk) in chain_ids.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            s.spawn(move |_| {
-                for (&k, slot) in id_chunk.iter().zip(slot_chunk.iter_mut()) {
-                    *slot = Some(run_chain(units, k, side, seed.wrapping_add(k as u64)));
-                }
-            });
-        }
+    let chains = par_map(opts.scale, opts.threads, |k| {
+        run_chain(&units, k, opts.side, opts.seed.wrapping_add(k as u64))
     })
-    .expect("chain worker panicked");
-    let mut chains = Vec::with_capacity(opts.scale);
-    for slot in slots {
-        chains.push(slot.expect("every chain slot filled")?);
-    }
+    .into_iter()
+    .collect::<Result<Vec<ChainResult>, ExecError>>()?;
     let pixel_exact = chains.iter().all(|c| c.exact);
 
     Ok(PartitionSimReport {
@@ -521,6 +531,21 @@ mod tests {
         match run_partition_sim(&opts) {
             Err(PartitionSimError::TileTooLarge { side: 100_000, .. }) => {}
             other => panic!("expected a tile-size error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tile_past_the_pixel_counters_is_a_typed_error_before_any_work() {
+        // 1449² = 2 099 601 px fits one board's DRAM but wraps
+        // `halfProbability`'s 21-bit pixel counts.
+        let opts = PartitionSimOptions::builder().side(1449).build();
+        match run_partition_sim(&opts) {
+            Err(PartitionSimError::TooManyPixels {
+                side: 1449,
+                pixels: 2_099_601,
+                max: 2_097_151,
+            }) => {}
+            other => panic!("expected a pixel-count error, got {other:?}"),
         }
     }
 

@@ -31,6 +31,7 @@ use crate::scheduler::{ServeConfig, ServeError};
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
 use accelsoc_apps::otsu::{dram_footprint, run_application_group, AppError, Value};
+use accelsoc_apps::par_map;
 use accelsoc_core::flow::FlowArtifacts;
 use accelsoc_observe::{FlowEvent, FlowObserver, TenantId};
 use accelsoc_platform::sim::{ns_from_ps, ps_from_ns};
@@ -158,7 +159,6 @@ impl SimTables {
         // pure function of the job stream and `cfg.lanes`, and every
         // per-key latency is bit-identical to a solo run by the lane-VM
         // contract — so neither lanes nor threads can change the table.
-        let threads = threads.max(1);
         let lanes = cfg.lanes.max(1);
         let mut groups: Vec<Vec<(Arch, u32, u64)>> = Vec::new();
         {
@@ -174,46 +174,24 @@ impl SimTables {
                 }
             }
         }
-        let mut slots: Vec<Option<Result<Vec<f64>, AppError>>> = Vec::new();
-        slots.resize_with(groups.len(), || None);
-        let chunk = groups.len().div_ceil(threads).max(1);
-        let engine_ref = &engine;
-        let artifacts_ref = &artifacts;
-        let app_cfg = &cfg.app;
-        crossbeam::thread::scope(|s| {
-            for (grp_chunk, slot_chunk) in groups.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                s.spawn(move |_| {
-                    for (grp, slot) in grp_chunk.iter().zip(slot_chunk.iter_mut()) {
-                        let arch = grp[0].0;
-                        let images: Vec<RgbImage> = grp
-                            .iter()
-                            .map(|&(_, side, seed)| {
-                                RgbImage::from_gray(&synthetic_scene(side, side, seed))
-                            })
-                            .collect();
-                        *slot = Some(
-                            run_application_group(
-                                arch,
-                                engine_ref,
-                                &artifacts_ref[arch.name()],
-                                &images,
-                                app_cfg,
-                            )
-                            .and_then(|g| {
-                                g.runs
-                                    .into_iter()
-                                    .map(|run| run.map(|r| r.total_ns))
-                                    .collect()
-                            }),
-                        );
-                    }
-                });
-            }
-        })
-        .expect("latency precompute worker panicked");
+        let results = par_map(groups.len(), threads, |g| {
+            let grp = &groups[g];
+            let arch = grp[0].0;
+            let images: Vec<RgbImage> = grp
+                .iter()
+                .map(|&(_, side, seed)| RgbImage::from_gray(&synthetic_scene(side, side, seed)))
+                .collect();
+            run_application_group(arch, &engine, &artifacts[arch.name()], &images, &cfg.app)
+                .and_then(|g| {
+                    g.runs
+                        .into_iter()
+                        .map(|run| run.map(|r| r.total_ns))
+                        .collect::<Result<Vec<f64>, AppError>>()
+                })
+        });
         let mut lat_ps: HashMap<(&'static str, u32, u64), u64> = HashMap::new();
-        for (grp, slot) in groups.iter().zip(slots) {
-            let ns = slot.expect("every latency slot filled")?;
+        for (grp, result) in groups.iter().zip(results) {
+            let ns = result?;
             for (&(arch, side, seed), ns) in grp.iter().zip(ns) {
                 lat_ps.insert((arch.name(), side, seed), ps_from_ns(ns));
             }
@@ -356,10 +334,6 @@ impl ServeNode {
 
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    pub fn is_alive(&self) -> bool {
-        self.alive
     }
 
     /// Total jobs waiting across all tenant queues.

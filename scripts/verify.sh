@@ -9,6 +9,15 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release (offline, all targets)"
 cargo build --offline --release --workspace --all-targets
 
+echo "==> examples"
+# The build above compiles examples/*.rs but nothing else runs them; each
+# must still run to completion (they print only and write no files).
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    echo "    $name"
+    "./target/release/examples/$name" >/dev/null
+done
+
 echo "==> cargo test (offline)"
 cargo test --offline --workspace -q
 

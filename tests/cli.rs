@@ -284,6 +284,32 @@ fn bad_sim_and_partition_inputs_fail_without_panicking() {
     }
 }
 
+/// `halfProbability` counts a tile's pixels in 21-bit locals, so a tile
+/// past 2^21 − 1 px (side 1449) is refused up front instead of running
+/// to a wrapped count and a `MISMATCH` line.
+#[test]
+fn partition_tile_past_the_pixel_counters_is_refused() {
+    let out = bin()
+        .args([
+            "partition-sim",
+            "--boards",
+            "1",
+            "--scale",
+            "1",
+            "--side",
+            "1449",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("pixel counters") && !err.contains("panicked"),
+        "{err}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("MISMATCH"));
+}
+
 /// A reader of stdout that went away (`accelsoc cluster-sim | head -3`)
 /// makes every report write fail with `BrokenPipe`: the process must end
 /// quietly instead of panicking (exit 101). The read end is closed before

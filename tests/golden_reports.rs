@@ -1,7 +1,8 @@
 //! Golden tests pinning the serialized `BatchReport`, `ServeReport` and
 //! `PartitionSimReport` byte-for-byte, the reports and full event streams
 //! of serve and multi-node cluster stress runs, and the Otsu chain's
-//! per-task runs, DSE profiles and scaled HTG.
+//! per-task runs, DSE profiles and scaled HTG, and the compiled kernel
+//! programs the lane VM runs.
 //!
 //! All three reports are virtual-time-only and deterministic by construction,
 //! so their JSON must not drift when the execution engine underneath is
@@ -13,17 +14,21 @@
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::batch::{image_stream, run_batch};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
-use accelsoc_apps::otsu::{run_application_group, AppConfig};
+use accelsoc_apps::kernels::{gauss2d_core, sobel2d_core};
+use accelsoc_apps::otsu::{self, run_application_group, AppConfig, ChainValues, Value, STAGES};
 use accelsoc_core::observe::{CollectObserver, NullObserver};
 use accelsoc_dse::otsu_chain_model;
 use accelsoc_hls::cache::HlsCache;
 use accelsoc_htg::graph::{Htg, TaskNode, TransferKind};
+use accelsoc_kernel::interp::{ExecStats, StreamBundle};
+use accelsoc_kernel::{CompiledKernel, Kernel};
 use accelsoc_partition::{run_partition_sim, scaled_otsu_htg, PartitionSimOptions};
 use accelsoc_serve::{
     generate_workload, pool_image_seeds, ClusterConfig, ClusterOutcome, ClusterSession,
     DseEstimator, JobShape, JobSpec, PolicyKind, ServeConfig, ServeSession, TenantProfile,
     WorkloadSpec,
 };
+use std::collections::HashMap;
 use std::path::Path;
 
 fn check_or_update(golden_rel: &str, actual: &str) {
@@ -387,6 +392,111 @@ fn otsu_chain_matches_golden() {
     });
     check_or_update(
         "otsu_chain.json",
+        &(serde_json::to_string_pretty(&doc).unwrap() + "\n"),
+    );
+}
+
+/// One lane's inputs: scalar values and fed input streams.
+type LaneInputs = (HashMap<String, i64>, StreamBundle);
+
+fn stats_json(s: &ExecStats) -> serde_json::Value {
+    serde_json::json!({
+        "steps": s.steps, "adds": s.adds, "muls": s.muls, "divs": s.divs,
+        "compares": s.compares, "bitops": s.bitops, "mem_reads": s.mem_reads,
+        "mem_writes": s.mem_writes, "stream_reads": s.stream_reads,
+        "stream_writes": s.stream_writes, "branches": s.branches,
+    })
+}
+
+/// Run `lanes` as one batch and record what the compiled program did:
+/// its length, the batch's host dispatches, and per lane its
+/// `ExecStats` and an FNV-1a digest of its scalar and stream outputs.
+fn program_run(ck: &CompiledKernel, lanes: &[LaneInputs]) -> serde_json::Value {
+    let scalars: Vec<HashMap<String, i64>> = lanes.iter().map(|(s, _)| s.clone()).collect();
+    let mut bundles: Vec<StreamBundle> = lanes.iter().map(|(_, b)| b.clone()).collect();
+    let out = ck.run_batch(&scalars, &mut bundles);
+    let per_lane: Vec<serde_json::Value> = out
+        .lanes
+        .iter()
+        .zip(&bundles)
+        .map(|(res, bundle)| {
+            let res = res.as_ref().expect("kernel run");
+            let mut bytes = Vec::new();
+            let mut scalars: Vec<_> = res.scalar_outputs.iter().collect();
+            scalars.sort();
+            for (name, v) in scalars {
+                bytes.extend(name.as_bytes());
+                bytes.extend(v.to_le_bytes());
+            }
+            for (port, tokens) in bundle.outputs() {
+                bytes.extend(port.as_bytes());
+                tokens.iter().for_each(|t| bytes.extend(t.to_le_bytes()));
+            }
+            serde_json::json!({"stats": stats_json(&res.stats), "outputs_fnv1a": fnv1a(&bytes)})
+        })
+        .collect();
+    serde_json::json!({
+        "width": lanes.len(),
+        "ops": ck.len(),
+        "dispatches": out.dispatches,
+        "lanes": per_lane,
+    })
+}
+
+/// `kernel` compiled once and run at widths 1 and 4, lane `l` on
+/// `inputs(l)`.
+fn kernel_runs(kernel: &Kernel, inputs: impl Fn(u64) -> LaneInputs) -> serde_json::Value {
+    let ck = CompiledKernel::compile(kernel);
+    let runs: Vec<serde_json::Value> = [1u64, 4]
+        .into_iter()
+        .map(|width| program_run(&ck, &(0..width).map(&inputs).collect::<Vec<_>>()))
+        .collect();
+    serde_json::json!({"kernel": kernel.name, "runs": runs})
+}
+
+/// The compiled programs of the four Otsu stages and the two line-buffer
+/// stencils, run at widths 1 and 4 on fixed images (one seed per lane, so
+/// lanes diverge where the data does). Pins the bytecode's length and
+/// host dispatch count, which no report golden sees, next to each lane's
+/// counters and outputs.
+#[test]
+fn kernel_programs_match_golden() {
+    let side = 24u32;
+    // Each image's chain values, from the host-side references, so every
+    // stage runs on its own inputs.
+    let chain = |seed: u64| {
+        let rgb = RgbImage::from_gray(&synthetic_scene(side, side, seed));
+        let gray = otsu::grayscale_reference(&rgb);
+        let hist = otsu::histogram_reference(&gray);
+        let thr = otsu::otsu_threshold_from_hist(&hist);
+        let mut values = ChainValues::new(&rgb);
+        values.set(Value::Gray, gray.data.iter().map(|&v| v as i64).collect());
+        values.set(Value::Histogram, hist.iter().map(|&v| v as i64).collect());
+        values.set(Value::Threshold, vec![thr as i64]);
+        values
+    };
+    let (w, h) = (16u32, 12u32);
+    let stencil = |seed: u64| -> LaneInputs {
+        let img = synthetic_scene(w, h, seed);
+        let mut bundle = StreamBundle::new();
+        bundle.feed("in", img.data.iter().map(|&v| v as i64));
+        let scalars = HashMap::from([
+            ("n".to_string(), img.data.len() as i64),
+            ("W".to_string(), w as i64),
+        ]);
+        (scalars, bundle)
+    };
+    let mut doc = Vec::new();
+    for stage in &STAGES {
+        doc.push(kernel_runs(&stage.kernel_ir(), |seed| {
+            let pixels = (side * side) as u64;
+            (stage.scalars(pixels), stage.inputs_from(&chain(seed)))
+        }));
+    }
+    doc.push(kernel_runs(&gauss2d_core(), stencil));
+    doc.push(kernel_runs(&sobel2d_core(), stencil));
+    check_or_update(
+        "kernel_programs.json",
         &(serde_json::to_string_pretty(&doc).unwrap() + "\n"),
     );
 }
