@@ -10,7 +10,10 @@
 //! ```
 //!
 //! `--json` additionally writes a versioned machine-readable record
-//! (schema `accelsoc-bench-cluster/1`), e.g. `BENCH_cluster.json`.
+//! (schema `accelsoc-bench-cluster/2`), e.g. `BENCH_cluster.json`. Every
+//! field is virtual time except each sweep row's `host_wall_s` (host
+//! seconds for the whole run: precompute, event loop and report, on one
+//! host thread) and `host_jobs_per_s` (submitted jobs per host second).
 
 use accelsoc_apps::archs::Arch;
 use accelsoc_bench::{save_json, Table};
@@ -19,6 +22,7 @@ use accelsoc_serve::{
     generate_workload, pool_image_seeds, ClusterConfig, ClusterReport, ClusterSession,
     DseEstimator, JobSpec, PolicyKind, ServeConfig, TenantProfile, WorkloadSpec,
 };
+use std::time::Instant;
 
 const BOARDS_PER_NODE: usize = 2;
 const IMAGE_POOL: u64 = 64;
@@ -139,13 +143,16 @@ fn main() {
         "thr (job/s)",
         "fairness",
         "p99 int (ms)",
+        "host (s)",
     ]);
     let mut sweeps = Vec::new();
     for &load in &LOADS {
         let stream = workload(jobs_n, seed, load);
         for policy in PolicyKind::ALL {
             for &nodes in &NODES {
+                let start = Instant::now();
                 let r = run(cluster_cfg(nodes, policy, seed, 1), &stream);
+                let host_wall_s = start.elapsed().as_secs_f64();
                 assert!(
                     r.accounting_ok(),
                     "accounting invariant violated at {policy:?}/{nodes} nodes: {r:?}"
@@ -164,6 +171,7 @@ fn main() {
                     format!("{:.0}", r.throughput_jobs_per_s),
                     format!("{:.3}", r.fairness),
                     format!("{:.2}", tenant_p99_ms(&r, "interactive")),
+                    format!("{host_wall_s:.2}"),
                 ]);
                 sweeps.push(serde_json::json!({
                     "policy": policy,
@@ -184,6 +192,8 @@ fn main() {
                     "throughput_jobs_per_s": r.throughput_jobs_per_s,
                     "fairness": r.fairness,
                     "tenants": r.tenants,
+                    "host_wall_s": host_wall_s,
+                    "host_jobs_per_s": r.submitted as f64 / host_wall_s,
                 }));
             }
         }
@@ -239,7 +249,7 @@ fn main() {
     );
 
     let doc = serde_json::json!({
-        "schema": "accelsoc-bench-cluster/1",
+        "schema": "accelsoc-bench-cluster/2",
         "jobs": jobs_n,
         "seed": seed,
         "boards_per_node": BOARDS_PER_NODE,

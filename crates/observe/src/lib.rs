@@ -31,7 +31,7 @@ pub mod sinks;
 pub mod tenant;
 
 pub use event::{FlowEvent, FlowPhase, SpanOutcome};
-pub use metrics::{percentile_ps, FlowMetrics, MetricsObserver, PhaseMetric};
+pub use metrics::{nearest_rank, percentile_ps, FlowMetrics, MetricsObserver, PhaseMetric};
 pub use observer::{null_observer, FlowObserver, PhaseSpan, SharedObserver};
 pub use sinks::{CollectObserver, FanoutObserver, JsonTraceObserver, LogObserver, NullObserver};
 pub use tenant::{TenantId, TENANT_UNRESOLVED};

@@ -108,13 +108,19 @@ pub struct FlowMetrics {
 /// Nearest-rank percentile of a sample set (`p` in 0..=100). Integer
 /// picoseconds in, integer picoseconds out — no float ordering anywhere.
 pub fn percentile_ps(samples: &[u64], p: u32) -> u64 {
+    nearest_rank(&mut samples.to_vec(), p)
+}
+
+/// Nearest-rank percentile (`p` in 0..=100) selected in place: the value
+/// `sorted[ceil(p·n/100).max(1) − 1]` would hold, found in O(n) by
+/// `select_nth_unstable` instead of a sort. Reorders `samples`; 0 for an
+/// empty set.
+pub fn nearest_rank(samples: &mut [u64], p: u32) -> u64 {
     if samples.is_empty() {
         return 0;
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = (p as usize * sorted.len()).div_ceil(100).max(1);
-    sorted[rank.min(sorted.len()) - 1]
+    let rank = (p as usize * samples.len()).div_ceil(100).max(1);
+    *samples.select_nth_unstable(rank.min(samples.len()) - 1).1
 }
 
 impl FlowMetrics {
@@ -501,6 +507,32 @@ mod tests {
         assert_eq!(percentile_ps(&s, 99), 99);
         assert_eq!(percentile_ps(&s, 100), 100);
         assert_eq!(percentile_ps(&s, 0), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The in-place selection equals the sort definition of the
+        /// nearest rank, also when one buffer serves several percentiles
+        /// in turn (as a report row's p50 then p99 do). Values come from
+        /// a small range so duplicates are common.
+        #[test]
+        fn in_place_nearest_rank_matches_the_sorted_definition(
+            samples in proptest::collection::vec(0u64..64, 0..=2000),
+        ) {
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let mut buf = samples.clone();
+            for p in [0u32, 1, 50, 99, 100] {
+                let want = if sorted.is_empty() {
+                    0
+                } else {
+                    sorted[(p as usize * sorted.len()).div_ceil(100).max(1) - 1]
+                };
+                proptest::prop_assert_eq!(nearest_rank(&mut buf, p), want, "p{}", p);
+                proptest::prop_assert_eq!(percentile_ps(&samples, p), want, "p{}", p);
+            }
+        }
     }
 
     #[test]

@@ -365,13 +365,19 @@ impl ClusterSession {
             !self.cfg.nodes.is_empty(),
             "ClusterConfig::builder validates >= 1 node"
         );
-        // Shared precompute: one table set for every node (node 0's
-        // board model — the builder validated homogeneity).
-        let tables = Arc::new(SimTables::build(
-            jobs,
-            &self.cfg.nodes[0],
-            self.cfg.threads,
-        )?);
+        // Shared precompute: one table set for every node.
+        // `ClusterConfigBuilder::build` made every node share node 0's
+        // tenants, board model and dispatch overhead, so the pool size is
+        // the one static-admission input that can differ: filter with the
+        // widest pool (the first, on a tie), so a gang any node can admit
+        // is simulated.
+        let widest = self
+            .cfg
+            .nodes
+            .iter()
+            .reduce(|w, n| if n.boards > w.boards { n } else { w })
+            .expect("ClusterConfig::builder validates >= 1 node");
+        let tables = Arc::new(SimTables::build(jobs, widest, self.cfg.threads)?);
         Ok(ClusterRun::new(&self.cfg, jobs, observer, tables).run())
     }
 }
@@ -391,14 +397,16 @@ struct ClusterRun<'a> {
     observer: &'a dyn FlowObserver,
     nodes: Vec<ServeNode>,
     ring: HashRing,
+    /// Each registered tenant's consistent-hash home node.
+    tenant_home: Vec<u32>,
     alive: Vec<bool>,
     alive_count: usize,
     calendar: ClusterCalendar,
-    /// Each job's consistent-hash home node.
-    home: Vec<u32>,
-    /// Job indices in arrival order, and the next one to arrive.
+    /// Job indices in arrival order, the next one to arrive, and its
+    /// merge key.
     order: Vec<u32>,
     cursor: usize,
+    next_arrival: Option<(u64, u32, u8)>,
     /// Batches the last node dispatch started, as `(board, done_ps)`.
     started: Vec<(usize, u64)>,
     t_submitted: Vec<u64>,
@@ -436,7 +444,11 @@ impl<'a> ClusterRun<'a> {
             })
             .collect();
         let ring = HashRing::new(n_nodes);
-        let home: Vec<u32> = jobs.iter().map(|j| ring.home(&j.tenant) as u32).collect();
+        let tenant_home: Vec<u32> = nodes[0]
+            .tenant_ids()
+            .iter()
+            .map(|t| ring.home(t) as u32)
+            .collect();
         let mut calendar = ClusterCalendar::new();
         for f in &cfg.failures {
             calendar.push(
@@ -454,12 +466,13 @@ impl<'a> ClusterRun<'a> {
             observer,
             nodes,
             ring,
+            tenant_home,
             alive: vec![true; n_nodes],
             alive_count: n_nodes,
             calendar,
-            home,
             order: Vec::new(),
             cursor: 0,
+            next_arrival: None,
             started: Vec::new(),
             t_submitted: vec![0; n_tenants],
             rejected: 0,
@@ -482,13 +495,24 @@ impl<'a> ClusterRun<'a> {
         let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
         order.sort_unstable_by_key(|&i| (run.arrive_key(i as usize), i));
         run.order = order;
+        run.next_arrival = run.order.first().map(|&i| run.arrive_key(i as usize));
         run
+    }
+
+    /// Job `i`'s home node: its tenant's, or (for a tenant no node
+    /// knows, which the home refuses) the ring's answer for the name.
+    fn home(&self, i: usize) -> usize {
+        let tenant = &self.jobs[i].tenant;
+        match self.nodes[0].resolve(tenant) {
+            Some(ti) => self.tenant_home[ti] as usize,
+            None => self.ring.home(tenant),
+        }
     }
 
     fn arrive_key(&self, i: usize) -> (u64, u32, u8) {
         (
             self.jobs[i].submit_ps + self.cfg.net.ingress_ps,
-            self.home[i],
+            self.home(i) as u32,
             RANK_ARRIVE,
         )
     }
@@ -497,11 +521,7 @@ impl<'a> ClusterRun<'a> {
         loop {
             // Merge the arrival cursor with the live-event calendar on
             // the total key order.
-            let next_arrival = self
-                .order
-                .get(self.cursor)
-                .map(|&i| self.arrive_key(i as usize));
-            let use_arrival = match (next_arrival, self.calendar.peek()) {
+            let use_arrival = match (self.next_arrival, self.calendar.peek()) {
                 (Some(a), Some((ps, &(node, rank)))) => a < (ps, node, rank),
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
@@ -526,8 +546,11 @@ impl<'a> ClusterRun<'a> {
     /// the home is dead). Returns the time and the node it touched.
     fn arrive(&mut self) -> (u64, Option<usize>) {
         let i = self.order[self.cursor] as usize;
+        let (now_ps, home, _) = self.next_arrival.take().expect("an arrival is due");
         self.cursor += 1;
-        let (now_ps, home, _) = self.arrive_key(i);
+        if let Some(&next) = self.order.get(self.cursor) {
+            self.next_arrival = Some(self.arrive_key(next as usize));
+        }
         if let Some(ti) = self.nodes[0].resolve(&self.jobs[i].tenant) {
             self.t_submitted[ti] += 1;
         }
@@ -642,7 +665,7 @@ impl<'a> ClusterRun<'a> {
     fn deliver(&mut self, node: usize, idx: usize, hops: u8, now_ps: u64) {
         let job = &self.jobs[idx];
         let probe = self.cfg.shed && hops == 0 && self.alive_count >= 2;
-        match self.nodes[node].admit(job, now_ps, probe, self.observer) {
+        match self.nodes[node].admit(job, idx, now_ps, probe, self.observer) {
             Admit::Queued(_) => {}
             Admit::Rejected(AdmissionError::QueueFull { .. }) if hops > 0 => {
                 // The forwarded hop also found a full queue: shed.
@@ -858,7 +881,7 @@ impl<'a> ClusterRun<'a> {
                     self.t_submitted[ti],
                     self.t_rejected[ti],
                     missed,
-                    &latencies,
+                    latencies,
                 )
             })
             .collect();

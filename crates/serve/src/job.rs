@@ -72,8 +72,9 @@ pub struct JobSpec {
     /// admission time with `accelsoc_htg::validate` — a graph whose
     /// stream links would deadlock (a cycle without buffering) is
     /// rejected with [`AdmissionError::InvalidGraph`] instead of failing
-    /// mid-dispatch.
-    pub graph: Option<Htg>,
+    /// mid-dispatch. Boxed: a graph is rare, and every queued or
+    /// in-flight job carries this field.
+    pub graph: Option<Box<Htg>>,
     /// Board footprint: single-board (default) or a partitioned
     /// multi-board gang.
     pub shape: JobShape,

@@ -36,6 +36,7 @@ use accelsoc_core::flow::FlowArtifacts;
 use accelsoc_observe::{FlowEvent, FlowObserver, TenantId};
 use accelsoc_platform::sim::{ns_from_ps, ps_from_ns};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Admission checks that depend only on the job itself (not on queue
@@ -94,9 +95,10 @@ pub(crate) fn static_admission(
     Ok(())
 }
 
-/// The read-only simulation tables every node shares: DSE estimates per
-/// `(arch, side)` and true simulated board latency per
-/// `(arch, side, image_seed)`.
+/// The read-only simulation tables every node shares, read by job
+/// index: each job's dense `(arch, side, image_seed)` key, the DSE
+/// estimate of each key and the true simulated board latency of each key
+/// some job can be admitted with.
 ///
 /// Building the latency table is the only parallel stage of a serve
 /// run, and it follows the PR 4 argument exactly: each unique key is a
@@ -104,8 +106,35 @@ pub(crate) fn static_admission(
 /// slot-ordered vector, so host thread count changes only *when* a slot
 /// is filled, never *what* it holds.
 pub struct SimTables {
-    est_ps: HashMap<(&'static str, u32), u64>,
-    lat_ps: HashMap<(&'static str, u32, u64), u64>,
+    /// Each job's key, by job index.
+    key: Vec<u32>,
+    /// DSE estimate per key.
+    est_ps: Vec<u64>,
+    /// Simulated latency per key; `None` for a key no job of which
+    /// passes static admission (never simulated, never dispatched).
+    lat_ps: Vec<Option<u64>>,
+}
+
+/// Multiply-rotate hashing for the precompute's `(u64, u64)` job keys:
+/// they come from the program's own job stream, so SipHash's resistance
+/// to crafted collisions buys nothing there.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl SimTables {
@@ -115,96 +144,109 @@ impl SimTables {
     /// the host-parallelism of the latency precompute and has no effect
     /// on the result.
     pub fn build(jobs: &[JobSpec], cfg: &ServeConfig, threads: usize) -> Result<Self, ServeError> {
-        // --- stage 0: DSE estimates (sequential, memoized) ---------------
+        // --- stage 0: one pass over the jobs -----------------------------
+        // Intern each job's (arch, side, image_seed) into a dense key and
+        // estimate each new key once (the estimator memoizes per
+        // (arch, side)). A key is simulated once some job of it passes
+        // static admission; `sim_keys` lists those in that order.
         let mut estimator = crate::estimator::DseEstimator::new();
-        let mut est_ps: HashMap<(&'static str, u32), u64> = HashMap::new();
+        let mut index: HashMap<(u64, u64), u32, BuildHasherDefault<KeyHasher>> = HashMap::default();
+        let mut keys: Vec<(Arch, u32, u64)> = Vec::new();
+        let mut est_ps: Vec<u64> = Vec::new();
+        let mut admissible: Vec<bool> = Vec::new();
+        let mut sim_keys: Vec<usize> = Vec::new();
+        let mut key = Vec::with_capacity(jobs.len());
         for job in jobs {
-            est_ps
-                .entry((job.arch.name(), job.side))
-                .or_insert_with(|| estimator.estimate_ps(job.arch, job.side));
+            let k = *index
+                .entry(((job.arch as u64) << 32 | job.side as u64, job.image_seed))
+                .or_insert_with(|| {
+                    keys.push((job.arch, job.side, job.image_seed));
+                    est_ps.push(estimator.estimate_ps(job.arch, job.side));
+                    admissible.push(false);
+                    (keys.len() - 1) as u32
+                });
+            key.push(k);
+            let k = k as usize;
+            if !admissible[k] && static_admission(job, cfg, est_ps[k], job.submit_ps).is_ok() {
+                admissible[k] = true;
+                sim_keys.push(k);
+            }
         }
 
         // --- stage 1: parallel latency precompute ------------------------
-        // Flow artifacts once per architecture in use (order-fixed).
+        // Flow artifacts once per architecture in use (order-fixed),
+        // indexed by `Arch` discriminant.
         let mut engine = otsu_flow_engine();
-        let mut artifacts: HashMap<&'static str, FlowArtifacts> = HashMap::new();
+        let mut artifacts: [Option<FlowArtifacts>; 4] = Default::default();
         for arch in Arch::all() {
-            if jobs.iter().any(|j| j.arch == arch) && !artifacts.contains_key(arch.name()) {
-                artifacts.insert(arch.name(), engine.run_source(&arch_dsl_source(arch))?);
+            if keys.iter().any(|&(a, _, _)| a == arch) {
+                artifacts[arch as usize] = Some(engine.run_source(&arch_dsl_source(arch))?);
             }
         }
-
-        // Unique (arch, side, image_seed) among statically admissible
-        // jobs, first-seen order.
-        let mut keys: Vec<(Arch, u32, u64)> = Vec::new();
-        {
-            let mut seen: HashMap<(&'static str, u32, u64), ()> = HashMap::new();
-            for job in jobs {
-                let e = est_ps[&(job.arch.name(), job.side)];
-                if static_admission(job, cfg, e, job.submit_ps).is_err() {
-                    continue;
-                }
-                if seen
-                    .insert((job.arch.name(), job.side, job.image_seed), ())
-                    .is_none()
-                {
-                    keys.push((job.arch, job.side, job.image_seed));
-                }
-            }
-        }
-        // Partition keys into same-arch lane groups of `cfg.lanes`, in
-        // first-seen order within each architecture: each group's
-        // software tasks execute as one batch-lane VM invocation (one
-        // decoded instruction stream over all its images). Grouping is a
+        // Partition the keys to simulate into same-arch lane groups of
+        // `cfg.lanes`, in `sim_keys` order within each architecture:
+        // each group's software tasks execute as one batch-lane VM
+        // invocation (one decoded instruction stream over all its images). Grouping is a
         // pure function of the job stream and `cfg.lanes`, and every
         // per-key latency is bit-identical to a solo run by the lane-VM
         // contract — so neither lanes nor threads can change the table.
         let lanes = cfg.lanes.max(1);
-        let mut groups: Vec<Vec<(Arch, u32, u64)>> = Vec::new();
-        {
-            let mut open: HashMap<&'static str, usize> = HashMap::new();
-            for &key in &keys {
-                let slot = open.entry(key.0.name()).or_insert_with(|| {
-                    groups.push(Vec::with_capacity(lanes));
-                    groups.len() - 1
-                });
-                groups[*slot].push(key);
-                if groups[*slot].len() == lanes {
-                    open.remove(key.0.name());
-                }
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut open: [Option<usize>; 4] = [None; 4];
+        for &k in &sim_keys {
+            let arch = keys[k].0 as usize;
+            let slot = *open[arch].get_or_insert_with(|| {
+                groups.push(Vec::with_capacity(lanes));
+                groups.len() - 1
+            });
+            groups[slot].push(k);
+            if groups[slot].len() == lanes {
+                open[arch] = None;
             }
         }
         let results = par_map(groups.len(), threads, |g| {
             let grp = &groups[g];
-            let arch = grp[0].0;
+            let arch = keys[grp[0]].0;
             let images: Vec<RgbImage> = grp
                 .iter()
-                .map(|&(_, side, seed)| RgbImage::from_gray(&synthetic_scene(side, side, seed)))
-                .collect();
-            run_application_group(arch, &engine, &artifacts[arch.name()], &images, &cfg.app)
-                .and_then(|g| {
-                    g.runs
-                        .into_iter()
-                        .map(|run| run.map(|r| r.total_ns))
-                        .collect::<Result<Vec<f64>, AppError>>()
+                .map(|&k| {
+                    let (_, side, seed) = keys[k];
+                    RgbImage::from_gray(&synthetic_scene(side, side, seed))
                 })
+                .collect();
+            let artifacts = artifacts[arch as usize]
+                .as_ref()
+                .expect("flow built for every architecture in use");
+            run_application_group(arch, &engine, artifacts, &images, &cfg.app).and_then(|g| {
+                g.runs
+                    .into_iter()
+                    .map(|run| run.map(|r| r.total_ns))
+                    .collect::<Result<Vec<f64>, AppError>>()
+            })
         });
-        let mut lat_ps: HashMap<(&'static str, u32, u64), u64> = HashMap::new();
+        let mut lat_ps = vec![None; keys.len()];
         for (grp, result) in groups.iter().zip(results) {
-            let ns = result?;
-            for (&(arch, side, seed), ns) in grp.iter().zip(ns) {
-                lat_ps.insert((arch.name(), side, seed), ps_from_ns(ns));
+            for (&k, ns) in grp.iter().zip(result?) {
+                lat_ps[k] = Some(ps_from_ns(ns));
             }
         }
-        Ok(SimTables { est_ps, lat_ps })
+        Ok(SimTables {
+            key,
+            est_ps,
+            lat_ps,
+        })
     }
 
-    pub fn est(&self, job: &JobSpec) -> u64 {
-        self.est_ps[&(job.arch.name(), job.side)]
+    /// DSE estimate of job `idx` (an index into the built job stream).
+    pub fn est(&self, idx: usize) -> u64 {
+        self.est_ps[self.key[idx] as usize]
     }
 
-    fn lat(&self, job: &JobSpec) -> u64 {
-        self.lat_ps[&(job.arch.name(), job.side, job.image_seed)]
+    /// Simulated board latency of job `idx`. Every job a node can admit
+    /// was simulated: the tables were filtered with a pool at least as
+    /// wide as the node's and every other static-admission input equal.
+    fn lat(&self, idx: usize) -> u64 {
+        self.lat_ps[self.key[idx] as usize].expect("admitted jobs were simulated")
     }
 }
 
@@ -213,6 +255,8 @@ struct BoardSlot {
     arch: Option<Arch>,
     busy_ps: u64,
     /// Jobs of the batch currently executing, with staggered finishes.
+    /// Emptied, not dropped, when the batch ends, so the next batch
+    /// reuses its capacity.
     running: Vec<InFlight>,
     /// When this board is a secondary member of a multi-board gang,
     /// the primary board's index. The gang's `InFlight` entries live on
@@ -253,6 +297,12 @@ pub struct ServeNode {
     policy: Box<dyn SchedPolicy>,
     max_batch: usize,
     alive: bool,
+    /// Jobs waiting across all tenant queues, and boards busy: kept at
+    /// every queue and board update so the cluster's per-event load
+    /// reads ([`ServeNode::queued_total`], [`ServeNode::idle_boards`])
+    /// are O(1).
+    queued: usize,
+    busy: usize,
     /// Jobs routed to this node but still "on the wire" — a cluster
     /// uses this to keep work-stealing away from nodes that are about
     /// to receive work anyway.
@@ -313,6 +363,8 @@ impl ServeNode {
             queues,
             boards,
             alive: true,
+            queued: 0,
+            busy: 0,
             pending_incoming: 0,
             submitted: 0,
             submitted_per_tenant: vec![0; n],
@@ -338,11 +390,16 @@ impl ServeNode {
 
     /// Total jobs waiting across all tenant queues.
     pub fn queued_total(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        debug_assert_eq!(
+            self.queued,
+            self.queues.iter().map(|q| q.len()).sum::<usize>()
+        );
+        self.queued
     }
 
     pub fn idle_boards(&self) -> usize {
-        self.boards.iter().filter(|b| !b.busy).count()
+        debug_assert_eq!(self.busy, self.boards.iter().filter(|b| b.busy).count());
+        self.boards.len() - self.busy
     }
 
     /// The tenant registry, in report order (shared by every node of a
@@ -423,35 +480,40 @@ impl ServeNode {
     /// queue returns [`Admit::WouldOverflow`] *without any bookkeeping*
     /// so the cluster can forward it to a peer instead; every other
     /// verdict is fully applied (counters + events) before returning.
+    /// `idx` is the job's index in the stream the node's [`SimTables`]
+    /// were built from.
     pub fn admit(
         &mut self,
         job: &JobSpec,
+        idx: usize,
         now_ps: u64,
         probe_overflow: bool,
         observer: &dyn FlowObserver,
     ) -> Admit {
-        let e = self.tables.est(job);
+        let e = self.tables.est(idx);
+        let tenant = self.resolve(&job.tenant);
         let verdict = static_admission(job, &self.cfg, e, now_ps).and_then(|()| {
-            match self.resolve(&job.tenant) {
-                Some(ti) if self.queues[ti].is_full() => Err(AdmissionError::QueueFull {
+            let ti = tenant.expect("static_admission checked tenant");
+            if self.queues[ti].is_full() {
+                Err(AdmissionError::QueueFull {
                     tenant: job.tenant.name().into(),
                     depth: self.queues[ti].depth,
-                }),
-                Some(ti) => Ok(ti),
-                None => unreachable!("static_admission checked tenant"),
+                })
+            } else {
+                Ok(ti)
             }
         });
         if probe_overflow && matches!(verdict, Err(AdmissionError::QueueFull { .. })) {
             return Admit::WouldOverflow;
         }
         self.submitted += 1;
-        if let Some(ti) = self.resolve(&job.tenant) {
+        if let Some(ti) = tenant {
             self.submitted_per_tenant[ti] += 1;
         }
         match verdict {
             Err(err) => {
                 self.rejections.count(&err);
-                if let Some(ti) = self.resolve(&job.tenant) {
+                if let Some(ti) = tenant {
                     self.rejected_per_tenant[ti] += 1;
                 }
                 observer.on_event(&FlowEvent::JobRejected {
@@ -473,11 +535,12 @@ impl ServeNode {
                 self.queues[ti].push(ActiveJob {
                     spec: job.clone(),
                     est_ps: e,
-                    lat_ps: self.tables.lat(job),
+                    lat_ps: self.tables.lat(idx),
                     attempts: 0,
                     excluded_board: None,
                     redispatches: 0,
                 });
+                self.queued += 1;
                 Admit::Queued(ti)
             }
         }
@@ -501,6 +564,7 @@ impl ServeNode {
         } else {
             self.queues[ti].push_unbounded(job);
         }
+        self.queued += 1;
     }
 
     /// Give up the back of the longest queue (the victim side of
@@ -513,23 +577,27 @@ impl ServeNode {
             }
         }
         let (_, ti) = best?;
+        self.queued -= 1;
         self.queues[ti].pop_back()
     }
 
     /// Board `board` finished its batch: process completions and
     /// transient-fault retries.
     pub fn batch_done(&mut self, board: usize, observer: &dyn FlowObserver) {
-        let done = std::mem::take(&mut self.boards[board].running);
+        let mut done = std::mem::take(&mut self.boards[board].running);
+        debug_assert!(self.boards[board].busy, "a batch ends on a busy board");
         self.boards[board].busy = false;
         self.boards[board].linked_to = None;
+        self.busy -= 1;
         // Free the gang's secondary boards along with their primary.
         for b in &mut self.boards {
             if b.linked_to == Some(board) {
                 b.busy = false;
                 b.linked_to = None;
+                self.busy -= 1;
             }
         }
-        for inflight in done {
+        for inflight in done.drain(..) {
             let mut job = inflight.job;
             if job.spec.transient_fault && job.attempts <= self.cfg.max_retries {
                 self.retries += 1;
@@ -545,6 +613,7 @@ impl ServeNode {
                     .resolve(&job.spec.tenant)
                     .expect("admitted jobs have a tenant");
                 self.queues[ti].push_front(job);
+                self.queued += 1;
                 continue;
             }
             let finish_ps = inflight.finish_ps;
@@ -569,6 +638,7 @@ impl ServeNode {
             });
             self.record_outcome(&job, Some(board), outcome, finish_ps, job.attempts - 1);
         }
+        self.boards[board].running = done;
     }
 
     /// Sweep queue-expiry deadline misses at `now_ps`.
@@ -577,7 +647,9 @@ impl ServeNode {
             if !self.queues[qi].has_expired(now_ps) {
                 continue;
             }
-            for job in self.queues[qi].drain_expired(now_ps) {
+            let expired = self.queues[qi].drain_expired(now_ps);
+            self.queued -= expired.len();
+            for job in expired {
                 let deadline = job.spec.deadline_ps.expect("expired ⇒ has deadline");
                 observer.on_event(&FlowEvent::JobDeadlineMissed {
                     job: job.spec.id,
@@ -602,14 +674,7 @@ impl ServeNode {
     ) {
         loop {
             self.expire(now_ps, observer);
-            let idle: Vec<usize> = self
-                .boards
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| !b.busy)
-                .map(|(i, _)| i)
-                .collect();
-            if idle.is_empty() {
+            if self.idle_boards() == 0 {
                 break;
             }
             let Some(ti) = self.policy.select(&self.queues, now_ps) else {
@@ -622,81 +687,41 @@ impl ServeNode {
             let excluded = head.excluded_board;
             let gang = head.spec.shape.boards();
             if gang > 1 {
-                // Multi-board gang: claim `gang` idle boards atomically,
-                // lowest indices first, no batch coalescing — the boards
-                // are wired together for the job's whole service time.
-                let mut candidates: Vec<usize> = idle
-                    .iter()
-                    .copied()
-                    .filter(|&b| Some(b) != excluded)
-                    .collect();
-                if candidates.len() < gang && self.boards.len() == gang {
-                    // A retry has nowhere else to go in a pool exactly
-                    // the gang's size: allow the faulted board back in.
-                    candidates = idle.clone();
-                }
-                if candidates.len() < gang {
-                    // Not enough idle boards yet; wait for completions.
+                if !self.dispatch_gang(ti, gang, now_ps, observer, schedule) {
                     break;
                 }
-                let selected: Vec<usize> = candidates[..gang].to_vec();
-                let primary = selected[0];
-                let reconfig = if selected.iter().all(|&b| self.boards[b].arch == Some(arch)) {
-                    0
-                } else {
-                    self.cfg.reconfig_ps
-                };
-                let mut job = self.queues[ti].pop().expect("head exists");
-                self.policy.on_dispatch(ti);
-                job.attempts += 1;
-                let t = now_ps + reconfig + self.cfg.dispatch_overhead_ps + job.lat_ps;
-                observer.on_event(&FlowEvent::JobDispatched {
-                    job: job.spec.id,
-                    tenant: job.spec.tenant.clone(),
-                    node: self.id,
-                    board: primary,
-                    batch: 1,
-                    at_ps: now_ps,
-                });
-                for &b in &selected {
-                    self.boards[b].arch = Some(arch);
-                    self.boards[b].busy = true;
-                    self.boards[b].busy_ps += t - now_ps;
-                    self.boards[b].linked_to = (b != primary).then_some(primary);
-                }
-                self.boards[primary].running = vec![InFlight { job, finish_ps: t }];
-                self.batches += 1;
-                schedule.push((primary, t));
                 continue;
             }
-            let mut candidates: Vec<usize> = idle
-                .iter()
-                .copied()
-                .filter(|&b| Some(b) != excluded)
-                .collect();
-            if candidates.is_empty() {
-                if self.boards.len() == 1 {
-                    // Single-board pool: a retry has nowhere else to go.
-                    candidates = idle;
-                } else {
-                    // The only idle board is the one the job faulted on;
-                    // wait for a different one to free up.
+            // An idle board the job may use: a retry avoids the board it
+            // faulted on unless the pool has no other. Prefer one already
+            // carrying this architecture's bitstream (no reconfig),
+            // lowest index as tie-break.
+            let lone = self.boards.len() == 1;
+            let (mut first, mut warm) = (None, None);
+            for (b, slot) in self.boards.iter().enumerate() {
+                if slot.busy || (Some(b) == excluded && !lone) {
+                    continue;
+                }
+                if slot.arch == Some(arch) {
+                    warm = Some(b);
                     break;
                 }
+                first.get_or_insert(b);
             }
-            // Prefer a board already carrying this architecture's
-            // bitstream (no reconfig), lowest index as tie-break.
-            let board = candidates
-                .iter()
-                .copied()
-                .find(|&b| self.boards[b].arch == Some(arch))
-                .unwrap_or(candidates[0]);
+            let Some(board) = warm.or(first) else {
+                // The only idle board is the one the job faulted on;
+                // wait for a different one to free up.
+                break;
+            };
 
-            // Pull the selected head, then coalesce same-arch heads
-            // (global id order) into the batch.
-            let mut batch = vec![self.queues[ti].pop().expect("head exists")];
+            // Pull the selected head straight into the board's batch,
+            // then coalesce same-arch heads (global id order) into it.
+            let running = &mut self.boards[board].running;
+            debug_assert!(running.is_empty(), "an idle board runs nothing");
+            let job = self.queues[ti].pop().expect("head exists");
+            running.push(InFlight { job, finish_ps: 0 });
             self.policy.on_dispatch(ti);
-            while batch.len() < self.max_batch {
+            while running.len() < self.max_batch {
                 let next = self
                     .queues
                     .iter()
@@ -710,39 +735,110 @@ impl ServeNode {
                     .map(|(j, qi)| (j.spec.id, qi))
                     .min();
                 match next {
-                    Some((_, qi)) => batch.push(self.queues[qi].pop().expect("head exists")),
+                    Some((_, qi)) => {
+                        let job = self.queues[qi].pop().expect("head exists");
+                        running.push(InFlight { job, finish_ps: 0 });
+                    }
                     None => break,
                 }
             }
+            let batch_size = running.len();
+            self.queued -= batch_size;
 
-            let reconfig = if self.boards[board].arch == Some(arch) {
+            let slot = &mut self.boards[board];
+            let reconfig = if slot.arch == Some(arch) {
                 0
             } else {
                 self.cfg.reconfig_ps
             };
-            self.boards[board].arch = Some(arch);
-            let batch_size = batch.len();
+            slot.arch = Some(arch);
             let mut t = now_ps + reconfig + self.cfg.dispatch_overhead_ps;
-            let mut inflight = Vec::with_capacity(batch_size);
-            for mut job in batch {
-                job.attempts += 1;
-                t += job.lat_ps;
+            for inflight in &mut slot.running {
+                inflight.job.attempts += 1;
+                t += inflight.job.lat_ps;
+                inflight.finish_ps = t;
                 observer.on_event(&FlowEvent::JobDispatched {
-                    job: job.spec.id,
-                    tenant: job.spec.tenant.clone(),
+                    job: inflight.job.spec.id,
+                    tenant: inflight.job.spec.tenant.clone(),
                     node: self.id,
                     board,
                     batch: batch_size,
                     at_ps: now_ps,
                 });
-                inflight.push(InFlight { job, finish_ps: t });
             }
-            self.boards[board].busy = true;
-            self.boards[board].busy_ps += t - now_ps;
-            self.boards[board].running = inflight;
+            slot.busy = true;
+            slot.busy_ps += t - now_ps;
+            self.busy += 1;
             self.batches += 1;
             schedule.push((board, t));
         }
+    }
+
+    /// Start queue `ti`'s head, a multi-board gang of `gang` boards:
+    /// claim that many idle boards atomically, lowest indices first, no
+    /// batch coalescing — the boards are wired together for the job's
+    /// whole service time. Returns `false` (and starts nothing) while
+    /// too few boards are idle.
+    fn dispatch_gang(
+        &mut self,
+        ti: usize,
+        gang: usize,
+        now_ps: u64,
+        observer: &dyn FlowObserver,
+        schedule: &mut Vec<(usize, u64)>,
+    ) -> bool {
+        let head = self.queues[ti].head().expect("caller checked the head");
+        let (arch, excluded) = (head.spec.arch, head.excluded_board);
+        let idle: Vec<usize> = (0..self.boards.len())
+            .filter(|&b| !self.boards[b].busy)
+            .collect();
+        let mut candidates: Vec<usize> = idle
+            .iter()
+            .copied()
+            .filter(|&b| Some(b) != excluded)
+            .collect();
+        if candidates.len() < gang && self.boards.len() == gang {
+            // A retry has nowhere else to go in a pool exactly the
+            // gang's size: allow the faulted board back in.
+            candidates = idle;
+        }
+        if candidates.len() < gang {
+            // Not enough idle boards yet; wait for completions.
+            return false;
+        }
+        let selected = &candidates[..gang];
+        let primary = selected[0];
+        let reconfig = if selected.iter().all(|&b| self.boards[b].arch == Some(arch)) {
+            0
+        } else {
+            self.cfg.reconfig_ps
+        };
+        let mut job = self.queues[ti].pop().expect("head exists");
+        self.queued -= 1;
+        self.policy.on_dispatch(ti);
+        job.attempts += 1;
+        let t = now_ps + reconfig + self.cfg.dispatch_overhead_ps + job.lat_ps;
+        observer.on_event(&FlowEvent::JobDispatched {
+            job: job.spec.id,
+            tenant: job.spec.tenant.clone(),
+            node: self.id,
+            board: primary,
+            batch: 1,
+            at_ps: now_ps,
+        });
+        for &b in selected {
+            self.boards[b].arch = Some(arch);
+            self.boards[b].busy = true;
+            self.boards[b].busy_ps += t - now_ps;
+            self.boards[b].linked_to = (b != primary).then_some(primary);
+        }
+        self.busy += gang;
+        self.boards[primary]
+            .running
+            .push(InFlight { job, finish_ps: t });
+        self.batches += 1;
+        schedule.push((primary, t));
+        true
     }
 
     /// Kill the node at `now_ps`: mark it dead and hand back every
@@ -757,6 +853,7 @@ impl ServeNode {
             orphans.extend(q.drain_all());
         }
         let queued = orphans.len();
+        self.queued = 0;
         let mut in_flight = 0usize;
         for b in &mut self.boards {
             b.busy = false;
@@ -766,6 +863,7 @@ impl ServeNode {
                 orphans.push(inflight.job);
             }
         }
+        self.busy = 0;
         observer.on_event(&FlowEvent::NodeFailed {
             node: self.id,
             at_ps: now_ps,
@@ -786,14 +884,15 @@ impl ServeNode {
         let tenants: Vec<TenantReport> = self
             .tenant_ids
             .iter()
+            .zip(self.tenant_latencies)
             .enumerate()
-            .map(|(i, t)| {
+            .map(|(i, (t, latencies))| {
                 TenantReport::new(
                     t.clone(),
                     self.submitted_per_tenant[i],
                     self.rejected_per_tenant[i],
                     self.tenant_missed[i],
-                    &self.tenant_latencies[i],
+                    latencies,
                 )
             })
             .collect();

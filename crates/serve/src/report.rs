@@ -6,7 +6,7 @@
 
 use crate::job::{AdmissionError, JobRecord};
 use crate::policy::PolicyKind;
-use accelsoc_observe::{percentile_ps, TenantId};
+use accelsoc_observe::{nearest_rank, TenantId};
 use serde::{Deserialize, Serialize};
 
 /// Per-tenant aggregate.
@@ -28,14 +28,15 @@ pub struct TenantReport {
 
 impl TenantReport {
     /// Fold one tenant's tallies into its row. `latencies` holds every
-    /// completed (on-time or late) job's latency; `missed` counts queue
-    /// expiries plus late finishes.
+    /// completed (on-time or late) job's latency, in any order: the row
+    /// takes the vector and selects its percentiles in place. `missed`
+    /// counts queue expiries plus late finishes.
     pub fn new(
         tenant: TenantId,
         submitted: u64,
         rejected: u64,
         missed: u64,
-        latencies: &[u64],
+        mut latencies: Vec<u64>,
     ) -> Self {
         let mean = if latencies.is_empty() {
             0
@@ -49,8 +50,8 @@ impl TenantReport {
             rejected,
             completed: latencies.len() as u64,
             deadline_missed: missed,
-            p50_latency_ps: percentile_ps(latencies, 50),
-            p99_latency_ps: percentile_ps(latencies, 99),
+            p50_latency_ps: nearest_rank(&mut latencies, 50),
+            p99_latency_ps: nearest_rank(&mut latencies, 99),
             mean_latency_ps: mean,
         }
     }
@@ -158,7 +159,7 @@ mod tests {
     use super::*;
 
     fn row(tenant: &str, submitted: u64, rejected: u64, missed: u64, lat: &[u64]) -> TenantReport {
-        TenantReport::new(tenant.into(), submitted, rejected, missed, lat)
+        TenantReport::new(tenant.into(), submitted, rejected, missed, lat.to_vec())
     }
 
     #[test]

@@ -55,14 +55,17 @@ impl HashRing {
 
     /// The tenant's home node, ignoring liveness.
     pub fn home(&self, tenant: &TenantId) -> usize {
-        self.route_from(fnv1a(tenant.name().as_bytes()), &vec![true; self.nodes])
-            .expect("all-alive mask always routes")
+        self.route_from(fnv1a(tenant.name().as_bytes()), |_| true)
+            .expect("a ring has at least one node")
     }
 
     /// First alive node clockwise of the tenant's hash; `None` when the
     /// whole cluster is dead.
     pub fn route(&self, tenant: &TenantId, alive: &[bool]) -> Option<usize> {
-        self.route_from(fnv1a(tenant.name().as_bytes()), alive)
+        debug_assert_eq!(alive.len(), self.nodes);
+        self.route_from(fnv1a(tenant.name().as_bytes()), |n| {
+            alive.get(n).copied().unwrap_or(false)
+        })
     }
 
     /// Re-route after a dead delivery: first alive node clockwise of
@@ -81,13 +84,12 @@ impl HashRing {
             .map(|&(_, n)| n)
     }
 
-    fn route_from(&self, hash: u64, alive: &[bool]) -> Option<usize> {
-        debug_assert_eq!(alive.len(), self.nodes);
+    fn route_from(&self, hash: u64, alive: impl Fn(usize) -> bool) -> Option<usize> {
         let idx = self.points.partition_point(|&(p, _)| p < hash);
         self.points[idx..]
             .iter()
             .chain(self.points[..idx].iter())
-            .find(|&&(_, n)| alive.get(n).copied().unwrap_or(false))
+            .find(|&&(_, n)| alive(n))
             .map(|&(_, n)| n)
     }
 }

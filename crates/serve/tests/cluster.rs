@@ -3,11 +3,11 @@
 //! job-accounting invariant under node failure.
 
 use accelsoc_apps::archs::Arch;
-use accelsoc_observe::NullObserver;
+use accelsoc_observe::{NullObserver, TenantId};
 use accelsoc_serve::{
     generate_workload, pool_image_seeds, ClusterConfig, ClusterConfigError, ClusterReport,
-    ClusterSession, DseEstimator, NetModel, PolicyKind, ServeConfig, ServeSession, TenantProfile,
-    WorkloadSpec,
+    ClusterSession, DseEstimator, HashRing, JobShape, JobSpec, NetModel, PolicyKind, ServeConfig,
+    ServeSession, TenantProfile, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -268,4 +268,45 @@ fn shedding_forwards_overflow_to_the_least_loaded_peer() {
     assert_eq!(without.forwarded, 0);
     assert_eq!(without.shed, 0);
     assert!(without.rejections.queue_full > 0);
+}
+
+#[test]
+fn a_gang_only_a_wider_node_can_hold_is_simulated_and_runs_there() {
+    // Node 0 has one board, node 1 two. A two-board gang whose tenant
+    // homes on node 1 is admitted there, so the shared precompute must
+    // simulate it although node 0 could never hold it.
+    let tenants = ["a", "b", "c", "d"];
+    let ring = HashRing::new(2);
+    let tenant = tenants
+        .into_iter()
+        .find(|&t| ring.home(&TenantId::from(t)) == 1)
+        .expect("some tenant homes on node 1");
+    let node = |boards| {
+        ServeConfig::builder()
+            .tenants(tenants)
+            .boards(boards)
+            .build()
+    };
+    let cfg = ClusterConfig::builder()
+        .node(node(1))
+        .node(node(2))
+        .keep_records(true)
+        .build()
+        .unwrap();
+    let gang = JobSpec {
+        id: 0,
+        tenant: tenant.into(),
+        arch: Arch::Arch1,
+        side: 16,
+        image_seed: 1,
+        submit_ps: 0,
+        deadline_ps: None,
+        transient_fault: false,
+        graph: None,
+        shape: JobShape::MultiBoard { boards: 2 },
+    };
+    let r = run_cluster(cfg, &[gang]);
+    assert!(r.accounting_ok(), "accounting violated: {r:?}");
+    assert_eq!(r.completed, 1, "{r:?}");
+    assert_eq!(r.per_node[1].completed, 1, "the gang ran on its home");
 }

@@ -156,7 +156,7 @@ fn typed_admission_errors_are_counted_and_reported() {
     let stranger = plain_job(2, "nobody", 3_000);
     // InvalidGraph: two tasks in a buffered cycle.
     let mut cyclic = plain_job(3, "t", 4_000);
-    cyclic.graph = Some({
+    cyclic.graph = Some(Box::new({
         let mut g = Htg::new();
         let a = g
             .add_task(
@@ -183,7 +183,7 @@ fn typed_admission_errors_are_counted_and_reported() {
         g.add_edge(b, a, TransferKind::SharedBuffer { bytes: 4 })
             .unwrap();
         g
-    });
+    }));
     // And one good job so the run isn't empty.
     let good = plain_job(4, "t", 5_000);
 

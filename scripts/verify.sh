@@ -158,6 +158,28 @@ if ./target/release/accelsoc cluster-sim --nodes 4 --policy sjf --jobs 64 \
 fi
 echo "    cluster report bit-identical for --threads 1 vs 4; accounting exact"
 
+echo "==> cluster golden at benchmark scale (accelsoc cluster-sim, 250 000 jobs)"
+# The smoke above runs 64 jobs, too few for a drifting node-load count
+# or a reordered event to show. This is the benchmark's cluster_pooled
+# run (about 91 000 steals, 66 000 forwards and 1 000 sheds): its report
+# must equal the committed golden at every host thread count, and the
+# job-accounting invariant must hold (no WARNING line).
+for t in 1 2; do
+    ./target/release/accelsoc cluster-sim --nodes 4 --boards-per-node 2 \
+        --jobs 250000 --load 0.9 --image-pool 64 --kill 2@2000 --seed 42 \
+        --threads "$t" --json "$CACHE_DIR/cluster_pooled_t$t.json" \
+        >"$CACHE_DIR/cluster_pooled_t$t.txt"
+    if ! cmp -s tests/golden/cluster_pooled_cli.json "$CACHE_DIR/cluster_pooled_t$t.json"; then
+        echo "FAIL: 250 000-job cluster report at --threads $t differs from tests/golden/cluster_pooled_cli.json"
+        exit 1
+    fi
+    if grep -q WARNING "$CACHE_DIR/cluster_pooled_t$t.txt"; then
+        echo "FAIL: 250 000-job cluster run violated the job-accounting invariant"
+        exit 1
+    fi
+done
+echo "    250 000-job report equals tests/golden/cluster_pooled_cli.json at --threads 1 and 2; accounting exact"
+
 echo "==> multi-board determinism smoke (accelsoc partition-sim)"
 # The Otsu chain scaled 16x across 2 boards: the full PartitionSimReport
 # (plan + co-sim + per-chain checksums) must be byte-identical across

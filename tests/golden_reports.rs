@@ -143,7 +143,7 @@ fn stress_extras(next_id: u64, mid_ps: u64) -> Vec<JobSpec> {
     extras[0].tenant = "nobody".into();
     extras[1].side = 6_000;
     extras[2].deadline_ps = Some(mid_ps + 1);
-    extras[3].graph = Some(cyclic);
+    extras[3].graph = Some(Box::new(cyclic));
     extras[4].shape = JobShape::MultiBoard { boards: 2 };
     extras[5].shape = JobShape::MultiBoard { boards: 2 };
     extras[5].transient_fault = true;
