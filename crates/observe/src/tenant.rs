@@ -1,48 +1,74 @@
 //! Interned tenant identity for the serving runtime.
 //!
-//! The single-node scheduler of PR 4 keyed queues, events and reports by
-//! raw `String` tenant names, which meant a heap allocation per emitted
-//! event on the hot scheduling path. [`TenantId`] replaces those keys
-//! with an interned handle: a reference-counted display name plus the
-//! tenant's registration index in its serving configuration. Cloning a
-//! `TenantId` is an `Arc` refcount bump — no allocation — so events can
-//! carry tenant identity for free even in million-job simulations.
+//! The serving runtime tags every queue, event, record and report row
+//! with a tenant, and its event loop does so several times per job, so
+//! the handle must cost nothing to copy or compare. [`TenantId`] is a
+//! `Copy` pair of the tenant's registration index in its serving
+//! configuration and its display name, a `&'static str` interned in one
+//! process-wide set: every constructor ([`TenantId::new`],
+//! [`TenantId::unresolved`], both `From`s and `Deserialize`) looks the
+//! name up and leaks it on its first use, once per distinct name.
+//! Names come from configurations and workload specs, so the set stays
+//! small. (A reference-counted name would make every copy and drop an
+//! atomic refcount update, paid per event even when no observer
+//! listens.)
 //!
-//! Identity (equality, ordering, hashing) is *by name only*: the index
-//! is a runtime routing optimization, not part of the identity. This
-//! keeps round-trips through JSON lossless — a `TenantId` serializes as
-//! its bare name string (so report JSON is unchanged from the `String`
-//! era) and deserializes as an [`unresolved`](TenantId::unresolved)
-//! handle that any scheduler can re-resolve against its own registry.
+//! Identity is *by name only*: the index is a routing hint, not part of
+//! the identity. Because each distinct name is interned exactly once,
+//! equality compares the name pointers and never the bytes; hashing,
+//! ordering and `Display` read the name, so hash sets, sort orders and
+//! printed tables are the same as with plain strings. A `TenantId`
+//! serializes as its bare name string (report JSON is unchanged from
+//! the `String` era) and deserializes as an
+//! [`unresolved`](TenantId::unresolved) handle that any scheduler can
+//! re-resolve against its own registry.
 
 use serde::{value::Value, DeError, Deserialize, Serialize};
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Index marking a [`TenantId`] that has not been resolved against a
 /// serving configuration (e.g. one parsed back from JSON).
 pub const TENANT_UNRESOLVED: u32 = u32::MAX;
 
+/// The one `&'static` copy of `name`, leaked on its first use.
+fn intern(name: &str) -> &'static str {
+    static NAMES: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    // A panic inside `insert` leaves the set valid (with or without the
+    // new name), so a poisoned lock is safe to keep using.
+    let mut names = NAMES
+        .get_or_init(Default::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(&interned) = names.get(name) {
+        return interned;
+    }
+    let interned: &'static str = Box::leak(Box::<str>::from(name));
+    names.insert(interned);
+    interned
+}
+
 /// An interned tenant identity: display name plus registration index.
 ///
 /// See the [module docs](self) for identity and serialization rules.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TenantId {
     index: u32,
-    name: Arc<str>,
+    name: &'static str,
 }
 
 impl TenantId {
     /// A tenant resolved to `index` in its serving configuration.
-    pub fn new(index: u32, name: impl Into<Arc<str>>) -> Self {
+    pub fn new(index: u32, name: &str) -> Self {
         TenantId {
             index,
-            name: name.into(),
+            name: intern(name),
         }
     }
 
     /// A tenant known only by name (index [`TENANT_UNRESOLVED`]).
-    pub fn unresolved(name: impl Into<Arc<str>>) -> Self {
+    pub fn unresolved(name: &str) -> Self {
         TenantId::new(TENANT_UNRESOLVED, name)
     }
 
@@ -57,23 +83,15 @@ impl TenantId {
     }
 
     /// The display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The same tenant re-resolved to a new index, sharing the interned
-    /// name allocation.
-    pub fn with_index(&self, index: u32) -> Self {
-        TenantId {
-            index,
-            name: Arc::clone(&self.name),
-        }
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 }
 
 impl PartialEq for TenantId {
     fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
+        // One interned copy per name: the same name is the same pointer.
+        std::ptr::eq(self.name, other.name)
     }
 }
 
@@ -87,7 +105,7 @@ impl PartialOrd for TenantId {
 
 impl Ord for TenantId {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.name.cmp(&other.name)
+        self.name.cmp(other.name)
     }
 }
 
@@ -99,26 +117,26 @@ impl std::hash::Hash for TenantId {
 
 impl PartialEq<str> for TenantId {
     fn eq(&self, other: &str) -> bool {
-        self.name() == other
+        self.name == other
     }
 }
 
 impl PartialEq<&str> for TenantId {
     fn eq(&self, other: &&str) -> bool {
-        self.name() == *other
+        self.name == *other
     }
 }
 
 impl PartialEq<String> for TenantId {
     fn eq(&self, other: &String) -> bool {
-        self.name() == other.as_str()
+        self.name == other.as_str()
     }
 }
 
 impl fmt::Display for TenantId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // pad() honors width/alignment so table printers line up
-        f.pad(&self.name)
+        f.pad(self.name)
     }
 }
 
@@ -130,7 +148,7 @@ impl From<&str> for TenantId {
 
 impl From<String> for TenantId {
     fn from(name: String) -> Self {
-        TenantId::unresolved(name)
+        TenantId::unresolved(&name)
     }
 }
 
@@ -143,7 +161,7 @@ impl Serialize for TenantId {
 impl Deserialize for TenantId {
     fn from_json_value(v: &Value) -> Result<Self, DeError> {
         match v {
-            Value::String(s) => Ok(TenantId::unresolved(s.as_str())),
+            Value::String(s) => Ok(TenantId::unresolved(s)),
             other => Err(DeError::new(format!(
                 "expected a tenant name string, got {other:?}"
             ))),
@@ -164,19 +182,44 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         let mut set = HashSet::new();
-        set.insert(a.clone());
+        set.insert(a);
         assert!(set.contains(&b));
         assert!(!set.contains(&c));
     }
 
     #[test]
-    fn clones_share_the_interned_name() {
+    fn every_constructor_shares_one_interned_name() {
         let a = TenantId::new(3, "t");
-        let b = a.clone();
-        assert!(std::ptr::eq(a.name().as_ptr(), b.name().as_ptr()));
-        let re = a.with_index(7);
-        assert_eq!(re.index(), 7);
-        assert!(std::ptr::eq(a.name().as_ptr(), re.name().as_ptr()));
+        let owned = String::from("t");
+        let from_json = TenantId::from_json_value(&Value::String("t".into())).unwrap();
+        for other in [
+            TenantId::unresolved("t"),
+            TenantId::from("t"),
+            TenantId::from(owned.clone()),
+            from_json,
+        ] {
+            assert!(std::ptr::eq(a.name(), other.name()));
+            assert_eq!(a, other);
+        }
+        // The handle does not borrow from the string it was built from.
+        assert!(!std::ptr::eq(a.name().as_ptr(), owned.as_ptr()));
+        // Copy: both handles stay usable.
+        let b = a;
+        assert_eq!(a.index(), b.index());
+    }
+
+    #[test]
+    fn order_and_hash_follow_the_name() {
+        // Interned in the opposite order to their names' order.
+        let z = TenantId::new(0, "zz-order");
+        let a = TenantId::new(1, "aa-order");
+        assert!(a < z);
+        let mut v = vec![z, a];
+        v.sort();
+        assert_eq!(v, [a, z]);
+        use std::hash::{BuildHasher, RandomState};
+        let s = RandomState::new();
+        assert_eq!(s.hash_one(a), s.hash_one("aa-order"));
     }
 
     #[test]
@@ -195,5 +238,6 @@ mod tests {
         assert_eq!(t, "batch");
         assert_eq!(t, String::from("batch"));
         assert_eq!(t.to_string(), "batch");
+        assert_eq!(format!("{t:>7}"), "  batch");
     }
 }

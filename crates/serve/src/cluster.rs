@@ -322,22 +322,22 @@ const RANK_ARRIVE: u8 = 2;
 const RANK_DELIVER: u8 = 3;
 
 /// The cluster calendar: events ordered `(ps, node, rank, seq)`.
-type ClusterCalendar = Calendar<(u32, u8), CEv>;
+type ClusterCalendar<'a> = Calendar<(u32, u8), CEv<'a>>;
 
-enum DeliverKind {
+enum DeliverKind<'a> {
     /// Pre-admission forward of job index `idx`; `hops` counts shed
     /// forwards already taken (a second full queue is terminal).
     Forward { idx: u32, hops: u8 },
     /// A stolen job in transit to its thief.
-    Steal(Box<ActiveJob>),
+    Steal(ActiveJob<'a>),
     /// A failure-orphaned job in transit to a survivor.
-    Redispatch(Box<ActiveJob>),
+    Redispatch(ActiveJob<'a>),
 }
 
-enum CEv {
+enum CEv<'a> {
     BatchDone { node: u32, board: u32 },
     Fail { node: u32 },
-    Deliver { node: u32, kind: DeliverKind },
+    Deliver { node: u32, kind: DeliverKind<'a> },
 }
 
 /// One configured cluster: the entry point for running job streams
@@ -395,13 +395,13 @@ struct ClusterRun<'a> {
     cfg: &'a ClusterConfig,
     jobs: &'a [JobSpec],
     observer: &'a dyn FlowObserver,
-    nodes: Vec<ServeNode>,
+    nodes: Vec<ServeNode<'a>>,
     ring: HashRing,
     /// Each registered tenant's consistent-hash home node.
     tenant_home: Vec<u32>,
     alive: Vec<bool>,
     alive_count: usize,
-    calendar: ClusterCalendar,
+    calendar: ClusterCalendar<'a>,
     /// Job indices in arrival order, the next one to arrive, and its
     /// merge key.
     order: Vec<u32>,
@@ -502,10 +502,10 @@ impl<'a> ClusterRun<'a> {
     /// Job `i`'s home node: its tenant's, or (for a tenant no node
     /// knows, which the home refuses) the ring's answer for the name.
     fn home(&self, i: usize) -> usize {
-        let tenant = &self.jobs[i].tenant;
+        let tenant = self.jobs[i].tenant;
         match self.nodes[0].resolve(tenant) {
             Some(ti) => self.tenant_home[ti] as usize,
-            None => self.ring.home(tenant),
+            None => self.ring.home(&tenant),
         }
     }
 
@@ -551,7 +551,7 @@ impl<'a> ClusterRun<'a> {
         if let Some(&next) = self.order.get(self.cursor) {
             self.next_arrival = Some(self.arrive_key(next as usize));
         }
-        if let Some(ti) = self.nodes[0].resolve(&self.jobs[i].tenant) {
+        if let Some(ti) = self.nodes[0].resolve(self.jobs[i].tenant) {
             self.t_submitted[ti] += 1;
         }
         let home = home as usize;
@@ -606,15 +606,15 @@ impl<'a> ClusterRun<'a> {
                     DeliverKind::Steal(job) | DeliverKind::Redispatch(job) if !self.alive[node] => {
                         // The receiver died mid-transfer: the job is
                         // orphaned again.
-                        self.redispatch(node, *job, now_ps);
+                        self.redispatch(node, job, now_ps);
                         None
                     }
                     DeliverKind::Steal(job) => {
-                        self.nodes[node].transfer_in(*job, false);
+                        self.nodes[node].transfer_in(job, false);
                         Some(node)
                     }
                     DeliverKind::Redispatch(job) => {
-                        self.nodes[node].transfer_in(*job, true);
+                        self.nodes[node].transfer_in(job, true);
                         Some(node)
                     }
                 }
@@ -626,7 +626,7 @@ impl<'a> ClusterRun<'a> {
     /// Put `kind` on the wire to node `to`, landing at `at_ps`. The
     /// receiver counts it as inbound until then, which keeps stealing
     /// away from a node that is about to get work anyway.
-    fn send(&mut self, to: usize, at_ps: u64, kind: DeliverKind) {
+    fn send(&mut self, to: usize, at_ps: u64, kind: DeliverKind<'a>) {
         self.nodes[to].pending_incoming += 1;
         self.calendar.push(
             at_ps,
@@ -643,7 +643,7 @@ impl<'a> ClusterRun<'a> {
     fn record(
         &mut self,
         id: u64,
-        tenant: &TenantId,
+        tenant: TenantId,
         node: Option<usize>,
         outcome: ClusterOutcome,
         finish_ps: u64,
@@ -651,7 +651,7 @@ impl<'a> ClusterRun<'a> {
         if self.cfg.keep_records {
             self.records.push(ClusterJobRecord {
                 id,
-                tenant: tenant.clone(),
+                tenant,
                 node,
                 outcome,
                 finish_ps,
@@ -672,26 +672,20 @@ impl<'a> ClusterRun<'a> {
                 self.shed += 1;
                 self.observer.on_event(&FlowEvent::JobShed {
                     job: job.id,
-                    tenant: job.tenant.clone(),
+                    tenant: job.tenant,
                     node,
                 });
-                self.record(
-                    job.id,
-                    &job.tenant,
-                    Some(node),
-                    ClusterOutcome::Shed,
-                    now_ps,
-                );
+                self.record(job.id, job.tenant, Some(node), ClusterOutcome::Shed, now_ps);
             }
             Admit::Rejected(err) => {
                 self.rejected += 1;
                 self.rejections.count(&err);
-                if let Some(ti) = self.nodes[0].resolve(&job.tenant) {
+                if let Some(ti) = self.nodes[0].resolve(job.tenant) {
                     self.t_rejected[ti] += 1;
                 }
                 self.record(
                     job.id,
-                    &job.tenant,
+                    job.tenant,
                     Some(node),
                     ClusterOutcome::Rejected,
                     now_ps,
@@ -710,7 +704,7 @@ impl<'a> ClusterRun<'a> {
                 self.forwarded += 1;
                 self.observer.on_event(&FlowEvent::JobForwarded {
                     job: job.id,
-                    tenant: job.tenant.clone(),
+                    tenant: job.tenant,
                     from_node: node,
                     to_node: to,
                 });
@@ -733,7 +727,7 @@ impl<'a> ClusterRun<'a> {
                 self.forwarded += 1;
                 self.observer.on_event(&FlowEvent::JobForwarded {
                     job: job.id,
-                    tenant: job.tenant.clone(),
+                    tenant: job.tenant,
                     from_node: from,
                     to_node: to,
                 });
@@ -744,17 +738,17 @@ impl<'a> ClusterRun<'a> {
                 self.shed += 1;
                 self.observer.on_event(&FlowEvent::JobShed {
                     job: job.id,
-                    tenant: job.tenant.clone(),
+                    tenant: job.tenant,
                     node: from,
                 });
-                self.record(job.id, &job.tenant, None, ClusterOutcome::Shed, now_ps);
+                self.record(job.id, job.tenant, None, ClusterOutcome::Shed, now_ps);
             }
         }
     }
 
     /// Re-dispatch a failure-orphaned job, or count it `Failed` when
     /// the budget or the cluster is exhausted.
-    fn redispatch(&mut self, from: usize, mut job: ActiveJob, now_ps: u64) {
+    fn redispatch(&mut self, from: usize, mut job: ActiveJob<'a>, now_ps: u64) {
         job.redispatches += 1;
         let target = if job.redispatches > self.cfg.max_redispatch {
             None
@@ -766,23 +760,23 @@ impl<'a> ClusterRun<'a> {
                 self.redispatched += 1;
                 self.observer.on_event(&FlowEvent::JobRedispatched {
                     job: job.spec.id,
-                    tenant: job.spec.tenant.clone(),
+                    tenant: job.spec.tenant,
                     from_node: from,
                     to_node: to,
                 });
                 let at_ps = now_ps + self.cfg.net.redispatch_ps;
-                self.send(to, at_ps, DeliverKind::Redispatch(Box::new(job)));
+                self.send(to, at_ps, DeliverKind::Redispatch(job));
             }
             None => {
                 self.failed += 1;
                 self.observer.on_event(&FlowEvent::JobFailed {
                     job: job.spec.id,
-                    tenant: job.spec.tenant.clone(),
+                    tenant: job.spec.tenant,
                     node: from,
                 });
                 self.record(
                     job.spec.id,
-                    &job.spec.tenant,
+                    job.spec.tenant,
                     Some(from),
                     ClusterOutcome::Failed,
                     now_ps,
@@ -815,9 +809,9 @@ impl<'a> ClusterRun<'a> {
                 JobOutcome::CompletedLate => ClusterOutcome::CompletedLate,
                 JobOutcome::TimedOut => ClusterOutcome::TimedOut,
             };
-            let (job, tenant, finish_ps) = (rec.id, rec.tenant.clone(), rec.finish_ps);
+            let (job, tenant, finish_ps) = (rec.id, rec.tenant, rec.finish_ps);
             self.node_records_seen[id] += 1;
-            self.record(job, &tenant, Some(id), outcome, finish_ps);
+            self.record(job, tenant, Some(id), outcome, finish_ps);
         }
     }
 
@@ -851,12 +845,12 @@ impl<'a> ClusterRun<'a> {
             self.stolen += 1;
             self.observer.on_event(&FlowEvent::JobStolen {
                 job: job.spec.id,
-                tenant: job.spec.tenant.clone(),
+                tenant: job.spec.tenant,
                 from_node: v,
                 to_node: thief,
             });
             let at_ps = now_ps + self.cfg.net.steal_ps;
-            self.send(thief, at_ps, DeliverKind::Steal(Box::new(job)));
+            self.send(thief, at_ps, DeliverKind::Steal(job));
         }
     }
 
@@ -877,7 +871,7 @@ impl<'a> ClusterRun<'a> {
                     missed += node_missed;
                 }
                 TenantReport::new(
-                    tenant.clone(),
+                    *tenant,
                     self.t_submitted[ti],
                     self.t_rejected[ti],
                     missed,

@@ -52,8 +52,8 @@ impl JobShape {
 pub struct JobSpec {
     /// Unique, monotonically increasing id (doubles as the FIFO key).
     pub id: u64,
-    /// Interned tenant identity — cloning is an `Arc` bump, so the
-    /// scheduler can tag every event with it for free.
+    /// Interned tenant identity — a `Copy` handle, so the scheduler can
+    /// tag every event with it for free.
     pub tenant: TenantId,
     pub arch: Arch,
     /// Image side in pixels (the image is square).
@@ -96,7 +96,10 @@ impl JobSpec {
 pub enum AdmissionError {
     /// The tenant's admission queue is at its bounded depth.
     QueueFull { tenant: String, depth: usize },
-    /// The job's working set exceeds what any board in the pool can hold.
+    /// The job's working set exceeds what any board in the pool can hold,
+    /// or its RGB input has more pixels than the Otsu kernels' 21-bit
+    /// pixel counters take (`apps::kernels::MAX_PIXELS`; `bytes` is then
+    /// the input and `capacity` the largest input they take).
     JobTooLarge { bytes: u64, capacity: u64 },
     /// Even an idle board could not finish before the deadline.
     DeadlineImpossible {

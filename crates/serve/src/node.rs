@@ -30,6 +30,7 @@ use crate::report::{jobs_per_s, RejectionCounts, ServeReport, TenantReport};
 use crate::scheduler::{ServeConfig, ServeError};
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
+use accelsoc_apps::kernels::MAX_PIXELS;
 use accelsoc_apps::otsu::{dram_footprint, run_application_group, AppError, Value};
 use accelsoc_apps::par_map;
 use accelsoc_core::flow::FlowArtifacts;
@@ -41,17 +42,20 @@ use std::sync::Arc;
 
 /// Admission checks that depend only on the job itself (not on queue
 /// state). Split out so the latency precompute can skip jobs that will
-/// never run. `now_ps` is the delivery time — at or after the job's
-/// submit time once routing latency is modeled.
+/// never run. `tenant` is the job's tenant resolved against
+/// `cfg.tenants` (`None` for a tenant the config does not list), and is
+/// returned when the job passes. `now_ps` is the delivery time — at or
+/// after the job's submit time once routing latency is modeled.
 pub(crate) fn static_admission(
     job: &JobSpec,
+    tenant: Option<usize>,
     cfg: &ServeConfig,
     est_ps: u64,
     now_ps: u64,
-) -> Result<(), AdmissionError> {
-    if !cfg.tenants.iter().any(|t| job.tenant == *t) {
+) -> Result<usize, AdmissionError> {
+    let Some(ti) = tenant else {
         return Err(AdmissionError::UnknownTenant(job.tenant.name().into()));
-    }
+    };
     // A gang wider than the whole pool can never dispatch here.
     if job.shape.boards() > cfg.boards {
         return Err(AdmissionError::TooManyBoards {
@@ -83,6 +87,15 @@ pub(crate) fn static_admission(
             capacity,
         });
     }
+    // The Otsu kernels count pixels in 21-bit locals (`halfProbability`),
+    // so a larger image would run with wrapped counts.
+    let max_input = Value::Rgb.bytes(u64::from(MAX_PIXELS));
+    if job.input_bytes() > max_input {
+        return Err(AdmissionError::JobTooLarge {
+            bytes: job.input_bytes(),
+            capacity: max_input,
+        });
+    }
     if let Some(deadline_ps) = job.deadline_ps {
         let earliest_finish_ps = now_ps.max(job.submit_ps) + cfg.dispatch_overhead_ps + est_ps;
         if deadline_ps < earliest_finish_ps {
@@ -92,7 +105,7 @@ pub(crate) fn static_admission(
             });
         }
     }
-    Ok(())
+    Ok(ti)
 }
 
 /// The read-only simulation tables every node shares, read by job
@@ -167,9 +180,12 @@ impl SimTables {
                 });
             key.push(k);
             let k = k as usize;
-            if !admissible[k] && static_admission(job, cfg, est_ps[k], job.submit_ps).is_ok() {
-                admissible[k] = true;
-                sim_keys.push(k);
+            if !admissible[k] {
+                let tenant = cfg.tenants.iter().position(|t| job.tenant == *t);
+                if static_admission(job, tenant, cfg, est_ps[k], job.submit_ps).is_ok() {
+                    admissible[k] = true;
+                    sim_keys.push(k);
+                }
             }
         }
 
@@ -250,14 +266,14 @@ impl SimTables {
     }
 }
 
-struct BoardSlot {
+struct BoardSlot<'a> {
     busy: bool,
     arch: Option<Arch>,
     busy_ps: u64,
     /// Jobs of the batch currently executing, with staggered finishes.
     /// Emptied, not dropped, when the batch ends, so the next batch
     /// reuses its capacity.
-    running: Vec<InFlight>,
+    running: Vec<InFlight<'a>>,
     /// When this board is a secondary member of a multi-board gang,
     /// the primary board's index. The gang's `InFlight` entries live on
     /// the primary; secondaries are busy but carry no payload and free
@@ -265,8 +281,8 @@ struct BoardSlot {
     linked_to: Option<usize>,
 }
 
-struct InFlight {
-    job: ActiveJob,
+struct InFlight<'a> {
+    job: ActiveJob<'a>,
     finish_ps: u64,
 }
 
@@ -285,15 +301,16 @@ pub enum Admit {
 }
 
 /// One serve node: board pool + admission queues + policy, driven by the
-/// cluster calendar. See the [module docs](self).
-pub struct ServeNode {
+/// cluster calendar. See the [module docs](self). Queued and in-flight
+/// jobs borrow their specs from the job stream the node is driven over
+/// (`'a`).
+pub struct ServeNode<'a> {
     id: usize,
     cfg: ServeConfig,
     tables: Arc<SimTables>,
     tenant_ids: Vec<TenantId>,
-    tenant_lookup: HashMap<String, usize>,
-    queues: Vec<TenantQueue>,
-    boards: Vec<BoardSlot>,
+    queues: Vec<TenantQueue<'a>>,
+    boards: Vec<BoardSlot<'a>>,
     policy: Box<dyn SchedPolicy>,
     max_batch: usize,
     alive: bool,
@@ -324,24 +341,18 @@ pub struct ServeNode {
     records: Vec<JobRecord>,
 }
 
-impl ServeNode {
+impl<'a> ServeNode<'a> {
     pub fn new(id: usize, cfg: ServeConfig, tables: Arc<SimTables>) -> Self {
         assert!(cfg.boards >= 1, "need at least one board");
         let tenant_ids: Vec<TenantId> = cfg
             .tenants
             .iter()
             .enumerate()
-            .map(|(i, t)| TenantId::new(i as u32, t.as_str()))
-            .collect();
-        let tenant_lookup: HashMap<String, usize> = cfg
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), i))
+            .map(|(i, t)| TenantId::new(i as u32, t))
             .collect();
         let queues: Vec<TenantQueue> = tenant_ids
             .iter()
-            .map(|t| TenantQueue::new(t.clone(), cfg.queue_depth))
+            .map(|&t| TenantQueue::new(t, cfg.queue_depth))
             .collect();
         let boards: Vec<BoardSlot> = (0..cfg.boards)
             .map(|_| BoardSlot {
@@ -359,7 +370,6 @@ impl ServeNode {
             max_batch: cfg.max_batch.max(1),
             tables,
             tenant_ids,
-            tenant_lookup,
             queues,
             boards,
             alive: true,
@@ -422,12 +432,16 @@ impl ServeNode {
     }
 
     /// Index of `tenant` in the registry (`None` for an unknown tenant).
-    pub(crate) fn resolve(&self, tenant: &TenantId) -> Option<usize> {
+    /// A handle whose index already points at its own registry entry
+    /// resolves with one bounds check and one pointer compare; any other
+    /// handle (unresolved, or indexed against a different tenant order)
+    /// is looked up among the registry's few handles, by pointer too.
+    pub(crate) fn resolve(&self, tenant: TenantId) -> Option<usize> {
         let i = tenant.index() as usize;
-        if i < self.tenant_ids.len() && self.tenant_ids[i].name() == tenant.name() {
+        if self.tenant_ids.get(i) == Some(&tenant) {
             return Some(i);
         }
-        self.tenant_lookup.get(tenant.name()).copied()
+        self.tenant_ids.iter().position(|&t| t == tenant)
     }
 
     /// Record one terminal outcome of `job` at `finish_ps`: the
@@ -448,7 +462,7 @@ impl ServeNode {
             JobOutcome::CompletedLate => self.completed_late += 1,
             JobOutcome::TimedOut => self.timed_out += 1,
         }
-        if let Some(ti) = self.resolve(&job.spec.tenant) {
+        if let Some(ti) = self.resolve(job.spec.tenant) {
             match outcome {
                 JobOutcome::Completed => self.tenant_latencies[ti].push(latency_ps),
                 JobOutcome::CompletedLate => {
@@ -461,7 +475,7 @@ impl ServeNode {
         if self.cfg.keep_records {
             self.records.push(JobRecord {
                 id: job.spec.id,
-                tenant: job.spec.tenant.clone(),
+                tenant: job.spec.tenant,
                 arch: job.spec.arch.name().into(),
                 side: job.spec.side,
                 board,
@@ -484,16 +498,15 @@ impl ServeNode {
     /// were built from.
     pub fn admit(
         &mut self,
-        job: &JobSpec,
+        job: &'a JobSpec,
         idx: usize,
         now_ps: u64,
         probe_overflow: bool,
         observer: &dyn FlowObserver,
     ) -> Admit {
         let e = self.tables.est(idx);
-        let tenant = self.resolve(&job.tenant);
-        let verdict = static_admission(job, &self.cfg, e, now_ps).and_then(|()| {
-            let ti = tenant.expect("static_admission checked tenant");
+        let tenant = self.resolve(job.tenant);
+        let verdict = static_admission(job, tenant, &self.cfg, e, now_ps).and_then(|ti| {
             if self.queues[ti].is_full() {
                 Err(AdmissionError::QueueFull {
                     tenant: job.tenant.name().into(),
@@ -518,7 +531,7 @@ impl ServeNode {
                 }
                 observer.on_event(&FlowEvent::JobRejected {
                     job: job.id,
-                    tenant: job.tenant.clone(),
+                    tenant: job.tenant,
                     node: self.id,
                     reason: err.kind().into(),
                 });
@@ -528,12 +541,12 @@ impl ServeNode {
                 self.admitted += 1;
                 observer.on_event(&FlowEvent::JobAdmitted {
                     job: job.id,
-                    tenant: job.tenant.clone(),
+                    tenant: job.tenant,
                     node: self.id,
                     est_ns: ns_from_ps(e),
                 });
                 self.queues[ti].push(ActiveJob {
-                    spec: job.clone(),
+                    spec: job,
                     est_ps: e,
                     lat_ps: self.tables.lat(idx),
                     attempts: 0,
@@ -552,9 +565,9 @@ impl ServeNode {
     /// check would break the cluster's accounting invariant. Transfers
     /// bypass the depth bound (`front` additionally requeues at the
     /// head, the re-dispatch path).
-    pub fn transfer_in(&mut self, mut job: ActiveJob, front: bool) {
+    pub fn transfer_in(&mut self, mut job: ActiveJob<'a>, front: bool) {
         let ti = self
-            .resolve(&job.spec.tenant)
+            .resolve(job.spec.tenant)
             .expect("cluster nodes share one tenant set");
         // Board indices are per-node; a fault exclusion from another
         // node's pool is meaningless here.
@@ -569,7 +582,7 @@ impl ServeNode {
 
     /// Give up the back of the longest queue (the victim side of
     /// work-stealing). Ties break toward the lowest tenant index.
-    pub fn steal_out(&mut self) -> Option<ActiveJob> {
+    pub fn steal_out(&mut self) -> Option<ActiveJob<'a>> {
         let mut best: Option<(usize, usize)> = None; // (len, tenant idx)
         for (i, q) in self.queues.iter().enumerate() {
             if q.len() > best.map_or(0, |(l, _)| l) {
@@ -603,14 +616,14 @@ impl ServeNode {
                 self.retries += 1;
                 observer.on_event(&FlowEvent::JobRetried {
                     job: job.spec.id,
-                    tenant: job.spec.tenant.clone(),
+                    tenant: job.spec.tenant,
                     node: self.id,
                     from_board: board,
                     attempt: job.attempts,
                 });
                 job.excluded_board = Some(board);
                 let ti = self
-                    .resolve(&job.spec.tenant)
+                    .resolve(job.spec.tenant)
                     .expect("admitted jobs have a tenant");
                 self.queues[ti].push_front(job);
                 self.queued += 1;
@@ -621,7 +634,7 @@ impl ServeNode {
                 Some(d) if finish_ps > d => {
                     observer.on_event(&FlowEvent::JobDeadlineMissed {
                         job: job.spec.id,
-                        tenant: job.spec.tenant.clone(),
+                        tenant: job.spec.tenant,
                         node: self.id,
                         late_ps: finish_ps - d,
                     });
@@ -631,7 +644,7 @@ impl ServeNode {
             };
             observer.on_event(&FlowEvent::JobCompleted {
                 job: job.spec.id,
-                tenant: job.spec.tenant.clone(),
+                tenant: job.spec.tenant,
                 node: self.id,
                 board,
                 latency_ps: finish_ps - job.spec.submit_ps,
@@ -653,7 +666,7 @@ impl ServeNode {
                 let deadline = job.spec.deadline_ps.expect("expired ⇒ has deadline");
                 observer.on_event(&FlowEvent::JobDeadlineMissed {
                     job: job.spec.id,
-                    tenant: job.spec.tenant.clone(),
+                    tenant: job.spec.tenant,
                     node: self.id,
                     late_ps: now_ps.saturating_sub(deadline),
                 });
@@ -759,7 +772,7 @@ impl ServeNode {
                 inflight.finish_ps = t;
                 observer.on_event(&FlowEvent::JobDispatched {
                     job: inflight.job.spec.id,
-                    tenant: inflight.job.spec.tenant.clone(),
+                    tenant: inflight.job.spec.tenant,
                     node: self.id,
                     board,
                     batch: batch_size,
@@ -820,7 +833,7 @@ impl ServeNode {
         let t = now_ps + reconfig + self.cfg.dispatch_overhead_ps + job.lat_ps;
         observer.on_event(&FlowEvent::JobDispatched {
             job: job.spec.id,
-            tenant: job.spec.tenant.clone(),
+            tenant: job.spec.tenant,
             node: self.id,
             board: primary,
             batch: 1,
@@ -846,7 +859,7 @@ impl ServeNode {
     /// flight (board order, dispatch order) — for the cluster to
     /// re-dispatch. Scheduled `BatchDone` events for this node become
     /// stale; drivers must skip completions on dead nodes.
-    pub fn fail(&mut self, now_ps: u64, observer: &dyn FlowObserver) -> Vec<ActiveJob> {
+    pub fn fail(&mut self, now_ps: u64, observer: &dyn FlowObserver) -> Vec<ActiveJob<'a>> {
         self.alive = false;
         let mut orphans: Vec<ActiveJob> = Vec::new();
         for q in &mut self.queues {
@@ -888,7 +901,7 @@ impl ServeNode {
             .enumerate()
             .map(|(i, (t, latencies))| {
                 TenantReport::new(
-                    t.clone(),
+                    *t,
                     self.submitted_per_tenant[i],
                     self.rejected_per_tenant[i],
                     self.tenant_missed[i],
@@ -919,5 +932,60 @@ impl ServeNode {
             board_busy_ps: self.boards.iter().map(|b| b.busy_ps).collect(),
             records: self.records,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn square(side: u32) -> JobSpec {
+        JobSpec {
+            id: 0,
+            tenant: "t".into(),
+            arch: Arch::Arch4,
+            side,
+            image_seed: 0,
+            submit_ps: 0,
+            deadline_ps: None,
+            transient_fault: false,
+            graph: None,
+            shape: Default::default(),
+        }
+    }
+
+    #[test]
+    fn admission_refuses_images_past_the_kernels_pixel_counters() {
+        let cfg = ServeConfig::builder().tenants(["t"]).build();
+        // Side 1449 needs about 10.5 MB, well inside the board's DRAM,
+        // but has more pixels than `halfProbability`'s 21-bit counters
+        // hold; side 1448 is the largest square that fits them.
+        let big = square(1449);
+        assert!(big.pixels() > u64::from(MAX_PIXELS));
+        assert!(dram_footprint(big.pixels()) < cfg.app.dram_bytes as u64);
+        assert_eq!(
+            static_admission(&big, Some(0), &cfg, 0, 0),
+            Err(AdmissionError::JobTooLarge {
+                bytes: big.input_bytes(),
+                capacity: Value::Rgb.bytes(u64::from(MAX_PIXELS)),
+            })
+        );
+        assert_eq!(static_admission(&square(1448), Some(0), &cfg, 0, 0), Ok(0));
+    }
+
+    #[test]
+    fn resolve_compares_handles_not_names() {
+        let cfg = ServeConfig::builder().tenants(["a", "b"]).build();
+        let node = ServeNode::new(
+            0,
+            cfg,
+            Arc::new(SimTables::build(&[], &ServeConfig::default(), 1).unwrap()),
+        );
+        assert_eq!(node.resolve(TenantId::new(1, "b")), Some(1));
+        // An index from another registry order, or none, still resolves.
+        assert_eq!(node.resolve(TenantId::new(0, "b")), Some(1));
+        assert_eq!(node.resolve(TenantId::unresolved("a")), Some(0));
+        assert_eq!(node.resolve(TenantId::new(0, "c")), None);
+        assert_eq!(node.resolve(TenantId::new(7, "c")), None);
     }
 }

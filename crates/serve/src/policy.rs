@@ -19,7 +19,7 @@ pub trait SchedPolicy {
     fn name(&self) -> &'static str;
 
     /// Index into `queues` of the tenant to serve next.
-    fn select(&mut self, queues: &[TenantQueue], now_ps: u64) -> Option<usize>;
+    fn select(&mut self, queues: &[TenantQueue<'_>], now_ps: u64) -> Option<usize>;
 
     /// Hook invoked after a job from `tenant` left its queue.
     fn on_dispatch(&mut self, _tenant: usize) {}
@@ -35,7 +35,7 @@ impl SchedPolicy for Fifo {
         "fifo"
     }
 
-    fn select(&mut self, queues: &[TenantQueue], _now_ps: u64) -> Option<usize> {
+    fn select(&mut self, queues: &[TenantQueue<'_>], _now_ps: u64) -> Option<usize> {
         queues
             .iter()
             .enumerate()
@@ -59,7 +59,7 @@ impl SchedPolicy for RoundRobin {
         "rr"
     }
 
-    fn select(&mut self, queues: &[TenantQueue], _now_ps: u64) -> Option<usize> {
+    fn select(&mut self, queues: &[TenantQueue<'_>], _now_ps: u64) -> Option<usize> {
         if queues.is_empty() {
             return None;
         }
@@ -83,7 +83,7 @@ impl SchedPolicy for Sjf {
         "sjf"
     }
 
-    fn select(&mut self, queues: &[TenantQueue], _now_ps: u64) -> Option<usize> {
+    fn select(&mut self, queues: &[TenantQueue<'_>], _now_ps: u64) -> Option<usize> {
         queues
             .iter()
             .enumerate()
@@ -170,11 +170,11 @@ mod tests {
     use crate::queue::ActiveJob;
     use accelsoc_apps::archs::Arch;
 
-    fn queue(name: &str, jobs: &[(u64, u64)]) -> TenantQueue {
-        let mut q = TenantQueue::new(name, 16);
-        for &(id, est_ps) in jobs {
-            q.push(ActiveJob {
-                spec: JobSpec {
+    /// Jobs `(id, est_ps)` of tenant `name`, for a queue to borrow.
+    fn specs(name: &str, jobs: &[(u64, u64)]) -> Vec<(JobSpec, u64)> {
+        jobs.iter()
+            .map(|&(id, est_ps)| {
+                let spec = JobSpec {
                     id,
                     tenant: name.into(),
                     arch: Arch::Arch1,
@@ -185,9 +185,19 @@ mod tests {
                     transient_fault: false,
                     graph: None,
                     shape: Default::default(),
-                },
-                est_ps,
-                lat_ps: est_ps,
+                };
+                (spec, est_ps)
+            })
+            .collect()
+    }
+
+    fn queue<'a>(name: &str, jobs: &'a [(JobSpec, u64)]) -> TenantQueue<'a> {
+        let mut q = TenantQueue::new(name, 16);
+        for (spec, est_ps) in jobs {
+            q.push(ActiveJob {
+                spec,
+                est_ps: *est_ps,
+                lat_ps: *est_ps,
                 attempts: 0,
                 excluded_board: None,
                 redispatches: 0,
@@ -198,18 +208,16 @@ mod tests {
 
     #[test]
     fn fifo_picks_globally_oldest() {
-        let queues = vec![queue("a", &[(5, 10)]), queue("b", &[(2, 99)])];
+        let (a, b) = (specs("a", &[(5, 10)]), specs("b", &[(2, 99)]));
+        let queues = vec![queue("a", &a), queue("b", &b)];
         assert_eq!(Fifo.select(&queues, 0), Some(1));
         assert_eq!(Fifo.select(&[queue("a", &[]), queue("b", &[])], 0), None);
     }
 
     #[test]
     fn round_robin_cycles_and_skips_empty() {
-        let queues = vec![
-            queue("a", &[(1, 10), (4, 10)]),
-            queue("b", &[]),
-            queue("c", &[(2, 10)]),
-        ];
+        let (a, c) = (specs("a", &[(1, 10), (4, 10)]), specs("c", &[(2, 10)]));
+        let queues = vec![queue("a", &a), queue("b", &[]), queue("c", &c)];
         let mut rr = RoundRobin::default();
         let first = rr.select(&queues, 0).unwrap();
         assert_eq!(first, 0);
@@ -222,9 +230,11 @@ mod tests {
 
     #[test]
     fn sjf_picks_smallest_estimate_then_id() {
-        let queues = vec![queue("a", &[(1, 500)]), queue("b", &[(2, 100)])];
+        let (a, b) = (specs("a", &[(1, 500)]), specs("b", &[(2, 100)]));
+        let queues = vec![queue("a", &a), queue("b", &b)];
         assert_eq!(Sjf.select(&queues, 0), Some(1));
-        let tied = vec![queue("a", &[(7, 100)]), queue("b", &[(3, 100)])];
+        let (a, b) = (specs("a", &[(7, 100)]), specs("b", &[(3, 100)]));
+        let tied = vec![queue("a", &a), queue("b", &b)];
         assert_eq!(Sjf.select(&tied, 0), Some(1), "tie falls back to id");
     }
 

@@ -64,6 +64,12 @@ pub struct WorkloadSpec {
 ///
 /// `estimator` is consulted for deadline placement (deadline = arrival +
 /// slack × estimate); best-effort tenants never touch it.
+///
+/// # Panics
+///
+/// When the spec has no tenant, or when an arrival time or deadline
+/// does not fit the `u64` picosecond clock (a mean interarrival so long
+/// that `jobs × 2 × mean` overflows it); the message names the spec.
 pub fn generate_workload(spec: &WorkloadSpec, estimator: &mut DseEstimator) -> Vec<JobSpec> {
     assert!(
         !spec.tenants.is_empty(),
@@ -72,20 +78,25 @@ pub fn generate_workload(spec: &WorkloadSpec, estimator: &mut DseEstimator) -> V
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let total_weight: u64 = spec.tenants.iter().map(|t| t.weight.max(1) as u64).sum();
     let mean = spec.mean_interarrival_ps.max(1);
+    let max_gap = mean
+        .checked_mul(2)
+        .unwrap_or_else(|| clock_overflow(spec, "arrival gap", 0));
 
     // One interned TenantId per profile, pre-resolved to its index so
-    // the scheduler's fast admission path never rehashes the name.
+    // a node resolves each job's tenant with one pointer compare.
     let tenant_ids: Vec<TenantId> = spec
         .tenants
         .iter()
         .enumerate()
-        .map(|(i, t)| TenantId::new(i as u32, t.name.as_str()))
+        .map(|(i, t)| TenantId::new(i as u32, &t.name))
         .collect();
 
     let mut jobs = Vec::with_capacity(spec.jobs);
     let mut clock_ps = 0u64;
     for id in 0..spec.jobs as u64 {
-        clock_ps += rng.gen_range(1..=2 * mean);
+        clock_ps = clock_ps
+            .checked_add(rng.gen_range(1..=max_gap))
+            .unwrap_or_else(|| clock_overflow(spec, "arrival", id));
 
         // Weighted tenant choice.
         let mut pick = rng.gen_range(0..total_weight);
@@ -108,13 +119,15 @@ pub fn generate_workload(spec: &WorkloadSpec, estimator: &mut DseEstimator) -> V
         let arch = tenant.archs[rng.gen_range(0..tenant.archs.len())];
         let deadline_ps = tenant.deadline_slack_pct.map(|slack| {
             let est = estimator.estimate_ps(arch, side);
-            clock_ps + est.saturating_mul(slack) / 100
+            clock_ps
+                .checked_add(est.saturating_mul(slack) / 100)
+                .unwrap_or_else(|| clock_overflow(spec, "deadline", id))
         });
         let transient_fault = tenant.fault_rate > 0.0 && rng.gen_bool(tenant.fault_rate);
 
         jobs.push(JobSpec {
             id,
-            tenant: tenant_ids[tenant_idx].clone(),
+            tenant: tenant_ids[tenant_idx],
             arch,
             side,
             image_seed: spec.seed ^ (id.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
@@ -126,6 +139,16 @@ pub fn generate_workload(spec: &WorkloadSpec, estimator: &mut DseEstimator) -> V
         });
     }
     jobs
+}
+
+/// Refuse a spec whose arrival clock or deadlines leave `u64`
+/// picoseconds, naming the spec instead of failing on the arithmetic.
+fn clock_overflow(spec: &WorkloadSpec, what: &str, id: u64) -> ! {
+    panic!(
+        "workload spec overflows the u64 picosecond clock ({what} of job {id}): \
+         {} jobs, mean interarrival {} ps, seed {}",
+        spec.jobs, spec.mean_interarrival_ps, spec.seed
+    )
 }
 
 /// Fold every job's `image_seed` into a pool of `pool` distinct values.
@@ -205,6 +228,22 @@ mod tests {
         // pool of 0 is clamped, not a divide-by-zero
         pool_image_seeds(&mut jobs, 0);
         assert!(jobs.iter().all(|j| j.image_seed == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "workload spec overflows the u64 picosecond clock (arrival gap")]
+    fn an_unrepresentable_gap_names_the_spec() {
+        let mut s = spec(1);
+        s.mean_interarrival_ps = u64::MAX / 2 + 1;
+        generate_workload(&s, &mut DseEstimator::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "workload spec overflows the u64 picosecond clock (arrival of job")]
+    fn an_arrival_past_the_clock_names_the_spec() {
+        let mut s = spec(1);
+        s.mean_interarrival_ps = u64::MAX / 2;
+        generate_workload(&s, &mut DseEstimator::new());
     }
 
     #[test]

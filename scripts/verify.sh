@@ -42,6 +42,27 @@ echo "==> perfbench tests (offline, locked)"
 # the gate fails instead of leaving the lockfile modified.
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench full-size digests (seeds 42 and 1000003)"
+# The tests above run tiny sizes, where a drift that needs the full
+# 250 000-job cluster run cannot show. --seconds 0 makes the minimum
+# number of full-size passes (three, plus one at the other thread
+# count), and each must reproduce the digest pinned for its seed in
+# perfbench/expected_digests.txt; the result line says whether all did.
+for w in serve_fresh cluster_pooled partition_x48; do
+    for seed in 42 1000003; do
+        line=$(cargo run --release --offline --locked --quiet \
+            --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seed "$seed" --seconds 0 | tail -n 1)
+        case "$line" in
+        *'"correct": true'*) echo "    $w seed $seed: digest pinned" ;;
+        *)
+            echo "FAIL: perfbench $w --seed $seed: $line"
+            exit 1
+            ;;
+        esac
+    done
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -605,7 +605,13 @@ fn cmd_serve_sim(args: &[String]) -> ExitCode {
         }
     }
 
-    let (tenant_names, workload) = canonical_workload(boards, load, jobs, seed);
+    let (tenant_names, workload) = match canonical_workload(boards, load, jobs, seed) {
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let cfg = ServeConfig::builder()
         .tenants(tenant_names)
         .boards(boards)
@@ -651,13 +657,15 @@ fn cmd_serve_sim(args: &[String]) -> ExitCode {
 /// all-hardware architecture and a best-effort batch tenant on the
 /// all-software one (Table I extremes). Offered load scales the arrival
 /// rate against total pool capacity: mean interarrival =
-/// (mean service estimate / total boards) / load.
+/// (mean service estimate / total boards) / load. A load so small that
+/// the stream cannot run on the `u64` picosecond clock is refused with a
+/// message naming `--load`.
 fn canonical_workload(
     total_boards: usize,
     load: f64,
     jobs: usize,
     seed: u64,
-) -> (Vec<String>, Vec<accelsoc::serve::JobSpec>) {
+) -> Result<(Vec<String>, Vec<accelsoc::serve::JobSpec>), String> {
     use accelsoc::apps::archs::Arch;
     use accelsoc::serve::{generate_workload, DseEstimator, TenantProfile, WorkloadSpec};
 
@@ -690,16 +698,32 @@ fn canonical_workload(
         .map(|(a, s)| est.estimate_ps(a, s))
         .collect();
     let mean_est_ps = mix.iter().sum::<u64>() / mix.len().max(1) as u64;
-    let mean_interarrival_ps =
-        ((mean_est_ps as f64 / total_boards.max(1) as f64) / load).max(1.0) as u64;
+    let mean_interarrival = ((mean_est_ps as f64 / total_boards.max(1) as f64) / load).max(1.0);
+    // The last arrival comes at most `jobs × 2 × mean interarrival` in;
+    // a deadline adds its slack to that, and the stream's service, all
+    // of it run back to back, comes after. All of it must fit u64 ps.
+    let max_est_ps = mix.iter().copied().max().unwrap_or(0) as f64;
+    let max_slack_pct = tenants
+        .iter()
+        .filter_map(|t| t.deadline_slack_pct)
+        .max()
+        .unwrap_or(0) as f64;
+    let worst_ps = jobs as f64 * 2.0 * mean_interarrival
+        + max_est_ps * max_slack_pct / 100.0
+        + jobs as f64 * max_est_ps;
+    if worst_ps >= u64::MAX as f64 {
+        return Err(format!(
+            "`--load` is too small for {jobs} jobs: the stream would run past the u64 picosecond clock"
+        ));
+    }
     let names = tenants.iter().map(|t| t.name.clone()).collect();
     let spec = WorkloadSpec {
         tenants,
         jobs,
-        mean_interarrival_ps,
+        mean_interarrival_ps: mean_interarrival as u64,
         seed,
     };
-    (names, generate_workload(&spec, &mut est))
+    Ok((names, generate_workload(&spec, &mut est)))
 }
 
 /// Sharded serving cluster: the serve-sim workload routed across N
@@ -834,7 +858,13 @@ fn cmd_cluster_sim(args: &[String]) -> ExitCode {
     }
 
     let (tenant_names, mut workload) =
-        canonical_workload(nodes * boards_per_node, load, jobs, seed);
+        match canonical_workload(nodes * boards_per_node, load, jobs, seed) {
+            Ok(w) => w,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::from(2);
+            }
+        };
     if let Some(pool) = image_pool {
         pool_image_seeds(&mut workload, pool);
     }

@@ -310,6 +310,27 @@ fn partition_tile_past_the_pixel_counters_is_refused() {
     assert!(!String::from_utf8_lossy(&out.stdout).contains("MISMATCH"));
 }
 
+/// A load so small that the arrival clock would pass `u64::MAX`
+/// picoseconds overflowed it (a panic in this debug build, exit 101; a
+/// wrapped clock and a nonsense report in release): both serving
+/// subcommands refuse it as a usage error naming `--load`.
+#[test]
+fn a_load_too_small_for_the_clock_is_refused() {
+    for cmd in ["serve-sim", "cluster-sim"] {
+        let out = bin()
+            .args([cmd, "--jobs", "10", "--load", "1e-300"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("`--load`") && !err.contains("panicked"),
+            "{cmd}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd} printed a report");
+    }
+}
+
 /// A reader of stdout that went away (`accelsoc cluster-sim | head -3`)
 /// makes every report write fail with `BrokenPipe`: the process must end
 /// quietly instead of panicking (exit 101). The read end is closed before

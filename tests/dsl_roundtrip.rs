@@ -129,3 +129,121 @@ fn paper_listing4_roundtrips_verbatim() {
         assert!(printed.contains(n));
     }
 }
+
+/// Grammar tokens, quotes, brackets and non-ASCII text the mutator
+/// splices into valid programs.
+const TOKENS: &[&str] = &[
+    "tg",
+    "node",
+    "is",
+    "link",
+    "to",
+    "end",
+    "'soc",
+    "\"",
+    "'",
+    "(",
+    ")",
+    ",",
+    ";",
+    "{",
+    "}",
+    "nodes",
+    "end_edges",
+    "é",
+    "→",
+    "\u{1F600}",
+    "\u{0}",
+];
+
+/// One edit of a program's bytes; positions wrap to the program length.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// Delete up to `len` bytes starting at `at`.
+    Delete { at: usize, len: usize },
+    /// Overwrite the byte at `at` (any value: the result may not be
+    /// UTF-8, and is then read lossily, as a file would be).
+    Replace { at: usize, byte: u8 },
+    /// Insert `TOKENS[token]` at `at`.
+    Insert { at: usize, token: usize },
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    (
+        0u8..3,
+        0usize..4096,
+        1usize..24,
+        any::<u8>(),
+        0..TOKENS.len(),
+    )
+        .prop_map(|(kind, at, len, byte, token)| match kind {
+            0 => Mutation::Delete { at, len },
+            1 => Mutation::Replace { at, byte },
+            _ => Mutation::Insert { at, token },
+        })
+}
+
+fn mutate(src: &str, mutations: &[Mutation]) -> String {
+    let mut bytes = src.as_bytes().to_vec();
+    for &m in mutations {
+        let n = bytes.len();
+        match m {
+            Mutation::Delete { at, len } => {
+                let at = at % (n + 1);
+                bytes.drain(at..(at + len).min(n));
+            }
+            Mutation::Replace { at, byte } if n > 0 => bytes[at % n] = byte,
+            Mutation::Replace { .. } => {}
+            Mutation::Insert { at, token } => {
+                let at = at % (n + 1);
+                bytes.splice(at..at, TOKENS[token].bytes());
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+thread_local! {
+    /// One engine for every case, as `accelsoc build` runs one per
+    /// program: it knows the Otsu kernels, so a mutant that still names
+    /// them flows through HLS, integration and software generation.
+    static ENGINE: std::cell::RefCell<accelsoc::core::flow::FlowEngine> =
+        std::cell::RefCell::new(accelsoc::apps::archs::otsu_flow_engine());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Malformed programs reach `parse` (what `accelsoc check` and
+    /// `accelsoc fmt` run) and `FlowEngine::run_source` (what `accelsoc
+    /// build` runs) as a value or a typed error, never a panic. Each
+    /// case mutates one of the four Listing-4 programs, rendered in
+    /// either print style, with up to four byte deletions, byte
+    /// replacements and token insertions.
+    #[test]
+    fn mutated_programs_fail_typed_never_panic(
+        program in 0usize..8,
+        mutations in proptest::collection::vec(arb_mutation(), 1..5),
+    ) {
+        use accelsoc::apps::archs::{arch_dsl_source, Arch};
+        use accelsoc::core::flow::FlowError;
+
+        let arch = Arch::all()[program % 4];
+        let style = if program < 4 { PrintStyle::ScalaObject } else { PrintStyle::Bare };
+        let valid = print(&parse(&arch_dsl_source(arch)).unwrap(), style);
+        let src = mutate(&valid, &mutations);
+
+        let parsed = parse(&src);
+        if let Err(e) = &parsed {
+            prop_assert!(!e.to_string().is_empty());
+        }
+        let flowed = ENGINE.with(|e| e.borrow_mut().run_source(&src));
+        // Both front doors agree on whether the text parses.
+        prop_assert_eq!(
+            parsed.is_ok(),
+            !matches!(flowed, Err(FlowError::Parse(_))),
+            "{:?}",
+            src
+        );
+    }
+}
