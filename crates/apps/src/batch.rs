@@ -185,6 +185,7 @@ pub fn image_stream(count: usize, side: u32) -> Vec<RgbImage> {
 mod tests {
     use super::*;
     use crate::archs::{arch_dsl_source, otsu_flow_engine};
+    use crate::otsu::run_application_group;
 
     #[test]
     fn percentile_nearest_rank() {
@@ -217,32 +218,68 @@ mod tests {
 
     #[test]
     fn lane_width_never_changes_simulated_time() {
+        use crate::image::synthetic_scene;
+        use crate::otsu::run_application_with;
         let mut engine = otsu_flow_engine();
-        let artifacts = engine.run_source(&arch_dsl_source(Arch::Arch2)).unwrap();
-        let images = image_stream(6, 16);
-        let cfg = AppConfig::default();
-        let reports: Vec<BatchReport> = [1usize, 2, 8]
-            .iter()
-            .map(|&lanes| {
-                run_batch_lanes(Arch::Arch2, &engine, &artifacts, &images, 2, lanes, &cfg).unwrap()
+        // One stream mixing three sides, so lane groups mix image shapes.
+        let images: Vec<RgbImage> = (0..9u64)
+            .map(|i| {
+                let side = [16, 17, 24][i as usize % 3];
+                RgbImage::from_gray(&synthetic_scene(side, side, 11 + i))
             })
             .collect();
-        // Simulated time is a pure function of (arch, image, knobs):
-        // identical at every lane width, down to the last bit.
-        for r in &reports[1..] {
-            assert_eq!(r.per_image_ns, reports[0].per_image_ns);
-            assert_eq!(r.total_board_ns, reports[0].total_board_ns);
-            // The simulated work is the same no matter how it was batched…
-            assert_eq!(r.ir_ops, reports[0].ir_ops);
+        let cfg = AppConfig::default();
+        for arch in Arch::all() {
+            let artifacts = engine.run_source(&arch_dsl_source(arch)).unwrap();
+            let solo: Vec<_> = images
+                .iter()
+                .map(|img| run_application_with(arch, &engine, &artifacts, img, &cfg).unwrap())
+                .collect();
+            let lane_widths = [1usize, 3, 4, 8];
+            let reports: Vec<BatchReport> = lane_widths
+                .iter()
+                .map(|&lanes| {
+                    run_batch_lanes(arch, &engine, &artifacts, &images, 2, lanes, &cfg).unwrap()
+                })
+                .collect();
+            // Simulated time is a pure function of (arch, image, knobs):
+            // identical at every lane width, down to the last bit.
+            for r in &reports[1..] {
+                assert_eq!(r.per_image_ns, reports[0].per_image_ns, "{arch:?}");
+                assert_eq!(r.total_board_ns, reports[0].total_board_ns, "{arch:?}");
+                // The simulated work is the same no matter how it was batched…
+                assert_eq!(r.ir_ops, reports[0].ir_ops, "{arch:?}");
+            }
+            // …and so is every lane's whole run, against the image alone.
+            for &lanes in &lane_widths {
+                let mut l = 0;
+                for chunk in images.chunks(lanes) {
+                    let group = run_application_group(arch, &engine, &artifacts, chunk, &cfg);
+                    for run in group.unwrap().runs {
+                        let (run, alone) = (run.unwrap(), &solo[l]);
+                        let at = format!("{arch:?} lanes {lanes} image {l}");
+                        assert_eq!(run.tasks, alone.tasks, "{at}");
+                        assert_eq!(run.total_ns, alone.total_ns, "{at}");
+                        assert_eq!(run.dma_bytes, alone.dma_bytes, "{at}");
+                        assert_eq!(run.threshold, alone.threshold, "{at}");
+                        assert_eq!(run.output, alone.output, "{at}");
+                        assert_eq!(reports[0].per_image_ns[l], alone.total_ns, "{at}");
+                        l += 1;
+                    }
+                }
+            }
+            // …but wider lanes retire the software tasks (Arch4 has
+            // none) in fewer host dispatches.
+            if reports[0].ir_ops > 0 {
+                assert!(
+                    reports[3].vm_dispatches < reports[0].vm_dispatches,
+                    "{arch:?}: lanes=8 dispatches {} not < lanes=1 dispatches {}",
+                    reports[3].vm_dispatches,
+                    reports[0].vm_dispatches
+                );
+                assert!(reports[3].ops_per_dispatch > reports[0].ops_per_dispatch);
+            }
         }
-        // …but wider lanes retire it in fewer host dispatches.
-        assert!(
-            reports[2].vm_dispatches < reports[0].vm_dispatches,
-            "lanes=8 dispatches {} not < lanes=1 dispatches {}",
-            reports[2].vm_dispatches,
-            reports[0].vm_dispatches
-        );
-        assert!(reports[2].ops_per_dispatch > reports[0].ops_per_dispatch);
     }
 
     #[test]

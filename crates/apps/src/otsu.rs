@@ -19,7 +19,7 @@ use accelsoc_axi::protocol::MemError;
 use accelsoc_core::flow::{FlowArtifacts, FlowEngine, FlowError};
 use accelsoc_kernel::interp::StreamBundle;
 use accelsoc_kernel::ir::Kernel;
-use accelsoc_platform::board::{Board, BoardError};
+use accelsoc_platform::board::{Board, BoardError, PhaseArgs};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -472,64 +472,101 @@ impl LaneGroup<'_> {
         Ok(())
     }
 
-    /// Run `STAGES[range]` on lane `l`'s board as one streaming phase:
-    /// DMA the value entering the range in from DRAM and the value
-    /// leaving it back out, and pass `n` to every accelerator in the
-    /// range that takes it.
-    fn hw_stages(
-        &mut self,
-        l: usize,
-        range: &Range<usize>,
-        artifacts: &FlowArtifacts,
-    ) -> Result<(), AppError> {
+    /// Run `STAGES[range]` on every live lane's board as one group
+    /// streaming phase ([`Board::run_stream_phases`]): stage the value
+    /// entering the range in each board's DRAM, pass `n` to every
+    /// accelerator in the range that takes it, and read the value leaving
+    /// the range back. A lane that fails is retired into `failed` without
+    /// disturbing its siblings.
+    fn hw_stages(&mut self, range: &Range<usize>, artifacts: &FlowArtifacts) {
         let stages = &STAGES[range.clone()];
         let (input, output) = range_io(range);
-        let pixels = self.pixels[l];
         let width = input.token_bytes() as usize;
-        let tokens = self.values[l].get(input).unwrap_or_default();
-        let mut in_bytes = Vec::with_capacity(tokens.len() * width);
-        for &t in tokens {
-            in_bytes.extend_from_slice(&t.to_le_bytes()[..width]);
+        // Lanes whose input is staged, with its length in bytes.
+        let mut staged: Vec<(usize, u64)> = Vec::new();
+        let mut is_staged = vec![false; self.boards.len()];
+        for l in self.alive() {
+            let tokens = self.values[l].get(input).unwrap_or_default();
+            let mut in_bytes = Vec::with_capacity(tokens.len() * width);
+            for &t in tokens {
+                in_bytes.extend_from_slice(&t.to_le_bytes()[..width]);
+            }
+            match self.boards[l].dram.load_bytes(IN_BUF, &in_bytes) {
+                Ok(()) => {
+                    is_staged[l] = true;
+                    staged.push((l, in_bytes.len() as u64));
+                }
+                Err(e) => self.failed[l] = Some(e.into()),
+            }
         }
-        let board = &mut self.boards[l];
-        board.dram.load_bytes(IN_BUF, &in_bytes)?;
-        let mut scalars = Vec::new();
-        for stage in stages.iter().filter(|s| s.takes_n) {
-            let accel = artifacts
-                .hls
-                .iter()
-                .position(|(name, _)| name == stage.kernel)
-                .ok_or_else(|| AppError::MissingAccel(stage.kernel.to_string()))?;
-            scalars.push((accel, "n", pixels as i64));
-        }
-        let out_len = output.bytes(pixels);
-        let stats = board.run_stream_phase(
-            &[(
-                0,
-                DmaDescriptor {
-                    addr: IN_BUF,
-                    len: in_bytes.len() as u64,
-                },
-            )],
-            &[(
-                0,
-                DmaDescriptor {
-                    addr: OUT_BUF,
-                    len: out_len,
-                },
-            )],
-            &scalars,
-        )?;
-        let out = board.dram.dump_bytes(OUT_BUF, out_len as usize)?;
-        let tokens = out
-            .chunks_exact(output.token_bytes() as usize)
-            .map(|c| c.iter().rev().fold(0i64, |acc, &b| (acc << 8) | b as i64))
+        let takes_n: Result<Vec<usize>, &str> = stages
+            .iter()
+            .filter(|s| s.takes_n)
+            .map(|stage| {
+                let accel = artifacts
+                    .hls
+                    .iter()
+                    .position(|(name, _)| name == stage.kernel);
+                accel.ok_or(stage.kernel)
+            })
             .collect();
-        self.values[l].set(output, tokens);
+        let takes_n = match takes_n {
+            Ok(accels) => accels,
+            Err(kernel) => {
+                for (l, _) in staged {
+                    self.failed[l] = Some(AppError::MissingAccel(kernel.to_string()));
+                }
+                return;
+            }
+        };
+        let dma = |addr, len| [(0, DmaDescriptor { addr, len })];
+        let ins: Vec<_> = staged.iter().map(|&(_, len)| dma(IN_BUF, len)).collect();
+        let outs: Vec<_> = staged
+            .iter()
+            .map(|&(l, _)| dma(OUT_BUF, output.bytes(self.pixels[l])))
+            .collect();
+        let scalars: Vec<Vec<(usize, &str, i64)>> = staged
+            .iter()
+            .map(|&(l, _)| {
+                takes_n
+                    .iter()
+                    .map(|&a| (a, "n", self.pixels[l] as i64))
+                    .collect()
+            })
+            .collect();
+        let args: Vec<PhaseArgs> = (0..staged.len())
+            .map(|i| PhaseArgs {
+                inputs: &ins[i],
+                outputs: &outs[i],
+                scalar_args: &scalars[i],
+            })
+            .collect();
+        let mut boards: Vec<&mut Board> = (self.boards.iter_mut().enumerate())
+            .filter_map(|(l, board)| is_staged[l].then_some(board))
+            .collect();
+        let results = Board::run_stream_phases(&mut boards, &args);
         let task = stages.iter().map(|s| s.task).collect::<Vec<_>>().join("+");
-        self.tasks[l].push((task, stats.ns, true));
-        self.dma_bytes[l] += stats.bytes_in + stats.bytes_out;
-        Ok(())
+        for ((l, _), (result, out)) in staged.into_iter().zip(results.into_iter().zip(&outs)) {
+            let out_len = out[0].1.len;
+            let read_back = result.map_err(AppError::from).and_then(|stats| {
+                let out = self.boards[l].dram.dump_bytes(OUT_BUF, out_len as usize)?;
+                Ok((stats, out))
+            });
+            let (stats, out) = match read_back {
+                Ok(r) => r,
+                Err(e) => {
+                    self.failed[l] = Some(e);
+                    continue;
+                }
+            };
+            let tokens = out
+                .chunks_exact(output.token_bytes() as usize)
+                .map(|c| c.iter().rev().fold(0i64, |acc, &b| (acc << 8) | b as i64))
+                .collect();
+            self.values[l].set(output, tokens);
+            self.tasks[l].push((task.clone(), stats.ns, true));
+            self.dma_bytes[l] += stats.bytes_in + stats.bytes_out;
+        }
     }
 }
 
@@ -565,10 +602,13 @@ pub fn run_application_with(
 /// Execute the application for a whole group of images at once: the
 /// software stages before and after `arch`'s hardware range each run as
 /// **one** lane-VM batch over the group (one decoded instruction
-/// stream, K structure-of-arrays lanes), while the range itself is one
-/// modeled streaming phase per lane (boards are independent SoCs).
-/// `runs[l]` is bit-identical to running image `l` alone — lanes only
-/// amortize host-side dispatch, never simulated time.
+/// stream, K structure-of-arrays lanes), and the range itself is one
+/// group streaming phase over the lanes' boards (each an independent
+/// SoC), whose accelerators fire as lane-VM batches too
+/// ([`Board::run_stream_phases`]). `runs[l]` is bit-identical to running
+/// image `l` alone — lanes only amortize host-side dispatch, never
+/// simulated time. Lanes of one image size stay converged; the serving
+/// precompute groups them that way.
 pub fn run_application_group(
     arch: Arch,
     engine: &FlowEngine,
@@ -599,11 +639,7 @@ pub fn run_application_group(
     for stage in &STAGES[..hw.start] {
         g.sw_stage(stage)?;
     }
-    for l in g.alive() {
-        if let Err(e) = g.hw_stages(l, &hw, artifacts) {
-            g.failed[l] = Some(e);
-        }
-    }
+    g.hw_stages(&hw, artifacts);
     for stage in &STAGES[hw.end..] {
         g.sw_stage(stage)?;
     }

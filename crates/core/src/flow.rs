@@ -32,6 +32,7 @@ use crate::graph::{InterfaceKind, LinkEnd, TaskGraph};
 use crate::semantics::{elaborate, Elaborated, PortDirection, SemanticError};
 use accelsoc_hls::cache::{CacheKey, HlsCache};
 use accelsoc_hls::project::{synthesize_kernel_observed, HlsError, HlsOptions, HlsResult};
+use accelsoc_hls::report::HlsReport;
 use accelsoc_integration::assembler::{
     assemble, ArchSpec, AssembleError, CoreSpec, DmaPolicy, LinkSpec, SocEndpoint,
 };
@@ -718,10 +719,10 @@ impl FlowEngine {
                 ));
             }
         }
-        let lite_reports: Vec<&accelsoc_hls::report::HlsReport> = hls
+        let lite_reports: Vec<&HlsReport> = hls
             .iter()
             .filter(|(name, _)| graph.connects().any(|c| c == name))
-            .map(|(_, r)| &r.report)
+            .map(|(_, r)| &*r.report)
             .collect();
         let main_c = accelsoc_swgen::app::generate_main_c(&block_design, &lite_reports);
         let makefile = accelsoc_swgen::app::generate_makefile(&block_design, &lite_reports);
@@ -804,7 +805,7 @@ impl FlowEngine {
             cores: hls
                 .iter()
                 .map(|(_, r)| CoreSpec {
-                    report: r.report.clone(),
+                    report: HlsReport::clone(&r.report),
                 })
                 .collect(),
             stream_links: graph
@@ -842,7 +843,7 @@ impl FlowEngine {
                 .ok_or_else(|| FlowError::MissingKernel { node: name.clone() })?;
             let idx = board.add_accel(AccelInstance::with_unit(
                 Arc::clone(&entry.kernel),
-                r.report.clone(),
+                Arc::clone(&r.report),
                 self.unit_of(entry),
             ));
             accel_index.insert(name.clone(), idx);

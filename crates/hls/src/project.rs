@@ -17,6 +17,7 @@ use accelsoc_kernel::verify::{verify, VerifyError};
 use accelsoc_observe::{FlowEvent, FlowObserver};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Options controlling an HLS run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -37,7 +38,9 @@ impl Default for HlsOptions {
 /// Everything produced for one core.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HlsResult {
-    pub report: HlsReport,
+    /// The synthesis report, shared: every board a flow engine builds
+    /// from this result points at it (it serializes as the report).
+    pub report: Arc<HlsReport>,
     pub rtl: RtlModule,
     pub verilog: String,
     pub directives_tcl: String,
@@ -171,7 +174,7 @@ pub fn synthesize_kernel_observed(
     let verilog = rtl.to_verilog();
     let directives_tcl = DirectivesFile::for_kernel(kernel).render();
     Ok(HlsResult {
-        report,
+        report: Arc::new(report),
         rtl,
         verilog,
         directives_tcl,

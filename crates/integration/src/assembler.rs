@@ -396,9 +396,11 @@ mod tests {
     use accelsoc_kernel::types::Ty;
 
     fn report_for(k: accelsoc_kernel::ir::Kernel) -> HlsReport {
-        synthesize_kernel(&k, &HlsOptions::default())
-            .unwrap()
-            .report
+        std::sync::Arc::unwrap_or_clone(
+            synthesize_kernel(&k, &HlsOptions::default())
+                .unwrap()
+                .report,
+        )
     }
 
     fn stream_core(name: &str) -> CoreSpec {

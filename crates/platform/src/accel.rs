@@ -1,9 +1,9 @@
 //! PL accelerator instances: HLS-timed, lane-VM-evaluated.
 //!
-//! An instance holds its kernel IR and execution unit behind `Arc`s: a
-//! flow engine builds one board per job, and every board's instance of
-//! a kernel points at the engine's single copy instead of cloning the
-//! IR tree.
+//! An instance holds its kernel IR, HLS report and execution unit behind
+//! `Arc`s: a flow engine builds one board per job, and every board's
+//! instance of a kernel points at the engine's single copy instead of
+//! cloning the IR tree or the report.
 
 use accelsoc_hls::report::HlsReport;
 use accelsoc_kernel::interp::{ExecError, StreamBundle};
@@ -12,9 +12,13 @@ use accelsoc_kernel::ExecUnit;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// One invocation's outcome: (scalar outputs, fabric cycles consumed).
+pub type Invocation = Result<(HashMap<String, i64>, u64), ExecError>;
+
 /// One accelerator placed in the PL. Its function is the kernel's
-/// execution unit — each invocation runs as a one-lane group on the
-/// lane VM, bit-identical to the reference interpreter; its timing is
+/// execution unit — invocations run as lane groups on the lane VM (one
+/// lane per board, [`AccelInstance::invoke_batch`]), each lane
+/// bit-identical to the reference interpreter; its timing is
 /// derived from the HLS report: a streaming invocation processing `n`
 /// tokens costs `startup + ii_max * n` fabric cycles, where `ii_max` is
 /// the worst initiation interval among the kernel's pipelined loops (1
@@ -24,7 +28,8 @@ use std::sync::Arc;
 pub struct AccelInstance {
     /// The kernel IR, shared with the flow engine that registered it.
     pub kernel: Arc<Kernel>,
-    pub report: HlsReport,
+    /// The HLS report, shared with the flow run that produced it.
+    pub report: Arc<HlsReport>,
     /// The kernel's execution unit; the flow engine shares one across
     /// every instance of the same kernel, so each kernel compiles once
     /// per engine, not per board.
@@ -39,14 +44,14 @@ impl AccelInstance {
     /// Standalone constructor: compiles the kernel here. Prefer
     /// [`AccelInstance::with_unit`] when a flow engine already holds
     /// the kernel and its execution unit.
-    pub fn new(kernel: Kernel, report: HlsReport) -> Self {
+    pub fn new(kernel: Kernel, report: Arc<HlsReport>) -> Self {
         let unit = Arc::new(ExecUnit::new(&kernel));
         AccelInstance::with_unit(Arc::new(kernel), report, unit)
     }
 
-    /// Construct around a kernel and execution unit handed out by the
-    /// flow engine; both are shared, not copied.
-    pub fn with_unit(kernel: Arc<Kernel>, report: HlsReport, unit: Arc<ExecUnit>) -> Self {
+    /// Construct around a kernel, report and execution unit handed out
+    /// by the flow engine; all three are shared, not copied.
+    pub fn with_unit(kernel: Arc<Kernel>, report: Arc<HlsReport>, unit: Arc<ExecUnit>) -> Self {
         AccelInstance {
             kernel,
             report,
@@ -77,19 +82,53 @@ impl AccelInstance {
         self.scalar_args.insert(name.to_string(), value);
     }
 
+    /// Whether `other` runs on the same kernel, report and execution
+    /// unit (the same `Arc`s), as every board a flow engine builds from
+    /// one flow run does: such instances can fire as one lane group.
+    pub fn is_twin(&self, other: &AccelInstance) -> bool {
+        Arc::ptr_eq(&self.kernel, &other.kernel)
+            && Arc::ptr_eq(&self.report, &other.report)
+            && Arc::ptr_eq(&self.unit, &other.unit)
+    }
+
     /// Fire one invocation: consume/produce stream tokens on the lane
-    /// VM. Returns (scalar outputs, fabric cycles consumed).
-    pub fn invoke(
-        &self,
-        streams: &mut StreamBundle,
-    ) -> Result<(HashMap<String, i64>, u64), ExecError> {
-        let in_tokens: u64 = streams.input_tokens();
-        let outcome = self.unit.run(&self.scalar_args, streams)?;
-        // Timing uses whichever is larger: tokens consumed or produced —
-        // source-style kernels are paced by their output stream.
-        let out_tokens: u64 = streams.output_tokens();
-        let cycles = self.cycles_for_tokens(in_tokens.max(out_tokens));
-        Ok((outcome.scalar_outputs, cycles))
+    /// VM. Returns (scalar outputs, fabric cycles consumed). A one-lane
+    /// [`AccelInstance::invoke_batch`].
+    pub fn invoke(&self, streams: &mut StreamBundle) -> Invocation {
+        AccelInstance::invoke_batch(&[self], std::slice::from_mut(streams))
+            .pop()
+            .expect("a one-lane batch has one outcome")
+    }
+
+    /// Fire `lanes[l]` on `streams[l]` for every `l`, as one lane-VM
+    /// batch of their shared execution unit (the lanes must be
+    /// [twins](AccelInstance::is_twin)). Each lane reads its own scalar
+    /// arguments, and its cycles come from its own token counts and
+    /// timing parameters, so lane `l`'s outcome equals
+    /// `lanes[l].invoke(&mut streams[l])`.
+    pub fn invoke_batch(lanes: &[&AccelInstance], streams: &mut [StreamBundle]) -> Vec<Invocation> {
+        assert_eq!(lanes.len(), streams.len(), "one stream bundle per lane");
+        let Some(first) = lanes.first() else {
+            return Vec::new();
+        };
+        debug_assert!(lanes.iter().all(|a| Arc::ptr_eq(&a.unit, &first.unit)));
+        let in_tokens: Vec<u64> = streams.iter().map(StreamBundle::input_tokens).collect();
+        let scalars: Vec<HashMap<String, i64>> =
+            lanes.iter().map(|a| a.scalar_args.clone()).collect();
+        let outcome = first.unit.run_batch(&scalars, streams);
+        outcome
+            .lanes
+            .into_iter()
+            .zip(lanes.iter().zip(streams.iter().zip(in_tokens)))
+            .map(|(res, (a, (bundle, in_tokens)))| {
+                let outcome = res?;
+                // Timing uses whichever is larger: tokens consumed or
+                // produced — source-style kernels are paced by their
+                // output stream.
+                let cycles = a.cycles_for_tokens(in_tokens.max(bundle.output_tokens()));
+                Ok((outcome.scalar_outputs, cycles))
+            })
+            .collect()
     }
 }
 

@@ -13,6 +13,9 @@
 //!   output buffer back ([`dma::s2mm`]). Timing uses a steady-state
 //!   pipeline model: transfers and computation overlap, so the makespan
 //!   is the pipeline fill plus the *slowest* stage, not the sum of stages.
+//!   It is the one-board case of [`Board::run_stream_phases`], which runs
+//!   a phase on a group of twin boards at once: each core fires as one
+//!   lane-VM batch over the boards whose inputs have the same length.
 //!
 //! A streaming phase's function runs every time; its timing comes from
 //! the board's [`PhaseMemo`], which simulates each distinct phase shape
@@ -44,13 +47,13 @@ pub enum Endpoint {
 }
 
 /// A point-to-point AXI-Stream link.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamLink {
     pub from: Endpoint,
     pub to: Endpoint,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum BoardError {
     UnknownAccel(usize),
     UnknownDma(usize),
@@ -80,6 +83,12 @@ pub enum BoardError {
     /// endpoints finishing — the token accounting is inconsistent.
     SimDiverged {
         cycles: u64,
+    },
+    /// Board `board` of a phase group differs from board 0 in its stream
+    /// links or its accelerators' kernels, reports or execution units,
+    /// so it cannot share the group's routing and batches.
+    GroupMismatch {
+        board: usize,
     },
 }
 
@@ -112,6 +121,11 @@ impl fmt::Display for BoardError {
                     "cycle simulation did not converge within {cycles} cycles"
                 )
             }
+            BoardError::GroupMismatch { board } => write!(
+                f,
+                "board {board} of a phase group is not a twin of board 0 \
+                 (its stream links or accelerators differ)"
+            ),
         }
     }
 }
@@ -341,7 +355,21 @@ impl Board {
         }
     }
 
-    /// Execute a streaming phase.
+    /// Whether `other` can run a phase as this board's twin: the same
+    /// stream links, and accelerators on the same kernels, reports and
+    /// execution units ([`AccelInstance::is_twin`]).
+    fn is_twin(&self, other: &Board) -> bool {
+        self.links == other.links
+            && self.accels.len() == other.accels.len()
+            && self
+                .accels
+                .iter()
+                .zip(&other.accels)
+                .all(|(a, b)| a.is_twin(b))
+    }
+
+    /// Execute a streaming phase: a group of one board
+    /// ([`Board::run_stream_phases`]).
     ///
     /// `inputs`: for each MM2S entry point, (dma index, source descriptor).
     /// `outputs`: for each S2MM exit, (dma index, destination descriptor).
@@ -352,50 +380,115 @@ impl Board {
         outputs: &[(usize, DmaDescriptor)],
         scalar_args: &[(usize, &str, i64)],
     ) -> Result<PhaseStats, BoardError> {
-        for (accel, name, v) in scalar_args {
+        let args = PhaseArgs {
+            inputs,
+            outputs,
+            scalar_args,
+        };
+        Board::run_stream_phases(&mut [self], &[args])
+            .pop()
+            .expect("one board, one result")
+    }
+
+    /// Execute one streaming phase on each board of a group, board `b`
+    /// with `args[b]`. The boards are twins — one flow engine built them
+    /// from one flow run, so they share links and each accelerator's
+    /// execution unit — and run together:
+    ///
+    /// 1. the routing (firing order, each DMA's link and beat width,
+    ///    each accelerator's fed inputs and output links) is resolved
+    ///    once, from board 0;
+    /// 2. each board's MM2S transfers move its input buffers whole from
+    ///    its DRAM;
+    /// 3. each accelerator fires once per distinct input length, as one
+    ///    lane-VM batch over the boards whose inputs have that length
+    ///    ([`AccelInstance::invoke_batch`]);
+    /// 4. each board's S2MM transfers write its output buffers whole,
+    ///    its timing comes from its phase memo, and it reports its
+    ///    [`FlowEvent::SimPhaseDone`] — in board order.
+    ///
+    /// Result `b` equals what `boards[b].run_stream_phase` would return
+    /// on `args[b]` alone, with the same DRAM effects and events. A
+    /// board that fails stops there (it fires no later accelerator)
+    /// while the others run on. A board that is not a twin of board 0
+    /// fails with [`BoardError::GroupMismatch`] and runs nothing.
+    pub fn run_stream_phases(
+        boards: &mut [&mut Board],
+        args: &[PhaseArgs],
+    ) -> Vec<Result<PhaseStats, BoardError>> {
+        assert_eq!(boards.len(), args.len(), "one PhaseArgs per board");
+        let Some(first) = boards.first() else {
+            return Vec::new();
+        };
+        let route = Routing::resolve(first);
+        let twins: Vec<bool> = boards.iter().map(|b| b.is_twin(first)).collect();
+        let mut lanes: Vec<Result<Lane, BoardError>> = boards
+            .iter_mut()
+            .zip(args)
+            .zip(twins)
+            .enumerate()
+            .map(|(b, ((board, args), twin))| {
+                if twin {
+                    board.begin_phase(&route, args)
+                } else {
+                    Err(BoardError::GroupMismatch { board: b })
+                }
+            })
+            .collect();
+        let order = match &route.order {
+            Ok(order) => order.as_slice(),
+            Err(e) => {
+                fail_live(&mut lanes, e);
+                &[]
+            }
+        };
+        for stage in order {
+            fire(boards, &mut lanes, stage);
+        }
+        boards
+            .iter_mut()
+            .zip(args)
+            .zip(lanes)
+            .map(|((board, args), lane)| lane.and_then(|l| board.end_phase(&route, order, args, l)))
+            .collect()
+    }
+
+    /// A phase's first half on this board: set the scalar arguments and
+    /// move each MM2S input buffer from DRAM into the inbox its link
+    /// feeds.
+    fn begin_phase(&mut self, route: &Routing, args: &PhaseArgs) -> Result<Lane, BoardError> {
+        for (accel, name, v) in args.scalar_args {
             let a = self
                 .accels
                 .get_mut(*accel)
                 .ok_or(BoardError::UnknownAccel(*accel))?;
             a.set_arg(name, *v);
         }
-
-        let mut stats = PhaseStats::default();
-        // AXI bursts issued by the phase's DMA transfers (event counter).
-        let mut dma_bursts = 0u64;
-        // Input token buffers per (accel, port).
-        let mut inbox: HashMap<(usize, String), Vec<i64>> = HashMap::new();
-        // Tokens that traversed each stream link during the functional
-        // pass, indexed like `self.links` — the cycle simulation replays
-        // exactly this traffic over bounded FIFOs.
-        let mut link_tokens = vec![0u64; self.links.len()];
         // The phase's timing model: one FIFO per stream link; each DMA
         // transfer adds its endpoint as it completes, the accelerators
-        // join after the functional pass.
+        // join at the end.
         let mut phase = CosimPhase::default();
         for _ in &self.links {
             phase.add_fifo(self.stream_fifo_depth as u64);
         }
-
-        // 1. MM2S: each input buffer moves whole from DRAM into the inbox
-        // of the accelerator port its link feeds.
-        for (dma_idx, desc) in inputs {
-            // Find the link leaving this DMA.
-            let (link_idx, link) = self
-                .links
-                .iter()
-                .enumerate()
-                .find(|(_, l)| l.from == Endpoint::Dma(*dma_idx))
-                .map(|(i, l)| (i, l.clone()))
+        let mut lane = Lane {
+            stats: PhaseStats::default(),
+            dma_bursts: 0,
+            link_tokens: vec![0; self.links.len()],
+            phase,
+            inboxes: vec![Vec::new(); route.inboxes],
+            outboxes: vec![None; route.s2mm.len()],
+        };
+        for (dma_idx, desc) in args.inputs {
+            let entry = route
+                .mm2s
+                .get(*dma_idx)
+                .and_then(Option::as_ref)
                 .ok_or(BoardError::UnknownDma(*dma_idx))?;
-            let (accel, port) = match &link.to {
-                Endpoint::Accel { accel, port } => (*accel, port.clone()),
-                Endpoint::Dma(_) => continue, // DMA->DMA loopback: nothing to compute
+            // A DMA->DMA loopback has nothing to compute.
+            let Some((inbox, beat_bytes)) = entry.feed.clone()? else {
+                continue;
             };
-            let beat_bytes = self
-                .endpoint_bits(&link.to, true)?
-                .unwrap_or(32)
-                .div_ceil(8);
             let tokens = dma::mm2s(&mut self.dram, *desc, beat_bytes)?;
             let engine = self
                 .dmas
@@ -403,108 +496,51 @@ impl Board {
                 .ok_or(BoardError::UnknownDma(*dma_idx))?;
             let beats = tokens.len() as u64;
             let name = format!("dma{dma_idx}:mm2s");
-            stats.bytes_in += desc.len;
-            dma_bursts += engine.bursts(beats);
-            stats
+            lane.stats.bytes_in += desc.len;
+            lane.dma_bursts += engine.bursts(beats);
+            lane.stats
                 .per_stage
                 .push((name.clone(), engine.cycles_for(beats)));
-            phase.sources.push(SourceSpec {
+            lane.phase.sources.push(SourceSpec {
                 name,
                 beats,
                 bytes_per_beat: beat_bytes as u64,
                 setup_cycles: engine.setup_cycles as u64,
                 burst_beats: engine.burst_beats as u64,
                 burst_overhead: engine.burst_overhead_cycles as u64,
-                out_fifo: link_idx,
+                out_fifo: entry.link,
             });
-            link_tokens[link_idx] += beats;
-            inbox.entry((accel, port)).or_default().extend(tokens);
+            lane.link_tokens[entry.link] += beats;
+            append(&mut lane.inboxes[inbox], tokens);
         }
+        Ok(lane)
+    }
 
-        // 2. Fire accelerators in feed-forward order.
-        let order = self.topo_order()?;
-        // Collect (dma_idx -> tokens,width) for S2MM exits.
-        let mut outbox: HashMap<usize, (Vec<i64>, u32)> = HashMap::new();
-        for accel_idx in order {
-            // Skip accelerators not participating in this phase (no inputs
-            // queued and no links at all).
-            let participates = self.links.iter().any(|l| {
-                matches!(&l.from, Endpoint::Accel { accel, .. } if *accel == accel_idx)
-                    || matches!(&l.to, Endpoint::Accel { accel, .. } if *accel == accel_idx)
-            });
-            if !participates {
-                continue;
-            }
-            let mut bundle = StreamBundle::new();
-            // Wire declared input ports.
-            let input_ports: Vec<String> = self.accels[accel_idx]
-                .kernel
-                .stream_inputs()
-                .map(|p| p.name.clone())
-                .collect();
-            for port in &input_ports {
-                let fed = self.links.iter().any(|l| {
-                    matches!(&l.to, Endpoint::Accel { accel, port: p } if *accel == accel_idx && p == port)
-                });
-                if !fed {
-                    return Err(BoardError::UnconnectedInput {
-                        accel: self.accels[accel_idx].kernel.name.clone(),
-                        port: port.clone(),
-                    });
-                }
-                let tokens = inbox.remove(&(accel_idx, port.clone())).unwrap_or_default();
-                bundle.feed(port, tokens);
-            }
-            let a = &self.accels[accel_idx];
-            let name = a.kernel.name.clone();
-            let (_, cycles) = a.invoke(&mut bundle).map_err(|err| BoardError::Exec {
-                accel: name.clone(),
-                err,
-            })?;
-            stats.per_stage.push((name, cycles));
-            // Distribute outputs along links.
-            let out_ports: Vec<String> = self.accels[accel_idx]
-                .kernel
-                .stream_outputs()
-                .map(|p| p.name.clone())
-                .collect();
-            for port in &out_ports {
-                let tokens = bundle.take_output(port).unwrap_or_default();
-                let link = self.links.iter().enumerate().find(|(_, l)| {
-                    matches!(&l.from, Endpoint::Accel { accel, port: p } if *accel == accel_idx && p == port)
-                });
-                match link {
-                    Some((li, l)) => {
-                        link_tokens[li] += tokens.len() as u64;
-                        match &l.to {
-                            Endpoint::Accel { accel, port } => {
-                                inbox
-                                    .entry((*accel, port.clone()))
-                                    .or_default()
-                                    .extend(tokens);
-                            }
-                            Endpoint::Dma(d) => {
-                                let bits = self.accels[accel_idx]
-                                    .report
-                                    .interface
-                                    .stream(port)
-                                    .map(|p| p.tdata_bits)
-                                    .unwrap_or(32);
-                                let e = outbox.entry(*d).or_insert_with(|| (Vec::new(), bits));
-                                e.0.extend(tokens);
-                            }
-                        }
-                    }
-                    None => { /* dangling output: tokens dropped (warn-level) */ }
-                }
-            }
-        }
-
-        // 3. S2MM: each exit's tokens move whole into their DRAM buffer.
+    /// A phase's second half on this board: move each S2MM exit's
+    /// tokens whole into their DRAM buffer, take the phase's timing from
+    /// the memo and report it.
+    fn end_phase(
+        &mut self,
+        route: &Routing,
+        order: &[StageRoute],
+        args: &PhaseArgs,
+        lane: Lane,
+    ) -> Result<PhaseStats, BoardError> {
+        let Lane {
+            mut stats,
+            mut dma_bursts,
+            link_tokens,
+            mut phase,
+            mut outboxes,
+            ..
+        } = lane;
         // The DMA is looked up first, so a phase that fails here has
         // written nothing for this exit.
-        for (dma_idx, desc) in outputs {
-            let (tokens, bits) = outbox.remove(dma_idx).unwrap_or((Vec::new(), 32));
+        for (dma_idx, desc) in args.outputs {
+            let (tokens, bits) = outboxes
+                .get_mut(*dma_idx)
+                .and_then(Option::take)
+                .unwrap_or((Vec::new(), 32));
             if tokens.is_empty() {
                 continue;
             }
@@ -520,11 +556,7 @@ impl Board {
             stats
                 .per_stage
                 .push((name.clone(), engine.cycles_for(beats)));
-            let in_fifo = self
-                .links
-                .iter()
-                .position(|l| l.to == Endpoint::Dma(*dma_idx));
-            if let Some(in_fifo) = in_fifo {
+            if let Some(&Some(in_fifo)) = route.s2mm.get(*dma_idx) {
                 phase.sinks.push(SinkSpec {
                     name,
                     beats,
@@ -537,46 +569,22 @@ impl Board {
             }
         }
 
-        // 4. Timing: add one stage per participating accelerator and
-        // replay the phase's traffic through the co-scheduled
-        // bounded-FIFO cycle simulation, the MM2S/S2MM endpoints sharing
-        // the HP port's per-cycle byte budget. The memo runs it only for
-        // a shape it has not seen.
-        for accel_idx in self.topo_order()? {
-            let inputs: Vec<StagePort> = self
-                .links
-                .iter()
-                .enumerate()
-                .filter(
-                    |(_, l)| matches!(&l.to, Endpoint::Accel { accel, .. } if *accel == accel_idx),
-                )
-                .map(|(li, _)| StagePort {
-                    fifo: li,
-                    tokens: link_tokens[li],
-                })
-                .collect();
-            let outputs: Vec<StagePort> = self
-                .links
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| {
-                    matches!(&l.from, Endpoint::Accel { accel, .. } if *accel == accel_idx)
-                })
-                .map(|(li, _)| StagePort {
-                    fifo: li,
-                    tokens: link_tokens[li],
-                })
-                .collect();
-            if inputs.is_empty() && outputs.is_empty() {
-                continue;
-            }
-            let a = &self.accels[accel_idx];
+        // Timing: one stage per participating accelerator, then replay
+        // the phase's traffic through the co-scheduled bounded-FIFO
+        // cycle simulation, the MM2S/S2MM endpoints sharing the HP
+        // port's per-cycle byte budget. The memo runs it only for a
+        // shape it has not seen.
+        let port = |&fifo: &usize| StagePort {
+            fifo,
+            tokens: link_tokens[fifo],
+        };
+        for stage in order {
             phase.stages.push(StageSpec {
-                name: a.kernel.name.clone(),
-                startup_cycles: a.startup_cycles,
-                ii: a.ii_max(),
-                inputs,
-                outputs,
+                name: stage.name.clone(),
+                startup_cycles: self.accels[stage.accel].startup_cycles,
+                ii: stage.ii,
+                inputs: stage.in_links.iter().map(port).collect(),
+                outputs: stage.out_links.iter().map(port).collect(),
             });
         }
         let (r, timing_reused) =
@@ -612,6 +620,291 @@ impl Board {
     }
 }
 
+/// One board's arguments to a streaming phase
+/// ([`Board::run_stream_phases`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PhaseArgs<'a> {
+    /// For each MM2S entry point: (DMA index, source descriptor).
+    pub inputs: &'a [(usize, DmaDescriptor)],
+    /// For each S2MM exit: (DMA index, destination descriptor).
+    pub outputs: &'a [(usize, DmaDescriptor)],
+    /// Per-accelerator scalar arguments: (accelerator, name, value).
+    pub scalar_args: &'a [(usize, &'a str, i64)],
+}
+
+/// Where the tokens an accelerator output port writes land.
+#[derive(Debug, Clone, Copy)]
+enum Dest {
+    /// An accelerator input's inbox.
+    Inbox(usize),
+    /// An S2MM exit's outbox, with the width of the port feeding it.
+    Dma { dma: usize, bits: u32 },
+}
+
+/// The first stream link leaving a DMA engine (an MM2S entry).
+struct Mm2sRoute {
+    link: usize,
+    /// The inbox it feeds and the beat width in bytes; `None` for a
+    /// DMA->DMA loopback.
+    feed: Result<Option<(usize, u32)>, BoardError>,
+}
+
+/// One participating accelerator, in firing order.
+struct StageRoute {
+    accel: usize,
+    /// Kernel name.
+    name: String,
+    /// Worst II of its pipelined loops.
+    ii: u64,
+    /// Its declared stream inputs, each with the inbox that feeds it, or
+    /// the error for the first input no link feeds.
+    inputs: Result<Vec<(String, usize)>, BoardError>,
+    /// Its declared stream outputs, each with the first link it drives
+    /// and where that link's tokens land (`None`: dangling, dropped).
+    outputs: Vec<(String, Option<(usize, Dest)>)>,
+    /// Links into and out of it, in link order: its timing ports.
+    in_links: Vec<usize>,
+    out_links: Vec<usize>,
+}
+
+impl StageRoute {
+    /// Accelerator `idx`'s route on `board`, or `None` when no link
+    /// touches it (it does not take part in the phase). `inbox` maps an
+    /// (accelerator, port) a link feeds to its inbox.
+    fn resolve(
+        board: &Board,
+        idx: usize,
+        inbox: &dyn Fn(usize, &str) -> Option<usize>,
+    ) -> Option<StageRoute> {
+        let links = &board.links;
+        let here = |ep: &Endpoint| matches!(ep, Endpoint::Accel { accel, .. } if *accel == idx);
+        let in_links: Vec<usize> = (0..links.len()).filter(|&li| here(&links[li].to)).collect();
+        let out_links: Vec<usize> = (0..links.len())
+            .filter(|&li| here(&links[li].from))
+            .collect();
+        if in_links.is_empty() && out_links.is_empty() {
+            return None;
+        }
+        let a = &board.accels[idx];
+        let name = a.kernel.name.clone();
+        let inputs = a
+            .kernel
+            .stream_inputs()
+            .map(|p| match inbox(idx, &p.name) {
+                Some(i) => Ok((p.name.clone(), i)),
+                None => Err(BoardError::UnconnectedInput {
+                    accel: name.clone(),
+                    port: p.name.clone(),
+                }),
+            })
+            .collect();
+        let outputs = a
+            .kernel
+            .stream_outputs()
+            .map(|p| {
+                let from_port = |li: &usize| {
+                    matches!(&links[*li].from, Endpoint::Accel { port, .. } if *port == p.name)
+                };
+                let dest = out_links.iter().find(|li| from_port(li)).map(|&li| {
+                    let dest = match &links[li].to {
+                        Endpoint::Accel { accel, port } => {
+                            Dest::Inbox(inbox(*accel, port).expect("every link end has an inbox"))
+                        }
+                        Endpoint::Dma(dma) => {
+                            let port = a.report.interface.stream(&p.name);
+                            let bits = port.map_or(32, |s| s.tdata_bits);
+                            Dest::Dma { dma: *dma, bits }
+                        }
+                    };
+                    (li, dest)
+                });
+                (p.name.clone(), dest)
+            })
+            .collect();
+        Some(StageRoute {
+            accel: idx,
+            name,
+            ii: a.ii_max(),
+            inputs,
+            outputs,
+            in_links,
+            out_links,
+        })
+    }
+}
+
+/// A streaming phase's routing, resolved once from one board and shared
+/// by every twin of a group: the token flow depends only on the links
+/// and the accelerators' kernels and reports.
+struct Routing {
+    /// By DMA index: the first link leaving that DMA.
+    mm2s: Vec<Option<Mm2sRoute>>,
+    /// By DMA index: the first link entering that DMA.
+    s2mm: Vec<Option<usize>>,
+    /// Accelerator input ports that some link feeds.
+    inboxes: usize,
+    /// Participating accelerators in feed-forward order.
+    order: Result<Vec<StageRoute>, BoardError>,
+}
+
+impl Routing {
+    fn resolve(board: &Board) -> Routing {
+        let links = &board.links;
+        // One inbox per (accelerator, port) some link feeds.
+        let mut inbox_ports: Vec<(usize, &str)> = Vec::new();
+        for l in links {
+            if let Endpoint::Accel { accel, port } = &l.to {
+                if !inbox_ports.contains(&(*accel, port.as_str())) {
+                    inbox_ports.push((*accel, port));
+                }
+            }
+        }
+        let inbox = |accel: usize, port: &str| inbox_ports.iter().position(|&p| p == (accel, port));
+        // By DMA index: the first link with that DMA at the `end` side.
+        let first_link_at = |end: fn(&StreamLink) -> &Endpoint| {
+            let mut by_dma: Vec<Option<usize>> = Vec::new();
+            for (li, l) in links.iter().enumerate() {
+                if let Endpoint::Dma(d) = *end(l) {
+                    if by_dma.len() <= d {
+                        by_dma.resize(d + 1, None);
+                    }
+                    by_dma[d].get_or_insert(li);
+                }
+            }
+            by_dma
+        };
+        let mm2s = first_link_at(|l| &l.from)
+            .into_iter()
+            .map(|link| {
+                link.map(|li| Mm2sRoute {
+                    link: li,
+                    feed: match &links[li].to {
+                        Endpoint::Dma(_) => Ok(None),
+                        to @ Endpoint::Accel { accel, port } => {
+                            board.endpoint_bits(to, true).map(|bits| {
+                                let inbox =
+                                    inbox(*accel, port).expect("every link end has an inbox");
+                                Some((inbox, bits.unwrap_or(32).div_ceil(8)))
+                            })
+                        }
+                    },
+                })
+            })
+            .collect();
+        let s2mm = first_link_at(|l| &l.to);
+        let order = board.topo_order().map(|order| {
+            order
+                .into_iter()
+                .filter_map(|idx| StageRoute::resolve(board, idx, &inbox))
+                .collect()
+        });
+        Routing {
+            mm2s,
+            s2mm,
+            inboxes: inbox_ports.len(),
+            order,
+        }
+    }
+}
+
+/// One board's tokens and counters between the halves of a group phase.
+struct Lane {
+    stats: PhaseStats,
+    /// AXI bursts issued by the phase's DMA transfers (event counter).
+    dma_bursts: u64,
+    /// Tokens that crossed each stream link, indexed like the board's
+    /// links: the cycle simulation replays exactly this traffic.
+    link_tokens: Vec<u64>,
+    phase: CosimPhase,
+    /// Tokens waiting at each accelerator input ([`Routing`]'s inboxes).
+    inboxes: Vec<Vec<i64>>,
+    /// By DMA index: the tokens bound for that S2MM exit and their width.
+    outboxes: Vec<Option<(Vec<i64>, u32)>>,
+}
+
+impl Lane {
+    /// Record `stage`'s firing and move its outputs along their links.
+    fn deliver(&mut self, stage: &StageRoute, cycles: u64, bundle: &mut StreamBundle) {
+        self.stats.per_stage.push((stage.name.clone(), cycles));
+        for (port, link) in &stage.outputs {
+            let tokens = bundle.take_output(port).unwrap_or_default();
+            // A dangling output's tokens are dropped.
+            let Some((li, dest)) = *link else {
+                continue;
+            };
+            self.link_tokens[li] += tokens.len() as u64;
+            match dest {
+                Dest::Inbox(i) => append(&mut self.inboxes[i], tokens),
+                Dest::Dma { dma, bits } => {
+                    let (buf, _) = self.outboxes[dma].get_or_insert_with(|| (Vec::new(), bits));
+                    append(buf, tokens);
+                }
+            }
+        }
+    }
+}
+
+/// Append `tokens` to `buf`, moving them when `buf` is empty.
+fn append(buf: &mut Vec<i64>, tokens: Vec<i64>) {
+    if buf.is_empty() {
+        *buf = tokens;
+    } else {
+        buf.extend(tokens);
+    }
+}
+
+/// Fail every lane still running with `err`.
+fn fail_live(lanes: &mut [Result<Lane, BoardError>], err: &BoardError) {
+    for lane in lanes.iter_mut().filter(|l| l.is_ok()) {
+        *lane = Err(err.clone());
+    }
+}
+
+/// Fire `stage` on every live lane: one lane-VM batch per distinct input
+/// length, boards in order within each batch.
+fn fire(boards: &[&mut Board], lanes: &mut [Result<Lane, BoardError>], stage: &StageRoute) {
+    let ports = match &stage.inputs {
+        Ok(ports) => ports,
+        Err(e) => return fail_live(lanes, e),
+    };
+    let mut pending: Vec<(usize, StreamBundle)> = Vec::with_capacity(lanes.len());
+    for (b, lane) in lanes.iter_mut().enumerate() {
+        let Ok(lane) = lane else { continue };
+        let mut bundle = StreamBundle::new();
+        for (port, inbox) in ports {
+            bundle.feed(port, std::mem::take(&mut lane.inboxes[*inbox]));
+        }
+        pending.push((b, bundle));
+    }
+    while let Some((_, head)) = pending.first() {
+        let len = head.input_tokens();
+        let (batch, rest): (Vec<_>, Vec<_>) = pending
+            .into_iter()
+            .partition(|(_, bundle)| bundle.input_tokens() == len);
+        pending = rest;
+        let (members, mut streams): (Vec<usize>, Vec<StreamBundle>) = batch.into_iter().unzip();
+        let accels: Vec<&AccelInstance> = members
+            .iter()
+            .map(|&b| &boards[b].accels[stage.accel])
+            .collect();
+        let results = AccelInstance::invoke_batch(&accels, &mut streams);
+        for ((b, res), mut bundle) in members.into_iter().zip(results).zip(streams) {
+            match res {
+                Ok((_, cycles)) => {
+                    let lane = lanes[b].as_mut().expect("only live lanes fire");
+                    lane.deliver(stage, cycles, &mut bundle);
+                }
+                Err(err) => {
+                    lanes[b] = Err(BoardError::Exec {
+                        accel: stage.name.clone(),
+                        err,
+                    })
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,7 +912,7 @@ mod tests {
     use accelsoc_kernel::builder::*;
     use accelsoc_kernel::types::Ty;
     use accelsoc_observe::CollectObserver;
-    use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest};
+    use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
     fn make_accel(k: accelsoc_kernel::ir::Kernel) -> AccelInstance {
         let r = synthesize_kernel(&k, &HlsOptions::default()).unwrap();
@@ -858,6 +1151,194 @@ mod tests {
             prop_assert!(short_at_16.is_err(), "{short_at_16:?}");
             prop_assert_eq!(run(depth, len - 1), short_at_16);
         }
+    }
+
+    /// `k` twins of `template`: each copies its links and clones its
+    /// accelerators, so they share its kernels, reports and execution
+    /// units. Each twin reports its phases to its own observer (returned
+    /// beside it), and a phase whose co-sim cannot drain diverges within
+    /// a short cycle cap.
+    fn twins(template: &Board, k: usize) -> Vec<(Board, Arc<CollectObserver>)> {
+        (0..k)
+            .map(|_| {
+                let mut b = Board::new(1 << 20);
+                b.stream_fifo_depth = template.stream_fifo_depth;
+                b.max_sim_cycles = 10_000;
+                for a in &template.accels {
+                    b.add_accel(a.clone());
+                }
+                for _ in &template.dmas {
+                    b.add_dma();
+                }
+                b.links = template.links.clone();
+                let events = Arc::new(CollectObserver::new());
+                b.set_observer(events.clone());
+                (b, events)
+            })
+            .collect()
+    }
+
+    /// One DMA transfer of a phase.
+    type OneDma = [(usize, DmaDescriptor); 1];
+
+    /// One lane of a group phase on a [`chain`] twin: its input bytes at
+    /// 0x1000 and a fault to inject.
+    fn lane_args(data: &[u8], fault: u8) -> (OneDma, OneDma, u64) {
+        let len = data.len() as u64;
+        let (in_dma, out_dma, out_len, n) = match fault {
+            // An S2MM buffer one byte short: `BufferOverrun` (or a
+            // zero-length transfer) after both stages fired.
+            1 => (0, 1, len - 1, len),
+            // `n` past the input: the first stage underflows.
+            2 => (0, 1, len, len + 1),
+            // An MM2S or S2MM engine the board does not have.
+            3 => (5, 1, len, len),
+            4 => (0, 7, len, len),
+            _ => (0, 1, len, len),
+        };
+        (
+            [(in_dma, DmaDescriptor { addr: 0x1000, len })],
+            [(
+                out_dma,
+                DmaDescriptor {
+                    addr: 0x8000,
+                    len: out_len,
+                },
+            )],
+            n,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// A group phase over K twin boards gives each board exactly what
+        /// a solo phase on a fresh twin gives it: the same result, the
+        /// same DRAM output and the same `SimPhaseDone` events — with
+        /// random inputs of random, often equal, lengths (so the
+        /// accelerators fire as one or several batches) and some lanes
+        /// made to fail at MM2S, in an accelerator or at S2MM. Each
+        /// lane's outcome is also checked against its fault directly.
+        #[test]
+        fn group_phase_equals_solo_phases(
+            lanes in proptest::collection::vec(
+                (proptest::collection::vec(any::<u8>(), 1..6), 0u8..8),
+                0..=4,
+            ),
+        ) {
+            let args: Vec<_> = lanes.iter().map(|(data, fault)| lane_args(data, *fault)).collect();
+            let scalars: Vec<Vec<(usize, &str, i64)>> = args
+                .iter()
+                .map(|(_, _, n)| vec![(0, "n", *n as i64), (1, "n", *n as i64)])
+                .collect();
+            let phase_args: Vec<PhaseArgs> = args
+                .iter()
+                .zip(&scalars)
+                .map(|((ins, outs, _), scalar_args)| PhaseArgs {
+                    inputs: ins,
+                    outputs: outs,
+                    scalar_args,
+                })
+                .collect();
+            let load = |b: &mut Board, data: &[u8]| b.dram.load_bytes(0x1000, data).unwrap();
+
+            let (template, _) = chain(&["S1", "S2"], 4);
+            let mut group = twins(&template, lanes.len());
+            for ((b, _), (data, _)) in group.iter_mut().zip(&lanes) {
+                load(b, data);
+            }
+            let mut boards: Vec<&mut Board> = group.iter_mut().map(|(b, _)| b).collect();
+            let results = Board::run_stream_phases(&mut boards, &phase_args);
+            prop_assert_eq!(results.len(), lanes.len());
+
+            for (l, ((data, fault), a)) in lanes.iter().zip(&phase_args).enumerate() {
+                let (board, events) = &group[l];
+                let out = board.dram.dump_bytes(0x8000, data.len()).unwrap();
+                let as_faulted = match (fault, &results[l]) {
+                    (1, Err(BoardError::Dma(_)))
+                    | (3, Err(BoardError::UnknownDma(5)))
+                    | (4, Err(BoardError::SimDiverged { .. })) => true,
+                    (2, Err(BoardError::Exec { accel, .. })) => accel == "S1",
+                    // No link reaches the exit, so it is skipped: the
+                    // output stays in its FIFO, or overfills it and the
+                    // co-sim diverges (above).
+                    (4, Ok(stats)) => stats.bytes_out == 0 && out.iter().all(|&o| o == 0),
+                    (0 | 5.., Ok(_)) => out.iter().zip(data).all(|(o, d)| *o == d.wrapping_add(2)),
+                    _ => false,
+                };
+                prop_assert!(as_faulted, "lane {} fault {}: {:?}", l, fault, results[l]);
+
+                let (mut solo, solo_events) = twins(&template, 1).pop().unwrap();
+                load(&mut solo, data);
+                let expect = solo.run_stream_phase(a.inputs, a.outputs, a.scalar_args);
+                prop_assert_eq!(format!("{:?}", results[l]), format!("{expect:?}"), "lane {}", l);
+                prop_assert_eq!(
+                    board.dram.dump_bytes(0x8000, 16).unwrap(),
+                    solo.dram.dump_bytes(0x8000, 16).unwrap(),
+                    "lane {}", l
+                );
+                prop_assert_eq!(events.events(), solo_events.events(), "lane {}", l);
+            }
+        }
+    }
+
+    #[test]
+    fn a_board_that_is_not_a_twin_fails_and_runs_nothing() {
+        let (template, _) = chain(&["S1", "S2"], 4);
+        let mut group = twins(&template, 2);
+        // Same links, but its own compiled units; and another topology.
+        let (mut own_units, _) = chain(&["S1", "S2"], 4);
+        let (mut shorter, _) = chain(&["S1"], 4);
+        let data = [1, 2, 3, 4];
+        let ins = [(
+            0,
+            DmaDescriptor {
+                addr: 0x1000,
+                len: 4,
+            },
+        )];
+        let outs = [(
+            1,
+            DmaDescriptor {
+                addr: 0x8000,
+                len: 4,
+            },
+        )];
+        let scalar_args = [(0, "n", 4), (1, "n", 4)];
+        let args = PhaseArgs {
+            inputs: &ins,
+            outputs: &outs,
+            scalar_args: &scalar_args,
+        };
+        let [(first, first_events), (last, _)] = &mut group[..] else {
+            unreachable!()
+        };
+        for b in [&mut *first, &mut *last, &mut own_units, &mut shorter] {
+            b.dram.load_bytes(0x1000, &data).unwrap();
+        }
+        let mut boards = [first, &mut own_units, &mut shorter, last];
+        let results = Board::run_stream_phases(&mut boards, &[args; 4]);
+        for (b, r) in results.iter().enumerate() {
+            match b {
+                1 | 2 => assert!(
+                    matches!(r, Err(BoardError::GroupMismatch { board }) if *board == b),
+                    "board {b}: {r:?}"
+                ),
+                _ => assert!(r.is_ok(), "board {b}: {r:?}"),
+            }
+        }
+        for (b, board) in boards.iter().enumerate() {
+            let out = board.dram.dump_bytes(0x8000, 4).unwrap();
+            let expect = if matches!(b, 1 | 2) {
+                [0; 4]
+            } else {
+                [3, 4, 5, 6]
+            };
+            assert_eq!(out, expect, "board {b}");
+        }
+        // The mismatched boards did not even take their arguments.
+        assert!(own_units.accels.iter().all(|a| a.scalar_args.is_empty()));
+        assert!(shorter.accels.iter().all(|a| a.scalar_args.is_empty()));
+        assert_eq!(first_events.len(), 1);
     }
 
     #[test]

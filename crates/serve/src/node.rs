@@ -128,7 +128,7 @@ pub struct SimTables {
     lat_ps: Vec<Option<u64>>,
 }
 
-/// Multiply-rotate hashing for the precompute's `(u64, u64)` job keys:
+/// Multiply-rotate hashing for the precompute's job keys and shapes:
 /// they come from the program's own job stream, so SipHash's resistance
 /// to crafted collisions buys nothing there.
 #[derive(Default)]
@@ -199,25 +199,29 @@ impl SimTables {
                 artifacts[arch as usize] = Some(engine.run_source(&arch_dsl_source(arch))?);
             }
         }
-        // Partition the keys to simulate into same-arch lane groups of
-        // `cfg.lanes`, in `sim_keys` order within each architecture:
-        // each group's software tasks execute as one batch-lane VM
-        // invocation (one decoded instruction stream over all its images). Grouping is a
-        // pure function of the job stream and `cfg.lanes`, and every
-        // per-key latency is bit-identical to a solo run by the lane-VM
-        // contract — so neither lanes nor threads can change the table.
+        // Partition the keys to simulate into lane groups of at most
+        // `cfg.lanes` keys of one phase shape, `(arch, side)`, in
+        // `sim_keys` order within each shape: each group's software
+        // tasks execute as one batch-lane VM invocation (one decoded
+        // instruction stream over all its images) and its boards' hardware
+        // phase as one group phase whose lanes never diverge on length.
+        // Grouping is a pure function of the job stream and `cfg.lanes`,
+        // and every per-key latency is bit-identical to a solo run by the
+        // lane-VM contract — so neither lanes nor threads can change the
+        // table.
         let lanes = cfg.lanes.max(1);
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut open: [Option<usize>; 4] = [None; 4];
+        let mut open: HashMap<u64, usize, BuildHasherDefault<KeyHasher>> = HashMap::default();
         for &k in &sim_keys {
-            let arch = keys[k].0 as usize;
-            let slot = *open[arch].get_or_insert_with(|| {
+            let (arch, side, _) = keys[k];
+            let shape = (arch as u64) << 32 | side as u64;
+            let slot = *open.entry(shape).or_insert_with(|| {
                 groups.push(Vec::with_capacity(lanes));
                 groups.len() - 1
             });
             groups[slot].push(k);
             if groups[slot].len() == lanes {
-                open[arch] = None;
+                open.remove(&shape);
             }
         }
         let results = par_map(groups.len(), threads, |g| {
@@ -971,6 +975,33 @@ mod tests {
             })
         );
         assert_eq!(static_admission(&square(1448), Some(0), &cfg, 0, 0), Ok(0));
+    }
+
+    /// Shape-matched lane groups change how keys are batched, never what
+    /// a key's latency is: over a stream mixing architectures and sides
+    /// (and repeating some keys), every job reads the same estimate and
+    /// simulated latency at every lane width.
+    #[test]
+    fn lane_width_never_changes_the_tables() {
+        let jobs: Vec<JobSpec> = (0..14u64)
+            .map(|i| JobSpec {
+                id: i,
+                arch: [Arch::Arch1, Arch::Arch4, Arch::Arch2][i as usize % 3],
+                image_seed: i % 11,
+                ..square([16, 17, 24][i as usize / 2 % 3])
+            })
+            .collect();
+        let tables = |lanes: usize| {
+            let mut cfg = ServeConfig::builder().tenants(["t"]).build();
+            cfg.lanes = lanes;
+            let t = SimTables::build(&jobs, &cfg, 2).unwrap();
+            (0..jobs.len())
+                .map(|i| (t.est(i), t.lat(i)))
+                .collect::<Vec<_>>()
+        };
+        let solo = tables(1);
+        assert_eq!(tables(4), solo);
+        assert_eq!(tables(8), solo);
     }
 
     #[test]

@@ -123,9 +123,11 @@ mod tests {
             .scalar_out("ret", Ty::U32)
             .push(assign("ret", add(var("a"), var("b"))))
             .build();
-        synthesize_kernel(&k, &HlsOptions::default())
-            .unwrap()
-            .report
+        std::sync::Arc::unwrap_or_clone(
+            synthesize_kernel(&k, &HlsOptions::default())
+                .unwrap()
+                .report,
+        )
     }
 
     fn design() -> BlockDesign {

@@ -21,15 +21,18 @@ done
 echo "==> cargo test (offline)"
 cargo test --offline --workspace -q
 
-echo "==> kernel tests under every lane-VM ISA tier"
+echo "==> kernel, board and app tests under every lane-VM ISA tier"
 # The lane VM's hot loop is the only compiled kernel loop, and it is
 # compiled once per ISA tier (portable, AVX2, AVX-512) and picked at run
 # time; the run above only exercises the widest tier the host supports.
 # ACCELSOC_LANE_ISA pins the narrower tiers (an override the CPU cannot
-# run falls back to the detected tier).
+# run falls back to the detected tier). Board accelerators and the apps'
+# software stages run as multi-lane batches, so their crates run here
+# too.
 for isa in scalar avx2; do
     echo "    ACCELSOC_LANE_ISA=$isa"
-    ACCELSOC_LANE_ISA=$isa cargo test --release --offline -q -p accelsoc-kernel
+    ACCELSOC_LANE_ISA=$isa cargo test --release --offline -q \
+        -p accelsoc-kernel -p accelsoc-platform -p accelsoc-apps
 done
 
 echo "==> perfbench tests (offline, locked)"
