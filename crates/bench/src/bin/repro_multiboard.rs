@@ -14,10 +14,16 @@
 //! ```
 //!
 //! `--json` additionally writes a versioned machine-readable record
-//! (schema `accelsoc-bench-multiboard/1`), e.g. `BENCH_multiboard.json`.
+//! (schema `accelsoc-bench-multiboard/2`), e.g. `BENCH_multiboard.json`.
+//! Every field is virtual time or a plan property except each sweep
+//! row's `host_wall_s` (host seconds for the whole run: HTG, packer,
+//! co-simulation and functional chains, on one host thread) and
+//! `host_chains_per_s` (chains run per host second; 0 for a refused
+//! run, which runs none).
 
 use accelsoc_bench::{save_json, Table};
 use accelsoc_partition::{run_partition_sim, PartitionSimError, PartitionSimOptions};
+use std::time::Instant;
 
 const SCALES: [usize; 4] = [1, 4, 16, 48];
 const BOARDS: [usize; 4] = [1, 2, 4, 8];
@@ -70,6 +76,7 @@ fn main() {
         "makespan (ms)",
         "link stall (ms)",
         "exact",
+        "host (s)",
     ]);
     let mut sweeps = Vec::new();
     for &scale in &SCALES {
@@ -77,7 +84,10 @@ fn main() {
         // on how many boards the timing model spreads the design over.
         let mut golden: Option<Vec<u64>> = None;
         for &boards in &BOARDS {
-            match run_partition_sim(&opts(scale, boards, side, seed, 1)) {
+            let start = Instant::now();
+            let result = run_partition_sim(&opts(scale, boards, side, seed, 1));
+            let host_wall_s = start.elapsed().as_secs_f64();
+            match result {
                 Ok(r) => {
                     assert!(
                         r.pixel_exact,
@@ -107,6 +117,7 @@ fn main() {
                         format!("{:.3}", r.sim.makespan_ns / 1e6),
                         format!("{:.3}", r.sim.link_stall_ps as f64 / 1e9),
                         r.pixel_exact.to_string(),
+                        format!("{host_wall_s:.4}"),
                     ]);
                     sweeps.push(serde_json::json!({
                         "scale": scale,
@@ -119,6 +130,8 @@ fn main() {
                         "link_stall_ps": r.sim.link_stall_ps,
                         "links": r.sim.links,
                         "pixel_exact": r.pixel_exact,
+                        "host_wall_s": host_wall_s,
+                        "host_chains_per_s": r.chains.len() as f64 / host_wall_s,
                     }));
                 }
                 Err(e) => {
@@ -132,12 +145,15 @@ fn main() {
                         "-".into(),
                         "-".into(),
                         format!("{}: over budget", error_kind(&e)),
+                        format!("{host_wall_s:.4}"),
                     ]);
                     sweeps.push(serde_json::json!({
                         "scale": scale,
                         "budget": boards,
                         "error_kind": error_kind(&e),
                         "error": e.to_string(),
+                        "host_wall_s": host_wall_s,
+                        "host_chains_per_s": 0.0,
                     }));
                 }
             }
@@ -169,7 +185,7 @@ fn main() {
     );
 
     let doc = serde_json::json!({
-        "schema": "accelsoc-bench-multiboard/1",
+        "schema": "accelsoc-bench-multiboard/2",
         "side": side,
         "seed": seed,
         "scales_swept": SCALES,

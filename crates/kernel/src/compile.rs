@@ -52,11 +52,20 @@
 //!   latched bound and jumps to the body itself, so steady-state loop
 //!   iterations dispatch one control op instead of two;
 //!   [`Op::LoopHead`] only runs the loop-entry test.
+//!
+//! # Column loops
+//!
+//! After immediate pooling, every counted loop whose body is
+//! straight-line and cannot fail once a few per-chunk checks pass is
+//! lowered a second time, to a `ColLoop`: a column program the lane VM
+//! runs a chunk of iterations per op dispatch ([`crate::lanes`]). The
+//! op stream is unchanged, so every other loop, and any iteration a
+//! chunk cannot take, runs op at a time.
 
 use crate::ir::{BinOp, Expr, Kernel, LValue, ParamKind, Stmt, UnOp};
 use crate::types::Ty;
 use crate::vm::{bin_checked, bin_infallible, un_op};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// An operand: a register or an inline immediate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -362,14 +371,6 @@ pub enum Op {
         port: u16,
         s2: u32,
     },
-    /// A lane superinstruction (see [`FusedOp`]) in the head slot of the
-    /// run it covers, together with the head's own op. The hot loop runs
-    /// the whole run in one dispatch; the general step runs the head op
-    /// alone, and the middle slots keep their own ops, so op-granularity
-    /// execution and re-entry at any constituent pc after a hot-loop bail
-    /// see the unfused program. The box keeps the `Op` enum's size
-    /// unchanged.
-    Fused(Box<(Op, FusedOp)>),
 }
 
 impl Op {
@@ -392,109 +393,6 @@ impl Op {
             _ => None,
         }
     }
-}
-
-/// Lane-VM superinstructions: several consecutive ops executed as one
-/// hot-loop dispatch. Candidates are matched *after* immediate pooling
-/// (every operand is a plain register row, stored here as raw `u16`
-/// indices) and only where no branch target lands inside the run, so the
-/// fused head is the unique entry point. Each variant carries `steps`:
-/// the run's total `steps` debit (including the staged `s2` shares),
-/// pre-summed so the hot loop does one limit check per superinstruction —
-/// sums are monotone, so "the total would exceed the limit" is exactly
-/// "some constituent's own check would trip", and the hot loop bails to
-/// op-granularity execution in that case. "Into a variable" below means a
-/// producing op whose wrap is typed (store-fused); the other producers
-/// write raw temporaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FusedOp {
-    /// `ReadStream` into a variable + `CmpSelectWrite` + `LoopBack` —
-    /// the streaming compare/threshold loop body, one dispatch per
-    /// element.
-    ReadCswBack {
-        dst: u16,
-        rw: Wrap,
-        port: u16,
-        op: BinOp,
-        wport: u16,
-        x: u16,
-        y: u16,
-        a: u16,
-        b: u16,
-        var: u16,
-        lty: Ty,
-        hi: u16,
-        body: u32,
-        steps: u32,
-    },
-    /// `ReadStream` into a variable + `IncIdx` (indexed by the read's
-    /// dst) + `LoopBack` — the histogram loop body, one dispatch per
-    /// element.
-    ReadIncBack {
-        dst: u16,
-        rw: Wrap,
-        port: u16,
-        arr: u16,
-        v: u16,
-        var: u16,
-        lty: Ty,
-        hi: u16,
-        body: u32,
-        steps: u32,
-    },
-    /// `ReadStream`, two `ShrAnd` and a `Bin(And)`, each into a variable,
-    /// the last three extracting fields of the read value — the
-    /// packed-pixel unpack prologue.
-    ReadUnpack3 {
-        dst: u16,
-        rw: Wrap,
-        port: u16,
-        d1: u16,
-        w1: Wrap,
-        k1: u8,
-        m1: i64,
-        d2: u16,
-        w2: Wrap,
-        k2: u8,
-        m2: i64,
-        d3: u16,
-        w3: Wrap,
-        b3: u16,
-        steps: u32,
-    },
-    /// `Bin(Mul)` + `MulAcc` + `MulAcc`, all into temporaries — a
-    /// three-term dot product.
-    Dot3 {
-        d1: u16,
-        a1: u16,
-        b1: u16,
-        d2: u16,
-        a2: u16,
-        b2: u16,
-        c2: u16,
-        d3: u16,
-        a3: u16,
-        b3: u16,
-        c3: u16,
-        steps: u32,
-    },
-    /// `ShrImm` into a variable + `WriteStream2` + `LoopBack` — the
-    /// scale-and-emit loop tail.
-    ShrWriteBack {
-        dst: u16,
-        w: Wrap,
-        a: u16,
-        sh: u8,
-        port_a: u16,
-        sa: u16,
-        port_b: u16,
-        sb: u16,
-        var: u16,
-        lty: Ty,
-        hi: u16,
-        body: u32,
-        steps: u32,
-    },
 }
 
 /// A local array's place in the flat arena.
@@ -525,8 +423,7 @@ pub struct CompiledKernel {
     /// pooled into a broadcast register (see
     /// [`CompiledKernel::imm_seed`]), so the lane VM's per-lane loops
     /// fetch every operand from an SoA row with no immediate-vs-register
-    /// branch. The head of each superinstruction run is an
-    /// [`Op::Fused`], which also carries the op it replaced.
+    /// branch.
     pub(crate) lane_ops: Vec<Op>,
     /// Per-op counter increments in [`StatDelta::to_array`] lane order.
     /// Replayed `counts[pc] * delta` on successful exit — counters other
@@ -548,13 +445,17 @@ pub struct CompiledKernel {
     pub(crate) imm_seed: Vec<i64>,
     /// Register-file size for the lane VM (`num_regs + imm_seed.len()`).
     pub(crate) lane_regs: u16,
+    /// The column-safe loops, in program order (see [`ColLoop`]).
+    pub(crate) col_loops: Vec<ColLoop>,
+    /// `col_at[pc]` is the index into `col_loops` of the loop whose body
+    /// starts at `pc`, or [`NO_LOOP`].
+    pub(crate) col_at: Vec<u16>,
 }
 
 impl CompiledKernel {
     /// Human-readable listing of the program (the pooled immediates'
-    /// registers, then per op its `pc`, step cost and op; a fused head
-    /// prints its base op and, below it, the superinstruction) — a
-    /// debugging and tuning aid for the superinstruction passes.
+    /// registers, then per op its `pc`, step cost and op, then each
+    /// column loop's program) — a debugging and tuning aid.
     pub fn disasm(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
@@ -562,15 +463,38 @@ impl CompiledKernel {
             let _ = writeln!(s, "      imm Reg({}) = {v}", self.num_regs as usize + i);
         }
         for (pc, op) in self.lane_ops.iter().enumerate() {
-            let _ = match op {
-                Op::Fused(f) => write!(
-                    s,
-                    "{pc:4}  [{:2}] {:?}\n      fused: {:?}",
-                    self.steps[pc], f.0, f.1
-                ),
-                op => write!(s, "{pc:4}  [{:2}] {op:?}", self.steps[pc]),
+            let _ = writeln!(s, "{pc:4}  [{:2}] {op:?}", self.steps[pc]);
+        }
+        for cl in &self.col_loops {
+            let _ = writeln!(
+                s,
+                "column loop pcs {}..={}: {} columns, splat (col, reg) {:?} ({} shared), \
+                 iota {:?}, {} steps/iteration, checks {:?}, write-back (reg, col) {:?}",
+                cl.body,
+                cl.back,
+                cl.cols,
+                cl.splats,
+                cl.shared,
+                cl.iota,
+                cl.iter_steps,
+                cl.checks,
+                cl.writeback
+            );
+            let col = |c: u16| match c {
+                NO_COL => "-".to_string(),
+                c => c.to_string(),
             };
-            s.push('\n');
+            for c in &cl.ops {
+                let ins: Vec<String> = c.ins.iter().map(|&i| col(i)).collect();
+                let scan = if c.carry != 0 { " scan" } else { "" };
+                let _ = writeln!(
+                    s,
+                    "      col {:>2} <- [{}]{scan} {:?}",
+                    col(c.out),
+                    ins.join(", "),
+                    c.op
+                );
+            }
         }
         s
     }
@@ -629,234 +553,6 @@ fn for_each_src(op: &mut Op, f: &mut impl FnMut(&mut Src)) {
             f(src_b);
         }
         Op::ReadStream { .. } | Op::Jump { .. } => {}
-        // Superinstructions are formed after pooling, from already
-        // immediate-free ops; their operands are raw register indices.
-        Op::Fused(_) => {}
-    }
-}
-
-/// Superinstruction selection over the pooled op stream: replace the
-/// head of each matched run with an [`Op::Fused`] that keeps the head's
-/// op, while the middle slots keep theirs (see [`Op::Fused`] for why). A
-/// run is legal only when no branch target — loop exit, back-edge, `if`
-/// target, `Jump` — lands strictly inside it; entry at the head (e.g. a
-/// back-edge to its own loop body) is fine. Patterns that end in a
-/// `LoopBack` additionally require that no earlier constituent writes
-/// the induction or bound register, so the back-edge test is computable
-/// *before* any effect commits (the hot loop's bail-before-commit
-/// contract).
-fn fuse_lane_ops(lane_ops: &mut [Op], deltas: &[[u32; 11]]) {
-    let n = lane_ops.len();
-    let mut is_target = vec![false; n + 1];
-    for op in lane_ops.iter() {
-        match op {
-            Op::LoopHead { exit, .. } => is_target[*exit as usize] = true,
-            Op::LoopBack { body, .. } => is_target[*body as usize] = true,
-            Op::BranchIfZero { target, .. } | Op::Jump { target } => {
-                is_target[*target as usize] = true
-            }
-            _ => {}
-        }
-    }
-    let total =
-        |pc: usize, len: usize| -> u32 { deltas[pc..pc + len].iter().map(|d| d[STAT_STEPS]).sum() };
-    let reg = |s: &Src| match s {
-        Src::Reg(r) => *r,
-        Src::Imm(_) => unreachable!("pooled ops carry no immediates"),
-    };
-
-    let mut pc = 0;
-    while pc < n {
-        let clear = |len: usize| pc + len <= n && (pc + 1..pc + len).all(|i| !is_target[i]);
-        let fused = match &lane_ops[pc..n.min(pc + 4)] {
-            [Op::ReadStream { dst, w: rw, port }, Op::ShrAnd {
-                dst: d1,
-                w: w1,
-                a: a1,
-                k: k1,
-                mask: m1,
-            }, Op::ShrAnd {
-                dst: d2,
-                w: w2,
-                a: a2,
-                k: k2,
-                mask: m2,
-            }, Op::Bin {
-                op: BinOp::And,
-                dst: d3,
-                w: w3,
-                a: a3,
-                b,
-            }] if clear(4)
-                && [rw, w1, w2, w3].iter().all(|w| w.is_typed())
-                && [a1, a2, a3].iter().all(|a| **a == Src::Reg(*dst)) =>
-            {
-                Some((
-                    FusedOp::ReadUnpack3 {
-                        dst: *dst,
-                        rw: *rw,
-                        port: *port,
-                        d1: *d1,
-                        w1: *w1,
-                        k1: *k1,
-                        m1: *m1,
-                        d2: *d2,
-                        w2: *w2,
-                        k2: *k2,
-                        m2: *m2,
-                        d3: *d3,
-                        w3: *w3,
-                        b3: reg(b),
-                        steps: total(pc, 4),
-                    },
-                    4,
-                ))
-            }
-            [Op::ReadStream { dst, w: rw, port }, Op::IncIdx { arr, idx, v, .. }, Op::LoopBack {
-                var,
-                ty: lty,
-                hi,
-                body,
-            }, ..]
-                if clear(3)
-                    && rw.is_typed()
-                    && *idx == Src::Reg(*dst)
-                    && *var != *dst
-                    && reg(hi) != *dst =>
-            {
-                Some((
-                    FusedOp::ReadIncBack {
-                        dst: *dst,
-                        rw: *rw,
-                        port: *port,
-                        arr: *arr,
-                        v: reg(v),
-                        var: *var,
-                        lty: *lty,
-                        hi: reg(hi),
-                        body: *body,
-                        steps: total(pc, 3),
-                    },
-                    3,
-                ))
-            }
-            [Op::ReadStream { dst, w: rw, port }, Op::CmpSelectWrite {
-                op,
-                port: wport,
-                x,
-                y,
-                a,
-                b,
-            }, Op::LoopBack {
-                var,
-                ty: lty,
-                hi,
-                body,
-            }, ..]
-                if clear(3) && rw.is_typed() && *var != *dst && reg(hi) != *dst =>
-            {
-                Some((
-                    FusedOp::ReadCswBack {
-                        dst: *dst,
-                        rw: *rw,
-                        port: *port,
-                        op: *op,
-                        wport: *wport,
-                        x: reg(x),
-                        y: reg(y),
-                        a: reg(a),
-                        b: reg(b),
-                        var: *var,
-                        lty: *lty,
-                        hi: reg(hi),
-                        body: *body,
-                        steps: total(pc, 3),
-                    },
-                    3,
-                ))
-            }
-            [Op::ShrImm { dst, w, a, k }, Op::WriteStream2 {
-                port_a,
-                src_a,
-                port_b,
-                src_b,
-                ..
-            }, Op::LoopBack {
-                var,
-                ty: lty,
-                hi,
-                body,
-            }, ..]
-                if clear(3) && w.is_typed() && *var != *dst && reg(hi) != *dst =>
-            {
-                Some((
-                    FusedOp::ShrWriteBack {
-                        dst: *dst,
-                        w: *w,
-                        a: reg(a),
-                        sh: *k,
-                        port_a: *port_a,
-                        sa: reg(src_a),
-                        port_b: *port_b,
-                        sb: reg(src_b),
-                        var: *var,
-                        lty: *lty,
-                        hi: reg(hi),
-                        body: *body,
-                        steps: total(pc, 3),
-                    },
-                    3,
-                ))
-            }
-            [Op::Bin {
-                op: BinOp::Mul,
-                dst: d1,
-                w: w1,
-                a: a1,
-                b: b1,
-            }, Op::MulAcc {
-                dst: d2,
-                w: w2,
-                a: a2,
-                b: b2,
-                acc: c2,
-            }, Op::MulAcc {
-                dst: d3,
-                w: w3,
-                a: a3,
-                b: b3,
-                acc: c3,
-            }, ..]
-                if clear(3) && ![w1, w2, w3].iter().any(|w| w.is_typed()) =>
-            {
-                Some((
-                    FusedOp::Dot3 {
-                        d1: *d1,
-                        a1: reg(a1),
-                        b1: reg(b1),
-                        d2: *d2,
-                        a2: reg(a2),
-                        b2: reg(b2),
-                        c2: reg(c2),
-                        d3: *d3,
-                        a3: reg(a3),
-                        b3: reg(b3),
-                        c3: reg(c3),
-                        steps: total(pc, 3),
-                    },
-                    3,
-                ))
-            }
-            _ => None,
-        };
-        match fused {
-            Some((f, len)) => {
-                let base = lane_ops[pc].clone();
-                lane_ops[pc] = Op::Fused(Box::new((base, f)));
-                pc += len;
-            }
-            None => pc += 1,
-        }
     }
 }
 
@@ -885,6 +581,327 @@ fn pool_imms(ops: &mut [Op], num_regs: u16) -> Vec<i64> {
         });
     }
     pool
+}
+
+/// Iterations a column loop runs per lane in one chunk: each body op
+/// runs once per chunk, over up to `CHUNK` rows per lane (see
+/// [`ColLoop`]).
+pub(crate) const CHUNK: usize = 256;
+
+/// [`CompiledKernel::col_at`] entry of a pc that starts no column loop.
+pub(crate) const NO_LOOP: u16 = u16::MAX;
+
+/// [`ColOp`] column of an operand slot the op does not have, of an
+/// operand that reads the op's own destination, or of an op without a
+/// value.
+pub(crate) const NO_COL: u16 = u16::MAX;
+
+/// How a chunk proves an array index in range before it starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IndexCheck {
+    /// The induction variable: the chunk's values `v..v + rows` must lie
+    /// in `0..len`.
+    Induction { len: u32 },
+    /// A loop-invariant register, whose value must lie in `0..len`.
+    Invariant { reg: u16, len: u32 },
+}
+
+/// One body op of a column loop. Its operands and its value are
+/// columns: per lane, one row per iteration of the chunk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ColOp {
+    /// The op as the op stream holds it (pooled operands).
+    pub(crate) op: Op,
+    /// The column of each register operand, in `for_each_src` order.
+    pub(crate) ins: [u16; 4],
+    /// The column of the op's value: its destination register's, or the
+    /// value a write-fused op pushes.
+    pub(crate) out: u16,
+    /// Bit `s` set: operand `s` reads the op's own destination, which no
+    /// other body op writes. The op is then an in-order scan (`total +=
+    /// h[i]`), run row by row from the register's value before the chunk.
+    pub(crate) carry: u8,
+}
+
+/// A column-safe loop: a counted loop whose body the lane VM runs a
+/// chunk of iterations per op dispatch instead of one (DESIGN.md §14).
+/// The body is straight-line, so its only branch is the closing
+/// `LoopBack`, and nothing in it can fail once a chunk's preconditions
+/// hold: it has no `BinChecked`, one op touches each stream port, each
+/// array is only read or touched by exactly one `StoreIdx`/`IncIdx`,
+/// every index is provably in range, and every register it reads is
+/// loop-invariant, the induction variable, written earlier in the
+/// iteration, or the reading op's own sole destination. Columns
+/// `0..splats.len()` hold the invariant registers, then comes the
+/// induction variable's, then the ops' values in body order, so an op
+/// only reads columns below its own. The first `shared` splats are
+/// pooled immediates, equal in every lane, so a chunk fills one column
+/// for all lanes; every other column has one block of rows per lane.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ColLoop {
+    /// First body pc (the `LoopBack` target).
+    pub(crate) body: u32,
+    /// The closing `LoopBack`'s pc; the loop exits to `back + 1`.
+    pub(crate) back: u32,
+    pub(crate) var: u16,
+    /// Largest value of the induction variable's type: past a bound
+    /// above it the back-edge wraps, so no chunk runs.
+    pub(crate) var_max: i64,
+    /// The latched bound's register.
+    pub(crate) hi: u16,
+    /// `steps` one iteration debits: the body ops' and the back-edge's.
+    pub(crate) iter_steps: u64,
+    /// Columns a chunk uses.
+    pub(crate) cols: u16,
+    /// `(column, register)` of each invariant register the body reads.
+    pub(crate) splats: Vec<(u16, u16)>,
+    /// How many of the splats are pooled immediates (see above).
+    pub(crate) shared: u16,
+    /// The induction variable's column, if the body reads it.
+    pub(crate) iota: Option<u16>,
+    pub(crate) ops: Vec<ColOp>,
+    /// Input ports the body reads, one token per iteration each.
+    pub(crate) reads: Vec<u16>,
+    pub(crate) checks: Vec<IndexCheck>,
+    /// `(register, column)` of each register the body writes, committed
+    /// from its last writer's last row.
+    pub(crate) writeback: Vec<(u16, u16)>,
+}
+
+impl Op {
+    /// The destination register and wrap of a value-producing op,
+    /// `StoreVar` included.
+    pub(crate) fn dest(&self) -> Option<(u16, Wrap)> {
+        match self {
+            Op::StoreVar { dst, ty, .. } => Some((*dst, (*ty).into())),
+            op => op.clone().dest_mut().map(|(d, w)| (*d, *w)),
+        }
+    }
+}
+
+/// The register operands of a pooled op, in `for_each_src` order.
+fn src_regs(op: &Op) -> Vec<u16> {
+    let mut regs = Vec::new();
+    for_each_src(&mut op.clone(), &mut |s| match *s {
+        Src::Reg(r) => regs.push(r),
+        Src::Imm(_) => unreachable!("pooled ops carry no immediates"),
+    });
+    regs
+}
+
+/// Lower the loop closed by the `LoopBack` at `back` to a column program
+/// if it is column-safe (see [`ColLoop`]). `None` for any other op and
+/// any other loop; those run op at a time.
+fn column_loop(
+    ops: &[Op],
+    deltas: &[[u32; 11]],
+    arrays: &[ArrayInfo],
+    num_regs: u16,
+    back: usize,
+) -> Option<ColLoop> {
+    let Op::LoopBack {
+        var,
+        ty,
+        hi: Src::Reg(hi),
+        body,
+    } = ops[back]
+    else {
+        return None;
+    };
+    let span = &ops[body as usize..back];
+    if span.is_empty() || hi == var || span.len() >= NO_COL as usize / 2 {
+        return None;
+    }
+
+    // Effects: no branch, no fallible arithmetic, one op per stream
+    // port, and a written array touched by its writer alone.
+    let mut ports_in = Vec::new();
+    let mut ports_out = Vec::new();
+    let mut touches = vec![(0u32, false); arrays.len()];
+    let mut writers: BTreeMap<u16, u32> = BTreeMap::new();
+    for op in span {
+        match *op {
+            Op::BinChecked { .. }
+            | Op::LoopInit { .. }
+            | Op::LoopHead { .. }
+            | Op::LoopBack { .. }
+            | Op::BranchIfZero { .. }
+            | Op::Jump { .. } => return None,
+            Op::ReadStream { port, .. } => ports_in.push(port),
+            Op::WriteStream { port, .. }
+            | Op::SelectWrite { port, .. }
+            | Op::CmpSelectWrite { port, .. } => ports_out.push(port),
+            Op::WriteStream2 { port_a, port_b, .. } => ports_out.extend([port_a, port_b]),
+            Op::LoadIdxWrite { arr, port, .. } => {
+                ports_out.push(port);
+                touches[arr as usize].0 += 1;
+            }
+            Op::LoadIdx { arr, .. } => touches[arr as usize].0 += 1,
+            Op::StoreIdx { arr, .. } | Op::IncIdx { arr, .. } => {
+                touches[arr as usize] = (touches[arr as usize].0 + 1, true);
+            }
+            _ => {}
+        }
+        if let Some((d, _)) = op.dest() {
+            *writers.entry(d).or_default() += 1;
+        }
+    }
+    let unique = |ports: &mut Vec<u16>| {
+        let n = ports.len();
+        ports.sort_unstable();
+        ports.dedup();
+        ports.len() == n
+    };
+    if !unique(&mut ports_in)
+        || !unique(&mut ports_out)
+        || touches.iter().any(|&(n, written)| written && n > 1)
+    {
+        return None;
+    }
+
+    // Where each operand's value comes from, walking the body in order.
+    enum From {
+        Var,
+        Invariant(u16),
+        Op(usize),
+        Carry,
+    }
+    let mut last: BTreeMap<u16, usize> = BTreeMap::new();
+    let mut from: Vec<Vec<From>> = Vec::with_capacity(span.len());
+    for (i, op) in span.iter().enumerate() {
+        let dst = op.dest().map(|(d, _)| d);
+        let f = src_regs(op)
+            .into_iter()
+            .map(|r| match (last.get(&r), writers.get(&r)) {
+                _ if r == var => Some(From::Var),
+                (Some(&w), _) => Some(From::Op(w)),
+                (None, None) => Some(From::Invariant(r)),
+                (None, Some(1)) if dst == Some(r) => Some(From::Carry),
+                // Carried from another op's previous iteration.
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        from.push(f);
+        if let Some(d) = dst {
+            last.insert(d, i);
+        }
+    }
+
+    // Every index in range: the induction variable or an invariant,
+    // checked per chunk, or an unsigned wrap no wider than the array.
+    let mut checks = Vec::new();
+    for (op, f) in span.iter().zip(&from) {
+        let (Op::LoadIdx { arr, .. }
+        | Op::LoadIdxWrite { arr, .. }
+        | Op::StoreIdx { arr, .. }
+        | Op::IncIdx { arr, .. }) = *op
+        else {
+            continue;
+        };
+        let len = arrays[arr as usize].len;
+        // The index is each indexed op's first operand.
+        match f[0] {
+            From::Var => checks.push(IndexCheck::Induction { len }),
+            From::Invariant(reg) => checks.push(IndexCheck::Invariant { reg, len }),
+            From::Op(w) => {
+                let (_, wr) = span[w].dest()?;
+                let bits = 64 - wr.shift as u32;
+                if wr.signed || !wr.is_typed() || bits > 32 || 1u64 << bits > len as u64 {
+                    return None;
+                }
+            }
+            From::Carry => return None,
+        }
+    }
+
+    // Pooled immediates first: registers from `num_regs` up.
+    let mut invariants: Vec<u16> = from
+        .iter()
+        .flatten()
+        .filter_map(|f| match *f {
+            From::Invariant(r) => Some(r),
+            _ => None,
+        })
+        .collect();
+    invariants.sort_unstable_by_key(|&r| (r < num_regs, r));
+    invariants.dedup();
+    let shared = invariants.iter().filter(|&&r| r >= num_regs).count() as u16;
+    let splats: Vec<(u16, u16)> = invariants
+        .into_iter()
+        .enumerate()
+        .map(|(c, r)| (c as u16, r))
+        .collect();
+    let mut cols = splats.len() as u16;
+    let mut next_col = || {
+        cols += 1;
+        cols - 1
+    };
+    let iota = from
+        .iter()
+        .flatten()
+        .any(|f| matches!(f, From::Var))
+        .then(&mut next_col);
+    let out: Vec<u16> = span
+        .iter()
+        .map(|op| {
+            let valued = op.dest().is_some()
+                || matches!(
+                    op,
+                    Op::SelectWrite { .. } | Op::CmpSelectWrite { .. } | Op::LoadIdxWrite { .. }
+                );
+            if valued {
+                next_col()
+            } else {
+                NO_COL
+            }
+        })
+        .collect();
+    let col_of = |f: &From| match *f {
+        From::Var => iota.expect("the body reads the induction variable"),
+        From::Invariant(r) => splats.iter().find(|&&(_, s)| s == r).expect("splat").0,
+        From::Op(w) => out[w],
+        From::Carry => NO_COL,
+    };
+    let col_ops = span
+        .iter()
+        .zip(&from)
+        .zip(&out)
+        .map(|((op, f), &out)| {
+            let mut ins = [NO_COL; 4];
+            let mut carry = 0u8;
+            for (s, f) in f.iter().enumerate() {
+                ins[s] = col_of(f);
+                if matches!(f, From::Carry) {
+                    carry |= 1 << s;
+                }
+            }
+            ColOp {
+                op: op.clone(),
+                ins,
+                out,
+                carry,
+            }
+        })
+        .collect();
+    Some(ColLoop {
+        body,
+        back: back as u32,
+        var,
+        var_max: ty.range().1,
+        hi,
+        iter_steps: deltas[body as usize..=back]
+            .iter()
+            .map(|d| d[STAT_STEPS] as u64)
+            .sum(),
+        cols,
+        splats,
+        shared,
+        iota,
+        ops: col_ops,
+        reads: ports_in,
+        checks,
+        writeback: last.iter().map(|(&r, &w)| (r, out[w])).collect(),
+    })
 }
 
 impl CompiledKernel {
@@ -1048,9 +1065,17 @@ impl<'k> Compiler<'k> {
             })
             .collect();
         let imm_seed = pool_imms(&mut self.ops, self.max_regs);
-        fuse_lane_ops(&mut self.ops, &self.deltas);
+        let col_loops: Vec<ColLoop> = (0..self.ops.len())
+            .filter_map(|pc| column_loop(&self.ops, &self.deltas, &self.arrays, self.max_regs, pc))
+            .collect();
+        let mut col_at = vec![NO_LOOP; self.ops.len()];
+        for (i, cl) in col_loops.iter().enumerate() {
+            col_at[cl.body as usize] = i as u16;
+        }
         CompiledKernel {
             name: self.kernel.name.clone(),
+            col_loops,
+            col_at,
             lane_ops: self.ops,
             lane_regs: self.max_regs + imm_seed.len() as u16,
             imm_seed,

@@ -19,6 +19,7 @@ use crate::compile::CompiledKernel;
 use crate::interp::{ExecError, ExecOutcome, StreamBundle};
 use crate::ir::Kernel;
 use crate::lanes::BatchOutcome;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// A compiled kernel; the unit the flow engine hands out and every
@@ -47,10 +48,11 @@ impl ExecUnit {
     }
 
     /// Batched invocation on the lane VM: one decoded instruction
-    /// stream over all lanes. See [`CompiledKernel::run_batch`].
-    pub fn run_batch(
+    /// stream over all lanes. See [`CompiledKernel::run_batch`]; each
+    /// lane's scalar inputs may be a map or a reference to one.
+    pub fn run_batch<S: Borrow<HashMap<String, i64>>>(
         &self,
-        scalar_inputs: &[HashMap<String, i64>],
+        scalar_inputs: &[S],
         streams: &mut [StreamBundle],
     ) -> BatchOutcome {
         self.compiled.run_batch(scalar_inputs, streams)

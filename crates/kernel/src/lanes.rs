@@ -49,12 +49,35 @@
 //! control flow ever fails to line up with the structured guess, parked
 //! groups simply run to completion sequentially — reconvergence is an
 //! optimization, never a correctness requirement.
+//!
+//! # Column loops
+//!
+//! A counted loop the compiler found column-safe (a `ColLoop`) runs a
+//! *chunk* of up to `CHUNK` (256) iterations per op dispatch instead of
+//! one: at the loop's body start each body op runs once, as a tight loop
+//! over the rows of every lane in the group (one row per iteration, each
+//! lane to its own trip count), and the chunk commits cursors, outputs,
+//! the arena, the body's registers from their last rows, `counts[pc] +=
+//! rows` for every pc of the loop, the back-edge tallies and `steps`.
+//! A chunk starts only when nothing in it can trap — enough tokens on
+//! every port the body reads, every index provably in range, the whole
+//! step debit under the limit, no wrapping back-edge — and otherwise
+//! that iteration runs op at a time, so every counter, trap point,
+//! partial effect and `StepLimit` stays the interpreter's. Lanes whose
+//! trip counts end in different chunks go on under per-lane accounting,
+//! as at a divergent back-edge. One dispatch is counted per op of the
+//! loop per chunk, across all lanes, so `dispatches` keeps measuring
+//! host decode work.
 
-use crate::compile::{CompiledKernel, FusedOp, Op, Src, Wrap, STAT_STEPS};
+use crate::compile::{
+    ColLoop, CompiledKernel, IndexCheck, Op, Src, Wrap, CHUNK, NO_COL, NO_LOOP, STAT_STEPS,
+};
 use crate::interp::{ExecError, ExecOutcome, StreamBundle};
+use crate::ir::{BinOp, UnOp};
 use crate::vm::{
     bin_checked, bin_infallible, div_pow2, mod_pow2, stats_from, un_op, wrap, DEFAULT_STEP_LIMIT,
 };
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -99,16 +122,18 @@ fn hot_isa() -> HotIsa {
     })
 }
 
-/// The token buffers of one batch: the input snapshot arena and the
-/// per-(port, lane) output accumulators. Each thread keeps its last
-/// pair for the next call, because a batch's buffers are sized by its
-/// token counts — hundreds of KB for a lane group of small images —
-/// and allocating them per call let the allocator hand the pages back
-/// to the OS on every return and fault them in again on the next call.
+/// The token buffers of one batch: the input snapshot arena, the
+/// per-(port, lane) output accumulators and the column loops' rows.
+/// Each thread keeps its last set for the next call, because a batch's
+/// buffers are sized by its token counts and lane count — hundreds of KB
+/// for a lane group of small images — and allocating them per call let
+/// the allocator hand the pages back to the OS on every return and fault
+/// them in again on the next call.
 #[derive(Default)]
 struct TokenBufs {
     in_all: Vec<i64>,
     out_bufs: Vec<Vec<i64>>,
+    cols: Vec<i64>,
 }
 
 thread_local! {
@@ -119,7 +144,8 @@ thread_local! {
 /// lane == bundle index) plus the number of host op dispatches the whole
 /// batch cost. Converged lanes share every dispatch, so while they stay
 /// converged a K-lane batch costs the dispatches of one lane alone —
-/// the amortization the batch reports surface.
+/// the amortization the batch reports surface — and a column loop
+/// costs one dispatch per op per chunk of iterations.
 #[derive(Debug)]
 pub struct BatchOutcome {
     pub lanes: Vec<Result<ExecOutcome, ExecError>>,
@@ -193,6 +219,11 @@ struct LaneVm<'a> {
     cond: Vec<bool>,
     /// Per-lane value scratch for staged load+write ops.
     vals: Vec<i64>,
+    /// Column-loop rows: column `c` of the group's `j`-th lane is
+    /// `cols[(c * n + j) * CHUNK..][..rows[j]]` for a group of `n`.
+    cols: Vec<i64>,
+    /// Per-position iterations of the current chunk.
+    rows: Vec<usize>,
 }
 
 #[inline(always)]
@@ -225,6 +256,130 @@ fn merge_sorted(a: Vec<u16>, b: Vec<u16>) -> Vec<u16> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
+}
+
+/// The column of an operand slot an op does not have.
+static ZEROS: [i64; CHUNK] = [0; CHUNK];
+
+/// Evaluate `$body` once per listed operator, with `$c` a constant
+/// naming it, so a row loop over `bin_infallible($c, ..)` compiles to
+/// the one operator.
+macro_rules! with_binop {
+    ($op:expr, $c:ident => $body:expr; $($v:ident)*) => {
+        match $op {
+            $(BinOp::$v => {
+                const $c: BinOp = BinOp::$v;
+                $body
+            })*
+            _ => unreachable!("fallible binops never reach a column loop"),
+        }
+    };
+}
+
+/// Evaluate `$body` with `$f` bound to the value function of column-loop
+/// value op `$op`: its operands in `for_each_src` order in, the value it
+/// writes (wrapped to its destination) or pushes out. One arm per op
+/// shape, so each row loop over `$f` is straight-line code; the
+/// arithmetic is the `vm` helpers' that every other path runs.
+macro_rules! with_value_fn {
+    ($op:expr, $f:ident => $body:expr) => {
+        match *$op {
+            Op::Bin { op, w, .. } => with_binop!(op, OP => {
+                let $f = |v: [i64; 4]| wrap(w, bin_infallible(OP, v[0], v[1]));
+                $body
+            }; Add Sub Mul And Or Xor Lt Le Gt Ge Eq Ne),
+            Op::Un { op: UnOp::Neg, w, .. } => {
+                let $f = |v: [i64; 4]| wrap(w, un_op(UnOp::Neg, v[0]));
+                $body
+            }
+            Op::Un { op: UnOp::Not, w, .. } => {
+                let $f = |v: [i64; 4]| wrap(w, un_op(UnOp::Not, v[0]));
+                $body
+            }
+            // A write-fused select pushes its raw value.
+            Op::Select { .. } | Op::SelectWrite { .. } => {
+                let w = $op.dest().map_or(Wrap::RAW, |(_, w)| w);
+                let $f = |v: [i64; 4]| wrap(w, if v[0] != 0 { v[1] } else { v[2] });
+                $body
+            }
+            Op::StoreVar { ty, .. } => {
+                let $f = |v: [i64; 4]| wrap(ty, v[0]);
+                $body
+            }
+            Op::ShlPow2 { w, k: sh, .. } => {
+                let $f = |v: [i64; 4]| wrap(w, v[0].wrapping_shl(sh as u32));
+                $body
+            }
+            Op::ShrImm { w, k: sh, .. } => {
+                let $f = |v: [i64; 4]| wrap(w, v[0].wrapping_shr(sh as u32));
+                $body
+            }
+            Op::DivPow2 { w, k: sh, .. } => {
+                let $f = |v: [i64; 4]| wrap(w, div_pow2(v[0], sh));
+                $body
+            }
+            Op::ModPow2 { w, k: sh, .. } => {
+                let $f = |v: [i64; 4]| wrap(w, mod_pow2(v[0], sh));
+                $body
+            }
+            Op::ShrAnd { w, k: sh, mask, .. } => {
+                let $f = |v: [i64; 4]| wrap(w, v[0].wrapping_shr(sh as u32) & mask);
+                $body
+            }
+            Op::MulAcc { w, .. } => {
+                let $f = |v: [i64; 4]| wrap(w, v[2].wrapping_add(v[0].wrapping_mul(v[1])));
+                $body
+            }
+            Op::CmpSelect { op, .. } | Op::CmpSelectWrite { op, .. } => {
+                let w = $op.dest().map_or(Wrap::RAW, |(_, w)| w);
+                with_binop!(op, OP => {
+                    let $f = |v: [i64; 4]| {
+                        wrap(w, if bin_infallible(OP, v[0], v[1]) != 0 { v[2] } else { v[3] })
+                    };
+                    $body
+                }; Lt Le Gt Ge Eq Ne)
+            }
+            _ => unreachable!("not a column-loop value op"),
+        }
+    };
+}
+
+/// `o[i] = f(row i of ins)`: one independent evaluation per row.
+#[inline(always)]
+fn map_rows(o: &mut [i64], ins: [&[i64]; 4], f: impl Fn([i64; 4]) -> i64) {
+    let r = o.len();
+    let [a, b, c, d] = ins;
+    let (a, b, c, d) = (&a[..r], &b[..r], &c[..r], &d[..r]);
+    for i in 0..r {
+        o[i] = f([a[i], b[i], c[i], d[i]]);
+    }
+}
+
+/// An in-order scan: like [`map_rows`], but the operands in `carry`'s
+/// bits read the previous row's value, `acc` before the first row.
+/// Each row waits on the last, so vector code gains nothing here: one
+/// out-of-line copy serves every op shape.
+#[inline(never)]
+fn scan_rows(
+    o: &mut [i64],
+    ins: [&[i64]; 4],
+    carry: u8,
+    mut acc: i64,
+    f: &dyn Fn([i64; 4]) -> i64,
+) {
+    let r = o.len();
+    let [a, b, c, d] = ins;
+    let (a, b, c, d) = (&a[..r], &b[..r], &c[..r], &d[..r]);
+    for i in 0..r {
+        let mut v = [a[i], b[i], c[i], d[i]];
+        for (s, x) in v.iter_mut().enumerate() {
+            if carry >> s & 1 != 0 {
+                *x = acc;
+            }
+        }
+        acc = f(v);
+        o[i] = acc;
+    }
 }
 
 impl<'a> LaneVm<'a> {
@@ -416,16 +571,7 @@ impl<'a> LaneVm<'a> {
             };
         }
 
-        // Superinstructions are a hot-loop specialization only: at op
-        // granularity (divergence, traps, mid-run step limits) a fused
-        // head runs the base op it carries, and the run's other slots
-        // run their own ops.
-        let op = match &ck.lane_ops[pc] {
-            Op::Fused(f) => &f.0,
-            op => op,
-        };
-        match op {
-            Op::Fused(_) => unreachable!("a fused head carries its unfused op"),
+        match &ck.lane_ops[pc] {
             Op::Bin { op, dst, w, a, b } => {
                 let db = *dst as usize * k;
                 each!(|l| {
@@ -863,11 +1009,13 @@ impl<'a> LaneVm<'a> {
     /// Converged hot loop: executes ops while the *whole* batch runs in
     /// lockstep under shared accounting (no retired lane, no divergence,
     /// empty reconvergence stack — the overwhelmingly common state on
-    /// data-parallel kernels). Everything the general [`LaneVm::step`]
-    /// must re-derive per dispatch is hoisted into locals here, per-lane
-    /// loops run over the dense `0..k` range of contiguous SoA rows, and
-    /// row bases are bounds-proved once per op so the bodies compile to
-    /// straight-line (vectorizable) code.
+    /// data-parallel kernels), and hands a column loop's body start back
+    /// to the machine loop, which runs it a chunk at a time. Everything
+    /// the general [`LaneVm::step`] must re-derive per dispatch is
+    /// hoisted into locals here, per-lane loops run over the dense
+    /// `0..k` range of contiguous SoA rows, and row bases are
+    /// bounds-proved once per op so the bodies compile to straight-line
+    /// (vectorizable) code.
     ///
     /// Any op that could trap a lane, trip the step limit, or split the
     /// group *bails out* — returns `Some(pc)` **before committing any
@@ -941,6 +1089,7 @@ impl<'a> LaneVm<'a> {
         let cursors = &mut self.cursors[..];
         let out_bufs = &mut self.out_bufs[..];
         let sh_counts = &mut self.sh_counts[..];
+        let col_at = &ck.col_at[..];
         let vals = &mut self.vals[..];
         let mut steps_acc = self.sh_steps;
         let mut dynb = self.sh_dyn;
@@ -1176,6 +1325,11 @@ impl<'a> LaneVm<'a> {
                     if all_t {
                         acct!();
                         dynb += 1;
+                        if col_at[pc + 1] != NO_LOOP {
+                            // A column loop's body: the machine loop
+                            // runs it a chunk at a time.
+                            break 'hot Some(pc + 1);
+                        }
                         pc + 1
                     } else if all_f {
                         acct!();
@@ -1208,6 +1362,9 @@ impl<'a> LaneVm<'a> {
                     regs[vb..vb + k].copy_from_slice(&vals[..k]);
                     if all_t {
                         dynb += 1;
+                        if col_at[*body as usize] != NO_LOOP {
+                            break 'hot Some(*body as usize);
+                        }
                         *body as usize
                     } else {
                         pc + 1
@@ -1447,296 +1604,6 @@ impl<'a> LaneVm<'a> {
                     }
                     pc + 1
                 }
-                // Superinstructions: one dispatch executes a whole
-                // matched run. Every fallible condition of every
-                // constituent — stream availability, index bounds, the
-                // summed step debit, back-edge uniformity — is checked
-                // up front; on any hit the arm bails with *nothing*
-                // committed and the generic step replays the run op by
-                // op, reproducing the exact trap point, partial effects
-                // and divergence handling. On the fall-through path the
-                // constituents then run back-to-back with their shared
-                // tallies (`sh_counts` once per constituent pc, the
-                // pre-summed `steps`) committed in one go.
-                //
-                // The macros below keep the per-shape arms honest:
-                // `fsteps!` is the whole-run limit check, `favail!` the
-                // read-availability check, and `floop!` evaluates the
-                // trailing `LoopBack` — legal before any effect because
-                // the fusion pass rejects runs whose earlier constituents
-                // write the induction or bound register.
-                Op::Fused(f) => {
-                    macro_rules! fsteps {
-                        ($total:expr) => {{
-                            if steps_acc + $total as u64 > limit {
-                                bail!();
-                            }
-                        }};
-                    }
-                    macro_rules! favail {
-                        ($port:expr) => {{
-                            let pb = rowb(in_end.len(), $port, k);
-                            let mut ok = true;
-                            for l in 0..k {
-                                ok &= cursors[pb + l] < in_end[pb + l];
-                            }
-                            if !ok {
-                                bail!();
-                            }
-                            pb
-                        }};
-                    }
-                    macro_rules! floop {
-                        ($var:expr, $lty:expr, $hi:expr) => {{
-                            let vb = rowb(regs.len(), $var, k);
-                            let rh = rowb(regs.len(), $hi, k);
-                            let (mut all_t, mut all_f) = (true, true);
-                            for l in 0..k {
-                                let nv = wrap($lty, regs[vb + l].wrapping_add(1));
-                                // A bound naming the induction register
-                                // tests against the post-increment value.
-                                let hv = if rh == vb { nv } else { regs[rh + l] };
-                                if nv < hv {
-                                    all_f = false;
-                                } else {
-                                    all_t = false;
-                                }
-                            }
-                            if !all_t && !all_f {
-                                bail!();
-                            }
-                            (vb, all_t)
-                        }};
-                    }
-                    macro_rules! fcommit {
-                        ($len:expr, $total:expr) => {{
-                            for i in 0..$len {
-                                sh_counts[pc + i] += 1;
-                            }
-                            steps_acc += $total as u64;
-                        }};
-                    }
-                    macro_rules! fback {
-                        ($vb:expr, $lty:expr, $all_t:expr, $body:expr, $len:expr) => {{
-                            for l in 0..k {
-                                regs[$vb + l] = wrap($lty, regs[$vb + l].wrapping_add(1));
-                            }
-                            if $all_t {
-                                dynb += 1;
-                                $body as usize
-                            } else {
-                                pc + $len
-                            }
-                        }};
-                    }
-                    match &f.1 {
-                        FusedOp::ReadCswBack {
-                            dst,
-                            rw,
-                            port,
-                            op,
-                            wport,
-                            x,
-                            y,
-                            a,
-                            b,
-                            var,
-                            lty,
-                            hi,
-                            body,
-                            steps,
-                        } => {
-                            fsteps!(*steps);
-                            let pb = favail!(*port);
-                            let (vb, all_t) = floop!(*var, *lty, *hi);
-                            fcommit!(3, *steps);
-                            let db = rowb(regs.len(), *dst, k);
-                            for l in 0..k {
-                                let cur = cursors[pb + l];
-                                regs[db + l] = wrap(*rw, in_all[cur]);
-                                cursors[pb + l] = cur + 1;
-                            }
-                            let rx = rowb(regs.len(), *x, k);
-                            let ry = rowb(regs.len(), *y, k);
-                            let ra = rowb(regs.len(), *a, k);
-                            let rb = rowb(regs.len(), *b, k);
-                            let qb = rowb(out_bufs.len(), *wport, k);
-                            // Staged: the select loop stays pure (no opaque
-                            // heap stores) so it can vectorize; the pushes
-                            // run in a second, compact loop.
-                            for l in 0..k {
-                                let c = bin_infallible(*op, regs[rx + l], regs[ry + l]);
-                                vals[l] = if c != 0 { regs[ra + l] } else { regs[rb + l] };
-                            }
-                            for l in 0..k {
-                                out_bufs[qb + l].push(vals[l]);
-                            }
-                            fback!(vb, *lty, all_t, *body, 3)
-                        }
-                        FusedOp::ReadIncBack {
-                            dst,
-                            rw,
-                            port,
-                            arr,
-                            v,
-                            var,
-                            lty,
-                            hi,
-                            body,
-                            steps,
-                        } => {
-                            fsteps!(*steps);
-                            let pb = favail!(*port);
-                            let info = &ck.arrays[*arr as usize];
-                            let (base, len, aty) = (info.base as usize, info.len, info.ty);
-                            // The increment index *is* the token about to
-                            // be read: peek it for the bounds check
-                            // without committing the cursors.
-                            let mut ok = true;
-                            for l in 0..k {
-                                let iv = wrap(*rw, in_all[cursors[pb + l]]);
-                                ok &= iv >= 0 && (iv as u64) < len as u64;
-                            }
-                            if !ok {
-                                bail!();
-                            }
-                            let (vb, all_t) = floop!(*var, *lty, *hi);
-                            fcommit!(3, *steps);
-                            let db = rowb(regs.len(), *dst, k);
-                            let rv = rowb(regs.len(), *v, k);
-                            for l in 0..k {
-                                let cur = cursors[pb + l];
-                                regs[db + l] = wrap(*rw, in_all[cur]);
-                                cursors[pb + l] = cur + 1;
-                            }
-                            for l in 0..k {
-                                let iv = regs[db + l] as usize;
-                                let add = regs[rv + l];
-                                let slot = (base + iv) * k + l;
-                                arena[slot] = wrap(aty, arena[slot].wrapping_add(add));
-                            }
-                            fback!(vb, *lty, all_t, *body, 3)
-                        }
-                        FusedOp::ReadUnpack3 {
-                            dst,
-                            rw,
-                            port,
-                            d1,
-                            w1,
-                            k1,
-                            m1,
-                            d2,
-                            w2,
-                            k2,
-                            m2,
-                            d3,
-                            w3,
-                            b3,
-                            steps,
-                        } => {
-                            fsteps!(*steps);
-                            let pb = favail!(*port);
-                            fcommit!(4, *steps);
-                            let db = rowb(regs.len(), *dst, k);
-                            for l in 0..k {
-                                let cur = cursors[pb + l];
-                                regs[db + l] = wrap(*rw, in_all[cur]);
-                                cursors[pb + l] = cur + 1;
-                            }
-                            let r1 = rowb(regs.len(), *d1, k);
-                            for l in 0..k {
-                                regs[r1 + l] =
-                                    wrap(*w1, regs[db + l].wrapping_shr(*k1 as u32) & *m1);
-                            }
-                            let r2 = rowb(regs.len(), *d2, k);
-                            for l in 0..k {
-                                regs[r2 + l] =
-                                    wrap(*w2, regs[db + l].wrapping_shr(*k2 as u32) & *m2);
-                            }
-                            let r3 = rowb(regs.len(), *d3, k);
-                            let rb = rowb(regs.len(), *b3, k);
-                            for l in 0..k {
-                                regs[r3 + l] = wrap(*w3, regs[db + l] & regs[rb + l]);
-                            }
-                            pc + 4
-                        }
-                        FusedOp::Dot3 {
-                            d1,
-                            a1,
-                            b1,
-                            d2,
-                            a2,
-                            b2,
-                            c2,
-                            d3,
-                            a3,
-                            b3,
-                            c3,
-                            steps,
-                        } => {
-                            fsteps!(*steps);
-                            fcommit!(3, *steps);
-                            let r1 = rowb(regs.len(), *d1, k);
-                            let ra = rowb(regs.len(), *a1, k);
-                            let rb = rowb(regs.len(), *b1, k);
-                            for l in 0..k {
-                                regs[r1 + l] = regs[ra + l].wrapping_mul(regs[rb + l]);
-                            }
-                            let r2 = rowb(regs.len(), *d2, k);
-                            let ra = rowb(regs.len(), *a2, k);
-                            let rb = rowb(regs.len(), *b2, k);
-                            let rc = rowb(regs.len(), *c2, k);
-                            for l in 0..k {
-                                regs[r2 + l] = regs[rc + l]
-                                    .wrapping_add(regs[ra + l].wrapping_mul(regs[rb + l]));
-                            }
-                            let r3 = rowb(regs.len(), *d3, k);
-                            let ra = rowb(regs.len(), *a3, k);
-                            let rb = rowb(regs.len(), *b3, k);
-                            let rc = rowb(regs.len(), *c3, k);
-                            for l in 0..k {
-                                regs[r3 + l] = regs[rc + l]
-                                    .wrapping_add(regs[ra + l].wrapping_mul(regs[rb + l]));
-                            }
-                            pc + 3
-                        }
-                        FusedOp::ShrWriteBack {
-                            dst,
-                            w,
-                            a,
-                            sh,
-                            port_a,
-                            sa,
-                            port_b,
-                            sb,
-                            var,
-                            lty,
-                            hi,
-                            body,
-                            steps,
-                        } => {
-                            fsteps!(*steps);
-                            let (vb, all_t) = floop!(*var, *lty, *hi);
-                            fcommit!(3, *steps);
-                            let db = rowb(regs.len(), *dst, k);
-                            let ra = rowb(regs.len(), *a, k);
-                            for l in 0..k {
-                                regs[db + l] = wrap(*w, regs[ra + l].wrapping_shr(*sh as u32));
-                            }
-                            let qa = rowb(out_bufs.len(), *port_a, k);
-                            let rs = rowb(regs.len(), *sa, k);
-                            for l in 0..k {
-                                out_bufs[qa + l].push(regs[rs + l]);
-                            }
-                            let qb = rowb(out_bufs.len(), *port_b, k);
-                            let rs = rowb(regs.len(), *sb, k);
-                            for l in 0..k {
-                                out_bufs[qb + l].push(regs[rs + l]);
-                            }
-                            fback!(vb, *lty, all_t, *body, 3)
-                        }
-                    }
-                }
             };
         };
 
@@ -1744,6 +1611,294 @@ impl<'a> LaneVm<'a> {
         self.sh_dyn = dynb;
         self.dispatches = disp;
         ret
+    }
+
+    /// The column loop whose body starts at `pc`, if any.
+    fn col_loop(&self, pc: usize) -> Option<&'a ColLoop> {
+        let ck: &'a CompiledKernel = self.ck;
+        match ck.col_at.get(pc) {
+            Some(&i) if i != NO_LOOP => Some(&ck.col_loops[i as usize]),
+            _ => None,
+        }
+    }
+
+    /// Run the next chunk of column loop `cl` for the group, which stands
+    /// at the loop's body start: up to [`CHUNK`] iterations per lane,
+    /// each lane to its own trip count, every body op dispatched once
+    /// over all of them. Returns the next pc, or `None` with nothing run
+    /// when some iteration of the chunk could trap (too few tokens, an
+    /// index out of range, the step limit) or its back-edge would wrap;
+    /// that iteration then runs op at a time, so trap points, partial
+    /// effects and `StepLimit` stay the interpreter's. Compiled per ISA
+    /// tier like the hot loop ([`LaneVm::exec_hot_w`]).
+    fn run_chunk(&mut self, cl: &ColLoop, lanes: &mut Vec<u16>) -> Option<usize> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            match hot_isa() {
+                // SAFETY: `hot_isa` only reports a tier after runtime
+                // feature detection confirmed the CPU supports it.
+                HotIsa::Avx512 => return unsafe { self.run_chunk_avx512(cl, lanes) },
+                HotIsa::Avx2 => return unsafe { self.run_chunk_avx2(cl, lanes) },
+                HotIsa::Portable => {}
+            }
+        }
+        self.run_chunk_body(cl, lanes)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    unsafe fn run_chunk_avx512(&mut self, cl: &ColLoop, lanes: &mut Vec<u16>) -> Option<usize> {
+        self.run_chunk_body(cl, lanes)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_chunk_avx2(&mut self, cl: &ColLoop, lanes: &mut Vec<u16>) -> Option<usize> {
+        self.run_chunk_body(cl, lanes)
+    }
+
+    #[inline(always)]
+    fn run_chunk_body(&mut self, cl: &ColLoop, lanes: &mut Vec<u16>) -> Option<usize> {
+        let k = self.k;
+        let n = lanes.len();
+        let (vb, hb) = (cl.var as usize * k, cl.hi as usize * k);
+        // Each lane's rows: the rest of its trip count, at most CHUNK;
+        // `cond[j]`: the lane is still in the loop after the chunk.
+        let mut uniform = true;
+        for (j, &lw) in lanes.iter().enumerate() {
+            let l = lw as usize;
+            let (v, h) = (self.regs[vb + l], self.regs[hb + l]);
+            debug_assert!(v < h, "a loop body starts only after its test passed");
+            if h > cl.var_max {
+                return None;
+            }
+            let trips = h.wrapping_sub(v) as u64;
+            let rows = trips.min(CHUNK as u64) as usize;
+            self.rows[j] = rows;
+            self.cond[j] = (rows as u64) < trips;
+            uniform &= rows == self.rows[0] && self.cond[j] == self.cond[0];
+        }
+        // Nothing in the chunk may trap.
+        for (j, &lw) in lanes.iter().enumerate() {
+            let l = lw as usize;
+            let rows = self.rows[j];
+            for &p in &cl.reads {
+                let b = p as usize * k + l;
+                if self.in_end[b] - self.cursors[b] < rows {
+                    return None;
+                }
+            }
+            let v = self.regs[vb + l];
+            for check in &cl.checks {
+                let ok = match *check {
+                    IndexCheck::Induction { len } => v >= 0 && v as u64 + rows as u64 <= len as u64,
+                    IndexCheck::Invariant { reg, len } => {
+                        let x = self.regs[reg as usize * k + l];
+                        x >= 0 && (x as u64) < len as u64
+                    }
+                };
+                if !ok {
+                    return None;
+                }
+            }
+            let steps = match &self.pl {
+                Some(pl) => pl.steps[l],
+                None => self.sh_steps,
+            };
+            if steps + rows as u64 * cl.iter_steps > self.limit {
+                return None;
+            }
+        }
+        // Lanes that leave the loop at different points go on under
+        // per-lane accounting, as at a divergent back-edge.
+        if !uniform {
+            self.ensure_per_lane(lanes);
+        }
+        self.chunk_columns(cl, lanes);
+
+        // Every pc of the loop ran once per row; the back-edge was taken
+        // on every row but a leaving lane's last. One dispatch per op
+        // covers the chunk's rows of every lane.
+        let span = cl.body as usize..=cl.back as usize;
+        match &mut self.pl {
+            None => {
+                let rows = self.rows[0] as u64;
+                for c in &mut self.sh_counts[span.clone()] {
+                    *c += rows;
+                }
+                self.sh_steps += rows * cl.iter_steps;
+                self.sh_dyn += rows - !self.cond[0] as u64;
+            }
+            Some(pl) => {
+                for (j, &lw) in lanes.iter().enumerate() {
+                    let l = lw as usize;
+                    let rows = self.rows[j] as u64;
+                    for pc in span.clone() {
+                        pl.counts[pc * k + l] += rows;
+                    }
+                    pl.steps[l] += rows * cl.iter_steps;
+                    pl.dynb[l] += rows - !self.cond[j] as u64;
+                }
+            }
+        }
+        self.dispatches += span.count() as u64;
+
+        let (body, exit) = (cl.body as usize, cl.back as usize + 1);
+        let staying = self.cond[..n].iter().filter(|&&c| c).count();
+        if staying == n {
+            return Some(body);
+        }
+        if staying == 0 {
+            return Some(exit);
+        }
+        let (stay, left) = self.partition(lanes);
+        self.split(lanes, stay, exit, None, left);
+        Some(body)
+    }
+
+    /// The data work of one chunk (see [`LaneVm::run_chunk`]): broadcast
+    /// the invariants and the induction variable into columns, run each
+    /// body op once over every lane's rows, and commit the registers the
+    /// body writes from their last rows.
+    #[inline(always)]
+    fn chunk_columns(&mut self, cl: &ColLoop, lanes: &[u16]) {
+        let ck = self.ck;
+        let (k, n) = (self.k, lanes.len());
+        let shared = cl.shared as usize;
+        let need = (shared + (cl.cols as usize - shared) * n) * CHUNK;
+        if self.cols.len() < need {
+            self.cols.resize(need, 0);
+        }
+        let LaneVm {
+            regs,
+            arena,
+            in_all,
+            cursors,
+            out_bufs,
+            cols,
+            rows,
+            ..
+        } = self;
+        let rows = &rows[..n];
+        let at = |c: u16, j: usize| match c as usize {
+            c if c < shared => c * CHUNK,
+            c => (shared + (c - shared) * n + j) * CHUNK,
+        };
+
+        // A pooled immediate holds the same value in every lane.
+        let most = rows.iter().copied().max().unwrap_or(0);
+        for &(c, r) in &cl.splats[..shared] {
+            cols[at(c, 0)..][..most].fill(regs[r as usize * k]);
+        }
+        for &(c, r) in &cl.splats[shared..] {
+            for (j, &lw) in lanes.iter().enumerate() {
+                let v = regs[r as usize * k + lw as usize];
+                cols[at(c, j)..][..rows[j]].fill(v);
+            }
+        }
+        if let Some(c) = cl.iota {
+            for (j, &lw) in lanes.iter().enumerate() {
+                let v = regs[cl.var as usize * k + lw as usize];
+                for (i, x) in cols[at(c, j)..][..rows[j]].iter_mut().enumerate() {
+                    *x = v + i as i64;
+                }
+            }
+        }
+
+        for cop in &cl.ops {
+            // Per lane `l` with `r` rows: `o` is the op's value column
+            // (empty for an op without one) and `ins` its operand
+            // columns; every operand column lies below the value column.
+            macro_rules! each_lane {
+                (|$l:ident, $r:ident, $o:ident, $ins:ident| $body:expr) => {
+                    for (j, &lw) in lanes.iter().enumerate() {
+                        let ($l, $r) = (lw as usize, rows[j]);
+                        let split = match cop.out {
+                            NO_COL => cols.len(),
+                            c => at(c, j),
+                        };
+                        let (lo, hi) = cols.split_at_mut(split);
+                        let $o = &mut hi[..if cop.out == NO_COL { 0 } else { $r }];
+                        let col = |s: usize| match cop.ins[s] {
+                            NO_COL => &ZEROS[..$r],
+                            c => &lo[at(c, j)..][..$r],
+                        };
+                        let $ins: [&[i64]; 4] = [col(0), col(1), col(2), col(3)];
+                        $body
+                    }
+                };
+            }
+            match cop.op {
+                Op::ReadStream { w, port, .. } => each_lane!(|l, r, o, _ins| {
+                    let b = port as usize * k + l;
+                    let cur = cursors[b];
+                    for (x, &t) in o.iter_mut().zip(&in_all[cur..cur + r]) {
+                        *x = wrap(w, t);
+                    }
+                    cursors[b] = cur + r;
+                }),
+                Op::LoadIdx { arr, .. } | Op::LoadIdxWrite { arr, .. } => {
+                    let (base, w) = match cop.op {
+                        Op::LoadIdx { w, .. } => (ck.arrays[arr as usize].base as usize, w),
+                        _ => (ck.arrays[arr as usize].base as usize, Wrap::RAW),
+                    };
+                    each_lane!(|l, _r, o, ins| {
+                        for (x, &i) in o.iter_mut().zip(ins[0]) {
+                            *x = wrap(w, arena[(base + i as usize) * k + l]);
+                        }
+                        if let Op::LoadIdxWrite { port, .. } = cop.op {
+                            out_bufs[port as usize * k + l].extend_from_slice(o);
+                        }
+                    })
+                }
+                Op::StoreIdx { arr, .. } => {
+                    let info = &ck.arrays[arr as usize];
+                    let (base, ty) = (info.base as usize, info.ty);
+                    each_lane!(|l, _r, _o, ins| {
+                        for (&i, &v) in ins[0].iter().zip(ins[1]) {
+                            arena[(base + i as usize) * k + l] = wrap(ty, v);
+                        }
+                    })
+                }
+                Op::IncIdx { arr, .. } => {
+                    let info = &ck.arrays[arr as usize];
+                    let (base, ty) = (info.base as usize, info.ty);
+                    each_lane!(|l, _r, _o, ins| {
+                        for (&i, &v) in ins[0].iter().zip(ins[1]) {
+                            let slot = (base + i as usize) * k + l;
+                            arena[slot] = wrap(ty, arena[slot].wrapping_add(v));
+                        }
+                    })
+                }
+                Op::WriteStream { port, .. } => each_lane!(|l, _r, _o, ins| {
+                    out_bufs[port as usize * k + l].extend_from_slice(ins[0]);
+                }),
+                Op::WriteStream2 { port_a, port_b, .. } => each_lane!(|l, _r, _o, ins| {
+                    out_bufs[port_a as usize * k + l].extend_from_slice(ins[0]);
+                    out_bufs[port_b as usize * k + l].extend_from_slice(ins[1]);
+                }),
+                ref op => with_value_fn!(op, f => each_lane!(|l, _r, o, ins| {
+                    if cop.carry == 0 {
+                        map_rows(o, ins, f);
+                    } else {
+                        let (dst, _) = op.dest().expect("a scan writes its own register");
+                        scan_rows(o, ins, cop.carry, regs[dst as usize * k + l], &f);
+                    }
+                    if let Op::SelectWrite { port, .. } | Op::CmpSelectWrite { port, .. } = *op {
+                        out_bufs[port as usize * k + l].extend_from_slice(o);
+                    }
+                })),
+            }
+        }
+
+        for &(reg, c) in &cl.writeback {
+            for (j, &lw) in lanes.iter().enumerate() {
+                regs[reg as usize * k + lw as usize] = cols[at(c, j) + rows[j] - 1];
+            }
+        }
+        for (j, &lw) in lanes.iter().enumerate() {
+            regs[cl.var as usize * k + lw as usize] += rows[j] as i64;
+        }
     }
 
     /// The machine loop: run groups to completion, splitting at mixed
@@ -1799,12 +1954,22 @@ impl<'a> LaneVm<'a> {
                     continue;
                 }
             }
+            // A column loop's body start is an iteration boundary: run
+            // the next chunk of iterations, or this one op at a time
+            // when the chunk could trap.
+            if let Some(cl) = self.col_loop(pc) {
+                pc = match self.run_chunk(cl, &mut lanes) {
+                    Some(next) => next,
+                    None => self.step(pc, &mut lanes),
+                };
+                continue;
+            }
             // Fully converged batch (all K lanes live, shared
             // accounting): hand the program to the hot loop, which runs
-            // until completion or until one op needs the general
-            // step's trap/divergence machinery. `lanes` is always a
-            // strictly ascending subset of `0..k`, so length alone
-            // proves it is the identity group.
+            // until completion, until one op needs the general step's
+            // trap/divergence machinery, or until a column loop's body
+            // starts. `lanes` is always a strictly ascending subset of
+            // `0..k`, so length alone proves it is the identity group.
             if self.pl.is_none() && self.stack.is_empty() && lanes.len() == self.k {
                 match self.exec_hot(pc) {
                     None => {
@@ -1812,6 +1977,10 @@ impl<'a> LaneVm<'a> {
                             self.done[l as usize] = LaneState::DoneShared;
                         }
                         lanes.clear();
+                        continue;
+                    }
+                    Some(p) if self.col_loop(p).is_some() => {
+                        pc = p;
                         continue;
                     }
                     Some(p) => pc = p,
@@ -1825,9 +1994,9 @@ impl<'a> LaneVm<'a> {
 impl CompiledKernel {
     /// Batched execution with the default step limit; see
     /// [`CompiledKernel::run_batch_with_step_limit`].
-    pub fn run_batch(
+    pub fn run_batch<S: Borrow<HashMap<String, i64>>>(
         &self,
-        scalar_inputs: &[HashMap<String, i64>],
+        scalar_inputs: &[S],
         streams: &mut [StreamBundle],
     ) -> BatchOutcome {
         self.run_batch_with_step_limit(scalar_inputs, streams, DEFAULT_STEP_LIMIT)
@@ -1839,9 +2008,11 @@ impl CompiledKernel {
     /// `BatchOutcome::lanes[l]` is bit-identical to the interpreter on
     /// those inputs alone, and to the one-lane
     /// `self.run_with_step_limit(&scalar_inputs[l], &mut streams[l], limit)`.
-    pub fn run_batch_with_step_limit(
+    /// Each lane's scalar inputs are borrowed (`HashMap`s or references
+    /// to them), so callers need not clone their argument maps.
+    pub fn run_batch_with_step_limit<S: Borrow<HashMap<String, i64>>>(
         &self,
-        scalar_inputs: &[HashMap<String, i64>],
+        scalar_inputs: &[S],
         streams: &mut [StreamBundle],
         limit: u64,
     ) -> BatchOutcome {
@@ -1877,7 +2048,7 @@ impl CompiledKernel {
             let mut err = None;
             for s in &self.scalar_seed {
                 let v = if s.is_input {
-                    match scalar_inputs[l].get(&s.name) {
+                    match scalar_inputs[l].borrow().get(&s.name) {
                         Some(v) => *v,
                         None => {
                             err = Some(ExecError::MissingScalarInput(s.name.clone()));
@@ -1901,10 +2072,15 @@ impl CompiledKernel {
         let TokenBufs {
             mut in_all,
             mut out_bufs,
+            cols,
         } = TOKEN_BUFS.with(RefCell::take);
         in_all.clear();
+        // Only ever grow the set: a narrower batch keeps a wider one's
+        // buffers, and their capacity, for the next wide batch.
+        if out_bufs.len() < nq * k {
+            out_bufs.resize_with(nq * k, Vec::new);
+        }
         out_bufs.iter_mut().for_each(Vec::clear);
-        out_bufs.resize_with(nq * k, Vec::new);
         let mut in_start: Vec<usize> = vec![0usize; np * k];
         let mut in_end: Vec<usize> = vec![0usize; np * k];
         let mut out_slots: Vec<usize> = vec![0usize; nq * k];
@@ -1954,6 +2130,8 @@ impl CompiledKernel {
             stack: Vec::new(),
             cond: vec![false; k],
             vals: vec![0i64; k],
+            cols,
+            rows: vec![0; k],
         };
         if !live.is_empty() {
             vm.exec(live);
@@ -1977,6 +2155,7 @@ impl CompiledKernel {
             *bufs.borrow_mut() = TokenBufs {
                 in_all: std::mem::take(&mut vm.in_all),
                 out_bufs: std::mem::take(&mut vm.out_bufs),
+                cols: std::mem::take(&mut vm.cols),
             }
         });
 
@@ -2294,6 +2473,130 @@ mod tests {
         let feeds: Vec<Vec<(&str, Vec<i64>)>> =
             vec![vec![("sin0", tokens.clone())], vec![("sin0", tokens)]];
         assert_batch_equiv(&k, &ins, &feeds, DEFAULT_STEP_LIMIT);
+    }
+
+    /// A column-safe loop with each kind of body op a chunk runs: a
+    /// stream map into a `u8`, a `u8`-indexed scatter (`IncIdx`), an
+    /// induction-indexed store, a running sum (a scan), and a two-port
+    /// write; then an induction-indexed load loop over the scatter's
+    /// bins.
+    fn column_kernel() -> Kernel {
+        KernelBuilder::new("columns")
+            .scalar_in("n", Ty::U32)
+            .stream_in("px", Ty::U16)
+            .stream_out("a", Ty::U16)
+            .stream_out("b", Ty::U32)
+            .scalar_out("total", Ty::U32)
+            .array("bins", Ty::U16, 256)
+            .array("seen", Ty::U8, 4096)
+            .local("v", Ty::U8)
+            .body(vec![
+                assign("total", c(0)),
+                for_(
+                    "i",
+                    c(0),
+                    var("n"),
+                    vec![
+                        assign("v", read("px")),
+                        store("bins", var("v"), add(idx("bins", var("v")), c(1))),
+                        store("seen", var("i"), sub(var("v"), var("i"))),
+                        assign("total", add(var("total"), mul(var("v"), var("i")))),
+                        write("a", mul(var("v"), c(3))),
+                        write("b", bxor(var("v"), var("total"))),
+                    ],
+                ),
+                for_("j", c(0), c(256), vec![write("a", idx("bins", var("j")))]),
+            ])
+            .build()
+    }
+
+    fn column_feed(n: usize) -> Vec<(&'static str, Vec<i64>)> {
+        vec![("px", (0..n as i64).map(|t| (t * 37 + 11) % 1000).collect())]
+    }
+
+    #[test]
+    fn column_loops_are_found() {
+        let ck = CompiledKernel::compile(&column_kernel());
+        assert_eq!(ck.col_loops.len(), 2, "{}", ck.disasm());
+    }
+
+    #[test]
+    fn column_lanes_with_different_trip_counts_match_solo_runs() {
+        // Trip counts below, at and past one chunk, and past two: the
+        // lanes leave the loop in different chunks, so the batch goes
+        // on under per-lane accounting.
+        let k = column_kernel();
+        let trips = [1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 88];
+        let ins: Vec<Vec<(&str, i64)>> = trips.iter().map(|&n| vec![("n", n as i64)]).collect();
+        let feeds: Vec<_> = trips.iter().map(|&n| column_feed(n)).collect();
+        assert_batch_equiv(&k, &ins, &feeds, DEFAULT_STEP_LIMIT);
+        // Equal trip counts stay under shared accounting.
+        let ins: Vec<Vec<(&str, i64)>> = (0..4).map(|_| vec![("n", 600)]).collect();
+        let feeds: Vec<_> = (0..4).map(|_| column_feed(600)).collect();
+        assert_batch_equiv(&k, &ins, &feeds, DEFAULT_STEP_LIMIT);
+    }
+
+    #[test]
+    fn column_step_limit_trips_at_the_interpreters_op() {
+        // Limits inside the first chunk, at its edges and inside later
+        // ones: no chunk may run past the limit, and the iteration that
+        // reaches it runs op at a time, so the trap point and the tokens
+        // written before it are the interpreter's.
+        let k = column_kernel();
+        let ck = CompiledKernel::compile(&k);
+        let per_iter = ck.col_loops[0].iter_steps;
+        let chunk = CHUNK as u64 * per_iter;
+        for limit in [
+            20,
+            500,
+            chunk - 1,
+            chunk + 3,
+            chunk + per_iter + 1,
+            2 * chunk + 77,
+        ] {
+            for lanes in [1, 4] {
+                let ins: Vec<Vec<(&str, i64)>> = (0..lanes).map(|l| vec![("n", 600 + l)]).collect();
+                let feeds: Vec<_> = (0..lanes).map(|l| column_feed(600 + l as usize)).collect();
+                assert_batch_equiv(&k, &ins, &feeds, limit);
+            }
+        }
+        // A lane one token short underflows where the interpreter does.
+        let ins: Vec<Vec<(&str, i64)>> = vec![vec![("n", 300)], vec![("n", 300)]];
+        let feeds = vec![column_feed(300), column_feed(299)];
+        assert_batch_equiv(&k, &ins, &feeds, DEFAULT_STEP_LIMIT);
+    }
+
+    #[test]
+    fn column_loops_cost_dispatches_per_chunk() {
+        // A silent fall-back to op-at-a-time execution costs about seven
+        // dispatches per iteration; a chunk costs one per op per CHUNK
+        // iterations, at every width.
+        let k = column_kernel();
+        let ck = CompiledKernel::compile(&k);
+        let n = 16 * CHUNK;
+        let run = |lanes: usize| {
+            let inputs: Vec<HashMap<String, i64>> = (0..lanes)
+                .map(|_| [("n".to_string(), n as i64)].into_iter().collect())
+                .collect();
+            let mut bundles: Vec<StreamBundle> = (0..lanes)
+                .map(|_| {
+                    let mut b = StreamBundle::new();
+                    b.feed("px", column_feed(n)[0].1.iter().copied());
+                    b
+                })
+                .collect();
+            let out = ck.run_batch(&inputs, &mut bundles);
+            assert!(out.lanes.iter().all(Result::is_ok));
+            out.dispatches
+        };
+        let (d1, d4) = (run(1), run(4));
+        assert_eq!(d1, d4, "converged lanes share every chunk's dispatches");
+        let span = |cl: &ColLoop| (cl.back - cl.body + 1) as u64;
+        let chunks = (n / CHUNK) as u64 * span(&ck.col_loops[0]) + span(&ck.col_loops[1]);
+        assert!(
+            d1 <= chunks + 16,
+            "{d1} dispatches for {chunks} chunked ops"
+        );
     }
 
     #[test]

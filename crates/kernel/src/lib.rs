@@ -22,8 +22,9 @@
 //! Hot paths execute through a third consumer: the bytecode **compiler**
 //! ([`compile`]) + batch-lane **VM** ([`lanes`]), a drop-in replacement
 //! for the interpreter that lowers the IR once and then runs a flat op
-//! stream with dense indices over K invocations at once, instead of
-//! walking the tree with string lookups. A single invocation
+//! stream with dense indices over K invocations at once, and each
+//! straight-line counted loop a chunk of iterations per op dispatch,
+//! instead of walking the tree with string lookups. A single invocation
 //! ([`CompiledKernel::run`], [`vm`]) is a batch of one lane; there is no
 //! separate scalar loop. The interpreter remains the differential oracle
 //! (see `tests/prop_vm.rs` and `tests/prop_lanes.rs`).

@@ -90,7 +90,7 @@ fn lane_case(g: &mut Gen, kernel: &Kernel) -> LaneCase {
                 vec![g.below(256) as i64]
             } else if p.name == "histogram" {
                 // halfProbability walks all 256 bins; short-feed it
-                // sometimes to hit underflow inside its fused loops.
+                // sometimes to hit underflow inside its column loops.
                 let bins = if g.chance(85) { 256 } else { g.below(256) };
                 (0..bins).map(|_| g.below(50) as i64).collect()
             } else {

@@ -309,6 +309,186 @@ fn kernel_case(seed: u64) -> (Kernel, HashMap<String, i64>, Feeds) {
     (kernel, inputs, feeds)
 }
 
+/// Loop trip counts for column cases: below, at and past the lane VM's
+/// 256-iteration chunk, and past two chunks.
+const TRIPS: [i64; 8] = [1, 3, 40, 255, 256, 257, 300, 600];
+
+/// A random expression over `names` that lowers to infallible ops only
+/// (no division, remainder or shift by a non-constant), so a loop body
+/// built from it can be column-safe.
+fn col_expr(g: &mut Gen, names: &[String], depth: u32) -> Expr {
+    if depth == 0 || g.chance(30) {
+        return if g.chance(70) && !names.is_empty() {
+            var(g.pick(names).as_str())
+        } else {
+            c(g.konst())
+        };
+    }
+    let e = |g: &mut Gen| col_expr(g, names, depth - 1);
+    match g.below(9) {
+        0 | 1 => {
+            let ops: &[fn(Expr, Expr) -> Expr] = &[add, sub, mul, band, bor, bxor];
+            g.pick(ops)(e(g), e(g))
+        }
+        2 => {
+            let ops: &[fn(Expr, Expr) -> Expr] = &[lt, le, gt, ge, eq, ne];
+            g.pick(ops)(e(g), e(g))
+        }
+        3 => select(e(g), e(g), e(g)),
+        4 => {
+            let (x, k) = (e(g), c(g.below(64) as i64));
+            if g.chance(50) {
+                shr(x, k)
+            } else {
+                shl(x, k)
+            }
+        }
+        5 => {
+            let (x, d) = (e(g), c(1 << g.below(8)));
+            if g.chance(50) {
+                div(x, d)
+            } else {
+                rem(x, d)
+            }
+        }
+        6 => band(shr(e(g), c(g.below(24) as i64)), c(255)),
+        7 => {
+            if g.chance(50) {
+                neg(e(g))
+            } else {
+                bnot(e(g))
+            }
+        }
+        _ => add(e(g), mul(e(g), e(g))),
+    }
+}
+
+/// A kernel built around loops the lane VM can run a chunk of
+/// iterations per dispatch: a stream map into a local, a `u8`-indexed
+/// scatter (`IncIdx`), a self-recurrent accumulator, an
+/// induction-indexed store and load, and a two-port write — each body
+/// statement drawn with some chance and in random order, so some bodies
+/// lose their eligibility (a loop-carried read, a second writer) and run
+/// op at a time. `n` sets the trip count; the streams carry about `n`
+/// tokens, sometimes one short.
+fn column_case(seed: u64) -> (Kernel, HashMap<String, i64>, Feeds) {
+    let mut g = Gen::new(seed);
+    let n = *g.pick(&TRIPS);
+    let tab_len = (n + g.below(3) as i64 - 1).max(1) as u32;
+    let byte_ty = if g.chance(85) { Ty::U8 } else { g.ty() };
+    let b = KernelBuilder::new("cols")
+        .scalar_in("n", Ty::U32)
+        .scalar_in("k0", g.ty())
+        .scalar_out("acc", g.ty())
+        .scalar_out("out1", g.ty())
+        .stream_in("s0", g.ty())
+        .stream_in("s1", g.ty())
+        .stream_out("o0", g.ty())
+        .stream_out("o1", g.ty())
+        .local("t0", g.ty())
+        .local("t1", g.ty())
+        .local("byte", byte_ty)
+        .array("hist", g.ty(), 256)
+        .array("tab", g.ty(), tab_len);
+
+    // The main loop: statements in random order over what the body has
+    // written so far, the invariants and the induction variable.
+    let mut names: Vec<String> = vec!["k0".into(), "n".into(), "i".into()];
+    let mut stmts: Vec<Stmt> = Vec::new();
+    let mut order: Vec<u64> = (0..6).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, g.below(i as u64 + 1) as usize);
+    }
+    for kind in order {
+        if !g.chance(75) {
+            continue;
+        }
+        match kind {
+            0 => {
+                let e = if g.chance(70) {
+                    read("s0")
+                } else {
+                    col_expr(&mut g, &names, 2)
+                };
+                stmts.push(assign("t0", e));
+                names.push("t0".into());
+            }
+            1 => {
+                let e = if g.chance(60) {
+                    read("s1")
+                } else {
+                    col_expr(&mut g, &names, 2)
+                };
+                stmts.push(assign("byte", e));
+                // A leaf addend keeps the load and the add adjacent, so
+                // they fuse into `IncIdx`.
+                let depth = if g.chance(80) { 0 } else { 1 };
+                let v = col_expr(&mut g, &names, depth);
+                stmts.push(store("hist", var("byte"), add(idx("hist", var("byte")), v)));
+                names.push("byte".into());
+            }
+            2 => {
+                let e = col_expr(&mut g, &names, 2);
+                stmts.push(assign("acc", add(var("acc"), e)));
+            }
+            3 => stmts.push(store("tab", var("i"), col_expr(&mut g, &names, 2))),
+            4 => {
+                stmts.push(write("o0", col_expr(&mut g, &names, 2)));
+                stmts.push(write("o1", col_expr(&mut g, &names, 2)));
+            }
+            _ => {
+                // A loop-carried read now and then: `t1` read before
+                // the body writes it makes the loop run op at a time.
+                let mut from = names.clone();
+                if g.chance(20) {
+                    from.push("t1".into());
+                }
+                stmts.push(assign("t1", col_expr(&mut g, &from, 2)));
+                names.push("t1".into());
+            }
+        }
+    }
+    if stmts.is_empty() {
+        stmts.push(write("o0", var("i")));
+    }
+    let mut body = vec![
+        assign("acc", col_expr(&mut g, &["k0".into()], 1)),
+        for_("i", c(0), var("n"), stmts),
+    ];
+    // An induction-indexed load loop over the table, and the bins.
+    if g.chance(60) {
+        let e = add(
+            idx("tab", var("j")),
+            col_expr(&mut g, &["j".into(), "k0".into()], 1),
+        );
+        body.push(for_("j", c(0), var("n"), vec![write("o1", e)]));
+    }
+    if g.chance(40) {
+        body.push(for_(
+            "h",
+            c(0),
+            c(256),
+            vec![assign("out1", add(var("out1"), idx("hist", var("h"))))],
+        ));
+    }
+    body.push(assign("out1", add(var("out1"), var("acc"))));
+
+    let kernel = b
+        .body(body)
+        .try_build()
+        .unwrap_or_else(|e| panic!("seed {seed}: generator emitted unverifiable kernel: {e:?}"));
+    let mut inputs = HashMap::new();
+    inputs.insert("n".to_string(), n);
+    inputs.insert("k0".to_string(), g.konst());
+    let short = g.chance(20) as i64;
+    let mut feeds = Vec::new();
+    for port in ["s0", "s1"] {
+        let len = (n - short).max(0) + g.below(3) as i64;
+        feeds.push((port.to_string(), (0..len).map(|_| g.konst()).collect()));
+    }
+    (kernel, inputs, feeds)
+}
+
 const STEP_LIMIT: u64 = 200_000;
 
 fn bundle(feeds: &[(String, Vec<i64>)]) -> StreamBundle {
@@ -361,8 +541,21 @@ fn assert_matches_interpreter(
     got: &Result<ExecOutcome, ExecError>,
     got_bundle: &StreamBundle,
 ) {
+    assert_matches_interpreter_at(tag, kernel, inputs, feeds, got, got_bundle, STEP_LIMIT);
+}
+
+/// [`assert_matches_interpreter`] with the interpreter under `limit`.
+fn assert_matches_interpreter_at(
+    tag: &str,
+    kernel: &Kernel,
+    inputs: &HashMap<String, i64>,
+    feeds: &[(String, Vec<i64>)],
+    got: &Result<ExecOutcome, ExecError>,
+    got_bundle: &StreamBundle,
+    limit: u64,
+) {
     let mut si = bundle(feeds);
-    let ri = Interpreter::with_step_limit(kernel, STEP_LIMIT).run(inputs, &mut si);
+    let ri = Interpreter::with_step_limit(kernel, limit).run(inputs, &mut si);
     match (&ri, got) {
         (Ok(a), Ok(b)) => {
             prop_assert_eq!(&a.scalar_outputs, &b.scalar_outputs, "{}", tag);
@@ -385,6 +578,75 @@ fn assert_matches_interpreter(
             tag,
             port
         );
+    }
+}
+
+/// Run a column case at widths 1, 2 and 4 under `limit`, each lane on
+/// its own variant of the inputs (a trip count one higher, the last
+/// token dropped, or remapped tokens), against the interpreter.
+fn check_column_case(seed: u64, limit: u64) {
+    let (kernel, inputs, feeds) = column_case(seed);
+    let ck = CompiledKernel::compile(&kernel);
+    let mut g = Gen::new(!seed);
+    for k in [1usize, 2, 4] {
+        let lanes: Vec<_> = (0..k)
+            .map(|l| match l {
+                0 => (inputs.clone(), feeds.clone()),
+                _ => lane_variant(&mut g, &inputs, &feeds),
+            })
+            .collect();
+        let ins: Vec<HashMap<String, i64>> = lanes.iter().map(|(i, _)| i.clone()).collect();
+        let mut bundles: Vec<StreamBundle> = lanes.iter().map(|(_, f)| bundle(f)).collect();
+        let out = ck.run_batch_with_step_limit(&ins, &mut bundles, limit);
+        for (l, (li, lf)) in lanes.iter().enumerate() {
+            let tag = format!("column seed {seed} limit {limit} k{k} lane{l}");
+            assert_matches_interpreter_at(&tag, &kernel, li, lf, &out.lanes[l], &bundles[l], limit);
+        }
+    }
+}
+
+/// Most column cases' main loop must compile to a column loop, or the
+/// properties below would mostly test the op-at-a-time path again.
+#[test]
+fn column_cases_mostly_chunk_their_main_loop() {
+    let chunked = (0..200u64)
+        .filter(|&seed| {
+            let (kernel, ..) = column_case(seed);
+            let listing = CompiledKernel::compile(&kernel).disasm();
+            // The main loop is the program's first loop: its back-edge
+            // is the first `LoopBack` in the listing.
+            let back = listing
+                .lines()
+                .find(|l| l.contains("LoopBack"))
+                .and_then(|l| l.split_whitespace().next())
+                .expect("every column case has a loop");
+            listing
+                .lines()
+                .any(|l| l.starts_with("column loop") && l.contains(&format!("..={back}:")))
+        })
+        .count();
+    assert!(chunked >= 120, "{chunked} of 200 main loops chunk");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn column_loops_are_observationally_identical_to_interpreter(seed in any::<u64>()) {
+        check_column_case(seed, STEP_LIMIT);
+    }
+
+    /// Step limits anywhere in the run, mostly inside a chunk of some
+    /// lane's loop: the limit is drawn below the steps lane 0 needs.
+    #[test]
+    fn column_step_limits_trip_where_the_interpreter_does(seed in any::<u64>()) {
+        let (kernel, inputs, feeds) = column_case(seed);
+        let mut b = bundle(&feeds);
+        let steps = match Interpreter::with_step_limit(&kernel, STEP_LIMIT).run(&inputs, &mut b) {
+            Ok(o) => o.stats.steps,
+            Err(_) => STEP_LIMIT,
+        };
+        check_column_case(seed, 1 + Gen::new(seed ^ 0x5eed).below(steps));
     }
 }
 

@@ -113,8 +113,7 @@ impl AccelInstance {
         };
         debug_assert!(lanes.iter().all(|a| Arc::ptr_eq(&a.unit, &first.unit)));
         let in_tokens: Vec<u64> = streams.iter().map(StreamBundle::input_tokens).collect();
-        let scalars: Vec<HashMap<String, i64>> =
-            lanes.iter().map(|a| a.scalar_args.clone()).collect();
+        let scalars: Vec<&HashMap<String, i64>> = lanes.iter().map(|a| &a.scalar_args).collect();
         let outcome = first.unit.run_batch(&scalars, streams);
         outcome
             .lanes

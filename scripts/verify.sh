@@ -21,18 +21,20 @@ done
 echo "==> cargo test (offline)"
 cargo test --offline --workspace -q
 
-echo "==> kernel, board and app tests under every lane-VM ISA tier"
-# The lane VM's hot loop is the only compiled kernel loop, and it is
-# compiled once per ISA tier (portable, AVX2, AVX-512) and picked at run
-# time; the run above only exercises the widest tier the host supports.
-# ACCELSOC_LANE_ISA pins the narrower tiers (an override the CPU cannot
-# run falls back to the detected tier). Board accelerators and the apps'
-# software stages run as multi-lane batches, so their crates run here
-# too.
+echo "==> kernel, board, app and partition tests under every lane-VM ISA tier"
+# The lane VM's hot loop and its column loops are the only compiled
+# kernel loops, and each is compiled once per ISA tier (portable, AVX2,
+# AVX-512) and picked at run time; the run above only exercises the
+# widest tier the host supports. ACCELSOC_LANE_ISA pins the narrower
+# tiers (an override the CPU cannot run falls back to the detected
+# tier). Board accelerators and the apps' software stages run as
+# multi-lane batches, so their crates run here too; the partition
+# crate's chains run every kernel end to end at width 1, and its
+# functional oracle checks them against the interpreter.
 for isa in scalar avx2; do
     echo "    ACCELSOC_LANE_ISA=$isa"
     ACCELSOC_LANE_ISA=$isa cargo test --release --offline -q \
-        -p accelsoc-kernel -p accelsoc-platform -p accelsoc-apps
+        -p accelsoc-kernel -p accelsoc-platform -p accelsoc-apps -p accelsoc-partition
 done
 
 echo "==> perfbench tests (offline, locked)"
@@ -104,7 +106,7 @@ assert len(doc["kernels"]) == 4
 print(f"    chain speedup: {doc['chain_speedup']:.2f}x (VM vs interpreter)")
 sweep = {row["lanes"]: row for row in doc["lane_sweep"]}
 assert 4 in sweep, "lane sweep must include lanes=4"
-# Superinstruction fusion must keep amortising dispatch as lanes grow.
+# A dispatch must keep covering every lane as lanes grow.
 assert sweep[4]["ops_per_dispatch"] > 3 * sweep[1]["ops_per_dispatch"], sweep
 # Lane-VM throughput gate: 4 lanes against the same images run one at a
 # time at width 1. The floor sits under the measured 1.16-1.37x (see
@@ -133,7 +135,7 @@ echo "==> backpressure + batch determinism smoke (repro_runtime)"
 # The throughput report must be bit-identical across host thread counts
 # at a fixed lane width: lane groups are formed in input order and only
 # simulated time enters the JSON, never wall-clock. --lanes 4 exercises
-# the batch-lane VM (SoA registers + superinstructions) on every group.
+# the batch-lane VM (SoA registers + column loops) on every group.
 ./target/release/repro_runtime --images 4 --threads 1 --side 48 --lanes 4 >/dev/null
 cp target/experiments/throughput.json "$CACHE_DIR/throughput_t1.json"
 for t in 2 4; do
