@@ -499,6 +499,53 @@ mod tests {
     }
 
     #[test]
+    fn half_probability_scan_runs_in_chunks_on_real_histograms() {
+        // The threshold scan's guarded blocks (the `wB > 0 && wF > 0`
+        // guard with its two divisions, and the argmax under it) run a
+        // chunk at a time on the chain's own histograms: op at a time a
+        // call costs over 4 400 dispatches. Every lane still matches the
+        // interpreter and the reference threshold.
+        use crate::image::{synthetic_scene, RgbImage};
+        use accelsoc_kernel::compile::CompiledKernel;
+        let k = half_probability();
+        let ck = CompiledKernel::compile(&k);
+        for side in [16u32, 24, 32, 64] {
+            let hists: Vec<[u32; 256]> = (0..4)
+                .map(|seed| {
+                    let rgb = RgbImage::from_gray(&synthetic_scene(side, side, 2016 + seed));
+                    crate::otsu::histogram_reference(&crate::otsu::grayscale_reference(&rgb))
+                })
+                .collect();
+            for width in [1usize, 4] {
+                let inputs = vec![HashMap::new(); width];
+                let bundle = |h: &[u32; 256]| {
+                    let mut b = StreamBundle::new();
+                    b.feed("histogram", h.iter().map(|&v| v as i64));
+                    b
+                };
+                let mut bundles: Vec<StreamBundle> = hists[..width].iter().map(bundle).collect();
+                let out = ck.run_batch(&inputs, &mut bundles);
+                assert!(
+                    out.dispatches <= 64,
+                    "side {side} width {width}: {} dispatches",
+                    out.dispatches
+                );
+                for (l, h) in hists[..width].iter().enumerate() {
+                    let mut oracle = bundle(h);
+                    let want = Interpreter::new(&k)
+                        .run(&HashMap::new(), &mut oracle)
+                        .unwrap();
+                    let got = out.lanes[l].as_ref().unwrap();
+                    assert_eq!(got.stats, want.stats, "side {side} width {width} lane {l}");
+                    let thr = bundles[l].output("probability");
+                    assert_eq!(thr, oracle.output("probability"));
+                    assert_eq!(thr, [crate::otsu::otsu_threshold_from_hist(h) as i64]);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn segment_binarizes_around_threshold() {
         let k = segment();
         let mut s = StreamBundle::new();

@@ -1,6 +1,7 @@
 //! Differential property test for the batch-lane VM: on the four real
-//! Otsu kernels and the two line-buffer stencils (`GAUSS2D`, `SOBEL2D`),
-//! lane `l` of a `run_batch` over K ∈ {1, 2, 4, 8} lanes is
+//! Otsu kernels, the Fig. 4 demo cores (`ADD`, `MUL`, `GAUSS`, `EDGE`,
+//! the CLI's built-ins) and the two line-buffer stencils (`GAUSS2D`,
+//! `SOBEL2D`), lane `l` of a `run_batch` over K ∈ {1, 2, 4, 8} lanes is
 //! byte-identical to running that lane's inputs alone through the
 //! tree-walking interpreter (the oracle) — same scalar outputs, same
 //! `ExecStats`, same output-stream tokens, same leftover input tokens,
@@ -68,7 +69,11 @@ fn lane_case(g: &mut Gen, kernel: &Kernel) -> LaneCase {
             // 6%: leave the scalar unset — the lane must retire with
             // MissingScalarInput before any bundle effect.
             if g.chance(94) {
-                let v = if p.name == "W" {
+                let v = if p.name == "A" || p.name == "B" {
+                    // The Fig. 4 scalar cores' operands: the whole u32
+                    // range and past it, so the sum and product wrap.
+                    g.below(1 << 34) as i64 - (1 << 33)
+                } else if p.name == "W" {
                     // The stencils' row width: small enough that the
                     // column counter wraps several rows within one
                     // feed (0 never wraps).
@@ -207,6 +212,26 @@ proptest! {
     #[test]
     fn segment_lanes_match_oracle(seed in any::<u64>()) {
         check_kernel(&kernels::segment(), seed);
+    }
+
+    #[test]
+    fn add_lanes_match_oracle(seed in any::<u64>()) {
+        check_kernel(&kernels::add_core(), seed);
+    }
+
+    #[test]
+    fn mul_lanes_match_oracle(seed in any::<u64>()) {
+        check_kernel(&kernels::mul_core(), seed);
+    }
+
+    #[test]
+    fn gauss_lanes_match_oracle(seed in any::<u64>()) {
+        check_kernel(&kernels::gauss_core(), seed);
+    }
+
+    #[test]
+    fn edge_lanes_match_oracle(seed in any::<u64>()) {
+        check_kernel(&kernels::edge_core(), seed);
     }
 
     #[test]

@@ -363,14 +363,33 @@ fn col_expr(g: &mut Gen, names: &[String], depth: u32) -> Expr {
     }
 }
 
+/// A guard condition over `names`: a comparison, `x != 0`, or two
+/// comparisons joined by `&` (the `wB > 0 && wF > 0` shape).
+fn guard_cond(g: &mut Gen, names: &[String]) -> Expr {
+    let cmp = |g: &mut Gen| {
+        let ops: &[fn(Expr, Expr) -> Expr] = &[lt, le, gt, ge, eq, ne];
+        let (a, b) = (col_expr(g, names, 1), c(g.below(9) as i64 - 2));
+        g.pick(ops)(a, b)
+    };
+    match g.below(3) {
+        0 => ne(col_expr(g, names, 1), c(0)),
+        1 => cmp(g),
+        _ => band(cmp(g), cmp(g)),
+    }
+}
+
 /// A kernel built around loops the lane VM can run a chunk of
 /// iterations per dispatch: a stream map into a local, a `u8`-indexed
 /// scatter (`IncIdx`), a self-recurrent accumulator, an
-/// induction-indexed store and load, and a two-port write — each body
-/// statement drawn with some chance and in random order, so some bodies
-/// lose their eligibility (a loop-carried read, a second writer) and run
-/// op at a time. `n` sets the trip count; the streams carry about `n`
-/// tokens, sometimes one short.
+/// induction-indexed store and load, a two-port write, a guarded block
+/// (a guarded write and store, sometimes a nested block), a checked
+/// division (guarded by its divisor, by an unrelated condition, or not
+/// at all, with divisors that are zero on some rows) and a conditional
+/// argmax (`if x > m { m = x; k = i }`) — each body statement drawn with
+/// some chance and in random order, so some bodies lose their
+/// eligibility (a loop-carried read, a second writer) and run op at a
+/// time. `n` sets the trip count; the streams carry about `n` tokens,
+/// sometimes one short.
 fn column_case(seed: u64) -> (Kernel, HashMap<String, i64>, Feeds) {
     let mut g = Gen::new(seed);
     let n = *g.pick(&TRIPS);
@@ -385,17 +404,24 @@ fn column_case(seed: u64) -> (Kernel, HashMap<String, i64>, Feeds) {
         .stream_in("s1", g.ty())
         .stream_out("o0", g.ty())
         .stream_out("o1", g.ty())
+        .stream_out("o2", g.ty())
         .local("t0", g.ty())
         .local("t1", g.ty())
         .local("byte", byte_ty)
+        .local("g0", g.ty())
+        .local("g1", g.ty())
+        .local("q", g.ty())
+        .local("m", g.ty())
+        .local("kx", g.ty())
         .array("hist", g.ty(), 256)
-        .array("tab", g.ty(), tab_len);
+        .array("tab", g.ty(), tab_len)
+        .array("gtab", g.ty(), tab_len);
 
     // The main loop: statements in random order over what the body has
     // written so far, the invariants and the induction variable.
     let mut names: Vec<String> = vec!["k0".into(), "n".into(), "i".into()];
     let mut stmts: Vec<Stmt> = Vec::new();
-    let mut order: Vec<u64> = (0..6).collect();
+    let mut order: Vec<u64> = (0..9).collect();
     for i in (1..order.len()).rev() {
         order.swap(i, g.below(i as u64 + 1) as usize);
     }
@@ -436,15 +462,65 @@ fn column_case(seed: u64) -> (Kernel, HashMap<String, i64>, Feeds) {
                 stmts.push(write("o0", col_expr(&mut g, &names, 2)));
                 stmts.push(write("o1", col_expr(&mut g, &names, 2)));
             }
-            _ => {
+            5 => {
                 // A loop-carried read now and then: `t1` read before
-                // the body writes it makes the loop run op at a time.
+                // the body writes it makes it a recurrence.
                 let mut from = names.clone();
                 if g.chance(20) {
                     from.push("t1".into());
                 }
                 stmts.push(assign("t1", col_expr(&mut g, &from, 2)));
                 names.push("t1".into());
+            }
+            6 => {
+                // A guarded block: its writes are read inside it only.
+                let mut inner = names.clone();
+                let mut block = vec![assign("g0", col_expr(&mut g, &inner, 2))];
+                inner.push("g0".into());
+                if g.chance(50) {
+                    block.push(write("o2", col_expr(&mut g, &inner, 2)));
+                }
+                if g.chance(40) {
+                    block.push(store("gtab", var("i"), col_expr(&mut g, &inner, 1)));
+                }
+                if g.chance(50) {
+                    let cond = guard_cond(&mut g, &inner);
+                    block.push(if_(cond, vec![assign("g1", col_expr(&mut g, &inner, 2))]));
+                }
+                stmts.push(if_(guard_cond(&mut g, &names), block));
+            }
+            7 => {
+                // A division whose divisor is zero on some rows: guarded
+                // by the divisor, by an unrelated condition (a guarded
+                // row may trap), or not at all.
+                let d = match g.below(3) {
+                    0 => sub(var("i"), c(g.below(300) as i64)),
+                    1 => band(col_expr(&mut g, &names, 1), c(3)),
+                    _ => col_expr(&mut g, &names, 1),
+                };
+                let x = col_expr(&mut g, &names, 2);
+                let q = if g.chance(50) {
+                    div(x, d.clone())
+                } else {
+                    rem(x, d.clone())
+                };
+                stmts.push(match g.below(10) {
+                    0..=5 => if_(ne(d, c(0)), vec![assign("q", q)]),
+                    6..=8 => if_(guard_cond(&mut g, &names), vec![assign("q", q)]),
+                    _ => assign("q", q),
+                });
+            }
+            _ => {
+                // A conditional argmax: `m` carried, written only where
+                // the comparison with its running value holds.
+                let x = col_expr(&mut g, &names, 2);
+                let ops: &[fn(Expr, Expr) -> Expr] = &[gt, ge, lt];
+                let cond = g.pick(ops)(x.clone(), var("m"));
+                let mut block = vec![assign("m", x), assign("kx", var("i"))];
+                if g.chance(30) {
+                    block.reverse();
+                }
+                stmts.push(if_(cond, block));
             }
         }
     }
@@ -453,6 +529,8 @@ fn column_case(seed: u64) -> (Kernel, HashMap<String, i64>, Feeds) {
     }
     let mut body = vec![
         assign("acc", col_expr(&mut g, &["k0".into()], 1)),
+        assign("m", c(g.konst())),
+        assign("kx", c(0)),
         for_("i", c(0), var("n"), stmts),
     ];
     // An induction-indexed load loop over the table, and the bins.
@@ -471,7 +549,10 @@ fn column_case(seed: u64) -> (Kernel, HashMap<String, i64>, Feeds) {
             vec![assign("out1", add(var("out1"), idx("hist", var("h"))))],
         ));
     }
-    body.push(assign("out1", add(var("out1"), var("acc"))));
+    // Every register the loop writes is observed after it.
+    let written = ["acc", "t0", "t1", "g0", "g1", "q", "m", "kx"];
+    let sum = written.iter().fold(var("out1"), |e, v| add(e, var(v)));
+    body.push(assign("out1", sum));
 
     let kernel = b
         .body(body)
@@ -605,27 +686,66 @@ fn check_column_case(seed: u64, limit: u64) {
     }
 }
 
+/// The main loop's body pcs in a listing: its back-edge is the first
+/// `LoopBack`, and the pcs from that op's `body` target up to it.
+fn main_loop(listing: &str) -> (usize, usize) {
+    let line = listing
+        .lines()
+        .find(|l| l.contains("LoopBack"))
+        .expect("every column case has a loop");
+    let back = line.split_whitespace().next().unwrap().parse().unwrap();
+    let body = line[line.find("body: ").unwrap() + 6..]
+        .trim_end_matches([' ', '}'])
+        .parse()
+        .unwrap();
+    (body, back)
+}
+
 /// Most column cases' main loop must compile to a column loop, or the
-/// properties below would mostly test the op-at-a-time path again.
+/// properties below would mostly test the op-at-a-time path again; so
+/// must most of those whose loop holds a guarded block. And the loops
+/// must really run in chunks: a run of `n` iterations op at a time costs
+/// at least `n` dispatches.
 #[test]
 fn column_cases_mostly_chunk_their_main_loop() {
-    let chunked = (0..200u64)
-        .filter(|&seed| {
-            let (kernel, ..) = column_case(seed);
-            let listing = CompiledKernel::compile(&kernel).disasm();
-            // The main loop is the program's first loop: its back-edge
-            // is the first `LoopBack` in the listing.
-            let back = listing
-                .lines()
-                .find(|l| l.contains("LoopBack"))
-                .and_then(|l| l.split_whitespace().next())
-                .expect("every column case has a loop");
-            listing
-                .lines()
-                .any(|l| l.starts_with("column loop") && l.contains(&format!("..={back}:")))
-        })
-        .count();
+    let (mut chunked, mut guarded, mut guarded_chunked, mut long, mut long_fast) = (0, 0, 0, 0, 0);
+    for seed in 0..200u64 {
+        let (kernel, inputs, feeds) = column_case(seed);
+        let ck = CompiledKernel::compile(&kernel);
+        let listing = ck.disasm();
+        let (body, back) = main_loop(&listing);
+        let is_chunked = listing
+            .lines()
+            .any(|l| l.starts_with("column loop") && l.contains(&format!("..={back}:")));
+        let has_guard = listing.lines().any(|l| {
+            let pc = l
+                .split_whitespace()
+                .next()
+                .and_then(|w| w.parse::<usize>().ok());
+            pc.is_some_and(|pc| (body..back).contains(&pc)) && l.contains("] BranchIfZero")
+        });
+        chunked += is_chunked as u32;
+        guarded += has_guard as u32;
+        guarded_chunked += (has_guard && is_chunked) as u32;
+        // A run that succeeds: op at a time it would cost at least one
+        // dispatch per body op per iteration of the main loop.
+        let n = inputs["n"] as u64;
+        let mut b = bundle(&feeds);
+        let out = ck.run_batch(std::slice::from_ref(&inputs), std::slice::from_mut(&mut b));
+        if is_chunked && n >= 40 && out.lanes[0].is_ok() {
+            long += 1;
+            long_fast += (out.dispatches < n * (back - body) as u64 / 2) as u32;
+        }
+    }
     assert!(chunked >= 120, "{chunked} of 200 main loops chunk");
+    assert!(
+        guarded_chunked * 4 >= guarded * 3,
+        "{guarded_chunked} of {guarded} guarded main loops chunk"
+    );
+    assert!(
+        long_fast * 10 >= long * 9,
+        "{long_fast} of {long} long runs run in chunks"
+    );
 }
 
 proptest! {

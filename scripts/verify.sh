@@ -108,6 +108,13 @@ sweep = {row["lanes"]: row for row in doc["lane_sweep"]}
 assert 4 in sweep, "lane sweep must include lanes=4"
 # A dispatch must keep covering every lane as lanes grow.
 assert sweep[4]["ops_per_dispatch"] > 3 * sweep[1]["ops_per_dispatch"], sweep
+# Every loop of the one-lane chain must run a chunk of iterations per
+# dispatch: a loop that silently falls back to one op per dispatch (the
+# threshold scan did until its guarded blocks became predicate columns)
+# pulls the chain from about 700 IR ops per dispatch to about 30.
+opd1 = sweep[1]["ops_per_dispatch"]
+assert opd1 >= 300, f"one-lane chain fell back to op-at-a-time: {opd1:.1f} ops/dispatch"
+print(f"    one-lane chain: {opd1:.1f} IR ops per dispatch (gate: >= 300)")
 # Lane-VM throughput gate: 4 lanes against the same images run one at a
 # time at width 1. The floor sits under the measured 1.16-1.37x (see
 # EXPERIMENTS.md Ext-6) but above parity, so losing the lane

@@ -14,7 +14,9 @@
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::batch::{image_stream, run_batch};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
-use accelsoc_apps::kernels::{gauss2d_core, sobel2d_core};
+use accelsoc_apps::kernels::{
+    add_core, edge_core, gauss2d_core, gauss_core, mul_core, sobel2d_core,
+};
 use accelsoc_apps::otsu::{self, run_application_group, AppConfig, ChainValues, Value, STAGES};
 use accelsoc_core::observe::{CollectObserver, NullObserver};
 use accelsoc_dse::otsu_chain_model;
@@ -454,9 +456,9 @@ fn kernel_runs(kernel: &Kernel, inputs: impl Fn(u64) -> LaneInputs) -> serde_jso
     serde_json::json!({"kernel": kernel.name, "runs": runs})
 }
 
-/// The compiled programs of the four Otsu stages and the two line-buffer
-/// stencils, run at widths 1 and 4 on fixed images (one seed per lane, so
-/// lanes diverge where the data does). Pins the bytecode's length and
+/// The compiled programs of the four Otsu stages, the two line-buffer
+/// stencils and the four Fig. 4 cores, run at widths 1 and 4 on fixed
+/// inputs (one seed per lane, so lanes diverge where the data does). Pins the bytecode's length and
 /// host dispatch count, which no report golden sees, next to each lane's
 /// counters and outputs.
 #[test]
@@ -495,6 +497,26 @@ fn kernel_programs_match_golden() {
     }
     doc.push(kernel_runs(&gauss2d_core(), stencil));
     doc.push(kernel_runs(&sobel2d_core(), stencil));
+    // The Fig. 4 cores: the scalar adder and multiplier on operands past
+    // u32, and the 1-D filters over a scene's pixels.
+    let operands = |seed: u64| -> LaneInputs {
+        let a = (seed as i64 + 3) * 0x9e37_79b9;
+        let scalars = HashMap::from([("A".to_string(), a), ("B".to_string(), -a / 7)]);
+        (scalars, StreamBundle::new())
+    };
+    doc.push(kernel_runs(&add_core(), operands));
+    doc.push(kernel_runs(&mul_core(), operands));
+    let pixels = |seed: u64| -> LaneInputs {
+        let img = synthetic_scene(w, h, seed);
+        let mut bundle = StreamBundle::new();
+        bundle.feed("in", img.data.iter().map(|&v| v as i64));
+        (
+            HashMap::from([("n".to_string(), img.data.len() as i64)]),
+            bundle,
+        )
+    };
+    doc.push(kernel_runs(&gauss_core(), pixels));
+    doc.push(kernel_runs(&edge_core(), pixels));
     check_or_update(
         "kernel_programs.json",
         &(serde_json::to_string_pretty(&doc).unwrap() + "\n"),
