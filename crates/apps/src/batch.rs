@@ -15,6 +15,7 @@ use crate::image::RgbImage;
 use crate::otsu::{run_application_group, AppConfig, AppError};
 use accelsoc_core::flow::{FlowArtifacts, FlowEngine};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Map `f` over `0..n` on up to `threads` scoped host threads, each
 /// taking one contiguous chunk of indices, and return the results in
@@ -40,8 +41,9 @@ pub fn par_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync)
         .collect()
 }
 
-/// Lane width used when the caller doesn't pick one: wide enough to
-/// amortize dispatch, narrow enough that divergence stays cheap.
+/// Lane width used when the caller doesn't pick one: on the sides the
+/// serving tenants use, 4 lanes in lockstep run the Otsu chain faster
+/// than one lane (DESIGN.md §14).
 pub const DEFAULT_LANES: usize = 4;
 
 /// Deterministic aggregate of one batched run.
@@ -78,7 +80,8 @@ pub struct BatchReport {
     /// dispatch/decode overhead that lane batching amortizes.
     pub vm_dispatches: u64,
     /// `ir_ops / vm_dispatches`: retired IR operations per dispatch.
-    /// Scales with `lanes` while the group stays converged.
+    /// Scales with `lanes`, since a group's lanes, all of one image
+    /// shape, run in lockstep.
     pub ops_per_dispatch: f64,
 }
 
@@ -106,12 +109,14 @@ pub fn run_batch(
 }
 
 /// [`run_batch`] with an explicit lane width: images are partitioned
-/// into lane groups of `lanes` in input order, each group executes its
-/// software tasks as **one** lane-VM batch
-/// ([`run_application_group`]), and host threads parallelise across
-/// groups. Results land in their input slot regardless of which worker
-/// computed them, so the report stays byte-identical across `threads`
-/// for any fixed `lanes`.
+/// into lane groups of up to `lanes` images of one shape, in input
+/// order, each group executes its software tasks as **one** lane-VM
+/// batch ([`run_application_group`]), and host threads parallelise
+/// across groups. Images of different shapes never run in lockstep
+/// (their loops run different trip counts), so a group mixing them
+/// would run each image alone. Results land in their input slot
+/// regardless of which worker computed them, so the report stays
+/// byte-identical across `threads` for any fixed `lanes`.
 pub fn run_batch_lanes(
     arch: Arch,
     engine: &FlowEngine,
@@ -121,9 +126,23 @@ pub fn run_batch_lanes(
     lanes: usize,
     cfg: &AppConfig,
 ) -> Result<BatchReport, AppError> {
-    let groups: Vec<&[RgbImage]> = images.chunks(lanes.max(1)).collect();
+    // Each shape's open group, filled to `lanes` images in input order.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut open: HashMap<(u32, u32), usize> = HashMap::new();
+    for (i, img) in images.iter().enumerate() {
+        let shape = (img.width, img.height);
+        let g = *open.entry(shape).or_insert_with(|| {
+            groups.push(Vec::with_capacity(lanes));
+            groups.len() - 1
+        });
+        groups[g].push(i);
+        if groups[g].len() >= lanes {
+            open.remove(&shape);
+        }
+    }
     let results = par_map(groups.len(), threads, |g| {
-        run_application_group(arch, engine, artifacts, groups[g], cfg).and_then(|g| {
+        let group: Vec<RgbImage> = groups[g].iter().map(|&i| images[i].clone()).collect();
+        run_application_group(arch, engine, artifacts, &group, cfg).and_then(|g| {
             let mut ns = Vec::with_capacity(g.runs.len());
             for run in g.runs {
                 ns.push(run?.total_ns);
@@ -131,11 +150,13 @@ pub fn run_batch_lanes(
             Ok((ns, g.ir_ops, g.vm_dispatches))
         })
     });
-    let mut per_image_ns = Vec::with_capacity(images.len());
+    let mut per_image_ns = vec![0.0; images.len()];
     let (mut ir_ops, mut vm_dispatches) = (0u64, 0u64);
-    for result in results {
+    for (group, result) in groups.iter().zip(results) {
         let (ns, ops, disp) = result?;
-        per_image_ns.extend(ns);
+        for (&i, ns) in group.iter().zip(ns) {
+            per_image_ns[i] = ns;
+        }
         ir_ops += ops;
         vm_dispatches += disp;
     }
@@ -221,7 +242,8 @@ mod tests {
         use crate::image::synthetic_scene;
         use crate::otsu::run_application_with;
         let mut engine = otsu_flow_engine();
-        // One stream mixing three sides, so lane groups mix image shapes.
+        // One stream mixing three sides: `run_batch_lanes` groups it by
+        // shape, and the input-order chunks below mix shapes.
         let images: Vec<RgbImage> = (0..9u64)
             .map(|i| {
                 let side = [16, 17, 24][i as usize % 3];

@@ -407,9 +407,11 @@ pub struct GroupExec {
     /// IR operations retired by software tasks across the whole group
     /// (the simulated work, independent of how it was dispatched).
     pub ir_ops: u64,
-    /// Lane-VM dispatches spent retiring them. While lanes stay
-    /// converged one dispatch covers every lane, so
-    /// `ir_ops / vm_dispatches` grows with the lane count.
+    /// Lane-VM dispatches spent retiring them. Lanes in lockstep share
+    /// every dispatch, so `ir_ops / vm_dispatches` grows with the lane
+    /// count; a group whose lanes disagree (images of different shapes
+    /// do) runs each lane alone after an abandoned attempt, and counts
+    /// both.
     pub vm_dispatches: u64,
 }
 
@@ -607,8 +609,11 @@ pub fn run_application_with(
 /// SoC), whose accelerators fire as lane-VM batches too
 /// ([`Board::run_stream_phases`]). `runs[l]` is bit-identical to running
 /// image `l` alone — lanes only amortize host-side dispatch, never
-/// simulated time. Lanes of one image size stay converged; the serving
-/// precompute groups them that way.
+/// simulated time. Lanes of one image size run in lockstep; lanes of
+/// different sizes part at their first loop exit, where the lane VM
+/// runs each alone, so the serving precompute and
+/// [`run_batch_lanes`](crate::batch::run_batch_lanes) group images by
+/// size.
 pub fn run_application_group(
     arch: Arch,
     engine: &FlowEngine,

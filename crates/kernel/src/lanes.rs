@@ -5,9 +5,8 @@
 //! and the array arena are structure-of-arrays (`regs[r * K + l]`), so
 //! one dispatch — opcode decode, operand resolution, stat bookkeeping —
 //! is amortized over all lanes, and the per-lane inner loops are
-//! contiguous and branch-free for the infallible ops. Each lane keeps
-//! its own stream snapshot, cursor and output buffers, so lanes may
-//! consume different numbers of tokens and trap independently.
+//! contiguous and branch-free for the infallible ops. Each lane keeps its
+//! own stream snapshot, cursor and output buffers.
 //!
 //! This is the only compiled execution loop: a single invocation,
 //! [`CompiledKernel::run`], is a batch of one lane.
@@ -25,49 +24,42 @@
 //! 2, 3, 4 and 8, and `tests/prop_lanes.rs` on the repo's Otsu and stencil
 //! kernels at widths 1, 2, 4 and 8.
 //!
-//! # Lockstep, retirement and divergence
+//! # Lockstep or each lane alone
 //!
-//! While every live lane agrees on control flow the VM runs in **shared
-//! accounting** mode: all lanes have executed the identical op sequence
-//! since pc 0, so one `counts[pc]`/`steps` tally serves the whole group.
-//! A lane that traps (out-of-bounds, underflow, divide-by-zero, shift
-//! range, step limit) *retires*: it is removed from the active set with
-//! its typed error and its committed effects so far; the rest of the
-//! batch keeps running without it.
+//! A batch runs its lanes in **lockstep**: every lane executes the same
+//! op sequence, so one `counts[pc]`/`steps` tally serves them all. The
+//! one place lanes in lockstep run different rows is a column loop's
+//! guarded block (below), so a chunk tallies per lane. When the lanes
+//! would disagree — a branch that some take and others do not, a column
+//! loop they leave in different chunks — or an op would trap in any of
+//! them, the batch abandons the attempt and runs each lane alone, as a
+//! batch of one. Nothing reaches the caller's [`StreamBundle`]s before a
+//! batch ends, so the restart shows only in `dispatches`, which counts
+//! the abandoned attempt as well. The attempt ran only what every lane's
+//! own run runs too, so a batch whose lanes disagree costs at most twice
+//! what running them alone would.
 //!
-//! When live lanes disagree at a control op the group **splits** and the
-//! VM switches to per-lane accounting (counts/steps/branches per lane —
-//! lanes are about to execute different op sequences). Splits follow the
-//! classic SIMT reconvergence discipline: the fall-through subgroup
-//! keeps executing while the other side is parked on a reconvergence
-//! stack together with the structured rejoin point (the branch target
-//! for a plain `if`/loop exit, the then-side `Jump` target for an
-//! `if/else`). A subgroup that reaches the rejoin pc swaps in the
-//! pending side, and groups merge back into one active set when both
-//! arrive — so data-dependent `if`s inside hot loops cost two masked
-//! passes per iteration instead of serializing the whole batch. If
-//! control flow ever fails to line up with the structured guess, parked
-//! groups simply run to completion sequentially — reconvergence is an
-//! optimization, never a correctness requirement.
+//! A one-lane batch cannot disagree with itself: the hot loop runs every
+//! op, and stops only before an op that traps; `LaneVm::trap` then
+//! returns that op's error and applies its effects up to the trap.
 //!
 //! # Column loops
 //!
 //! A counted loop the compiler found column-safe (a `ColLoop`) runs a
 //! *chunk* of up to `CHUNK` (256) iterations per op dispatch instead of
 //! one: at the loop's body start each body op runs once, as a tight loop
-//! over the rows of every lane in the group (one row per iteration, each
-//! lane to its own trip count), and the chunk commits cursors, outputs,
-//! the arena, the body's registers from their last rows, `counts[pc] +=
-//! rows` for every pc of the loop, the back-edge tallies and `steps`.
-//! A chunk starts only when nothing in it can trap — enough tokens on
-//! every port the body reads, every index provably in range, the whole
-//! step debit under the limit, no wrapping back-edge — and otherwise
-//! that iteration runs op at a time, so every counter, trap point,
-//! partial effect and `StepLimit` stays the interpreter's. Lanes whose
-//! trip counts end in different chunks go on under per-lane accounting,
-//! as at a divergent back-edge. One dispatch is counted per op of the
-//! loop per chunk, across all lanes, so `dispatches` keeps measuring
-//! host decode work.
+//! over the rows of every lane (one row per iteration), and the chunk
+//! commits cursors, outputs, the arena, the body's registers from their
+//! last rows, `counts[pc] += rows` for every pc of the loop, the
+//! back-edge tallies and `steps`. A chunk starts only when nothing in it
+//! can trap — enough tokens on every port the body reads, every index
+//! provably in range, the whole step debit under the limit, no wrapping
+//! back-edge — and otherwise that iteration runs op at a time, so every
+//! counter, trap point, partial effect and `StepLimit` stays the
+//! interpreter's. A guarded op counts only the rows its block's
+//! predicate held, which differ per lane. One dispatch is counted per op
+//! of the loop per chunk, across all lanes, so `dispatches` keeps
+//! measuring host decode work.
 
 use crate::compile::{
     ColLoop, ColOp, CompiledKernel, IndexCheck, Op, Src, Wrap, CHUNK, NO_COL, NO_LOOP, STAT_STEPS,
@@ -142,47 +134,26 @@ thread_local! {
 
 /// Result of one batched invocation: the per-lane outcomes (index ==
 /// lane == bundle index) plus the number of host op dispatches the whole
-/// batch cost. Converged lanes share every dispatch, so while they stay
-/// converged a K-lane batch costs the dispatches of one lane alone —
-/// the amortization the batch reports surface — and a column loop
-/// costs one dispatch per op per chunk of iterations.
+/// batch cost. Lanes in lockstep share every dispatch, so a K-lane batch
+/// costs the dispatches of one lane alone — the amortization the batch
+/// reports surface — and a column loop costs one dispatch per op per
+/// chunk of iterations. A batch whose lanes disagree counts its
+/// abandoned attempt and then each lane's own run.
 #[derive(Debug)]
 pub struct BatchOutcome {
     pub lanes: Vec<Result<ExecOutcome, ExecError>>,
     pub dispatches: u64,
 }
 
-/// One lane's terminal state inside the machine.
-#[derive(Clone)]
-enum LaneState {
-    Running,
-    /// Failed before execution started (missing scalar input): no
-    /// bundle effects at all, matching the interpreter's early return.
-    SeedErr(ExecError),
-    /// Trapped mid-execution: committed effects up to the trap.
-    Trapped(ExecError),
-    /// Reached the end under shared accounting.
-    DoneShared,
-    /// Reached the end under per-lane accounting.
-    DonePerLane,
-}
-
-/// Per-lane accounting, allocated lazily at the first divergence.
-/// `counts` is op-major (`[pc * K + l]`) to keep the per-dispatch lane
-/// loop contiguous.
-struct PerLane {
-    counts: Vec<u64>,
-    steps: Vec<u64>,
-    dynb: Vec<u64>,
-}
-
-/// A reconvergence-stack entry. `parked` lanes wait *at* `rejoin`;
-/// `pending` lanes (the not-yet-run side of an `if/else`) wait at their
-/// own entry pc and run once the active group reaches `rejoin`.
-struct Entry {
-    rejoin: usize,
-    pending: Option<(Vec<u16>, usize)>,
-    parked: Vec<u16>,
+/// Where the hot loop stopped.
+enum Exit {
+    /// Past the last op: the program ended for every lane.
+    End,
+    /// At a column loop's body start, an iteration boundary.
+    Body(usize),
+    /// Before the op at this pc, which would trap, or send the lanes
+    /// different ways; none of its effects or tallies are committed.
+    Bail(usize),
 }
 
 struct LaneVm<'a> {
@@ -207,59 +178,43 @@ struct LaneVm<'a> {
     cursors: Vec<usize>,
     /// Output accumulators, port-major: `[q * k + l]`.
     out_bufs: Vec<Vec<i64>>,
-    // Shared accounting (valid while `pl` is None).
-    sh_counts: Vec<u64>,
-    sh_steps: u64,
-    sh_dyn: u64,
-    pl: Option<PerLane>,
+    /// The hot loop's tallies, which every lane shares: executions per
+    /// pc, `steps`, and taken loop tests.
+    counts: Vec<u64>,
+    steps: u64,
+    dynb: u64,
+    /// The column loops' tallies, per lane: executions per pc
+    /// (`[l * ops + pc]`) and `steps`. A guarded op runs on different
+    /// rows in each lane.
+    lane_counts: Vec<u64>,
+    lane_steps: Vec<u64>,
     dispatches: u64,
-    done: Vec<LaneState>,
-    stack: Vec<Entry>,
-    /// Per-position condition scratch for control-op partitioning.
-    cond: Vec<bool>,
     /// Per-lane value scratch for staged load+write ops.
     vals: Vec<i64>,
-    /// Column-loop rows: column `c` of the group's `j`-th lane is
-    /// `cols[(c * n + j) * CHUNK..][..rows[j]]` for a group of `n`.
+    /// Column-loop rows: column `c` of lane `l` is
+    /// `cols[(c * k + l) * CHUNK..][..rows]` (see [`ColGeometry`]).
     cols: Vec<i64>,
-    /// Per-position iterations of the current chunk.
-    rows: Vec<usize>,
-    /// Per-position first row of the chunk on which a checked op fails.
+    /// Per-lane first row of the chunk on which a checked op fails.
     cut: Vec<usize>,
-    /// Per-position rows each guarded block of the chunk ran.
+    /// Per-lane rows each guarded block of the chunk ran.
     guard_rows: Vec<u64>,
 }
 
-#[inline(always)]
-fn lsrc(regs: &[i64], k: usize, l: usize, s: Src) -> i64 {
-    match s {
-        Src::Reg(r) => regs[r as usize * k + l],
-        Src::Imm(_) => unreachable!("pooled ops carry no immediates"),
+/// Hand the token buffers back to the thread for its next batch, on
+/// every way out of a batch. They are only a cache, so a thread that is
+/// exiting simply drops them.
+impl Drop for LaneVm<'_> {
+    fn drop(&mut self) {
+        let _ = TOKEN_BUFS.try_with(|bufs| {
+            if let Ok(mut bufs) = bufs.try_borrow_mut() {
+                *bufs = TokenBufs {
+                    in_all: std::mem::take(&mut self.in_all),
+                    out_bufs: std::mem::take(&mut self.out_bufs),
+                    cols: std::mem::take(&mut self.cols),
+                };
+            }
+        });
     }
-}
-
-/// Merge two ascending lane lists into one.
-fn merge_sorted(a: Vec<u16>, b: Vec<u16>) -> Vec<u16> {
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// The column of an operand slot an op does not have.
@@ -438,29 +393,29 @@ fn chunk_steps(cl: &ColLoop, rows: usize, guard_rows: &[u64]) -> u64 {
     rows as u64 * cl.base_steps + guarded
 }
 
-/// Where a chunk's columns live in `LaneVm::cols` for a group of `n`
+/// Where a chunk's columns live in `LaneVm::cols` for a batch of `k`
 /// lanes: a shared column (a pooled immediate) once, every other column
 /// once per lane.
 #[derive(Clone, Copy)]
 struct ColGeometry {
     shared: usize,
-    n: usize,
+    k: usize,
 }
 
 impl ColGeometry {
-    fn new(cl: &ColLoop, n: usize) -> ColGeometry {
+    fn new(cl: &ColLoop, k: usize) -> ColGeometry {
         ColGeometry {
             shared: cl.shared as usize,
-            n,
+            k,
         }
     }
 
-    /// Offset of column `c`'s rows for the group's `j`-th lane.
+    /// Offset of column `c`'s rows for lane `l`.
     #[inline(always)]
-    fn at(self, c: u16, j: usize) -> usize {
+    fn at(self, c: u16, l: usize) -> usize {
         match c as usize {
             c if c < self.shared => c * CHUNK,
-            c => (self.shared + (c - self.shared) * self.n + j) * CHUNK,
+            c => (self.shared + (c - self.shared) * self.k + l) * CHUNK,
         }
     }
 }
@@ -518,651 +473,76 @@ fn update_rows<const S: usize>(
 }
 
 impl<'a> LaneVm<'a> {
-    /// Retire `lanes[i]` with `err`; removes it from the active list.
-    #[inline]
-    fn retire(&mut self, lanes: &mut Vec<u16>, i: usize, err: ExecError) {
-        let l = lanes.remove(i) as usize;
-        self.done[l] = LaneState::Trapped(err);
-    }
-
-    /// Tick the data-dependent branch counter for every lane in the
-    /// group (uniform taken back-edge / loop entry).
-    fn tick_dyn(&mut self, lanes: &[u16]) {
-        match &mut self.pl {
-            Some(pl) => {
-                for &l in lanes {
-                    pl.dynb[l as usize] += 1;
-                }
-            }
-            None => self.sh_dyn += 1,
-        }
-    }
-
-    /// Staged mid-op step tick (the `s2` share of fused ops), checked
-    /// against the limit where the interpreter ticks, so the
-    /// `OutOfBounds`-vs-`StepLimit` priority is preserved. Returns false
-    /// when every lane in the group retired.
-    fn tick_s2(&mut self, s2: u32, lanes: &mut Vec<u16>) -> bool {
-        let d = s2 as u64;
-        if d == 0 {
-            // steps unchanged; the top-of-op check already passed.
-            return !lanes.is_empty();
-        }
-        match &mut self.pl {
-            Some(pl) => {
-                let mut i = 0;
-                while i < lanes.len() {
-                    let l = lanes[i] as usize;
-                    pl.steps[l] += d;
-                    if pl.steps[l] > self.limit {
-                        self.done[l] = LaneState::Trapped(ExecError::StepLimit(self.limit));
-                        lanes.remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            None => {
-                self.sh_steps += d;
-                if self.sh_steps > self.limit {
-                    for &l in lanes.iter() {
-                        self.done[l as usize] =
-                            LaneState::Trapped(ExecError::StepLimit(self.limit));
-                    }
-                    lanes.clear();
-                }
-            }
-        }
-        !lanes.is_empty()
-    }
-
-    /// Switch from shared to per-lane accounting. Called at the first
-    /// divergence, when `lanes` is the only group in flight (the stack
-    /// is empty in shared mode), so broadcasting the shared tallies to
-    /// exactly these lanes covers every lane that can still finish.
-    fn ensure_per_lane(&mut self, lanes: &[u16]) {
-        if self.pl.is_some() {
-            return;
-        }
-        debug_assert!(self.stack.is_empty());
-        let n = self.ck.lane_ops.len();
-        let k = self.k;
-        let mut pl = PerLane {
-            counts: vec![0u64; n * k],
-            steps: vec![0u64; k],
-            dynb: vec![0u64; k],
-        };
-        for &l in lanes {
-            let l = l as usize;
-            for (i, c) in self.sh_counts.iter().enumerate() {
-                pl.counts[i * k + l] = *c;
-            }
-            pl.steps[l] = self.sh_steps;
-            pl.dynb[l] = self.sh_dyn;
-        }
-        self.pl = Some(pl);
-    }
-
-    /// The structured reconvergence point for a mixed `BranchIfZero`
-    /// with the given target. The compiler emits `Jump` in exactly one
-    /// place — between the then and else blocks of an `if/else` — so a
-    /// forward `Jump` immediately before the branch target identifies
-    /// the else-start form and its target is the join; otherwise the
-    /// target itself (plain `if`) is the join.
-    fn reconv(&self, target: u32) -> usize {
-        let t = target as usize;
-        if t >= 1 {
-            if let Some(Op::Jump { target: j }) = self.ck.lane_ops.get(t - 1) {
-                if *j as usize >= t {
-                    return *j as usize;
-                }
-            }
-        }
-        t
-    }
-
-    /// Split the active group at a mixed control op: `stay` keeps
-    /// executing from `stay_pc`; `park`ed lanes wait at `rejoin` (loop
-    /// splits) or run later from `pending_pc` (if/else splits).
-    fn split(
-        &mut self,
-        lanes: &mut Vec<u16>,
-        stay: Vec<u16>,
-        rejoin: usize,
-        pending: Option<(Vec<u16>, usize)>,
-        parked: Vec<u16>,
-    ) {
-        self.stack.push(Entry {
-            rejoin,
-            pending,
-            parked,
-        });
-        *lanes = stay;
-    }
-
-    /// Execute one op for the active group. Returns the next pc; when
-    /// the group emptied mid-op the return value is ignored by the
-    /// machine loop.
-    fn step(&mut self, pc: usize, lanes: &mut Vec<u16>) -> usize {
+    /// The error of the op at `pc`, before which a one-lane hot loop
+    /// stopped, with the op's effects up to its trap point applied. The
+    /// order is the interpreter's: `StepLimit` at the top of the op, then
+    /// the op's own check, then a fused op's staged step tick; so
+    /// `WriteStream2` pushes its first port before that tick trips, and
+    /// `IncIdx` reports `OutOfBounds` before `StepLimit`. Counts the op's
+    /// dispatch.
+    fn trap(&mut self, pc: usize) -> ExecError {
+        debug_assert_eq!(self.k, 1, "a wider batch runs its lanes alone instead");
         let ck = self.ck;
-        let k = self.k;
         self.dispatches += 1;
-
-        // Top-of-op accounting + StepLimit check.
-        let d = ck.steps[pc] as u64;
-        match &mut self.pl {
-            Some(pl) => {
-                let base = pc * k;
-                let mut i = 0;
-                while i < lanes.len() {
-                    let l = lanes[i] as usize;
-                    pl.counts[base + l] += 1;
-                    pl.steps[l] += d;
-                    if pl.steps[l] > self.limit {
-                        self.done[l] = LaneState::Trapped(ExecError::StepLimit(self.limit));
-                        lanes.remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
-                if lanes.is_empty() {
-                    return pc;
-                }
-            }
-            None => {
-                self.sh_counts[pc] += 1;
-                self.sh_steps += d;
-                if self.sh_steps > self.limit {
-                    for &l in lanes.iter() {
-                        self.done[l as usize] =
-                            LaneState::Trapped(ExecError::StepLimit(self.limit));
-                    }
-                    lanes.clear();
-                    return pc;
-                }
-            }
+        let step_limit = ExecError::StepLimit(self.limit);
+        if self.steps + self.lane_steps[0] + ck.steps[pc] as u64 > self.limit {
+            return step_limit;
         }
-
-        // While every lane is still live (`lanes` is exactly `[0..k)` —
-        // it is always a strictly ascending subset, so length alone
-        // decides), per-lane loops run over the dense `0..k` range: the
-        // SoA rows become contiguous, countable loops the compiler can
-        // unroll and vectorize, instead of gathers through the lane
-        // list. The test runs at every loop, not once per op: the
-        // staged ops (`IncIdx`, `WriteStream2`, `LoadIdxWrite`) can drop
-        // lanes between their phases.
-        macro_rules! each {
-            (|$l:ident| $body:expr) => {
-                if lanes.len() == k {
-                    for $l in 0..k {
-                        $body
-                    }
-                } else {
-                    for &lw in lanes.iter() {
-                        let $l = lw as usize;
-                        $body
-                    }
-                }
-            };
-        }
-
-        match &ck.lane_ops[pc] {
-            Op::Bin { op, dst, w, a, b } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    let bv = lsrc(&self.regs, k, l, *b);
-                    self.regs[db + l] = wrap(*w, bin_infallible(*op, av, bv));
-                });
+        let reg = |s: Src| match s {
+            Src::Reg(r) => self.regs[r as usize],
+            Src::Imm(_) => unreachable!("pooled ops carry no immediates"),
+        };
+        let in_range = |arr: u16, idx: Src| {
+            let info = &ck.arrays[arr as usize];
+            match reg(idx) {
+                i if i >= 0 && (i as u64) < info.len as u64 => Ok(i),
+                index => Err(ExecError::OutOfBounds {
+                    array: info.name.clone(),
+                    index,
+                    len: info.len,
+                }),
             }
-            Op::BinChecked { op, dst, w, a, b } => {
-                let db = *dst as usize * k;
-                let mut i = 0;
-                while i < lanes.len() {
-                    let l = lanes[i] as usize;
-                    let av = lsrc(&self.regs, k, l, *a);
-                    let bv = lsrc(&self.regs, k, l, *b);
-                    match bin_checked(*op, av, bv) {
-                        Ok(v) => {
-                            self.regs[db + l] = wrap(*w, v);
-                            i += 1;
-                        }
-                        Err(e) => self.retire(lanes, i, e),
-                    }
-                }
+        };
+        const RAN: &str = "the hot loop stops only before an op that traps";
+        match ck.lane_ops[pc] {
+            Op::BinChecked { op, a, b, .. } => bin_checked(op, reg(a), reg(b)).expect_err(RAN),
+            Op::LoadIdx { arr, idx, .. } | Op::StoreIdx { arr, idx, .. } => {
+                in_range(arr, idx).expect_err(RAN)
             }
-            Op::Un { op, dst, w, a } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*w, un_op(*op, av));
-                });
+            Op::ReadStream { port, .. } => {
+                ExecError::StreamUnderflow(ck.stream_ins[port as usize].clone())
             }
-            Op::Select { dst, w, c, a, b } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let cv = lsrc(&self.regs, k, l, *c);
-                    let av = lsrc(&self.regs, k, l, *a);
-                    let bv = lsrc(&self.regs, k, l, *b);
-                    self.regs[db + l] = wrap(*w, if cv != 0 { av } else { bv });
-                });
+            // In range, the staged tick is what trips.
+            Op::IncIdx { arr, idx, .. } | Op::LoadIdxWrite { arr, idx, .. } => {
+                in_range(arr, idx).err().unwrap_or(step_limit)
             }
-            Op::LoadIdx { dst, w, arr, idx } => {
-                let info = &ck.arrays[*arr as usize];
-                let (base, len) = (info.base as usize, info.len);
-                let db = *dst as usize * k;
-                let mut i = 0;
-                while i < lanes.len() {
-                    let l = lanes[i] as usize;
-                    let iv = lsrc(&self.regs, k, l, *idx);
-                    if iv < 0 || iv as u64 >= len as u64 {
-                        let e = ExecError::OutOfBounds {
-                            array: info.name.clone(),
-                            index: iv,
-                            len,
-                        };
-                        self.retire(lanes, i, e);
-                    } else {
-                        self.regs[db + l] = wrap(*w, self.arena[(base + iv as usize) * k + l]);
-                        i += 1;
-                    }
-                }
+            Op::WriteStream2 { port_a, src_a, .. } => {
+                let v = reg(src_a);
+                self.out_bufs[port_a as usize].push(v);
+                step_limit
             }
-            Op::StoreIdx { arr, idx, src: v } => {
-                let info = &ck.arrays[*arr as usize];
-                let (base, len, ty) = (info.base as usize, info.len, info.ty);
-                let mut i = 0;
-                while i < lanes.len() {
-                    let l = lanes[i] as usize;
-                    let vv = lsrc(&self.regs, k, l, *v);
-                    let iv = lsrc(&self.regs, k, l, *idx);
-                    if iv < 0 || iv as u64 >= len as u64 {
-                        let e = ExecError::OutOfBounds {
-                            array: info.name.clone(),
-                            index: iv,
-                            len,
-                        };
-                        self.retire(lanes, i, e);
-                    } else {
-                        self.arena[(base + iv as usize) * k + l] = wrap(ty, vv);
-                        i += 1;
-                    }
-                }
-            }
-            Op::StoreVar { dst, ty, src: v } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let vv = lsrc(&self.regs, k, l, *v);
-                    self.regs[db + l] = wrap(*ty, vv);
-                });
-            }
-            Op::ReadStream { dst, w, port } => {
-                self.read_stream(lanes, *dst, *w, *port);
-            }
-            Op::WriteStream { port, src: v } => {
-                let qb = *port as usize * k;
-                each!(|l| {
-                    let vv = lsrc(&self.regs, k, l, *v);
-                    self.out_bufs[qb + l].push(vv);
-                });
-            }
-            Op::LoopInit {
-                var,
-                ty,
-                lo,
-                hi_copy,
-            } => {
-                let vb = *var as usize * k;
-                each!(|l| {
-                    let lv = lsrc(&self.regs, k, l, *lo);
-                    if let Some((hr, hs)) = hi_copy {
-                        let hv = lsrc(&self.regs, k, l, *hs);
-                        self.regs[*hr as usize * k + l] = hv;
-                    }
-                    self.regs[vb + l] = wrap(*ty, lv);
-                });
-            }
-            Op::LoopHead { var, hi, exit } => {
-                let vb = *var as usize * k;
-                let (mut all_t, mut all_f) = (true, true);
-                for (i, &lw) in lanes.iter().enumerate() {
-                    let l = lw as usize;
-                    let t = self.regs[vb + l] < lsrc(&self.regs, k, l, *hi);
-                    self.cond[i] = t;
-                    if t {
-                        all_f = false;
-                    } else {
-                        all_t = false;
-                    }
-                }
-                if all_t {
-                    self.tick_dyn(lanes);
-                    return pc + 1;
-                }
-                if all_f {
-                    return *exit as usize;
-                }
-                self.ensure_per_lane(lanes);
-                let (taken, exited) = self.partition(lanes);
-                if let Some(pl) = &mut self.pl {
-                    for &l in &taken {
-                        pl.dynb[l as usize] += 1;
-                    }
-                }
-                self.split(lanes, taken, *exit as usize, None, exited);
-                return pc + 1;
-            }
-            Op::LoopBack { var, ty, hi, body } => {
-                let vb = *var as usize * k;
-                let (mut all_t, mut all_f) = (true, true);
-                for (i, &lw) in lanes.iter().enumerate() {
-                    let l = lw as usize;
-                    let nv = wrap(*ty, self.regs[vb + l].wrapping_add(1));
-                    self.regs[vb + l] = nv;
-                    let t = nv < lsrc(&self.regs, k, l, *hi);
-                    self.cond[i] = t;
-                    if t {
-                        all_f = false;
-                    } else {
-                        all_t = false;
-                    }
-                }
-                if all_t {
-                    self.tick_dyn(lanes);
-                    return *body as usize;
-                }
-                if all_f {
-                    return pc + 1;
-                }
-                self.ensure_per_lane(lanes);
-                let (taken, exited) = self.partition(lanes);
-                if let Some(pl) = &mut self.pl {
-                    for &l in &taken {
-                        pl.dynb[l as usize] += 1;
-                    }
-                }
-                self.split(lanes, taken, pc + 1, None, exited);
-                return *body as usize;
-            }
-            Op::BranchIfZero { cond, target } => {
-                if *target as usize == pc + 1 {
-                    // Degenerate empty-then branch: both sides fall
-                    // through, nothing to split.
-                    return pc + 1;
-                }
-                let (mut all_t, mut all_f) = (true, true);
-                for (i, &lw) in lanes.iter().enumerate() {
-                    let l = lw as usize;
-                    // "taken" here means the fall-through (non-zero) side.
-                    let t = lsrc(&self.regs, k, l, *cond) != 0;
-                    self.cond[i] = t;
-                    if t {
-                        all_f = false;
-                    } else {
-                        all_t = false;
-                    }
-                }
-                if all_t {
-                    return pc + 1;
-                }
-                if all_f {
-                    return *target as usize;
-                }
-                self.ensure_per_lane(lanes);
-                let (nonzero, zero) = self.partition(lanes);
-                let rejoin = self.reconv(*target);
-                self.split(
-                    lanes,
-                    nonzero,
-                    rejoin,
-                    Some((zero, *target as usize)),
-                    Vec::new(),
-                );
-                return pc + 1;
-            }
-            Op::Jump { target } => {
-                return *target as usize;
-            }
-            Op::ShlPow2 { dst, w, a, k: sh } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*w, av.wrapping_shl(*sh as u32));
-                });
-            }
-            Op::ShrImm { dst, w, a, k: sh } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*w, av.wrapping_shr(*sh as u32));
-                });
-            }
-            Op::DivPow2 { dst, w, a, k: sh } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*w, div_pow2(av, *sh));
-                });
-            }
-            Op::ModPow2 { dst, w, a, k: sh } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*w, mod_pow2(av, *sh));
-                });
-            }
-            Op::ShrAnd {
-                dst,
-                w,
-                a,
-                k: sh,
-                mask,
-            } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    self.regs[db + l] = wrap(*w, av.wrapping_shr(*sh as u32) & *mask);
-                });
-            }
-            Op::MulAcc { dst, w, a, b, acc } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let av = lsrc(&self.regs, k, l, *a);
-                    let bv = lsrc(&self.regs, k, l, *b);
-                    let cv = lsrc(&self.regs, k, l, *acc);
-                    self.regs[db + l] = wrap(*w, cv.wrapping_add(av.wrapping_mul(bv)));
-                });
-            }
-            Op::CmpSelect {
-                op,
-                dst,
-                w,
-                x,
-                y,
-                a,
-                b,
-            } => {
-                let db = *dst as usize * k;
-                each!(|l| {
-                    let c =
-                        bin_infallible(*op, lsrc(&self.regs, k, l, *x), lsrc(&self.regs, k, l, *y));
-                    let av = lsrc(&self.regs, k, l, *a);
-                    let bv = lsrc(&self.regs, k, l, *b);
-                    self.regs[db + l] = wrap(*w, if c != 0 { av } else { bv });
-                });
-            }
-            Op::SelectWrite { port, c, a, b } => {
-                let qb = *port as usize * k;
-                each!(|l| {
-                    let v = if lsrc(&self.regs, k, l, *c) != 0 {
-                        lsrc(&self.regs, k, l, *a)
-                    } else {
-                        lsrc(&self.regs, k, l, *b)
-                    };
-                    self.out_bufs[qb + l].push(v);
-                });
-            }
-            Op::CmpSelectWrite {
-                op,
-                port,
-                x,
-                y,
-                a,
-                b,
-            } => {
-                let qb = *port as usize * k;
-                each!(|l| {
-                    let c =
-                        bin_infallible(*op, lsrc(&self.regs, k, l, *x), lsrc(&self.regs, k, l, *y));
-                    let v = if c != 0 {
-                        lsrc(&self.regs, k, l, *a)
-                    } else {
-                        lsrc(&self.regs, k, l, *b)
-                    };
-                    self.out_bufs[qb + l].push(v);
-                });
-            }
-            Op::IncIdx { arr, idx, v, s2 } => {
-                let info = &ck.arrays[*arr as usize];
-                let (base, len, ty) = (info.base as usize, info.len, info.ty);
-                // Phase 1: bounds per lane (OutOfBounds beats the staged
-                // StepLimit tick, like the interpreter).
-                let mut i = 0;
-                while i < lanes.len() {
-                    let l = lanes[i] as usize;
-                    let iv = lsrc(&self.regs, k, l, *idx);
-                    if iv < 0 || iv as u64 >= len as u64 {
-                        let e = ExecError::OutOfBounds {
-                            array: info.name.clone(),
-                            index: iv,
-                            len,
-                        };
-                        self.retire(lanes, i, e);
-                    } else {
-                        i += 1;
-                    }
-                }
-                // Phase 2: staged tick; phase 3: read-modify-write.
-                if !self.tick_s2(*s2, lanes) {
-                    return pc;
-                }
-                each!(|l| {
-                    let iv = lsrc(&self.regs, k, l, *idx);
-                    let add = lsrc(&self.regs, k, l, *v);
-                    let slot = (base + iv as usize) * k + l;
-                    self.arena[slot] = wrap(ty, self.arena[slot].wrapping_add(add));
-                });
-            }
-            Op::WriteStream2 {
-                port_a,
-                src_a,
-                port_b,
-                src_b,
-                s2,
-            } => {
-                let qa = *port_a as usize * k;
-                each!(|l| {
-                    let vv = lsrc(&self.regs, k, l, *src_a);
-                    self.out_bufs[qa + l].push(vv);
-                });
-                if !self.tick_s2(*s2, lanes) {
-                    return pc;
-                }
-                let qb = *port_b as usize * k;
-                each!(|l| {
-                    let vv = lsrc(&self.regs, k, l, *src_b);
-                    self.out_bufs[qb + l].push(vv);
-                });
-            }
-            Op::LoadIdxWrite { arr, idx, port, s2 } => {
-                let info = &ck.arrays[*arr as usize];
-                let (base, len) = (info.base as usize, info.len);
-                let mut i = 0;
-                while i < lanes.len() {
-                    let l = lanes[i] as usize;
-                    let iv = lsrc(&self.regs, k, l, *idx);
-                    if iv < 0 || iv as u64 >= len as u64 {
-                        let e = ExecError::OutOfBounds {
-                            array: info.name.clone(),
-                            index: iv,
-                            len,
-                        };
-                        self.retire(lanes, i, e);
-                    } else {
-                        self.vals[l] = self.arena[(base + iv as usize) * k + l];
-                        i += 1;
-                    }
-                }
-                if !self.tick_s2(*s2, lanes) {
-                    return pc;
-                }
-                let qb = *port as usize * k;
-                each!(|l| {
-                    self.out_bufs[qb + l].push(self.vals[l]);
-                });
-            }
-        }
-        pc + 1
-    }
-
-    /// `ReadStream`: per-lane cursor advance; a lane that runs out of
-    /// snapshot retires with `StreamUnderflow`.
-    fn read_stream(&mut self, lanes: &mut Vec<u16>, dst: u16, w: Wrap, port: u16) {
-        let k = self.k;
-        let p = port as usize;
-        let db = dst as usize * k;
-        let mut i = 0;
-        while i < lanes.len() {
-            let l = lanes[i] as usize;
-            let b = p * k + l;
-            let cur = self.cursors[b];
-            if cur < self.in_end[b] {
-                self.regs[db + l] = wrap(w, self.in_all[cur]);
-                self.cursors[b] = cur + 1;
-                i += 1;
-            } else {
-                let e = ExecError::StreamUnderflow(self.ck.stream_ins[p].clone());
-                self.retire(lanes, i, e);
-            }
+            ref op => unreachable!("{op:?} cannot trap"),
         }
     }
 
-    /// Partition the group by `self.cond[position]`: (true, false).
-    fn partition(&self, lanes: &[u16]) -> (Vec<u16>, Vec<u16>) {
-        let mut t = Vec::with_capacity(lanes.len());
-        let mut f = Vec::new();
-        for (i, &l) in lanes.iter().enumerate() {
-            if self.cond[i] {
-                t.push(l);
-            } else {
-                f.push(l);
-            }
-        }
-        (t, f)
-    }
-
-    /// Converged hot loop: executes ops while the *whole* batch runs in
-    /// lockstep under shared accounting (no retired lane, no divergence,
-    /// empty reconvergence stack — the overwhelmingly common state on
-    /// data-parallel kernels), and hands a column loop's body start back
-    /// to the machine loop, which runs it a chunk at a time. Everything
-    /// the general [`LaneVm::step`] must re-derive per dispatch is
-    /// hoisted into locals here, per-lane loops run over the dense
-    /// `0..k` range of contiguous SoA rows, and row bases are
-    /// bounds-proved once per op so the bodies compile to straight-line
-    /// (vectorizable) code.
+    /// The hot loop: executes ops for every lane in lockstep, and hands a
+    /// column loop's body start back to the machine loop, which runs it a
+    /// chunk at a time. Everything a dispatch needs is hoisted into locals
+    /// here, per-lane loops run over the dense `0..k` range of contiguous
+    /// SoA rows, and row bases are bounds-proved once per op so the bodies
+    /// compile to straight-line (vectorizable) code.
     ///
-    /// Any op that could trap a lane, trip the step limit, or split the
-    /// group *bails out* — returns `Some(pc)` **before committing any
-    /// effect or accounting** for that op — and the machine loop re-runs
-    /// that op through the general `step`, which owns all
-    /// retirement/divergence machinery. `None` means the program ran to
-    /// completion for every lane.
+    /// An op that could trap a lane, trip the step limit, or send the
+    /// lanes different ways *bails out*: the loop returns
+    /// [`Exit::Bail`] **before committing any effect or tally** of that
+    /// op. In a one-lane batch that op traps, and [`LaneVm::trap`]
+    /// resolves it; a wider batch runs its lanes alone instead.
+    ///
     /// Width-dispatched entry: the common lane counts get a
     /// monomorphized body whose per-lane loops have a compile-time trip
     /// count (fully unrolled and vectorized); anything else runs the
     /// dynamic-width version (`LANES = 0`).
-    fn exec_hot(&mut self, pc: usize) -> Option<usize> {
+    fn exec_hot(&mut self, pc: usize) -> Exit {
         match self.k {
             1 => self.exec_hot_w::<1>(pc),
             2 => self.exec_hot_w::<2>(pc),
@@ -1180,7 +560,7 @@ impl<'a> LaneVm<'a> {
     /// 8-lane row exactly one `zmm` register (with a native `vpmullq`),
     /// and AVX2 covers half a row; the best instantiation the running
     /// CPU supports is picked here, once per hot-loop entry.
-    fn exec_hot_w<const LANES: usize>(&mut self, pc: usize) -> Option<usize> {
+    fn exec_hot_w<const LANES: usize>(&mut self, pc: usize) -> Exit {
         #[cfg(target_arch = "x86_64")]
         {
             match hot_isa() {
@@ -1196,13 +576,13 @@ impl<'a> LaneVm<'a> {
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn exec_hot_avx512<const LANES: usize>(&mut self, pc: usize) -> Option<usize> {
+    unsafe fn exec_hot_avx512<const LANES: usize>(&mut self, pc: usize) -> Exit {
         self.exec_hot_body::<LANES>(pc)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn exec_hot_avx2<const LANES: usize>(&mut self, pc: usize) -> Option<usize> {
+    unsafe fn exec_hot_avx2<const LANES: usize>(&mut self, pc: usize) -> Exit {
         self.exec_hot_body::<LANES>(pc)
     }
 
@@ -1210,7 +590,7 @@ impl<'a> LaneVm<'a> {
     /// `#[target_feature]` wrapper above gets its own copy compiled
     /// under that wrapper's instruction set.
     #[inline(always)]
-    fn exec_hot_body<const LANES: usize>(&mut self, mut pc: usize) -> Option<usize> {
+    fn exec_hot_body<const LANES: usize>(&mut self, mut pc: usize) -> Exit {
         let ck = self.ck;
         let k = if LANES > 0 { LANES } else { self.k };
         let limit = self.limit;
@@ -1223,14 +603,16 @@ impl<'a> LaneVm<'a> {
         let in_end = &self.in_end[..];
         let cursors = &mut self.cursors[..];
         let out_bufs = &mut self.out_bufs[..];
-        let sh_counts = &mut self.sh_counts[..];
+        let counts = &mut self.counts[..];
         let col_at = &ck.col_at[..];
         let vals = &mut self.vals[..];
-        let mut steps_acc = self.sh_steps;
-        let mut dynb = self.sh_dyn;
+        // The step limit binds the lane that has run the most steps.
+        let peak = self.lane_steps.iter().copied().max().unwrap_or(0);
+        let mut steps_acc = self.steps + peak;
+        let mut dynb = self.dynb;
         let mut disp = self.dispatches;
         // One proof each for the per-op row accesses below.
-        assert!(steps_d.len() == n && sh_counts.len() == n);
+        assert!(steps_d.len() == n && counts.len() == n);
         assert!(vals.len() == k && cursors.len() == in_end.len());
 
         /// Bounds-proved row base: accesses `slice[b + l]` for `l < k`
@@ -1244,11 +626,11 @@ impl<'a> LaneVm<'a> {
 
         let ret = 'hot: loop {
             if pc >= n {
-                break 'hot None;
+                break 'hot Exit::End;
             }
             let d = steps_d[pc] as u64;
             if steps_acc + d > limit {
-                break 'hot Some(pc);
+                break 'hot Exit::Bail(pc);
             }
             disp += 1;
 
@@ -1273,16 +655,16 @@ impl<'a> LaneVm<'a> {
             /// tallies (the limit check already passed above).
             macro_rules! acct {
                 () => {{
-                    sh_counts[pc] += 1;
+                    counts[pc] += 1;
                     steps_acc += d;
                 }};
             }
-            /// This op needs the general machinery; undo the dispatch
-            /// claim and hand the unexecuted op back.
+            /// This op would trap or send the lanes different ways; undo
+            /// the dispatch claim and hand the unexecuted op back.
             macro_rules! bail {
                 () => {{
                     disp -= 1;
-                    break 'hot Some(pc);
+                    break 'hot Exit::Bail(pc);
                 }};
             }
 
@@ -1428,10 +810,9 @@ impl<'a> LaneVm<'a> {
                     acct!();
                     let vb = rowb(regs.len(), *var, k);
                     let rl = srow!(*lo);
-                    // Same per-lane effect order as the general step (read
-                    // `lo`, latch the bound, write the induction var),
-                    // staged through `vals` so the row copies stay
-                    // alias-safe.
+                    // The interpreter's effect order (read `lo`, latch the
+                    // bound, write the induction var), staged through
+                    // `vals` so the row copies stay alias-safe.
                     vals[..k].copy_from_slice(&regs[rl..rl + k]);
                     if let Some((hr, hs)) = hi_copy {
                         let hb = rowb(regs.len(), *hr, k);
@@ -1463,7 +844,7 @@ impl<'a> LaneVm<'a> {
                         if col_at[pc + 1] != NO_LOOP {
                             // A column loop's body: the machine loop
                             // runs it a chunk at a time.
-                            break 'hot Some(pc + 1);
+                            break 'hot Exit::Body(pc + 1);
                         }
                         pc + 1
                     } else if all_f {
@@ -1481,7 +862,7 @@ impl<'a> LaneVm<'a> {
                         let nv = wrap(*ty, regs[vb + l].wrapping_add(1));
                         vals[l] = nv;
                         // The bound may name the induction register
-                        // itself; the general step tests against the
+                        // itself; the interpreter tests against the
                         // post-increment value then.
                         let hv = if rh == vb { nv } else { ld!(rh, l) };
                         if nv < hv {
@@ -1498,7 +879,7 @@ impl<'a> LaneVm<'a> {
                     if all_t {
                         dynb += 1;
                         if col_at[*body as usize] != NO_LOOP {
-                            break 'hot Some(*body as usize);
+                            break 'hot Exit::Body(*body as usize);
                         }
                         *body as usize
                     } else {
@@ -1742,8 +1123,8 @@ impl<'a> LaneVm<'a> {
             };
         };
 
-        self.sh_steps = steps_acc;
-        self.sh_dyn = dynb;
+        self.steps = steps_acc - peak;
+        self.dynb = dynb;
         self.dispatches = disp;
         ret
     }
@@ -1757,68 +1138,70 @@ impl<'a> LaneVm<'a> {
         }
     }
 
-    /// Run the next chunk of column loop `cl` for the group, which stands
-    /// at the loop's body start: up to [`CHUNK`] iterations per lane,
-    /// each lane to its own trip count, every body op dispatched once
-    /// over all of them. Returns the next pc, or `None` with nothing run
-    /// when some iteration of the chunk could trap (too few tokens, an
-    /// index out of range, the step limit) or its back-edge would wrap;
-    /// that iteration then runs op at a time, so trap points, partial
-    /// effects and `StepLimit` stay the interpreter's. Compiled per ISA
-    /// tier like the hot loop ([`LaneVm::exec_hot_w`]).
-    fn run_chunk(&mut self, cl: &ColLoop, lanes: &mut Vec<u16>) -> Option<usize> {
+    /// Run the next chunk of column loop `cl`, whose body start the lanes
+    /// stand at: up to [`CHUNK`] iterations, every body op dispatched once
+    /// over the rows of every lane. Returns the next pc; `Ok(None)` with
+    /// nothing run when some iteration of the chunk could trap (too few
+    /// tokens, an index out of range, the step limit) or its back-edge
+    /// would wrap, so that iteration runs op at a time and trap points,
+    /// partial effects and `StepLimit` stay the interpreter's; `Err` with
+    /// the body start, nothing run, when the lanes would leave the loop
+    /// in different chunks or a checked op would fail on different rows.
+    /// Compiled per ISA tier like the hot loop ([`LaneVm::exec_hot_w`]).
+    fn run_chunk(&mut self, cl: &ColLoop) -> Result<Option<usize>, usize> {
         #[cfg(target_arch = "x86_64")]
         {
             match hot_isa() {
                 // SAFETY: `hot_isa` only reports a tier after runtime
                 // feature detection confirmed the CPU supports it.
-                HotIsa::Avx512 => return unsafe { self.run_chunk_avx512(cl, lanes) },
-                HotIsa::Avx2 => return unsafe { self.run_chunk_avx2(cl, lanes) },
+                HotIsa::Avx512 => return unsafe { self.run_chunk_avx512(cl) },
+                HotIsa::Avx2 => return unsafe { self.run_chunk_avx2(cl) },
                 HotIsa::Portable => {}
             }
         }
-        self.run_chunk_body(cl, lanes)
+        self.run_chunk_body(cl)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn run_chunk_avx512(&mut self, cl: &ColLoop, lanes: &mut Vec<u16>) -> Option<usize> {
-        self.run_chunk_body(cl, lanes)
+    unsafe fn run_chunk_avx512(&mut self, cl: &ColLoop) -> Result<Option<usize>, usize> {
+        self.run_chunk_body(cl)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn run_chunk_avx2(&mut self, cl: &ColLoop, lanes: &mut Vec<u16>) -> Option<usize> {
-        self.run_chunk_body(cl, lanes)
+    unsafe fn run_chunk_avx2(&mut self, cl: &ColLoop) -> Result<Option<usize>, usize> {
+        self.run_chunk_body(cl)
     }
 
     #[inline(always)]
-    fn run_chunk_body(&mut self, cl: &ColLoop, lanes: &mut Vec<u16>) -> Option<usize> {
+    fn run_chunk_body(&mut self, cl: &ColLoop) -> Result<Option<usize>, usize> {
         let k = self.k;
-        let n = lanes.len();
+        let (body, back) = (cl.body as usize, cl.back as usize);
         let (vb, hb) = (cl.var as usize * k, cl.hi as usize * k);
-        // Each lane's rows: the rest of its trip count, at most CHUNK;
-        // `cond[j]`: the lane is still in the loop after the chunk.
-        for (j, &lw) in lanes.iter().enumerate() {
-            let l = lw as usize;
+        // The chunk's rows: the rest of the trip count, at most CHUNK,
+        // and whether the lanes are still in the loop after it.
+        let rows_of = |l: usize| {
             let (v, h) = (self.regs[vb + l], self.regs[hb + l]);
             debug_assert!(v < h, "a loop body starts only after its test passed");
-            if h > cl.var_max {
-                return None;
-            }
             let trips = h.wrapping_sub(v) as u64;
-            let rows = trips.min(CHUNK as u64) as usize;
-            self.rows[j] = rows;
-            self.cond[j] = (rows as u64) < trips;
+            (trips.min(CHUNK as u64) as usize, trips > CHUNK as u64)
+        };
+        let (mut rows, mut stay) = rows_of(0);
+        for l in 0..k {
+            if self.regs[hb + l] > cl.var_max {
+                return Ok(None);
+            }
+            if rows_of(l) != (rows, stay) {
+                return Err(body);
+            }
         }
         // Nothing in the chunk may trap, whichever guards hold.
-        for (j, &lw) in lanes.iter().enumerate() {
-            let l = lw as usize;
-            let rows = self.rows[j];
+        for l in 0..k {
             for &p in &cl.reads {
                 let b = p as usize * k + l;
                 if self.in_end[b] - self.cursors[b] < rows {
-                    return None;
+                    return Ok(None);
                 }
             }
             let v = self.regs[vb + l];
@@ -1831,111 +1214,76 @@ impl<'a> LaneVm<'a> {
                     }
                 };
                 if !ok {
-                    return None;
+                    return Ok(None);
                 }
             }
-            let steps = match &self.pl {
-                Some(pl) => pl.steps[l],
-                None => self.sh_steps,
-            };
-            if steps + rows as u64 * cl.iter_steps > self.limit {
-                return None;
+            if self.steps + self.lane_steps[l] + rows as u64 * cl.iter_steps > self.limit {
+                return Ok(None);
             }
         }
-        // A lane whose checked op fails on some row commits the rows
-        // before it; an iteration that fails on its first row runs op at
-        // a time, and traps there.
-        self.chunk_values(cl, lanes);
-        for j in 0..n {
-            match self.cut[j] {
-                0 => return None,
-                cut if cut < self.rows[j] => (self.rows[j], self.cond[j]) = (cut, true),
-                _ => {}
-            }
+        // A checked op that fails on some row cuts the chunk before that
+        // row, and the iteration it fails in runs op at a time and traps
+        // there; one that fails on the first row leaves the chunk empty.
+        self.chunk_values(cl, rows);
+        let cut = self.cut[0];
+        if self.cut[1..k].iter().any(|&c| c != cut) {
+            return Err(body);
         }
-        // The rows each guarded block ran, per lane. Lanes whose counts
-        // differ, or that leave the loop at different points, go on under
-        // per-lane accounting, as at a divergent branch.
+        match cut {
+            0 => return Ok(None),
+            cut if cut < rows => (rows, stay) = (cut, true),
+            _ => {}
+        }
+        // The rows each guarded block ran, per lane.
         let ng = cl.guards.len();
-        if self.guard_rows.len() < n * ng {
-            self.guard_rows.resize(n * ng, 0);
+        if self.guard_rows.len() < k * ng {
+            self.guard_rows.resize(k * ng, 0);
         }
-        let geo = ColGeometry::new(cl, n);
-        for j in 0..n {
+        let geo = ColGeometry::new(cl, k);
+        for l in 0..k {
             for (g, guard) in cl.guards.iter().enumerate() {
-                let p = &self.cols[geo.at(guard.col, j)..][..self.rows[j]];
-                self.guard_rows[j * ng + g] = p.iter().filter(|&&p| p != 0).count() as u64;
+                let p = &self.cols[geo.at(guard.col, l)..][..rows];
+                self.guard_rows[l * ng + g] = p.iter().filter(|&&p| p != 0).count() as u64;
             }
         }
-        // Compared element by element: a slice `==` calls `bcmp`, which
-        // measured about 300 cycles a call here, three per 4-lane chunk.
-        let uniform = (1..n).all(|j| {
-            self.rows[j] == self.rows[0]
-                && self.cond[j] == self.cond[0]
-                && (0..ng).all(|g| self.guard_rows[j * ng + g] == self.guard_rows[g])
-        });
-        if !uniform {
-            self.ensure_per_lane(lanes);
-        }
-        self.chunk_commit(cl, lanes);
+        self.chunk_commit(cl, rows);
 
         // Each pc ran once per row its block's predicate held; the
-        // back-edge was taken on every row but a leaving lane's last. One
-        // dispatch per op covers the chunk's rows of every lane.
-        let (body, back) = (cl.body as usize, cl.back as usize);
+        // back-edge was taken on every row but the last if the lanes
+        // leave. One dispatch per op covers the chunk's rows of every
+        // lane.
         let guard_of = |pc: usize| cl.ops.get(pc - body).map_or(NO_COL, |c| c.guard);
-        let ran = |rows: usize, gr: &[u64], pc: usize| match guard_of(pc) {
-            NO_COL => rows as u64,
-            g => gr[g as usize],
-        };
-        match &mut self.pl {
-            None => {
-                let (rows, gr) = (self.rows[0], &self.guard_rows[..ng]);
-                for pc in body..=back {
-                    self.sh_counts[pc] += ran(rows, gr, pc);
-                }
-                self.sh_steps += chunk_steps(cl, rows, gr);
-                self.sh_dyn += rows as u64 - !self.cond[0] as u64;
+        let ops = self.counts.len();
+        for l in 0..k {
+            let gr = &self.guard_rows[l * ng..][..ng];
+            let counts = &mut self.lane_counts[l * ops..][body..=back];
+            for (pc, c) in (body..).zip(counts) {
+                *c += match guard_of(pc) {
+                    NO_COL => rows as u64,
+                    g => gr[g as usize],
+                };
             }
-            Some(pl) => {
-                for (j, &lw) in lanes.iter().enumerate() {
-                    let l = lw as usize;
-                    let (rows, gr) = (self.rows[j], &self.guard_rows[j * ng..][..ng]);
-                    for pc in body..=back {
-                        pl.counts[pc * k + l] += ran(rows, gr, pc);
-                    }
-                    pl.steps[l] += chunk_steps(cl, rows, gr);
-                    pl.dynb[l] += rows as u64 - !self.cond[j] as u64;
-                }
-            }
+            self.lane_steps[l] += chunk_steps(cl, rows, gr);
         }
+        self.dynb += rows as u64 - !stay as u64;
         self.dispatches += (back - body + 1) as u64;
-
-        let exit = back + 1;
-        let staying = self.cond[..n].iter().filter(|&&c| c).count();
-        if staying == n {
-            return Some(body);
-        }
-        if staying == 0 {
-            return Some(exit);
-        }
-        let (stay, left) = self.partition(lanes);
-        self.split(lanes, stay, exit, None, left);
-        Some(body)
+        Ok(Some(if stay { body } else { back + 1 }))
     }
 
     /// The first half of a chunk (see [`LaneVm::run_chunk`]): broadcast
     /// the invariants and the induction variable into columns, then
     /// compute every op's value and every block's predicate over each
-    /// lane's rows, in body order, running each [`Recurrence`] row by row
-    /// once its last op is reached. Commits nothing; `cut[j]` ends as lane
-    /// `j`'s first row on which a checked op fails where its predicate
-    /// holds, or its rows.
+    /// lane's `r` rows, in body order, running each [`Recurrence`] row by
+    /// row once its last op is reached. Commits nothing; `cut[l]` ends as
+    /// lane `l`'s first row on which a checked op fails where its
+    /// predicate holds, or `r`.
+    ///
+    /// [`Recurrence`]: crate::compile::Recurrence
     #[inline(always)]
-    fn chunk_values(&mut self, cl: &ColLoop, lanes: &[u16]) {
+    fn chunk_values(&mut self, cl: &ColLoop, r: usize) {
         let ck = self.ck;
-        let (k, n) = (self.k, lanes.len());
-        let geo = ColGeometry::new(cl, n);
+        let k = self.k;
+        let geo = ColGeometry::new(cl, k);
         let need = geo.at(cl.cols, 0);
         if self.cols.len() < need {
             self.cols.resize(need, 0);
@@ -1946,29 +1294,25 @@ impl<'a> LaneVm<'a> {
             in_all,
             cursors,
             cols,
-            rows,
             cut,
             ..
         } = self;
-        let rows = &rows[..n];
-        cut[..n].copy_from_slice(rows);
-        let at = |c: u16, j: usize| geo.at(c, j);
+        cut[..k].fill(r);
+        let at = |c: u16, l: usize| geo.at(c, l);
 
         // A pooled immediate holds the same value in every lane.
-        let most = rows.iter().copied().max().unwrap_or(0);
-        for &(c, r) in &cl.splats[..geo.shared] {
-            cols[at(c, 0)..][..most].fill(regs[r as usize * k]);
+        for &(c, reg) in &cl.splats[..geo.shared] {
+            cols[at(c, 0)..][..r].fill(regs[reg as usize * k]);
         }
-        for &(c, r) in &cl.splats[geo.shared..] {
-            for (j, &lw) in lanes.iter().enumerate() {
-                let v = regs[r as usize * k + lw as usize];
-                cols[at(c, j)..][..rows[j]].fill(v);
+        for &(c, reg) in &cl.splats[geo.shared..] {
+            for l in 0..k {
+                cols[at(c, l)..][..r].fill(regs[reg as usize * k + l]);
             }
         }
         if let Some(c) = cl.iota {
-            for (j, &lw) in lanes.iter().enumerate() {
-                let v = regs[cl.var as usize * k + lw as usize];
-                for (i, x) in cols[at(c, j)..][..rows[j]].iter_mut().enumerate() {
+            for l in 0..k {
+                let v = regs[cl.var as usize * k + l];
+                for (i, x) in cols[at(c, l)..][..r].iter_mut().enumerate() {
                     *x = v + i as i64;
                 }
             }
@@ -1976,18 +1320,17 @@ impl<'a> LaneVm<'a> {
 
         let mut recs = cl.recs.iter().peekable();
         for (at_op, cop) in cl.ops.iter().enumerate() {
-            // Per lane `l` (the group's `j`-th) with `r` rows: `o` is the
-            // op's value column, `ins` its operand columns and `p` its
-            // predicate; every one of them lies below the value column.
+            // Per lane `l`: `o` is the op's value column, `ins` its operand
+            // columns and `p` its predicate; every one of them lies below
+            // the value column.
             macro_rules! each_lane {
-                (|$l:ident, $j:ident, $r:ident, $o:ident, $ins:ident, $p:ident| $body:expr) => {
-                    for ($j, &lw) in lanes.iter().enumerate() {
-                        let ($l, $r) = (lw as usize, rows[$j]);
-                        let (lo, hi) = cols.split_at_mut(at(cop.out, $j));
-                        let $o = &mut hi[..$r];
+                (|$l:ident, $o:ident, $ins:ident, $p:ident| $body:expr) => {
+                    for $l in 0..k {
+                        let (lo, hi) = cols.split_at_mut(at(cop.out, $l));
+                        let $o = &mut hi[..r];
                         let col = |c: u16| match c {
-                            NO_COL => &ZEROS[..$r],
-                            c => &lo[at(c, $j)..][..$r],
+                            NO_COL => &ZEROS[..r],
+                            c => &lo[at(c, $l)..][..r],
                         };
                         let $ins: [&[i64]; 4] = [
                             col(cop.ins[0]),
@@ -1996,7 +1339,7 @@ impl<'a> LaneVm<'a> {
                             col(cop.ins[3]),
                         ];
                         let $p = match cop.guard {
-                            NO_COL => &ONES[..$r],
+                            NO_COL => &ONES[..r],
                             g => col(cl.guards[g as usize].col),
                         };
                         $body
@@ -2005,7 +1348,7 @@ impl<'a> LaneVm<'a> {
             }
             match cop.op {
                 _ if cop.in_order || cop.out == NO_COL => {}
-                Op::ReadStream { w, port, .. } => each_lane!(|l, _j, r, o, _ins, _p| {
+                Op::ReadStream { w, port, .. } => each_lane!(|l, o, _ins, _p| {
                     let cur = cursors[port as usize * k + l];
                     for (x, &t) in o.iter_mut().zip(&in_all[cur..cur + r]) {
                         *x = wrap(w, t);
@@ -2016,19 +1359,19 @@ impl<'a> LaneVm<'a> {
                         Op::LoadIdx { w, .. } => (ck.arrays[arr as usize].base as usize, w),
                         _ => (ck.arrays[arr as usize].base as usize, Wrap::RAW),
                     };
-                    each_lane!(|l, _j, _r, o, ins, _p| {
+                    each_lane!(|l, o, ins, _p| {
                         for (x, &i) in o.iter_mut().zip(ins[0]) {
                             *x = wrap(w, arena[(base + i as usize) * k + l]);
                         }
                     })
                 }
-                Op::BranchIfZero { .. } => each_lane!(|_l, _j, _r, o, ins, p| {
+                Op::BranchIfZero { .. } => each_lane!(|_l, o, ins, p| {
                     for ((x, &c), &p) in o.iter_mut().zip(ins[0]).zip(p) {
                         *x = (p != 0 && c != 0) as i64;
                     }
                 }),
                 Op::BinChecked { op, w, .. } => {
-                    with_binop!(op, OP => each_lane!(|_l, j, r, o, ins, p| {
+                    with_binop!(op, OP => each_lane!(|l, o, ins, p| {
                     let mut first = r;
                     for (i, ((x, (&a, &b)), &p)) in o.iter_mut().zip(ins[0].iter().zip(ins[1])).zip(p).enumerate() {
                         *x = checked_row(OP, w, a, b, p != 0).unwrap_or_else(|| {
@@ -2036,10 +1379,10 @@ impl<'a> LaneVm<'a> {
                             0
                         });
                     }
-                    cut[j] = cut[j].min(first);
+                    cut[l] = cut[l].min(first);
                 }); Div Mod Shl Shr)
                 }
-                ref op => with_value_fn!(op, f => each_lane!(|_l, _j, _r, o, ins, _p| {
+                ref op => with_value_fn!(op, f => each_lane!(|_l, o, ins, _p| {
                     map_rows(o, ins, f)
                 })),
             }
@@ -2050,13 +1393,12 @@ impl<'a> LaneVm<'a> {
             let reg = cl.carried[rec.slot as usize].reg as usize * k;
             // Per lane, the value's, the guard's and the writer's rows lie
             // in that order above every operand column.
-            with_value_fn!(&v.op, f => for (j, &lw) in lanes.iter().enumerate() {
-                let r = rows[j];
-                let (lo, hi) = cols.split_at_mut(at(v.out, j));
+            with_value_fn!(&v.op, f => for l in 0..k {
+                let (lo, hi) = cols.split_at_mut(at(v.out, l));
                 let (o, hi) = hi.split_at_mut(CHUNK);
                 let col = |c: u16| match c {
                     NO_COL => &ZEROS[..r],
-                    c => &lo[at(c, j)..][..r],
+                    c => &lo[at(c, l)..][..r],
                 };
                 let ins = [0, 1, 2, 3].map(|s| match v.carry >> s & 1 {
                     0 => col(v.ins[s]),
@@ -2067,12 +1409,12 @@ impl<'a> LaneVm<'a> {
                     g => col(cl.guards[g as usize].col),
                 };
                 let cond = (rec.guard != NO_COL).then(|| {
-                    let g = at(cl.ops[rec.guard as usize].out, j);
-                    let w = at(cl.ops[cl.carried[rec.slot as usize].writer as usize].out, j);
-                    let (g_rows, w_rows) = hi[g - at(v.out, j) - CHUNK..].split_at_mut(CHUNK);
+                    let g = at(cl.ops[rec.guard as usize].out, l);
+                    let w = at(cl.ops[cl.carried[rec.slot as usize].writer as usize].out, l);
+                    let (g_rows, w_rows) = hi[g - at(v.out, l) - CHUNK..].split_at_mut(CHUNK);
                     (&mut g_rows[..r], &w_rows[w - g - CHUNK..][..r])
                 });
-                let acc = regs[reg + lw as usize];
+                let acc = regs[reg + l];
                 macro_rules! update_at {
                     ($s:literal) => {
                         update_rows::<$s>(&mut o[..r], ins, p, cond, acc, v.carry, f)
@@ -2089,65 +1431,62 @@ impl<'a> LaneVm<'a> {
         }
     }
 
-    /// The second half of a chunk: commit each lane's first `rows[j]`
-    /// rows — stream cursors, array stores and stream writes, each on
-    /// the rows where its op's predicate holds — then each register the
-    /// body writes and the induction variable.
+    /// The second half of a chunk: commit each lane's first `r` rows —
+    /// stream cursors, array stores and stream writes, each on the rows
+    /// where its op's predicate holds — then each register the body
+    /// writes and the induction variable.
     #[inline(always)]
-    fn chunk_commit(&mut self, cl: &ColLoop, lanes: &[u16]) {
+    fn chunk_commit(&mut self, cl: &ColLoop, r: usize) {
         let ck = self.ck;
         let k = self.k;
-        let geo = ColGeometry::new(cl, lanes.len());
+        let geo = ColGeometry::new(cl, k);
         let LaneVm {
             regs,
             arena,
             cursors,
             out_bufs,
             cols,
-            rows,
             ..
         } = self;
-        let at = |c: u16, j: usize| geo.at(c, j);
-        let col = |c: u16, j: usize| match c {
-            NO_COL => &ZEROS[..rows[j]],
-            c => &cols[at(c, j)..][..rows[j]],
+        let col = |c: u16, l: usize| match c {
+            NO_COL => &ZEROS[..r],
+            c => &cols[geo.at(c, l)..][..r],
         };
-        let pred = |cop: &ColOp, j: usize| match cop.guard {
+        let pred = |cop: &ColOp, l: usize| match cop.guard {
             NO_COL => None,
-            g => Some(col(cl.guards[g as usize].col, j)),
+            g => Some(col(cl.guards[g as usize].col, l)),
         };
         for cop in &cl.ops {
-            for (j, &lw) in lanes.iter().enumerate() {
-                let (l, r) = (lw as usize, rows[j]);
-                let p = pred(cop, j);
+            for l in 0..k {
+                let p = pred(cop, l);
                 match cop.op {
                     Op::ReadStream { port, .. } => cursors[port as usize * k + l] += r,
                     Op::StoreIdx { arr, .. } | Op::IncIdx { arr, .. } => {
                         let info = &ck.arrays[arr as usize];
                         let (base, w) = (info.base as usize, Wrap::from(info.ty));
                         let inc = matches!(cop.op, Op::IncIdx { .. });
-                        let rows = (col(cop.ins[0], j), col(cop.ins[1], j), p);
+                        let rows = (col(cop.ins[0], l), col(cop.ins[1], l), p);
                         store_rows(arena, base, k, l, w, inc, rows);
                     }
                     Op::WriteStream { port, .. } => {
-                        push_rows(&mut out_bufs[port as usize * k + l], col(cop.ins[0], j), p)
+                        push_rows(&mut out_bufs[port as usize * k + l], col(cop.ins[0], l), p)
                     }
                     Op::WriteStream2 { port_a, port_b, .. } => {
                         push_rows(
                             &mut out_bufs[port_a as usize * k + l],
-                            col(cop.ins[0], j),
+                            col(cop.ins[0], l),
                             p,
                         );
                         push_rows(
                             &mut out_bufs[port_b as usize * k + l],
-                            col(cop.ins[1], j),
+                            col(cop.ins[1], l),
                             p,
                         );
                     }
                     Op::LoadIdxWrite { port, .. }
                     | Op::SelectWrite { port, .. }
                     | Op::CmpSelectWrite { port, .. } => {
-                        push_rows(&mut out_bufs[port as usize * k + l], col(cop.out, j), p)
+                        push_rows(&mut out_bufs[port as usize * k + l], col(cop.out, l), p)
                     }
                     _ => {}
                 }
@@ -2159,117 +1498,53 @@ impl<'a> LaneVm<'a> {
         // Writers are tried last first, so on a row two of them ran the
         // later one wins.
         for (reg, writers) in &cl.writeback {
-            for (j, &lw) in lanes.iter().enumerate() {
+            for l in 0..k {
                 let mut value: Option<(usize, i64)> = None;
                 for &w in writers.iter().rev() {
                     let cop = &cl.ops[w as usize];
-                    let row = match pred(cop, j) {
-                        None => rows[j].checked_sub(1),
+                    let row = match pred(cop, l) {
+                        None => r.checked_sub(1),
                         Some(p) => p.iter().rposition(|&p| p != 0),
                     };
                     if let Some(i) = row.filter(|&i| value.is_none_or(|(at, _)| i > at)) {
-                        value = Some((i, col(cop.out, j)[i]));
+                        value = Some((i, col(cop.out, l)[i]));
                     }
-                    if row == rows[j].checked_sub(1) {
+                    if row == r.checked_sub(1) {
                         break;
                     }
                 }
                 if let Some((_, v)) = value {
-                    regs[*reg as usize * k + lw as usize] = v;
+                    regs[*reg as usize * k + l] = v;
                 }
             }
         }
-        for (j, &lw) in lanes.iter().enumerate() {
-            regs[cl.var as usize * k + lw as usize] += rows[j] as i64;
+        for l in 0..k {
+            regs[cl.var as usize * k + l] += r as i64;
         }
     }
 
-    /// The machine loop: run groups to completion, splitting at mixed
-    /// control ops and merging at reconvergence points.
-    fn exec(&mut self, mut lanes: Vec<u16>) {
-        let n = self.ck.lane_ops.len();
-        let mut pc = 0usize;
+    /// The machine loop: run the program to its end in lockstep, the hot
+    /// loop between column loops' chunks. `Err(pc)`: the op at `pc` would
+    /// trap, or send the lanes different ways, or the lanes would leave
+    /// the column loop whose body starts at `pc` in different chunks;
+    /// nothing of it ran.
+    fn exec(&mut self) -> Result<(), usize> {
+        let mut pc = 0;
         loop {
-            if lanes.is_empty() {
-                match self.stack.pop() {
-                    None => return,
-                    Some(mut e) => {
-                        if let Some((pl, ppc)) = e.pending.take() {
-                            self.stack.push(e);
-                            lanes = pl;
-                            pc = ppc;
-                        } else {
-                            lanes = e.parked;
-                            pc = e.rejoin;
-                        }
-                    }
-                }
-                continue;
-            }
-            if pc >= n {
-                let st = if self.pl.is_some() {
-                    LaneState::DonePerLane
-                } else {
-                    LaneState::DoneShared
-                };
-                for &l in &lanes {
-                    self.done[l as usize] = st.clone();
-                }
-                lanes.clear();
-                continue;
-            }
-            if let Some(top) = self.stack.last() {
-                if top.rejoin == pc {
-                    let e = self.stack.pop().expect("stack top just observed");
-                    if let Some((pl, ppc)) = e.pending {
-                        // Park the side that arrived; run the pending one.
-                        let parked = merge_sorted(e.parked, std::mem::take(&mut lanes));
-                        self.stack.push(Entry {
-                            rejoin: e.rejoin,
-                            pending: None,
-                            parked,
-                        });
-                        lanes = pl;
-                        pc = ppc;
-                    } else {
-                        lanes = merge_sorted(lanes, e.parked);
-                    }
+            // A column loop's body start is an iteration boundary: run the
+            // next chunk of iterations, or this one op at a time when the
+            // chunk could trap.
+            if let Some(cl) = self.col_loop(pc) {
+                if let Some(next) = self.run_chunk(cl)? {
+                    pc = next;
                     continue;
                 }
             }
-            // A column loop's body start is an iteration boundary: run
-            // the next chunk of iterations, or this one op at a time
-            // when the chunk could trap.
-            if let Some(cl) = self.col_loop(pc) {
-                pc = match self.run_chunk(cl, &mut lanes) {
-                    Some(next) => next,
-                    None => self.step(pc, &mut lanes),
-                };
-                continue;
-            }
-            // Fully converged batch (all K lanes live, shared
-            // accounting): hand the program to the hot loop, which runs
-            // until completion, until one op needs the general step's
-            // trap/divergence machinery, or until a column loop's body
-            // starts. `lanes` is always a strictly ascending subset of
-            // `0..k`, so length alone proves it is the identity group.
-            if self.pl.is_none() && self.stack.is_empty() && lanes.len() == self.k {
-                match self.exec_hot(pc) {
-                    None => {
-                        for &l in &lanes {
-                            self.done[l as usize] = LaneState::DoneShared;
-                        }
-                        lanes.clear();
-                        continue;
-                    }
-                    Some(p) if self.col_loop(p).is_some() => {
-                        pc = p;
-                        continue;
-                    }
-                    Some(p) => pc = p,
-                }
-            }
-            pc = self.step(pc, &mut lanes);
+            pc = match self.exec_hot(pc) {
+                Exit::End => return Ok(()),
+                Exit::Body(body) => body,
+                Exit::Bail(pc) => return Err(pc),
+            };
         }
     }
 }
@@ -2304,19 +1579,48 @@ impl CompiledKernel {
             streams.len(),
             "one scalar-input map per lane bundle"
         );
+        match self.run_lockstep(scalar_inputs, streams, limit) {
+            Ok(out) => out,
+            // Nothing reached the bundles: run each lane alone.
+            Err(attempt) => {
+                let mut dispatches = attempt;
+                let lanes = (0..streams.len())
+                    .map(|l| {
+                        let mut solo = self
+                            .run_lockstep(&scalar_inputs[l..=l], &mut streams[l..=l], limit)
+                            .expect("one lane always runs in lockstep");
+                        dispatches += solo.dispatches;
+                        solo.lanes.pop().expect("one lane, one outcome")
+                    })
+                    .collect();
+                BatchOutcome { lanes, dispatches }
+            }
+        }
+    }
+
+    /// Run every lane in lockstep. `Err` with the dispatches spent, and
+    /// nothing committed to `streams`, when the lanes would disagree, an
+    /// op would trap in any of them, or a lane lacks a scalar input; a
+    /// one-lane batch always returns `Ok`.
+    fn run_lockstep<S: Borrow<HashMap<String, i64>>>(
+        &self,
+        scalar_inputs: &[S],
+        streams: &mut [StreamBundle],
+        limit: u64,
+    ) -> Result<BatchOutcome, u64> {
         let k = streams.len();
         if k == 0 {
-            return BatchOutcome {
+            return Ok(BatchOutcome {
                 lanes: Vec::new(),
                 dispatches: 0,
-            };
+            });
         }
 
         let nr = self.lane_regs as usize;
         let np = self.stream_ins.len();
         let nq = self.stream_outs.len();
+        let ops = self.lane_ops.len();
         let mut regs = vec![0i64; nr * k];
-        let mut done = vec![LaneState::Running; k];
         // Broadcast the pooled immediates (every op reads its operands
         // from register rows; see `CompiledKernel::imm_seed`).
         for (i, v) in self.imm_seed.iter().enumerate() {
@@ -2324,33 +1628,31 @@ impl CompiledKernel {
             regs[b..b + k].fill(*v);
         }
 
-        // Seed scalars per lane; a missing input retires the lane before
-        // any bundle effect, exactly like the interpreter's early return.
-        let mut live: Vec<u16> = Vec::with_capacity(k);
+        // Seed scalars per lane. A missing input fails the lane before
+        // any bundle effect, exactly like the interpreter's early return;
+        // the other lanes of a wider batch then run alone.
         for l in 0..k {
-            let mut err = None;
             for s in &self.scalar_seed {
                 let v = if s.is_input {
                     match scalar_inputs[l].borrow().get(&s.name) {
                         Some(v) => *v,
-                        None => {
-                            err = Some(ExecError::MissingScalarInput(s.name.clone()));
-                            break;
+                        None if k == 1 => {
+                            return Ok(BatchOutcome {
+                                lanes: vec![Err(ExecError::MissingScalarInput(s.name.clone()))],
+                                dispatches: 0,
+                            })
                         }
+                        None => return Err(0),
                     }
                 } else {
                     0
                 };
                 regs[s.reg as usize * k + l] = s.ty.wrap(v);
             }
-            match err {
-                Some(e) => done[l] = LaneState::SeedErr(e),
-                None => live.push(l as u16),
-            }
         }
 
-        // Resolve ports and snapshot inputs per live lane (bundles may
-        // differ in which ports they carry).
+        // Resolve ports and snapshot inputs per lane (bundles may differ
+        // in which ports they carry).
         let mut in_slots: Vec<Option<usize>> = vec![None; np * k];
         let TokenBufs {
             mut in_all,
@@ -2366,12 +1668,10 @@ impl CompiledKernel {
         out_bufs.iter_mut().for_each(Vec::clear);
         let mut in_start: Vec<usize> = vec![0usize; np * k];
         let mut in_end: Vec<usize> = vec![0usize; np * k];
-        let mut out_slots: Vec<usize> = vec![0usize; nq * k];
-        for &l in &live {
-            let li = l as usize;
+        for (l, bundle) in streams.iter().enumerate() {
             for (p, port) in self.stream_ins.iter().enumerate() {
-                if let Some(s) = streams[li].input_index(port) {
-                    let b = p * k + li;
+                if let Some(s) = bundle.input_index(port) {
+                    let b = p * k + l;
                     in_slots[b] = Some(s);
                     // Skew each slot's start by a distinct number of
                     // cache lines: lanes advance through their regions
@@ -2383,16 +1683,12 @@ impl CompiledKernel {
                     let skew = 8 * (b % 63 + 1) - in_all.len() % 8;
                     in_all.resize(in_all.len() + skew, 0);
                     in_start[b] = in_all.len();
-                    streams[li].input_snapshot_into(s, &mut in_all);
+                    bundle.input_snapshot_into(s, &mut in_all);
                     in_end[b] = in_all.len();
                 }
             }
-            for (q, port) in self.stream_outs.iter().enumerate() {
-                out_slots[q * k + li] = streams[li].ensure_output(port);
-            }
         }
 
-        let started = live.clone();
         let mut vm = LaneVm {
             ck: self,
             k,
@@ -2404,72 +1700,58 @@ impl CompiledKernel {
             in_start,
             in_end,
             out_bufs,
-            sh_counts: vec![0u64; self.lane_ops.len()],
-            sh_steps: 0,
-            sh_dyn: 0,
-            pl: None,
+            counts: vec![0u64; ops],
+            steps: 0,
+            dynb: 0,
+            lane_counts: vec![0u64; ops * k],
+            lane_steps: vec![0u64; k],
             dispatches: 0,
-            done,
-            stack: Vec::new(),
-            cond: vec![false; k],
             vals: vec![0i64; k],
             cols,
-            rows: vec![0; k],
             cut: vec![0; k],
             guard_rows: Vec::new(),
         };
-        if !live.is_empty() {
-            vm.exec(live);
-        }
+        let end = match vm.exec() {
+            Ok(()) => Ok(()),
+            Err(pc) if k == 1 => Err(vm.trap(pc)),
+            Err(_) => return Err(vm.dispatches),
+        };
 
-        // Commit stream effects for every lane that started, on success
-        // and on trap alike — the bundle state mirrors the interpreter's.
-        for &l in &started {
-            let li = l as usize;
+        // Commit every lane's stream effects, on success and on trap
+        // alike — the bundle state mirrors the interpreter's.
+        for (l, bundle) in streams.iter_mut().enumerate() {
             for p in 0..np {
-                if let Some(s) = in_slots[p * k + li] {
-                    let b = p * k + li;
-                    streams[li].drain_input_at(s, vm.cursors[b] - vm.in_start[b]);
+                if let Some(s) = in_slots[p * k + l] {
+                    let b = p * k + l;
+                    bundle.drain_input_at(s, vm.cursors[b] - vm.in_start[b]);
                 }
             }
-            for q in 0..nq {
-                streams[li].extend_output_at(out_slots[q * k + li], &vm.out_bufs[q * k + li]);
+            for (q, port) in self.stream_outs.iter().enumerate() {
+                let slot = bundle.ensure_output(port);
+                bundle.extend_output_at(slot, &vm.out_bufs[q * k + l]);
             }
         }
-        TOKEN_BUFS.with(|bufs| {
-            *bufs.borrow_mut() = TokenBufs {
-                in_all: std::mem::take(&mut vm.in_all),
-                out_bufs: std::mem::take(&mut vm.out_bufs),
-                cols: std::mem::take(&mut vm.cols),
+        let lanes = match end {
+            Err(e) => vec![Err(e)],
+            Ok(()) => {
+                let mut counts = vec![0u64; ops];
+                (0..k)
+                    .map(|l| {
+                        let lane = &vm.lane_counts[l * ops..][..ops];
+                        for ((c, &shared), &own) in counts.iter_mut().zip(&vm.counts).zip(lane) {
+                            *c = shared + own;
+                        }
+                        let acc = self.replay(&counts, vm.dynb);
+                        debug_assert_eq!(acc[STAT_STEPS], vm.steps + vm.lane_steps[l]);
+                        Ok(self.outcome_for_lane(&vm.regs, k, l, &acc))
+                    })
+                    .collect()
             }
-        });
-
-        let mut counts_col = vec![0u64; self.lane_ops.len()];
-        let lanes = (0..k)
-            .map(|l| match &vm.done[l] {
-                LaneState::SeedErr(e) | LaneState::Trapped(e) => Err(e.clone()),
-                LaneState::DoneShared => {
-                    let acc = self.replay(&vm.sh_counts, vm.sh_dyn);
-                    debug_assert_eq!(acc[STAT_STEPS], vm.sh_steps);
-                    Ok(self.outcome_for_lane(&vm.regs, k, l, &acc))
-                }
-                LaneState::DonePerLane => {
-                    let pl = vm.pl.as_ref().expect("per-lane finish implies pl");
-                    for (i, c) in counts_col.iter_mut().enumerate() {
-                        *c = pl.counts[i * k + l];
-                    }
-                    let acc = self.replay(&counts_col, pl.dynb[l]);
-                    debug_assert_eq!(acc[STAT_STEPS], pl.steps[l]);
-                    Ok(self.outcome_for_lane(&vm.regs, k, l, &acc))
-                }
-                LaneState::Running => unreachable!("machine left a lane running"),
-            })
-            .collect();
-
-        BatchOutcome {
+        };
+        Ok(BatchOutcome {
             lanes,
             dispatches: vm.dispatches,
-        }
+        })
     }
 
     fn outcome_for_lane(&self, regs: &[i64], k: usize, l: usize, acc: &[u64; 11]) -> ExecOutcome {
@@ -2587,7 +1869,8 @@ mod tests {
 
     #[test]
     fn divergent_loop_bounds_match_scalar() {
-        // Different per-lane trip counts force LoopBack divergence.
+        // Different per-lane trip counts send the lanes different ways at
+        // a back-edge, so the batch runs each lane alone.
         let k = sum_kernel();
         let ins: Vec<Vec<(&str, i64)>> = vec![
             vec![("n", 1)],
@@ -2603,7 +1886,8 @@ mod tests {
 
     #[test]
     fn early_trap_does_not_stall_batch() {
-        // Lane 1 underflows mid-loop; lanes 0 and 2 finish normally.
+        // Lane 1 underflows mid-loop; lanes 0 and 2 finish normally, each
+        // run alone.
         let k = sum_kernel();
         let ins: Vec<Vec<(&str, i64)>> = (0..3).map(|_| vec![("n", 3)]).collect();
         let feeds: Vec<Vec<(&str, Vec<i64>)>> = vec![
@@ -2639,7 +1923,7 @@ mod tests {
     #[test]
     fn if_else_divergence_reconverges() {
         // abs-like if/else over per-lane signs, inside a loop: lanes
-        // take different sides every iteration and must still match.
+        // take different sides, so they run alone and must still match.
         let k = KernelBuilder::new("absacc")
             .scalar_in("n", Ty::U32)
             .stream_in("in", Ty::I32)
@@ -2676,7 +1960,7 @@ mod tests {
     fn step_limit_trips_identically_per_lane() {
         let k = sum_kernel();
         // Lanes with different trip counts trip the limit at different
-        // (per-lane) points; each must match its solo twin exactly.
+        // points; each must match its solo twin exactly.
         for limit in [1u64, 5, 9, 17, 33, 1000] {
             let ins: Vec<Vec<(&str, i64)>> = vec![vec![("n", 2)], vec![("n", 8)], vec![("n", 5)]];
             let feeds: Vec<Vec<(&str, Vec<i64>)>> = (0..3)
@@ -2689,8 +1973,8 @@ mod tests {
     #[test]
     fn inc_idx_retires_out_of_bounds_lane_mid_op() {
         // `bins[v] = bins[v] + 1` lowers to `IncIdx`. Lane 1's third
-        // token indexes -1: the op's bounds phase drops that lane, and
-        // the read-modify-write phase must then skip it.
+        // token indexes -1: it traps there with its earlier increments
+        // and reads kept, and lane 0 runs to the end.
         let k = KernelBuilder::new("hist4")
             .scalar_in("n", Ty::U32)
             .stream_in("s", Ty::I8)
@@ -2718,8 +2002,8 @@ mod tests {
     fn load_idx_write_retires_out_of_bounds_lane_mid_op() {
         // A random-kernel case: `write(sout0, arr0[in0 + 27 * loc0])`
         // lowers to `LoadIdxWrite`. Lane 0's `in0` wraps to -1 (out of
-        // bounds), lane 1's to 0; the write phase must not emit a token
-        // for the lane the bounds phase dropped.
+        // bounds), lane 1's to 0; lane 0 must trap before the op emits
+        // its token.
         let k = KernelBuilder::new("prop")
             .scalar_in("in0", Ty::I8)
             .scalar_out("out0", Ty::unsigned(5))
@@ -2808,14 +2092,14 @@ mod tests {
     #[test]
     fn column_lanes_with_different_trip_counts_match_solo_runs() {
         // Trip counts below, at and past one chunk, and past two: the
-        // lanes leave the loop in different chunks, so the batch goes
-        // on under per-lane accounting.
+        // lanes leave the loop in different chunks, so the batch runs
+        // each lane alone.
         let k = column_kernel();
         let trips = [1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 88];
         let ins: Vec<Vec<(&str, i64)>> = trips.iter().map(|&n| vec![("n", n as i64)]).collect();
         let feeds: Vec<_> = trips.iter().map(|&n| column_feed(n)).collect();
         assert_batch_equiv(&k, &ins, &feeds, DEFAULT_STEP_LIMIT);
-        // Equal trip counts stay under shared accounting.
+        // Equal trip counts keep the lanes in lockstep.
         let ins: Vec<Vec<(&str, i64)>> = (0..4).map(|_| vec![("n", 600)]).collect();
         let feeds: Vec<_> = (0..4).map(|_| column_feed(600)).collect();
         assert_batch_equiv(&k, &ins, &feeds, DEFAULT_STEP_LIMIT);
@@ -2875,7 +2159,7 @@ mod tests {
             out.dispatches
         };
         let (d1, d4) = (run(1), run(4));
-        assert_eq!(d1, d4, "converged lanes share every chunk's dispatches");
+        assert_eq!(d1, d4, "lanes in lockstep share every chunk's dispatches");
         let span = |cl: &ColLoop| (cl.back - cl.body + 1) as u64;
         let chunks = (n / CHUNK) as u64 * span(&ck.col_loops[0]) + span(&ck.col_loops[1]);
         assert!(
@@ -2978,7 +2262,7 @@ mod tests {
     #[test]
     fn guard_mixed_across_lanes_goes_per_lane() {
         // Lanes hold the guard on different rows, so their counts differ
-        // and the batch goes on under per-lane accounting; one lane's
+        // and each chunk tallies them per lane, in lockstep; one lane's
         // guard never holds and another's always does.
         check_guarded([500, -1, 5000, 900], 2 * CHUNK + 10);
         check_guarded([0, 999, 998, 500], 7);
@@ -2988,7 +2272,8 @@ mod tests {
     fn guarded_division_traps_at_the_interpreters_row() {
         // `v - lim` is zero on the rows where `v == lim`; with the guard
         // `v >= lim` those rows run the division and trap, at different
-        // rows per lane, after each lane's earlier rows are committed.
+        // rows per lane, after each lane's earlier rows are committed:
+        // each lane runs alone.
         let k = KernelBuilder::new("trap")
             .scalar_in("n", Ty::U32)
             .scalar_in("lim", Ty::I32)
@@ -3098,6 +2383,141 @@ mod tests {
         let d1 = mk(1);
         let d8 = mk(8);
         // Identical control flow: 8 lanes cost the same dispatches as 1.
-        assert_eq!(d1, d8, "converged lanes must share dispatches");
+        assert_eq!(d1, d8, "lanes in lockstep must share dispatches");
+    }
+
+    /// Run `ins`/`feeds` as one batch.
+    fn run_lanes(
+        ck: &CompiledKernel,
+        ins: &[Vec<(&str, i64)>],
+        feeds: &[Vec<(&str, Vec<i64>)>],
+    ) -> BatchOutcome {
+        let inputs: Vec<HashMap<String, i64>> = ins
+            .iter()
+            .map(|i| i.iter().map(|(n, v)| (n.to_string(), *v)).collect())
+            .collect();
+        let mut bundles: Vec<StreamBundle> = feeds
+            .iter()
+            .map(|f| {
+                let mut b = StreamBundle::new();
+                for (p, t) in f {
+                    b.feed(p, t.iter().copied());
+                }
+                b
+            })
+            .collect();
+        ck.run_batch(&inputs, &mut bundles)
+    }
+
+    #[test]
+    fn host_work_with_and_without_a_restart() {
+        // Lanes whose guarded blocks run on different rows stay in
+        // lockstep: the batch costs what one lane alone costs.
+        let ck = CompiledKernel::compile(&guarded_kernel());
+        let n = 2 * CHUNK + 10;
+        let ins: Vec<Vec<(&str, i64)>> = [500, -1, 5000, 900]
+            .iter()
+            .map(|&lim| vec![("n", n as i64), ("lim", lim)])
+            .collect();
+        let feeds: Vec<_> = (0..4)
+            .map(|l| {
+                vec![(
+                    "px",
+                    (0..n as i64).map(|t| (t * 37 + 11 * l) % 1000).collect(),
+                )]
+            })
+            .collect();
+        let batch = run_lanes(&ck, &ins, &feeds);
+        assert!(batch.lanes.iter().all(Result::is_ok));
+        for l in 0..4 {
+            let solo = run_lanes(&ck, &ins[l..=l], &feeds[l..=l]);
+            assert_eq!(batch.dispatches, solo.dispatches, "lane {l}");
+        }
+
+        // Lanes whose trip counts differ leave the column loop in
+        // different chunks: the batch abandons its attempt, returns each
+        // lane's own run, and counts the attempt's dispatches too.
+        let ck = CompiledKernel::compile(&column_kernel());
+        let trips = [300, 40, CHUNK, 2 * CHUNK + 1];
+        let ins: Vec<Vec<(&str, i64)>> = trips.iter().map(|&n| vec![("n", n as i64)]).collect();
+        let feeds: Vec<_> = trips.iter().map(|&n| column_feed(n)).collect();
+        let batch = run_lanes(&ck, &ins, &feeds);
+        let mut alone = 0;
+        for l in 0..4 {
+            let solo = run_lanes(&ck, &ins[l..=l], &feeds[l..=l]);
+            let (a, b) = (&batch.lanes[l], &solo.lanes[0]);
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!((&a.scalar_outputs, a.stats), (&b.scalar_outputs, b.stats));
+            alone += solo.dispatches;
+        }
+        assert!(
+            batch.dispatches > alone,
+            "{} dispatches, {alone} alone",
+            batch.dispatches
+        );
+    }
+
+    #[test]
+    fn staged_ops_trap_where_the_interpreter_does() {
+        // Two writes fuse into `WriteStream2`, which pushes its first
+        // port before its staged step tick, and `bins[v] += 1` into
+        // `IncIdx`, whose out-of-range index beats that tick. The runs
+        // take 75 steps, or trap at step 61 on index -1; every step limit
+        // up to 80 puts the trap somewhere else, among them on each
+        // staged tick, with the index -1 or in range.
+        let k = KernelBuilder::new("staged")
+            .scalar_in("n", Ty::U32)
+            .stream_in("s", Ty::I8)
+            .stream_out("a", Ty::I8)
+            .stream_out("b", Ty::I8)
+            .array("bins", Ty::U32, 4)
+            .local("v", Ty::I8)
+            .push(for_(
+                "i",
+                c(0),
+                var("n"),
+                vec![
+                    assign("v", read("s")),
+                    write("a", var("v")),
+                    write("b", var("v")),
+                    store("bins", var("v"), add(idx("bins", var("v")), c(1))),
+                ],
+            ))
+            .build();
+        let listing = CompiledKernel::compile(&k).disasm();
+        assert!(
+            listing.contains("WriteStream2") && listing.contains("IncIdx"),
+            "{listing}"
+        );
+        let ins: Vec<Vec<(&str, i64)>> = vec![vec![("n", 6)], vec![("n", 6)]];
+        let feeds: Vec<Vec<(&str, Vec<i64>)>> = vec![
+            vec![("s", vec![0, 1, 2, 3, -1, 2])],
+            vec![("s", vec![3, 2, 1, 0, 1, 2])],
+        ];
+        for limit in 1..=80 {
+            assert_batch_equiv(&k, &ins[..1], &feeds[..1], limit);
+            assert_batch_equiv(&k, &ins, &feeds, limit);
+        }
+    }
+
+    #[test]
+    fn batches_past_u16_lane_ids_run() {
+        // More lanes than a `u16` numbers: each lane must still be its own.
+        let k = KernelBuilder::new("inc")
+            .scalar_in("a", Ty::I32)
+            .scalar_out("o", Ty::I32)
+            .push(assign("o", add(var("a"), c(1))))
+            .build();
+        let ck = CompiledKernel::compile(&k);
+        let lanes = u16::MAX as usize + 2;
+        let inputs: Vec<HashMap<String, i64>> = (0..lanes)
+            .map(|l| [("a".to_string(), l as i64)].into_iter().collect())
+            .collect();
+        let mut bundles: Vec<StreamBundle> = (0..lanes).map(|_| StreamBundle::new()).collect();
+        let out = ck.run_batch(&inputs, &mut bundles);
+        assert_eq!(out.lanes.len(), lanes);
+        for (l, res) in out.lanes.iter().enumerate() {
+            assert_eq!(res.as_ref().unwrap().scalar_outputs["o"], l as i64 + 1);
+        }
     }
 }

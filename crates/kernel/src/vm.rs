@@ -9,7 +9,7 @@
 //! execution loop; the differential property tests in `tests/prop_vm.rs`
 //! hold it bit-identical to the interpreter on random kernels. The
 //! helpers below define each op's arithmetic once, for the lane VM's hot
-//! loop and its general step alike.
+//! loop, its column loops and its trap resolver alike.
 
 use crate::compile::{CompiledKernel, Wrap, STAT_BRANCHES};
 use crate::interp::{ExecError, ExecOutcome, ExecStats, StreamBundle};

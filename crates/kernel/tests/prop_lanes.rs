@@ -10,9 +10,9 @@
 //!
 //! The generated input space deliberately includes the awkward lanes:
 //! under-fed streams (`n` larger than the fed token count → stream
-//! underflow mid-loop), missing scalar inputs (a lane that retires
+//! underflow mid-loop), missing scalar inputs (a lane that fails
 //! before its first bundle effect), empty streams, and step limits small
-//! enough to trip `StepLimit` partway through — all of which must retire
+//! enough to trip `StepLimit` partway through — all of which must fail
 //! one lane without disturbing its siblings.
 
 use accelsoc_apps::kernels;

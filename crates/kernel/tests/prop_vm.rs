@@ -10,8 +10,8 @@
 //! checks single invocations (`CompiledKernel::run*`, a one-lane batch);
 //! the second runs each kernel as a batch of 2, 3, 4 and 8 lanes, every
 //! lane on its own variant of the inputs, and checks each lane against
-//! the interpreter on that lane's inputs alone — so lanes diverge, trap
-//! mid-op and retire at different points while their siblings go on.
+//! the interpreter on that lane's inputs alone — so lanes diverge and
+//! trap at different points, and the batch runs each lane alone.
 //!
 //! The generator only produces kernels the verifier accepts: every name
 //! it references is declared, writes go to scalar-out params and
