@@ -1,8 +1,9 @@
 //! Batched throughput runs: N independent simulated boards process a
 //! stream of images in parallel host threads.
 //!
-//! Every image is simulated on its **own** `Board` instance (boards are
-//! independent SoCs; there is no cross-image contention to model), so
+//! Every image is simulated on a board of its own, new or reset to new
+//! between images (boards are independent SoCs; there is no
+//! cross-image contention to model), so
 //! per-image simulated latency is a pure function of (architecture,
 //! image, board knobs). Host threads only parallelise the *host* work of
 //! running the simulations — the aggregated [`BatchReport`] is therefore
@@ -12,7 +13,7 @@
 
 use crate::archs::Arch;
 use crate::image::RgbImage;
-use crate::otsu::{run_application_group, AppConfig, AppError};
+use crate::otsu::{AppConfig, AppError, GroupRunner};
 use accelsoc_core::flow::{FlowArtifacts, FlowEngine};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -21,15 +22,34 @@ use std::collections::HashMap;
 /// taking one contiguous chunk of indices, and return the results in
 /// index order — so the output never depends on `threads`.
 pub fn par_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    par_map_with(n, threads, || (), |(), i| f(i))
+}
+
+/// [`par_map`] with per-worker state: each worker makes one `S` with
+/// `init` and hands it to `f` for every index of its chunk, so `f` can
+/// keep boards and buffers from one index to the next. When one chunk
+/// covers all `n` indices (one thread, or `n <= 1`), the map runs on
+/// the calling thread and spawns none.
+pub fn par_map_with<S, T: Send>(
+    n: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    let chunk = n.div_ceil(threads.max(1)).max(1);
+    if chunk >= n {
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
+    }
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(n, || None);
-    let chunk = n.div_ceil(threads.max(1)).max(1);
-    let f = &f;
+    let (init, f) = (&init, &f);
     crossbeam::thread::scope(|s| {
         for (c, out) in slots.chunks_mut(chunk).enumerate() {
             s.spawn(move |_| {
+                let mut state = init();
                 for (i, slot) in out.iter_mut().enumerate() {
-                    *slot = Some(f(c * chunk + i));
+                    *slot = Some(f(&mut state, c * chunk + i));
                 }
             });
         }
@@ -94,8 +114,8 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Run `images` through `arch` on `threads` parallel host threads (one
-/// fresh board per image) at the default lane width and fold the
+/// Run `images` through `arch` on `threads` parallel host threads (each
+/// image on a board of its own) at the default lane width and fold the
 /// per-image simulated latencies into a [`BatchReport`].
 pub fn run_batch(
     arch: Arch,
@@ -111,8 +131,8 @@ pub fn run_batch(
 /// [`run_batch`] with an explicit lane width: images are partitioned
 /// into lane groups of up to `lanes` images of one shape, in input
 /// order, each group executes its software tasks as **one** lane-VM
-/// batch ([`run_application_group`]), and host threads parallelise
-/// across groups. Images of different shapes never run in lockstep
+/// batch ([`GroupRunner`]), and host threads parallelise across groups,
+/// each worker reusing one runner's boards for all its groups. Images of different shapes never run in lockstep
 /// (their loops run different trip counts), so a group mixing them
 /// would run each image alone. Results land in their input slot
 /// regardless of which worker computed them, so the report stays
@@ -140,16 +160,19 @@ pub fn run_batch_lanes(
             open.remove(&shape);
         }
     }
-    let results = par_map(groups.len(), threads, |g| {
-        let group: Vec<RgbImage> = groups[g].iter().map(|&i| images[i].clone()).collect();
-        run_application_group(arch, engine, artifacts, &group, cfg).and_then(|g| {
-            let mut ns = Vec::with_capacity(g.runs.len());
-            for run in g.runs {
-                ns.push(run?.total_ns);
-            }
-            Ok((ns, g.ir_ops, g.vm_dispatches))
-        })
-    });
+    // Each worker runs its groups on one runner, reusing its boards.
+    let results = par_map_with(
+        groups.len(),
+        threads,
+        || GroupRunner::new(arch, engine, artifacts, cfg),
+        |runner, g| {
+            let group: Vec<&RgbImage> = groups[g].iter().map(|&i| &images[i]).collect();
+            runner.latencies(&group).and_then(|g| {
+                let ns = g.total_ns.into_iter().collect::<Result<Vec<f64>, _>>()?;
+                Ok((ns, g.ir_ops, g.vm_dispatches))
+            })
+        },
+    );
     let mut per_image_ns = vec![0.0; images.len()];
     let (mut ir_ops, mut vm_dispatches) = (0u64, 0u64);
     for (group, result) in groups.iter().zip(results) {
@@ -207,6 +230,29 @@ mod tests {
     use super::*;
     use crate::archs::{arch_dsl_source, otsu_flow_engine};
     use crate::otsu::run_application_group;
+
+    #[test]
+    fn one_thread_maps_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = par_map(5, 1, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+        // One chunk, one worker state, kept from index to index.
+        let inits = std::sync::atomic::AtomicUsize::new(0);
+        let init = || {
+            inits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Vec::new()
+        };
+        let seen = |state: &mut Vec<usize>, i: usize| {
+            state.push(i);
+            state.clone()
+        };
+        let out = par_map_with(3, 1, init, seen);
+        assert_eq!(out, [vec![0], vec![0, 1], vec![0, 1, 2]]);
+        assert_eq!(inits.into_inner(), 1);
+        // Three threads: a state per chunk, results in index order.
+        let out = par_map_with(5, 3, Vec::new, seen);
+        assert_eq!(out, [vec![0], vec![0, 1], vec![2], vec![2, 3], vec![4]]);
+    }
 
     #[test]
     fn percentile_nearest_rank() {

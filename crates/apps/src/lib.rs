@@ -26,9 +26,11 @@ pub mod kernels;
 pub mod otsu;
 
 pub use archs::{arch_dsl_source, otsu_flow_engine, Arch};
-pub use batch::{image_stream, par_map, run_batch, run_batch_lanes, BatchReport, DEFAULT_LANES};
+pub use batch::{
+    image_stream, par_map, par_map_with, run_batch, run_batch_lanes, BatchReport, DEFAULT_LANES,
+};
 pub use image::{GrayImage, RgbImage};
 pub use otsu::{
     otsu_reference, run_application, run_application_group, run_application_with, AppConfig,
-    AppRun, GroupExec,
+    AppRun, GroupExec, GroupLatencies, GroupRunner,
 };

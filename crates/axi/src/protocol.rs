@@ -69,6 +69,12 @@ impl VecMemory {
         self.pages.len()
     }
 
+    /// Zero every byte, keeping the pages allocated for the next writes:
+    /// the memory then reads exactly like a new one of its size.
+    pub fn zero(&mut self) {
+        self.pages.values_mut().for_each(|p| p.fill(0));
+    }
+
     /// Fill `buf` from `addr` — [`MemoryPort::read`] without needing
     /// `&mut self`, for debug dumps that must not count as traffic.
     pub fn peek(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemError> {

@@ -21,6 +21,6 @@ pub mod pareto;
 pub mod search;
 
 pub use model::{ChainModel, DesignPoint, TaskProfile};
-pub use otsu::{otsu_chain_model, otsu_chain_model_cached};
+pub use otsu::{otsu_chain_model, otsu_chain_model_cached, OtsuChainProfile};
 pub use pareto::pareto_front;
 pub use search::{exhaustive, exhaustive_parallel, greedy, random_search};

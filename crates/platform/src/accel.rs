@@ -38,6 +38,9 @@ pub struct AccelInstance {
     pub startup_cycles: u64,
     /// Scalar register state (AXI-Lite visible arguments).
     pub scalar_args: HashMap<String, i64>,
+    /// Argument names [`AccelInstance::clear_args`] took out of
+    /// `scalar_args`, kept so that setting them again allocates nothing.
+    spare_names: Vec<String>,
 }
 
 impl AccelInstance {
@@ -58,6 +61,7 @@ impl AccelInstance {
             unit,
             startup_cycles: 40,
             scalar_args: HashMap::new(),
+            spare_names: Vec::new(),
         }
     }
 
@@ -79,7 +83,26 @@ impl AccelInstance {
     /// Set a scalar argument (models the host writing the AXI-Lite
     /// argument register).
     pub fn set_arg(&mut self, name: &str, value: i64) {
-        self.scalar_args.insert(name.to_string(), value);
+        if let Some(v) = self.scalar_args.get_mut(name) {
+            *v = value;
+            return;
+        }
+        let key = match self.spare_names.pop() {
+            Some(mut key) => {
+                key.clear();
+                key.push_str(name);
+                key
+            }
+            None => name.to_string(),
+        };
+        self.scalar_args.insert(key, value);
+    }
+
+    /// Clear every argument register, as on a newly placed instance;
+    /// the names are kept for the next [`AccelInstance::set_arg`].
+    pub fn clear_args(&mut self) {
+        self.spare_names
+            .extend(self.scalar_args.drain().map(|(name, _)| name));
     }
 
     /// Whether `other` runs on the same kernel, report and execution

@@ -25,6 +25,12 @@ impl Dram {
         }
     }
 
+    /// Zero the whole DRAM in place: its written pages stay allocated,
+    /// and every byte reads 0 again, as on a new DRAM of the same size.
+    pub fn zero(&mut self) {
+        self.mem.zero();
+    }
+
     /// Convenience: write a slice of u8 pixels starting at `addr`.
     pub fn load_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
         self.write(addr, data)
@@ -80,6 +86,14 @@ mod tests {
         assert!(d.load_bytes(u64::MAX - 1, &[1, 2, 3, 4]).is_err());
         assert!(d.dump_bytes(u64::MAX - 1, 4).is_err());
         assert_eq!(d.dump_bytes(0, 16).unwrap(), vec![0; 16]);
+    }
+
+    #[test]
+    fn zeroed_dram_reads_like_a_new_one() {
+        let mut d = Dram::new(1 << 16);
+        d.load_bytes(0x1ffe, &[1, 2, 3, 4]).unwrap();
+        d.zero();
+        assert_eq!(d.dump_bytes(0x1ff0, 32).unwrap(), vec![0; 32]);
     }
 
     #[test]

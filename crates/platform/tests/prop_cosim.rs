@@ -4,9 +4,10 @@
 //! an input that differs in any one field is simulated afresh.
 
 use accelsoc_platform::cosim::{
-    self, CosimPhase, PhaseMemo, SinkSpec, SourceSpec, StagePort, StageSpec,
+    self, CosimPhase, PhaseMemo, PhaseShape, SinkSpec, SourceSpec, StagePort, StageSpec,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Generous cap: generated phases are consistent, so they finish far
 /// below it.
@@ -187,5 +188,43 @@ proptest! {
         prop_assert_eq!(memo.run(phase, hp2, cap2), (want, true));
         prop_assert_eq!(memo.run(base.0, base.1, base.2), (base_r, true));
         prop_assert_eq!(memo.len(), 2);
+    }
+
+    /// A phase splits into its shape and its counts and back without
+    /// loss, and the memo keys both ways of asking on the same entry:
+    /// a phase run whole is reused by a run on its shape and counts,
+    /// through the same shape or through an equal one built apart, and
+    /// a shape with other counts is a different input.
+    #[test]
+    fn shape_and_counts_key_the_memo_like_the_whole_phase(
+        kind in 0usize..3,
+        beats in 2u64..400,
+        depth in 1u64..17,
+        ii in 1u64..4,
+        hp in 4u64..17,
+        burst_beats in 0u64..17,
+        burst_overhead in 0u64..9,
+    ) {
+        let k = Knobs { beats, depth, ii, burst_beats, burst_overhead };
+        let phase = phase_of(kind, k);
+        let counts = PhaseShape::counts(&phase);
+        let shape = Arc::new(PhaseShape::new(phase.clone()));
+        prop_assert_eq!(counts.len(), shape.count_len());
+        prop_assert_eq!(&shape.phase(&counts), &phase);
+        let want = cosim::run(&phase, hp, CAP);
+        let memo = PhaseMemo::new();
+        prop_assert_eq!(memo.run(phase.clone(), hp, CAP), (want.clone(), false));
+        prop_assert_eq!(memo.run_shaped(&shape, &counts, hp, CAP), (want.clone(), true));
+        let apart = Arc::new(PhaseShape::new(phase.clone()));
+        prop_assert_eq!(memo.run_shaped(&apart, &counts, hp, CAP), (want, true));
+        prop_assert_eq!(memo.len(), 1);
+
+        let fewer: Vec<u64> = counts.iter().map(|&c| c.div_ceil(2)).collect();
+        let smaller = shape.phase(&fewer);
+        let want = cosim::run(&smaller, hp, CAP);
+        prop_assert_eq!(memo.run_shaped(&shape, &fewer, hp, CAP), (want.clone(), false));
+        prop_assert_eq!(memo.run(smaller, hp, CAP), (want, true));
+        prop_assert_eq!(memo.len(), 2);
+        prop_assert_eq!(memo.inputs().len(), 2);
     }
 }

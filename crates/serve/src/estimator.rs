@@ -2,14 +2,15 @@
 //!
 //! Shortest-job-first and deadline admission both need a cheap latency
 //! estimate *before* a job runs. We reuse the `accelsoc-dse` chain model:
-//! build the Otsu [`ChainModel`] for the job's pixel count (all four HLS
-//! syntheses go through one shared in-memory cache, so they are paid once
-//! per process, not once per job) and evaluate the partition matching the
-//! job's architecture. Estimates are memoized per `(arch, side)`.
+//! the estimator measures the Otsu chain's [`OtsuChainProfile`] once
+//! (four kernel probe runs and four HLS syntheses through its in-memory
+//! cache), builds the [`ChainModel`] for each job's pixel count from it
+//! and evaluates the partition matching the job's architecture.
+//! Estimates are memoized per `(arch, side)`.
 
 use accelsoc_apps::archs::Arch;
 use accelsoc_dse::model::ChainModel;
-use accelsoc_dse::otsu::otsu_chain_model_cached;
+use accelsoc_dse::otsu::OtsuChainProfile;
 use accelsoc_hls::cache::HlsCache;
 use accelsoc_observe::{FlowObserver, NullObserver};
 use accelsoc_platform::sim::ps_from_ns;
@@ -19,6 +20,8 @@ use std::collections::HashSet;
 /// Memoizing latency estimator backed by the DSE chain model.
 pub struct DseEstimator {
     cache: HlsCache,
+    /// Measured on the first estimate.
+    profile: Option<OtsuChainProfile>,
     models: HashMap<u64, ChainModel>,
     est_ps: HashMap<(&'static str, u32), u64>,
 }
@@ -33,6 +36,7 @@ impl DseEstimator {
     pub fn new() -> Self {
         DseEstimator {
             cache: HlsCache::in_memory(),
+            profile: None,
             models: HashMap::new(),
             est_ps: HashMap::new(),
         }
@@ -46,7 +50,10 @@ impl DseEstimator {
         }
         let pixels = side as u64 * side as u64;
         let model = self.models.entry(pixels).or_insert_with(|| {
-            otsu_chain_model_cached(pixels, &self.cache, &NullObserver as &dyn FlowObserver)
+            let profile = self.profile.get_or_insert_with(|| {
+                OtsuChainProfile::measure(&self.cache, &NullObserver as &dyn FlowObserver)
+            });
+            profile.model(pixels)
         });
         let hw: HashSet<&str> = arch.hw_tasks().iter().copied().collect();
         let ns = model.evaluate(&hw).runtime_ns;

@@ -31,8 +31,8 @@ use crate::scheduler::{ServeConfig, ServeError};
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
 use accelsoc_apps::kernels::MAX_PIXELS;
-use accelsoc_apps::otsu::{dram_footprint, run_application_group, AppError, Value};
-use accelsoc_apps::par_map;
+use accelsoc_apps::otsu::{dram_footprint, AppError, GroupRunner, Value};
+use accelsoc_apps::par_map_with;
 use accelsoc_core::flow::FlowArtifacts;
 use accelsoc_observe::{FlowEvent, FlowObserver, TenantId};
 use accelsoc_platform::sim::{ns_from_ps, ps_from_ns};
@@ -224,26 +224,34 @@ impl SimTables {
                 open.remove(&shape);
             }
         }
-        let results = par_map(groups.len(), threads, |g| {
-            let grp = &groups[g];
-            let arch = keys[grp[0]].0;
-            let images: Vec<RgbImage> = grp
-                .iter()
-                .map(|&k| {
-                    let (_, side, seed) = keys[k];
-                    RgbImage::from_gray(&synthetic_scene(side, side, seed))
-                })
-                .collect();
-            let artifacts = artifacts[arch as usize]
-                .as_ref()
-                .expect("flow built for every architecture in use");
-            run_application_group(arch, &engine, artifacts, &images, &cfg.app).and_then(|g| {
-                g.runs
+        // Each worker keeps one runner per architecture for the whole
+        // build, so its boards and buffers serve every group it runs.
+        let results = par_map_with(
+            groups.len(),
+            threads,
+            <[Option<GroupRunner>; 4]>::default,
+            |runners, g| {
+                let grp = &groups[g];
+                let arch = keys[grp[0]].0;
+                let images: Vec<RgbImage> = grp
+                    .iter()
+                    .map(|&k| {
+                        let (_, side, seed) = keys[k];
+                        RgbImage::from_gray(&synthetic_scene(side, side, seed))
+                    })
+                    .collect();
+                let runner = runners[arch as usize].get_or_insert_with(|| {
+                    let artifacts = artifacts[arch as usize]
+                        .as_ref()
+                        .expect("flow built for every architecture in use");
+                    GroupRunner::new(arch, &engine, artifacts, &cfg.app)
+                });
+                let g = runner.latencies(&images)?;
+                g.total_ns
                     .into_iter()
-                    .map(|run| run.map(|r| r.total_ns))
                     .collect::<Result<Vec<f64>, AppError>>()
-            })
-        });
+            },
+        );
         let mut lat_ps = vec![None; keys.len()];
         for (grp, result) in groups.iter().zip(results) {
             for (&k, ns) in grp.iter().zip(result?) {

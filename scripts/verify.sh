@@ -21,7 +21,12 @@ done
 echo "==> cargo test (offline)"
 cargo test --offline --workspace -q
 
-echo "==> kernel, board, app and partition tests under every lane-VM ISA tier"
+echo "==> vendored rand tests"
+# The vendored stand-ins are not workspace members, so the run above
+# skips them; gen_range's u64 reduction is pinned against the u128 one.
+cargo test --offline -q -p rand
+
+echo "==> kernel, board, app, partition and serve tests under every lane-VM ISA tier"
 # The lane VM's hot loop and its column loops are the only compiled
 # kernel loops, and each is compiled once per ISA tier (portable, AVX2,
 # AVX-512) and picked at run time; the run above only exercises the
@@ -30,11 +35,14 @@ echo "==> kernel, board, app and partition tests under every lane-VM ISA tier"
 # tier). Board accelerators and the apps' software stages run as
 # multi-lane batches, so their crates run here too; the partition
 # crate's chains run every kernel end to end at width 1, and its
-# functional oracle checks them against the interpreter.
+# functional oracle checks them against the interpreter. The serving
+# precompute reuses each lane's board and buffers from group to group,
+# so the serve crate's tests run here too.
 for isa in scalar avx2; do
     echo "    ACCELSOC_LANE_ISA=$isa"
     ACCELSOC_LANE_ISA=$isa cargo test --release --offline -q \
-        -p accelsoc-kernel -p accelsoc-platform -p accelsoc-apps -p accelsoc-partition
+        -p accelsoc-kernel -p accelsoc-platform -p accelsoc-apps -p accelsoc-partition \
+        -p accelsoc-serve
 done
 
 echo "==> perfbench tests (offline, locked)"
